@@ -10,6 +10,7 @@ mutate their inputs.
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -68,6 +69,7 @@ class GridSpec:
         self.volume = float(np.prod(length))
         self._kd = None
         self._k2_full = None
+        self._grad_norm_weight = None
 
     def __eq__(self, other):
         return (
@@ -129,6 +131,31 @@ class GridSpec:
                 k2 = k2 + (k.reshape(shape)) ** 2
             self._k2_full = k2
         return self._k2_full
+
+    @property
+    def grad_norm_weight(self):
+        """Parseval weights for ||grad f||^2 on the ``rfftn`` half spectrum.
+
+        Entry k is c(k) |k|^2 h^d / N with the Nyquist-zeroed derivative
+        wavenumbers, so sum(weight * |rfftn(f)|^2) equals the discrete
+        h^d sum_x |grad f|^2.  c(k) = 2 counts the mirrored partner of a
+        mode on the halved last axis; c(k) = 1 on the zero mode and, for
+        even n, on the Nyquist plane, which have no partner.
+        """
+        if self._grad_norm_weight is None:
+            m = self.n[-1]
+            half = m // 2 + 1
+            k2 = np.zeros(self.n[:-1] + (half,))
+            for a, k in enumerate(self.deriv_wavenumbers):
+                if a == self.dim - 1:
+                    k = k[..., :half]
+                k2 = k2 + k**2
+            mult = np.full(half, 2.0)
+            mult[0] = 1.0
+            if m % 2 == 0:
+                mult[-1] = 1.0
+            self._grad_norm_weight = k2 * mult * (self.cell_volume / self.ncells)
+        return self._grad_norm_weight
 
 
 class ScalarField:
@@ -334,9 +361,20 @@ def l2_inner(f, g):
 
 
 def grad_l2_norm(v):
-    """L2 norm of the full velocity gradient, ||grad v||_{L2}."""
-    J = jacobian(v)
-    return float(np.sqrt(np.sum(J**2) * v.grid.cell_volume))
+    """L2 norm of the full velocity gradient, ||grad v||_{L2}.
+
+    Evaluated by Parseval from one real forward transform per component:
+    sum_k c(k) |k|^2 |v_hat(k)|^2 over the ``rfftn`` half spectrum (see
+    :attr:`GridSpec.grad_norm_weight`).  The wavenumbers are the
+    Nyquist-zeroed derivative ones, so the value agrees with the norm of
+    :func:`jacobian` up to rounding, for even and odd n alike.
+    """
+    weight = v.grid.grad_norm_weight
+    total = 0.0
+    for c in v.components:
+        chat = np.fft.rfftn(c.data)
+        total += float(np.sum(weight * (chat.real**2 + chat.imag**2)))
+    return math.sqrt(total)
 
 
 def vector_lp_norm(v, p):

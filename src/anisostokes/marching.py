@@ -8,6 +8,11 @@ problem.  Two drivers are provided.
   fixed point of "solve the momentum equation from the density transported
   by the mollified candidate velocity".  The map contracts on short slabs;
   ``march`` chains slabs and halves the slab length when contraction fails.
+  A march builds its momentum operators and mollifier kernel once and
+  hands them to every slab; each slab solves its start velocity once (a
+  march reuses the velocity stored at the end of the previous slab), and
+  the Picard iterations skip the mass/energy ledger, which only the final
+  recording pass keeps.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
 
@@ -33,7 +38,6 @@ from anisostokes.fields import (
     grad_l2_norm,
     jacobian,
     mollify,
-    sym_grad,
 )
 from anisostokes.stokes import StokesOperator, solve
 from anisostokes.transport import (
@@ -182,7 +186,12 @@ class Trajectory:
 
 
 class _OperatorCache:
-    """Build momentum operators lazily, once per distinct time."""
+    """Build momentum operators lazily, once per distinct time.
+
+    A time-dependent tensor gets one operator per substep time; ``retain``
+    drops those a slab no longer needs, so a march holds at most one slab's
+    worth.
+    """
 
     def __init__(self, tensor, grid, params):
         self.tensor = tensor
@@ -190,6 +199,11 @@ class _OperatorCache:
         self.params = params
         self._static = None
         self._by_time = {}
+
+    def retain(self, times):
+        """Drop the per-time operators built for times not in ``times``."""
+        keep = set(times)
+        self._by_time = {t: op for t, op in self._by_time.items() if t in keep}
 
     def at(self, t):
         if not getattr(self.tensor, "time_dependent", False):
@@ -248,17 +262,23 @@ def _solve_velocity(ops, rho, f, t, params, kernel):
 
 def _viscous_work_integral(tensor, u, t, grid):
     J = jacobian(u)
-    tau = apply_tau(tensor, sym_grad(u), t)
+    tau = apply_tau(tensor, 0.5 * (J + np.swapaxes(J, 0, 1)), t)
     return float(np.sum(tau * J)) * grid.cell_volume
 
 
-def _advance(ops, v_samples, rho0, f, params, t0, dt, kernel, account, sink, store_every):
+def _advance(
+    ops, kernel, v_samples, rho0, u_start, f, params, t0, dt,
+    account=None, sink=None, store_every=1,
+):
     """Advance rho under the given velocity samples, re-solving u as we go.
 
-    Returns the list of freshly solved velocities (one per substep).  When
-    ``sink`` is a Trajectory the states, ledgers and accumulators are
-    recorded into it at the ``store_every`` cadence (plus the final time);
-    pass ``sink=None`` during Picard iterations to skip the accounting.
+    ``u_start`` is the velocity solved from ``rho0`` at ``t0``; it is the
+    first returned sample, so the slab start is never solved again.
+    Returns the list of velocities, one per substep.
+    When ``sink`` is a Trajectory the states, ``account``'s ledger and
+    accumulators are recorded into it at the ``store_every`` cadence (plus
+    the final time); with ``sink=None`` (Picard iterations) no accounting
+    is done and the continuity steps run without a ledger.
     """
     grid = rho0.grid
     params_gamma = params.gamma
@@ -280,44 +300,44 @@ def _advance(ops, v_samples, rho0, f, params, t0, dt, kernel, account, sink, sto
 
     for j, vj in enumerate(v_samples):
         tj = t0 + j * dt
-        u = _solve_velocity(ops, rho, f, tj, params, kernel)
+        u = u_start if j == 0 else _solve_velocity(ops, rho, f, tj, params, kernel)
         out.append(u)
         w = _smooth(vj, kernel)
         if dt > cfl_dt(w, params) * (1.0 + 1e-12):
             raise _CFLBreach(w.max_component_sum())
-        if sink is not None and j % store_every == 0:
+        if sink is None:
+            rho, _ = continuity_step(rho, w, dt, params, None)
+            continue
+        if j % store_every == 0:
             record(tj, u)
-        if sink is not None:
-            divw = div(w)
-            max_before = rho.max()
-            bound = 1.0 + 1.1 * dt * divw.linf_norm()
-            account.divu_l1_cum += dt * float(np.abs(divw.data).sum()) * grid.cell_volume
-            account.work_cum += dt * _viscous_work_integral(ops.tensor, u, tj, grid)
-        rho, ledger = continuity_step(rho, w, dt, params, account.ledger)
-        account.ledger = ledger
-        if sink is not None:
-            if params.eta > 0.0:
-                egam = params.eta * params_gamma
-                account.drag_hi_cum += dt * egam * float(
-                    np.sum(rho.data ** (3.0 * params_gamma - 1.0))
-                ) * grid.cell_volume
-                account.drag_lo_cum += dt * egam * float(
-                    np.sum(rho.data ** (params_gamma + 2.0))
-                ) * grid.cell_volume
-            account.pgamma_l2_sq_cum += dt * float(
-                np.sum(rho.data ** (2.0 * params_gamma))
+        divw = div(w)
+        max_before = rho.max()
+        bound = 1.0 + 1.1 * dt * divw.linf_norm()
+        account.divu_l1_cum += dt * float(np.abs(divw.data).sum()) * grid.cell_volume
+        account.work_cum += dt * _viscous_work_integral(ops.tensor, u, tj, grid)
+        rho, account.ledger = continuity_step(rho, w, dt, params, account.ledger)
+        if params.eta > 0.0:
+            egam = params.eta * params_gamma
+            account.drag_hi_cum += dt * egam * float(
+                np.sum(rho.data ** (3.0 * params_gamma - 1.0))
             ) * grid.cell_volume
-            account.min_rho = min(account.min_rho, rho.min())
-            account.max_principle_margin = min(
-                account.max_principle_margin, bound * max_before - rho.max()
-            )
-            account.substeps += 1
+            account.drag_lo_cum += dt * egam * float(
+                np.sum(rho.data ** (params_gamma + 2.0))
+            ) * grid.cell_volume
+        account.pgamma_l2_sq_cum += dt * float(
+            np.sum(rho.data ** (2.0 * params_gamma))
+        ) * grid.cell_volume
+        account.min_rho = min(account.min_rho, rho.min())
+        account.max_principle_margin = min(
+            account.max_principle_margin, bound * max_before - rho.max()
+        )
+        account.substeps += 1
     if sink is not None:
         u_final = _solve_velocity(ops, rho, f, t0 + len(v_samples) * dt, params, kernel)
         record(t0 + len(v_samples) * dt, u_final)
         sink.min_rho_ever = min(sink.min_rho_ever, account.min_rho)
         sink.max_principle_margin = min(sink.max_principle_margin, account.max_principle_margin)
-    return out, rho
+    return out
 
 
 def apply_B(tensor, v_samples, rho0, f, params, slab):
@@ -330,11 +350,8 @@ def apply_B(tensor, v_samples, rho0, f, params, slab):
     grid = rho0.grid
     ops = _OperatorCache(tensor, grid, params)
     kernel = _make_kernel(grid, params.delta)
-    account = _Account(ledger=MassLedger.fresh(rho0))
-    out, _ = _advance(
-        ops, v_samples, rho0, f, params, slab.t0, slab.dt, kernel, account, None, 1
-    )
-    return out
+    u_start = _solve_velocity(ops, rho0, f, slab.t0, params, kernel)
+    return _advance(ops, kernel, v_samples, rho0, u_start, f, params, slab.t0, slab.dt)
 
 
 def _slab_grad_distance(ws, vs, dt):
@@ -362,15 +379,31 @@ def picard_solve(
     consecutive iterations, or when ``fp_max_iter`` is exhausted.  If an
     iterate outruns the substep CFL budget the slab is re-run with more
     substeps (same interval), up to a retry cap.
+
+    This standalone entry builds its own momentum operators and mollifier
+    kernel and solves the slab-start velocity from ``rho0`` once; ``march``
+    shares all three across its slabs and gives bit-identical results.
     """
     grid = rho0.grid
     ops = _OperatorCache(tensor, grid, params)
     kernel = _make_kernel(grid, params.delta)
+    u_start = _solve_velocity(ops, rho0, f, slab.t0, params, kernel)
+    return _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, account, store_every)
+
+
+def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, account, store_every):
+    """The fixed-point solve behind :func:`picard_solve` on shared operators.
+
+    ``u_start`` is the velocity solved from ``rho0`` at ``slab.t0``; it
+    serves substep 0 of every iteration and of the recording pass.
+    """
+    grid = rho0.grid
     steps = slab.steps
     start = v0
 
     for _attempt in range(_MAX_CFL_RETRIES):
         dt = (slab.t1 - slab.t0) / steps
+        ops.retain(slab.t0 + j * dt for j in range(steps + 1))
         if start is None:
             v = [VectorField.zeros(grid)] * steps
         elif len(start) == steps:
@@ -384,19 +417,7 @@ def picard_solve(
         bad_streak = 0
         try:
             for _k in range(params.fp_max_iter):
-                w, _ = _advance(
-                    ops,
-                    v,
-                    rho0,
-                    f,
-                    params,
-                    slab.t0,
-                    dt,
-                    kernel,
-                    _Account(ledger=MassLedger.fresh(rho0)),
-                    None,
-                    1,
-                )
+                w = _advance(ops, kernel, v, rho0, u_start, f, params, slab.t0, dt)
                 diff = _slab_grad_distance(w, v, dt)
                 if diff_prev is not None and diff_prev > 0.0:
                     ratio = diff / diff_prev
@@ -438,8 +459,10 @@ def picard_solve(
     # the converged samples)
     if account is None:
         account = _Account(ledger=MassLedger.fresh(rho0))
-    traj = Trajectory(grid=grid, params=params, tensor=tensor)
-    _advance(ops, v, rho0, f, params, slab.t0, dt, kernel, account, traj, store_every)
+    traj = Trajectory(grid=grid, params=params, tensor=ops.tensor)
+    _advance(
+        ops, kernel, v, rho0, u_start, f, params, slab.t0, dt, account, traj, store_every
+    )
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
     return traj, history
 
@@ -454,7 +477,14 @@ def _estimate_steps(duration, u, params):
 
 
 def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=6):
-    """Chain fixed-point slabs to t_end, halving the slab length on failure."""
+    """Chain fixed-point slabs to t_end, halving the slab length on failure.
+
+    One operator cache and one mollifier kernel serve every slab, and each
+    slab starts from the velocity stored at the end of the previous one
+    (solved from that same density at that same time).  For time-dependent
+    tensors the cache keeps only the operators of the current slab's
+    substep times.
+    """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     grid = rho0.grid
@@ -488,14 +518,8 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=
         steps = _estimate_steps(duration, u_cur, params)
         slab = Slab(t, t + duration, steps)
         try:
-            piece, _history = picard_solve(
-                tensor,
-                rho,
-                f,
-                params,
-                slab,
-                account=account.copy(),
-                store_every=store_every,
+            piece, _history = _picard_slab(
+                ops, kernel, rho, u_cur, f, params, slab, None, account.copy(), store_every
             )
         except NoContraction as fail:
             halvings += 1

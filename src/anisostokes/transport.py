@@ -188,12 +188,16 @@ def continuity_step(rho, v, dt, params, ledger):
     dt : float
         Step size; must not exceed ``cfl_dt(v, params)``.
     params : SolverParams
-    ledger : MassLedger
+    ledger : MassLedger or None
         Account to extend; a new ledger is returned, inputs are untouched.
+        With ``None`` the step only advances the density: the drag-channel
+        split, the mass integral and the int |grad rho^{gamma/2}|^2 term are
+        skipped and ``(rho, None)`` is returned.  The density is the same
+        either way.
 
     Returns
     -------
-    (ScalarField, MassLedger)
+    (ScalarField, MassLedger or None)
     """
     if rho.min() < 0.0:
         raise NegativeInput(f"density has negative samples (min {rho.min():.3e})")
@@ -215,17 +219,20 @@ def continuity_step(rho, v, dt, params, ledger):
     if params.eta > 0.0:
         a = dt * params.eta
         r = _drag_solve(data, a, params.gamma)
-        removed = data - r
-        channels = r ** (2.0 * params.gamma) + r**3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w2 = np.where(channels > 0.0, r ** (2.0 * params.gamma) / np.where(channels > 0.0, channels, 1.0), 0.0)
-        d2g = removed * w2
-        d3 = removed - d2g
-        drag2g_inc = float(d2g.sum()) * grid.cell_volume
-        drag3_inc = float(d3.sum()) * grid.cell_volume
+        if ledger is not None:
+            removed = data - r
+            channels = r ** (2.0 * params.gamma) + r**3
+            with np.errstate(divide="ignore", invalid="ignore"):
+                w2 = np.where(channels > 0.0, r ** (2.0 * params.gamma) / np.where(channels > 0.0, channels, 1.0), 0.0)
+            d2g = removed * w2
+            d3 = removed - d2g
+            drag2g_inc = float(d2g.sum()) * grid.cell_volume
+            drag3_inc = float(d3.sum()) * grid.cell_volume
         data = r
 
     out = ScalarField(grid, data)
+    if ledger is None:
+        return out, None
 
     grad_inc = 0.0
     if params.eps > 0.0:

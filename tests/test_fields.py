@@ -14,6 +14,7 @@ from anisostokes.fields import (
     div,
     grad,
     grad_l2_norm,
+    jacobian,
     l2_inner,
     laplacian,
     mollify,
@@ -279,3 +280,15 @@ def test_grad_l2_norm_matches_hand_value():
     u = VectorField([ScalarField.from_function(g, np.sin)])
     # int_0^{2pi} cos^2 = pi
     assert grad_l2_norm(u) == pytest.approx(np.sqrt(np.pi), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 8])
+def test_grad_l2_norm_parseval_matches_jacobian(dim, n):
+    # rough random data exercises every mode, the Nyquist plane included
+    g = GridSpec(dim, n)
+    rng = np.random.default_rng(10 * dim + n)
+    v = VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(dim)])
+    J = jacobian(v)
+    expected = np.sqrt(np.sum(J**2) * g.cell_volume)
+    assert grad_l2_norm(v) == pytest.approx(expected, rel=1e-12)

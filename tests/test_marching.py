@@ -13,19 +13,22 @@ from anisostokes.fields import (
     grad_l2_norm,
     mollify,
 )
+from anisostokes import marching
 from anisostokes.marching import (
     NoContraction,
     Slab,
     SlabCollapse,
     Trajectory,
+    _Account,
+    _OperatorCache,
     apply_B,
     direct_march,
     march,
     picard_solve,
 )
 from anisostokes.stokes import StokesOperator, residual
-from anisostokes.transport import SolverParams, pressure_field
-from anisostokes.viscosity import DiagNu
+from anisostokes.transport import MassLedger, SolverParams, pressure_field
+from anisostokes.viscosity import DiagNu, VaryingFull
 
 
 def cosine_density(grid, amp=0.2, axis=0):
@@ -227,6 +230,102 @@ def test_march_slab_collapse_when_iteration_is_starved():
     rho0 = cosine_density(g, amp=0.3)
     with pytest.raises(SlabCollapse):
         march(DiagNu((1.0, 4.0)), rho0, None, p, 0.05, 0.05)
+
+
+# ------------------------------------------------------------ work per march
+
+def multi_slab_scenario():
+    g = GridSpec(2, 16)
+    return DiagNu((1.0, 4.0)), cosine_density(g, amp=0.3), canonical_params(delta=0.5)
+
+
+def slab_steps(traj):
+    """Substeps of each slab of a march stored with store_every = 1."""
+    starts = [traj.times.index(report[0]) for report in traj.fixed_point_reports]
+    return [b - a for a, b in zip(starts, starts[1:] + [len(traj.times) - 1])]
+
+
+def counting(monkeypatch, namespace, name, keep):
+    """Replace ``namespace.name`` by a wrapper that logs ``keep(args)`` per call."""
+    log = []
+    original = getattr(namespace, name)
+
+    def wrapper(*args, **kwargs):
+        log.append(keep(args))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(namespace, name, wrapper)
+    return log
+
+
+def test_march_does_each_slab_computation_once(monkeypatch):
+    tensor, rho0, p = multi_slab_scenario()
+    builds = []
+    original_build = StokesOperator.build
+
+    def build(cls, *args, **kwargs):
+        builds.append(args)
+        return original_build(*args, **kwargs)
+
+    monkeypatch.setattr(StokesOperator, "build", classmethod(build))
+    solves = counting(monkeypatch, marching, "solve", lambda args: None)
+    ledgers = counting(monkeypatch, marching, "continuity_step", lambda args: args[4])
+    traj = march(tensor, rho0, None, p, 0.09, 0.03)
+
+    assert traj.slab_halvings == 0
+    iters = [report[2] for report in traj.fixed_point_reports]
+    steps = slab_steps(traj)
+    assert len(steps) >= 3 and min(iters) >= 2
+    assert len(builds) == 1
+    # substep 0 of each slab reuses the velocity stored at the end of the
+    # previous one; only the very first state is solved up front
+    assert len(solves) == 1 + sum(k * (s - 1) + s for k, s in zip(iters, steps))
+    with_ledger = [led for led in ledgers if led is not None]
+    assert len(with_ledger) == sum(steps)
+    assert len(ledgers) - len(with_ledger) == sum(k * s for k, s in zip(iters, steps))
+
+
+def test_march_matches_chained_picard_solves():
+    tensor, rho0, p = multi_slab_scenario()
+    traj = march(tensor, rho0, None, p, 0.09, 0.03)
+    chain = Trajectory(grid=rho0.grid, params=p, tensor=tensor)
+    account = _Account(ledger=MassLedger.fresh(rho0))
+    rho = rho0
+    for report, steps in zip(traj.fixed_point_reports, slab_steps(traj)):
+        piece, _ = picard_solve(
+            tensor, rho, None, p, Slab(report[0], report[1], steps), account=account
+        )
+        chain.extend(piece)
+        rho = piece.final_density
+    assert chain.times == traj.times
+    for a, b in zip(chain.densities, traj.densities):
+        assert np.array_equal(a.data, b.data)
+    for a, b in zip(chain.velocities, traj.velocities):
+        assert np.array_equal(a.stacked(), b.stacked())
+    for name in ("ledgers", "work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum",
+                 "divu_l1_cum", "min_rho_ever", "max_principle_margin"):
+        assert getattr(chain, name) == getattr(traj, name), name
+
+
+def test_march_keeps_one_slab_of_time_dependent_operators(monkeypatch):
+    g = GridSpec(1, 16)
+    base = np.ones((1, 1, 1, 1) + g.shape)
+    tensor = VaryingFull(g, np.stack([base, 2.0 * base]), times=[0.0, 1.0])
+    held = []
+    original_at = _OperatorCache.at
+
+    def at(self, t):
+        op = original_at(self, t)
+        held.append((t, len(self._by_time)))
+        return op
+
+    monkeypatch.setattr(_OperatorCache, "at", at)
+    p = canonical_params(delta=0.5)
+    traj = march(tensor, cosine_density(g, amp=0.3), None, p, 0.09, 0.03)
+    steps = slab_steps(traj)
+    assert len(steps) >= 3
+    assert len({t for t, _ in held}) > max(steps) + 1
+    assert max(size for _, size in held) <= max(steps) + 1
 
 
 # ------------------------------------------------------------ direct march

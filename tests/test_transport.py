@@ -205,6 +205,20 @@ def test_diffusion_repair_keeps_mass_and_sign():
     assert led2.mass_now == pytest.approx(led.mass_initial, rel=1e-12)
 
 
+@pytest.mark.parametrize("eps,eta", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.4), (0.05, 0.4)])
+def test_step_without_ledger_advances_the_same_density(eps, eta):
+    g = GridSpec(2, 16)
+    p = SolverParams(gamma=1.6, eps=eps, eta=eta, dt_max=5e-3)
+    rho = smooth_positive(g, 5)
+    v = smooth_velocity(g, 6)
+    dt = cfl_dt(v, p)
+    with_ledger, led = continuity_step(rho, v, dt, p, MassLedger.fresh(rho))
+    bare, none = continuity_step(rho, v, dt, p, None)
+    assert none is None
+    assert isinstance(led, MassLedger)
+    assert np.array_equal(bare.data, with_ledger.data)
+
+
 # ------------------------------------------------------------ invariants
 
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (3, 12)])
