@@ -261,7 +261,7 @@ def cmd_check_tensor(cfg, out_dir):
         results,
         "coercivity",
         report.coercivity.passed,
-        f"c_est {report.coercivity.c_est:.6g} ({report.coercivity.method}, seed {report.coercivity.seed})",
+        f"c_est {report.coercivity.c_est:.6g}",
     )
     if report.h4_symbol_invertible is not None:
         norm = (

@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import ScalarField, commutator_residual, div, jacobian
+from anisostokes.fields import ScalarField, commutator_residual, div
 from anisostokes.transport import pressure_field
-from anisostokes.viscosity import apply_tau
 
 CSV_HEADER = (
     "t,mass,drag2g_cum,drag3_cum,pgamma_integral,dissipation_cum,"
@@ -76,33 +75,6 @@ class DefectParams:
             raise ValueError("h_reg must be nonnegative")
         if self.slack_tolerance < 0:
             raise ValueError("slack_tolerance must be nonnegative")
-
-
-@dataclass(frozen=True)
-class ViscousWork:
-    total: float
-    pointwise: ScalarField
-    h1_residual: float
-
-
-def viscous_work(tensor, t, u):
-    """Pointwise stress power tau : grad u, its integral, and the H1 gap.
-
-    The gap max|tau : grad u - tau : D(u)| vanishes (to rounding) whenever
-    the stress is symmetric, which every shipped tensor guarantees.
-    """
-    grid = u.grid
-    J = jacobian(u)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    tau = apply_tau(tensor, D, t)
-    work_grad = np.einsum("ij...,ij...->...", tau, J)
-    work_sym = np.einsum("ij...,ij...->...", tau, D)
-    pointwise = ScalarField(grid, work_grad)
-    return ViscousWork(
-        total=pointwise.integral(),
-        pointwise=pointwise,
-        h1_residual=float(np.abs(work_grad - work_sym).max()),
-    )
 
 
 def energy_audit(traj, gamma=None):

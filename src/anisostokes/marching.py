@@ -9,17 +9,20 @@ problem.  Two drivers are provided.
   by the mollified candidate velocity".  The map contracts on short slabs;
   ``march`` chains slabs and halves the slab length when contraction fails.
   A march builds its momentum operators and mollifier kernel once and
-  hands them to every slab; each slab solves its start velocity once (a
-  march reuses the velocity stored at the end of the previous slab), and
-  the Picard iterations skip the mass/energy ledger, which only the final
-  recording pass keeps.
+  hands them to every slab, together with its one trajectory and running
+  account; each slab solves its start velocity once (a march reuses the
+  velocity stored at the end of the previous slab), and the Picard
+  iterations skip the mass/energy ledger, which only the final recording
+  pass of a converged slab keeps.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
 
-Both drivers maintain the same mass ledger and cumulative energy accounting
-that diagnostics consume.  Velocities inside a slab are piecewise constant
-per substep; each stored (rho, u) pair has u freshly solved from rho, so the
-momentum residual contract holds sample by sample.
+Both drivers advance the density through one accountant, ``_Account.step``,
+which keeps the mass ledger and the cumulative integrals that diagnostics
+consume, and store states through ``Trajectory.record``.  Velocities inside
+a slab are piecewise constant per substep; each stored (rho, u) pair has u
+freshly solved from rho, so the momentum residual contract holds sample by
+sample.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ import numpy as np
 
 from anisostokes.fields import (
     MollifierKernel,
-    ScalarField,
     VectorField,
     div,
     grad_l2_norm,
@@ -91,9 +93,18 @@ class Slab:
         return (self.t1 - self.t0) / self.steps
 
 
+_CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
+
+
+def _viscous_work_integral(tensor, u, t, grid):
+    J = jacobian(u)
+    tau = apply_tau(tensor, 0.5 * (J + np.swapaxes(J, 0, 1)), t)
+    return float(np.sum(tau * J)) * grid.cell_volume
+
+
 @dataclass
 class _Account:
-    """Running ledger and cumulative integrals carried across slabs."""
+    """Running ledger and cumulative integrals of one march."""
 
     ledger: MassLedger
     work_cum: float = 0.0
@@ -103,20 +114,39 @@ class _Account:
     divu_l1_cum: float = 0.0
     min_rho: float = math.inf
     max_principle_margin: float = math.inf
-    substeps: int = 0
 
-    def copy(self):
-        return _Account(
-            ledger=self.ledger,
-            work_cum=self.work_cum,
-            drag_hi_cum=self.drag_hi_cum,
-            drag_lo_cum=self.drag_lo_cum,
-            pgamma_l2_sq_cum=self.pgamma_l2_sq_cum,
-            divu_l1_cum=self.divu_l1_cum,
-            min_rho=self.min_rho,
-            max_principle_margin=self.max_principle_margin,
-            substeps=self.substeps,
+    @classmethod
+    def fresh(cls, rho0):
+        return cls(ledger=MassLedger.fresh(rho0), min_rho=rho0.min())
+
+    def step(self, rho, w, u, t, dt, tensor, params):
+        """One continuity step of ``rho`` under ``w`` with its accounting.
+
+        ``u`` is the velocity solved at ``t``, whose stress power enters the
+        viscous work.  Returns the advanced density.
+        """
+        grid = rho.grid
+        gamma = params.gamma
+        divw = div(w)
+        max_before = rho.max()
+        bound = 1.0 + 1.1 * dt * divw.linf_norm()
+        self.divu_l1_cum += dt * float(np.abs(divw.data).sum()) * grid.cell_volume
+        self.work_cum += dt * _viscous_work_integral(tensor, u, t, grid)
+        rho, self.ledger = continuity_step(rho, w, dt, params, self.ledger)
+        if params.eta > 0.0:
+            egam = params.eta * gamma
+            self.drag_hi_cum += dt * egam * float(
+                np.sum(rho.data ** (3.0 * gamma - 1.0))
+            ) * grid.cell_volume
+            self.drag_lo_cum += dt * egam * float(
+                np.sum(rho.data ** (gamma + 2.0))
+            ) * grid.cell_volume
+        self.pgamma_l2_sq_cum += dt * float(np.sum(rho.data ** (2.0 * gamma))) * grid.cell_volume
+        self.min_rho = min(self.min_rho, rho.min())
+        self.max_principle_margin = min(
+            self.max_principle_margin, bound * max_before - rho.max()
         )
+        return rho
 
 
 @dataclass
@@ -161,28 +191,16 @@ class Trajectory:
     def initial_pressure_integral(self):
         return pressure_field(self.densities[0], self.params.gamma).integral()
 
-    def extend(self, other):
-        """Append a trajectory that starts where this one ends."""
-        if not self.times:
-            skip = 0
-        else:
-            if abs(other.times[0] - self.times[-1]) > 1e-12 * max(1.0, abs(self.times[-1])):
-                raise ValueError("trajectories do not abut in time")
-            skip = 1
-        self.times.extend(other.times[skip:])
-        self.densities.extend(other.densities[skip:])
-        self.velocities.extend(other.velocities[skip:])
-        self.ledgers.extend(other.ledgers[skip:])
-        self.work_cum.extend(other.work_cum[skip:])
-        self.drag_hi_cum.extend(other.drag_hi_cum[skip:])
-        self.drag_lo_cum.extend(other.drag_lo_cum[skip:])
-        self.pgamma_l2_sq_cum.extend(other.pgamma_l2_sq_cum[skip:])
-        self.divu_l1_cum.extend(other.divu_l1_cum[skip:])
-        self.min_rho_ever = min(self.min_rho_ever, other.min_rho_ever)
-        self.max_principle_margin = min(self.max_principle_margin, other.max_principle_margin)
-        self.slab_halvings += other.slab_halvings
-        self.fixed_point_reports.extend(other.fixed_point_reports)
-        return self
+    def record(self, t, rho, u, account):
+        """Store the state at ``t`` with the running totals of ``account``."""
+        self.times.append(t)
+        self.densities.append(rho)
+        self.velocities.append(u)
+        self.ledgers.append(account.ledger)
+        for name in _CUMULATIVES:
+            getattr(self, name).append(getattr(account, name))
+        self.min_rho_ever = account.min_rho
+        self.max_principle_margin = account.max_principle_margin
 
 
 class _OperatorCache:
@@ -260,12 +278,6 @@ def _solve_velocity(ops, rho, f, t, params, kernel):
     return solve(ops.at(t), _momentum_rhs(rho, f, t, params, kernel))
 
 
-def _viscous_work_integral(tensor, u, t, grid):
-    J = jacobian(u)
-    tau = apply_tau(tensor, 0.5 * (J + np.swapaxes(J, 0, 1)), t)
-    return float(np.sum(tau * J)) * grid.cell_volume
-
-
 def _advance(
     ops, kernel, v_samples, rho0, u_start, f, params, t0, dt,
     account=None, sink=None, store_every=1,
@@ -275,29 +287,14 @@ def _advance(
     ``u_start`` is the velocity solved from ``rho0`` at ``t0``; it is the
     first returned sample, so the slab start is never solved again.
     Returns the list of velocities, one per substep.
-    When ``sink`` is a Trajectory the states, ``account``'s ledger and
-    accumulators are recorded into it at the ``store_every`` cadence (plus
-    the final time); with ``sink=None`` (Picard iterations) no accounting
-    is done and the continuity steps run without a ledger.
+    When ``sink`` is a Trajectory, which already holds the state at ``t0``,
+    every substep goes through ``account`` and the later states are recorded
+    into the sink at the ``store_every`` cadence (plus the final time); with
+    ``sink=None`` (Picard iterations) no accounting is done and the
+    continuity steps run without a ledger.
     """
-    grid = rho0.grid
-    params_gamma = params.gamma
     rho = rho0
     out = []
-    if sink is not None:
-        account.min_rho = min(account.min_rho, rho0.min())
-
-    def record(t, u):
-        sink.times.append(t)
-        sink.densities.append(rho)
-        sink.velocities.append(u)
-        sink.ledgers.append(account.ledger)
-        sink.work_cum.append(account.work_cum)
-        sink.drag_hi_cum.append(account.drag_hi_cum)
-        sink.drag_lo_cum.append(account.drag_lo_cum)
-        sink.pgamma_l2_sq_cum.append(account.pgamma_l2_sq_cum)
-        sink.divu_l1_cum.append(account.divu_l1_cum)
-
     for j, vj in enumerate(v_samples):
         tj = t0 + j * dt
         u = u_start if j == 0 else _solve_velocity(ops, rho, f, tj, params, kernel)
@@ -308,35 +305,12 @@ def _advance(
         if sink is None:
             rho, _ = continuity_step(rho, w, dt, params, None)
             continue
-        if j % store_every == 0:
-            record(tj, u)
-        divw = div(w)
-        max_before = rho.max()
-        bound = 1.0 + 1.1 * dt * divw.linf_norm()
-        account.divu_l1_cum += dt * float(np.abs(divw.data).sum()) * grid.cell_volume
-        account.work_cum += dt * _viscous_work_integral(ops.tensor, u, tj, grid)
-        rho, account.ledger = continuity_step(rho, w, dt, params, account.ledger)
-        if params.eta > 0.0:
-            egam = params.eta * params_gamma
-            account.drag_hi_cum += dt * egam * float(
-                np.sum(rho.data ** (3.0 * params_gamma - 1.0))
-            ) * grid.cell_volume
-            account.drag_lo_cum += dt * egam * float(
-                np.sum(rho.data ** (params_gamma + 2.0))
-            ) * grid.cell_volume
-        account.pgamma_l2_sq_cum += dt * float(
-            np.sum(rho.data ** (2.0 * params_gamma))
-        ) * grid.cell_volume
-        account.min_rho = min(account.min_rho, rho.min())
-        account.max_principle_margin = min(
-            account.max_principle_margin, bound * max_before - rho.max()
-        )
-        account.substeps += 1
+        if j > 0 and j % store_every == 0:
+            sink.record(tj, rho, u, account)
+        rho = account.step(rho, w, u, tj, dt, ops.tensor, params)
     if sink is not None:
-        u_final = _solve_velocity(ops, rho, f, t0 + len(v_samples) * dt, params, kernel)
-        record(t0 + len(v_samples) * dt, u_final)
-        sink.min_rho_ever = min(sink.min_rho_ever, account.min_rho)
-        sink.max_principle_margin = min(sink.max_principle_margin, account.max_principle_margin)
+        t1 = t0 + len(v_samples) * dt
+        sink.record(t1, rho, _solve_velocity(ops, rho, f, t1, params, kernel), account)
     return out
 
 
@@ -380,22 +354,34 @@ def picard_solve(
     iterate outruns the substep CFL budget the slab is re-run with more
     substeps (same interval), up to a retry cap.
 
-    This standalone entry builds its own momentum operators and mollifier
-    kernel and solves the slab-start velocity from ``rho0`` once; ``march``
-    shares all three across its slabs and gives bit-identical results.
+    This standalone entry builds its own momentum operators, mollifier
+    kernel and trajectory, records the slab start and accounts into
+    ``account`` (a fresh one by default).  ``march`` shares all of them
+    across its slabs, so a chain of ``picard_solve`` calls sharing one
+    account gives bit-identical results.
     """
     grid = rho0.grid
     ops = _OperatorCache(tensor, grid, params)
     kernel = _make_kernel(grid, params.delta)
     u_start = _solve_velocity(ops, rho0, f, slab.t0, params, kernel)
-    return _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, account, store_every)
+    if account is None:
+        account = _Account.fresh(rho0)
+    traj = Trajectory(grid=grid, params=params, tensor=tensor)
+    traj.record(slab.t0, rho0, u_start, account)
+    history = _picard_slab(
+        ops, kernel, rho0, u_start, f, params, slab, v0, traj, account, store_every
+    )
+    return traj, history
 
 
-def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, account, store_every):
+def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, traj, account, store_every):
     """The fixed-point solve behind :func:`picard_solve` on shared operators.
 
     ``u_start`` is the velocity solved from ``rho0`` at ``slab.t0``; it
-    serves substep 0 of every iteration and of the recording pass.
+    serves substep 0 of every iteration and of the recording pass.  Once
+    the iteration converges the slab is recorded into ``traj``, which ends
+    at the slab start, and accounted into ``account``; a NoContraction
+    leaves both untouched.  Returns the contraction history.
     """
     grid = rho0.grid
     steps = slab.steps
@@ -457,14 +443,11 @@ def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, account, store
     # and cumulative accounting; the stored velocities are fresh solves from
     # the regenerated densities (one extra half-iteration, within fp_tol of
     # the converged samples)
-    if account is None:
-        account = _Account(ledger=MassLedger.fresh(rho0))
-    traj = Trajectory(grid=grid, params=params, tensor=ops.tensor)
     _advance(
         ops, kernel, v, rho0, u_start, f, params, slab.t0, dt, account, traj, store_every
     )
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
-    return traj, history
+    return history
 
 
 def _estimate_steps(duration, u, params):
@@ -479,11 +462,11 @@ def _estimate_steps(duration, u, params):
 def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=6):
     """Chain fixed-point slabs to t_end, halving the slab length on failure.
 
-    One operator cache and one mollifier kernel serve every slab, and each
-    slab starts from the velocity stored at the end of the previous one
-    (solved from that same density at that same time).  For time-dependent
-    tensors the cache keeps only the operators of the current slab's
-    substep times.
+    One operator cache, one mollifier kernel, one trajectory and one running
+    account serve every slab; the initial state is recorded once, and each
+    slab starts from the last stored state (whose velocity was solved from
+    that same density at that same time).  For time-dependent tensors the
+    cache keeps only the operators of the current slab's substep times.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
@@ -491,35 +474,19 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=
     ops = _OperatorCache(tensor, grid, params)
     kernel = _make_kernel(grid, params.delta)
     traj = Trajectory(grid=grid, params=params, tensor=tensor)
-
-    u0 = _solve_velocity(ops, rho0, f, 0.0, params, kernel)
-    if t_end == 0.0:
-        account = _Account(ledger=MassLedger.fresh(rho0))
-        traj.times.append(0.0)
-        traj.densities.append(rho0)
-        traj.velocities.append(u0)
-        traj.ledgers.append(account.ledger)
-        traj.work_cum.append(0.0)
-        traj.drag_hi_cum.append(0.0)
-        traj.drag_lo_cum.append(0.0)
-        traj.pgamma_l2_sq_cum.append(0.0)
-        traj.divu_l1_cum.append(0.0)
-        traj.min_rho_ever = rho0.min()
-        return traj
-
-    account = _Account(ledger=MassLedger.fresh(rho0))
-    t = 0.0
-    rho = rho0
-    u_cur = u0
+    account = _Account.fresh(rho0)
+    traj.record(0.0, rho0, _solve_velocity(ops, rho0, f, 0.0, params, kernel), account)
     length = slab_len
     halvings = 0
-    while t < t_end - 1e-12 * max(1.0, t_end):
+    while traj.final_time < t_end - 1e-12 * max(1.0, t_end):
+        t = traj.final_time
         duration = min(length, t_end - t)
-        steps = _estimate_steps(duration, u_cur, params)
-        slab = Slab(t, t + duration, steps)
+        u_cur = traj.velocities[-1]
+        slab = Slab(t, t + duration, _estimate_steps(duration, u_cur, params))
         try:
-            piece, _history = _picard_slab(
-                ops, kernel, rho, u_cur, f, params, slab, None, account.copy(), store_every
+            _picard_slab(
+                ops, kernel, traj.final_density, u_cur, f, params, slab, None, traj,
+                account, store_every,
             )
         except NoContraction as fail:
             halvings += 1
@@ -529,22 +496,6 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=
                 ) from fail
             length *= 0.5
             logger.info("halving slab length to %g after: %s", length, fail)
-            continue
-        # adopt the account the successful slab actually accumulated
-        account.ledger = piece.ledgers[-1]
-        account.work_cum = piece.work_cum[-1]
-        account.drag_hi_cum = piece.drag_hi_cum[-1]
-        account.drag_lo_cum = piece.drag_lo_cum[-1]
-        account.pgamma_l2_sq_cum = piece.pgamma_l2_sq_cum[-1]
-        account.divu_l1_cum = piece.divu_l1_cum[-1]
-        account.min_rho = min(account.min_rho, piece.min_rho_ever)
-        account.max_principle_margin = min(
-            account.max_principle_margin, piece.max_principle_margin
-        )
-        traj.extend(piece)
-        t = piece.final_time
-        rho = piece.final_density
-        u_cur = piece.velocities[-1]
     traj.slab_halvings = halvings
     return traj
 
@@ -555,57 +506,20 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1):
         raise ValueError("direct_march requires params.delta = 0")
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    grid = rho0.grid
-    ops = _OperatorCache(tensor, grid, params)
-    traj = Trajectory(grid=grid, params=params, tensor=tensor)
-    account = _Account(ledger=MassLedger.fresh(rho0))
+    ops = _OperatorCache(tensor, rho0.grid, params)
+    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
+    account = _Account.fresh(rho0)
     rho = rho0
     t = 0.0
     step_index = 0
-
-    def record(u):
-        traj.times.append(t)
-        traj.densities.append(rho)
-        traj.velocities.append(u)
-        traj.ledgers.append(account.ledger)
-        traj.work_cum.append(account.work_cum)
-        traj.drag_hi_cum.append(account.drag_hi_cum)
-        traj.drag_lo_cum.append(account.drag_lo_cum)
-        traj.pgamma_l2_sq_cum.append(account.pgamma_l2_sq_cum)
-        traj.divu_l1_cum.append(account.divu_l1_cum)
-
     u = _solve_velocity(ops, rho, f, t, params, None)
-    record(u)
-    account.min_rho = rho.min()
+    traj.record(t, rho, u, account)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
-        divu = div(u)
-        max_before = rho.max()
-        bound = 1.0 + 1.1 * dt * divu.linf_norm()
-        account.divu_l1_cum += dt * float(np.abs(divu.data).sum()) * grid.cell_volume
-        account.work_cum += dt * _viscous_work_integral(tensor, u, t, grid)
-        rho, ledger = continuity_step(rho, u, dt, params, account.ledger)
-        account.ledger = ledger
-        if params.eta > 0.0:
-            egam = params.eta * params.gamma
-            account.drag_hi_cum += dt * egam * float(
-                np.sum(rho.data ** (3.0 * params.gamma - 1.0))
-            ) * grid.cell_volume
-            account.drag_lo_cum += dt * egam * float(
-                np.sum(rho.data ** (params.gamma + 2.0))
-            ) * grid.cell_volume
-        account.pgamma_l2_sq_cum += dt * float(
-            np.sum(rho.data ** (2.0 * params.gamma))
-        ) * grid.cell_volume
-        account.min_rho = min(account.min_rho, rho.min())
-        account.max_principle_margin = min(
-            account.max_principle_margin, bound * max_before - rho.max()
-        )
+        rho = account.step(rho, u, u, t, dt, tensor, params)
         t += dt
         step_index += 1
         u = _solve_velocity(ops, rho, f, t, params, None)
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
-            record(u)
-    traj.min_rho_ever = account.min_rho
-    traj.max_principle_margin = account.max_principle_margin
+            traj.record(t, rho, u, account)
     return traj

@@ -20,8 +20,8 @@ from __future__ import annotations
 import numpy as np
 from scipy.sparse import linalg as spla
 
-from anisostokes.fields import ScalarField, VectorField, grad, sym_grad
-from anisostokes.viscosity import apply_tau, coercivity_estimate
+from anisostokes.fields import VectorField, grad, sym_grad
+from anisostokes.viscosity import apply_tau, coercivity_estimate, major_symmetric
 
 
 class SingularSymbol(Exception):
@@ -128,7 +128,7 @@ class StokesOperator:
                 op._precond_inv = _invert_symbol(asym, active2, grid)
             except SingularSymbol:
                 op._precond_inv = None
-            op._use_cg = avg.major_symmetric() and _varying_major_symmetric(tensor, t)
+            op._use_cg = major_symmetric(avg.tensor_at(t)) and major_symmetric(tensor.tensor_at(t))
 
         report = coercivity_estimate(tensor, t=None if tensor.time_dependent else t)
         if not report.passed:
@@ -173,13 +173,6 @@ def _invert_symbol(sym, active, grid):
     inv = np.zeros_like(mats)
     inv[act] = np.linalg.inv(sel)
     return np.moveaxis(inv, 0, -1).reshape((d, d) + grid.shape)
-
-
-def _varying_major_symmetric(tensor, t, tol=1e-12):
-    a = tensor.tensor_at(t)
-    swapped = np.swapaxes(np.swapaxes(a, 0, 2), 1, 3)
-    scale = max(float(np.abs(a).max()), 1e-300)
-    return float(np.abs(a - swapped).max()) <= tol * scale
 
 
 def _rhs_hat(op, q):

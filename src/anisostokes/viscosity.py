@@ -1,11 +1,11 @@
-"""Anisotropic viscosity tensors, stress application and hypothesis audits.
+"""Anisotropic viscosity tensors, stress application and power, and audits.
 
 Three tensor variants share one interface: a diagonal per-axis law (the
 weighted-Laplacian fast path), a constant rank-4 tensor, and a cellwise
 varying rank-4 tensor with optional piecewise-linear time breakpoints.
 Minor symmetries A_ijkl = A_jikl = A_ijlk are enforced by symmetrization at
 construction so the stress is always a symmetric matrix; major symmetry is
-not assumed anywhere.
+not assumed anywhere (``major_symmetric`` tests for it).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import VectorField, div, jacobian, vector_lp_norm
+from anisostokes.fields import ScalarField, VectorField, div, jacobian, vector_lp_norm
 
 
 def minor_symmetrize(a):
@@ -26,6 +26,13 @@ def minor_symmetrize(a):
     a = 0.5 * (a + np.swapaxes(a, 0, 1))
     a = 0.5 * (a + np.swapaxes(a, 2, 3))
     return a
+
+
+def major_symmetric(a, tol=1e-12):
+    """Whether A_ijkl = A_klij, relative to ``tol``, for a (d,d,d,d,...) array."""
+    swapped = np.swapaxes(np.swapaxes(a, 0, 2), 1, 3)
+    scale = max(float(np.abs(a).max()), 1e-300)
+    return float(np.abs(a - swapped).max()) <= tol * scale
 
 
 def isotropic_strain_tensor(dim, nu):
@@ -110,11 +117,6 @@ class ConstantFull(ViscosityTensor):
     def apply(self, du, t=0.0):
         return np.einsum("ijkl,kl...->ij...", self.a, du)
 
-    def major_symmetric(self, tol=1e-12):
-        swapped = np.swapaxes(np.swapaxes(self.a, 0, 2), 1, 3)
-        scale = max(float(np.abs(self.a).max()), 1e-300)
-        return float(np.abs(self.a - swapped).max()) <= tol * scale
-
     def __repr__(self):
         return f"ConstantFull(dim={self.dim})"
 
@@ -191,6 +193,33 @@ def apply_tau(tensor, du, t=0.0):
     return tensor.apply(du, t)
 
 
+@dataclass(frozen=True)
+class ViscousWork:
+    total: float
+    pointwise: ScalarField
+    h1_residual: float
+
+
+def viscous_work(tensor, t, u):
+    """Pointwise stress power tau : grad u, its integral, and the H1 gap.
+
+    The gap max|tau : grad u - tau : D(u)| vanishes (to rounding) whenever
+    the stress is symmetric, which every shipped tensor guarantees.
+    """
+    grid = u.grid
+    J = jacobian(u)
+    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    tau = apply_tau(tensor, D, t)
+    work_grad = np.einsum("ij...,ij...->...", tau, J)
+    work_sym = np.einsum("ij...,ij...->...", tau, D)
+    pointwise = ScalarField(grid, work_grad)
+    return ViscousWork(
+        total=pointwise.integral(),
+        pointwise=pointwise,
+        h1_residual=float(np.abs(work_grad - work_sym).max()),
+    )
+
+
 # ----------------------------------------------------------------------
 # coercivity
 # ----------------------------------------------------------------------
@@ -198,9 +227,7 @@ def apply_tau(tensor, du, t=0.0):
 @dataclass
 class CoercivityReport:
     c_est: float
-    method: str
     passed: bool
-    seed: int
 
 
 def _voigt_basis(d):
@@ -220,92 +247,34 @@ def _voigt_basis(d):
     return np.stack(basis)
 
 
-def _voigt_matrix(a, basis):
-    """Quadratic form Q(D) = (A D) : D in the orthonormal symmetric basis."""
-    # contract: q[p, q'] = sum_ijkl basis[p, i, j] a[i, j, k, l] basis[q', k, l]
-    q = np.einsum("pij,ijkl,qkl->pq", basis, a, basis)
-    return 0.5 * (q + q.T)
+def _min_strain_eigenvalue(a):
+    """Minimum of (A D):D / |D|^2 over unit symmetric D and over cells.
 
-
-def _sample_directions(d, rng, count):
-    v = rng.standard_normal((count, d))
-    norms = np.linalg.norm(v, axis=1, keepdims=True)
-    return v / np.maximum(norms, 1e-30)
-
-
-def _constant_c_est(a, seed, nsamples):
-    """Minimum Rayleigh quotient (A D):D / |D|^2 over unit symmetric D.
-
-    The sample set is the sym(k (x) a) family over random and axis-aligned
-    unit vectors, random unit symmetric matrices, the coordinate basis
-    matrices, and the eigenvectors of the symmetrized quadratic form (whose
-    smallest eigenvalue is the exact minimum, so the estimate is sharp and
-    the report deterministic for a given seed).
+    ``a`` is a (d,d,d,d) or (d,d,d,d,*cells) array.  The quadratic form is
+    written in the orthonormal symmetric basis (the Voigt form) and
+    symmetrized; its smallest eigenvalue is the exact minimum.
     """
-    d = a.shape[0]
-    rng = np.random.default_rng(seed)
-    basis = _voigt_basis(d)
-    m = len(basis)
-
-    candidates = []
-
-    ks = np.concatenate([np.eye(d), _sample_directions(d, rng, nsamples)])
-    vs = np.concatenate([np.eye(d), _sample_directions(d, rng, nsamples)])
-    for k in ks:
-        for v in vs:
-            dmat = 0.5 * (np.outer(k, v) + np.outer(v, k))
-            norm = np.linalg.norm(dmat)
-            if norm > 1e-12:
-                candidates.append(dmat / norm)
-
-    coeffs = _sample_directions(m, rng, nsamples)
-    for c in coeffs:
-        candidates.append(np.einsum("p,pij->ij", c, basis))
-    candidates.extend(basis)
-
-    q = _voigt_matrix(a, basis)
-    eigvals, eigvecs = np.linalg.eigh(q)
-    for p in range(m):
-        candidates.append(np.einsum("p,pij->ij", eigvecs[:, p], basis))
-
-    mats = np.stack(candidates)
-    quad = np.einsum("sij,ijkl,skl->s", mats, a, mats)
-    sq = np.einsum("sij,sij->s", mats, mats)
-    return float(np.min(quad / sq))
-
-
-def _varying_c_est(tensor, t):
-    """Exact cellwise minimum eigenvalue of the symmetrized quadratic form."""
-    a = tensor.tensor_at(t)
-    d = tensor.dim
-    basis = _voigt_basis(d)
+    basis = _voigt_basis(a.shape[0])
     q = np.einsum("pij,ijkl...,qkl->pq...", basis, a, basis)
     q = 0.5 * (q + np.swapaxes(q, 0, 1))
     m = q.shape[0]
     qcells = q.reshape(m, m, -1).transpose(2, 0, 1)
-    eigvals = np.linalg.eigvalsh(qcells)
-    return float(eigvals[:, 0].min())
+    return float(np.linalg.eigvalsh(qcells)[:, 0].min())
 
 
-def coercivity_estimate(tensor, t=None, seed=0, nsamples=40):
-    """Estimate the pointwise coercivity constant of the stress law.
+def coercivity_estimate(tensor, t=None):
+    """The pointwise coercivity constant of the stress law, computed exactly.
 
-    Returns a :class:`CoercivityReport`; ``passed`` is ``c_est > 0``.  For a
-    varying tensor the estimate is the minimum over cells (and, when time
-    breakpoints are present and ``t`` is None, over breakpoints; the minimum
-    eigenvalue is concave along linear interpolation, so checking the
-    breakpoints covers the whole time range).
+    ``c_est`` is the smallest eigenvalue of the symmetrized strain form, not
+    a sampled Rayleigh minimum.  Returns a :class:`CoercivityReport`;
+    ``passed`` is ``c_est > 0``.  For a varying tensor the constant is the
+    minimum over cells (and, when time breakpoints are present and ``t`` is
+    None, over breakpoints; the minimum eigenvalue is concave along linear
+    interpolation, so checking the breakpoints covers the whole time range).
     """
-    if tensor.kind == "varying":
-        if t is None:
-            times = tensor.times
-        else:
-            times = [t]
-        c = min(_varying_c_est(tensor, tt) for tt in times)
-        return CoercivityReport(c_est=c, method="rayleigh-sampling", passed=c > 0, seed=seed)
-    a = tensor.tensor_at(0.0 if t is None else t)
-    c = _constant_c_est(a, seed, nsamples)
-    return CoercivityReport(c_est=c, method="rayleigh-sampling", passed=c > 0, seed=seed)
+    times = getattr(tensor, "times", [0.0]) if t is None else [t]
+    c = min(_min_strain_eigenvalue(tensor.tensor_at(tt)) for tt in times)
+    return CoercivityReport(c_est=c, passed=c > 0)
 
 
 # ----------------------------------------------------------------------
@@ -336,7 +305,7 @@ def audit_hypotheses(tensor, grid, t=0.0, seed=0, nsamples=10, h1_tol=1e-12):
     * symmetric-stress identity: max over sampled velocity fields of
       ``|tau : grad u - tau : D(u)|`` (must sit at machine level because the
       stress is symmetric);
-    * coercivity: sampled Rayleigh minimum, must be positive;
+    * coercivity: exact minimum of the strain form, must be positive;
     * invertibility: for constant-coefficient laws, every nonzero grid
       wavevector must have an invertible momentum symbol, and the sampled
       operator norm of ``Ainv grad div`` in the discrete L^{3/2} norm is
@@ -350,17 +319,12 @@ def audit_hypotheses(tensor, grid, t=0.0, seed=0, nsamples=10, h1_tol=1e-12):
     h1_max = 0.0
     work_scale = 1e-300
     for _ in range(nsamples):
-        u = _random_velocity(grid, rng)
-        J = jacobian(u)
-        D = 0.5 * (J + np.swapaxes(J, 0, 1))
-        tau = apply_tau(tensor, D, t)
-        full = np.einsum("ij...,ij...->...", tau, J)
-        symm = np.einsum("ij...,ij...->...", tau, D)
-        h1_max = max(h1_max, float(np.abs(full - symm).max()))
-        work_scale = max(work_scale, float(np.abs(full).max()))
+        work = viscous_work(tensor, t, _random_velocity(grid, rng))
+        h1_max = max(h1_max, work.h1_residual)
+        work_scale = max(work_scale, float(np.abs(work.pointwise.data).max()))
     h1_passed = h1_max <= h1_tol * max(work_scale, 1.0)
 
-    coer = coercivity_estimate(tensor, seed=seed)
+    coer = coercivity_estimate(tensor)
 
     h4_invertible = None
     h4_norm = None

@@ -15,13 +15,12 @@ from anisostokes.diagnostics import (
     energy_violation,
     pressure_l2_audit,
     rows_for_trajectory,
-    viscous_work,
     write_rows_csv,
 )
 from anisostokes.fields import GridSpec, ScalarField, VectorField
 from anisostokes.marching import march
 from anisostokes.transport import SolverParams
-from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor
+from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor, viscous_work
 
 
 def quiet_params(**overrides):

@@ -1,5 +1,9 @@
 """Fixed-point slab tests: contraction, chaining, halving, direct stepping."""
 
+import dataclasses
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -15,7 +19,6 @@ from anisostokes.fields import (
 )
 from anisostokes import marching
 from anisostokes.marching import (
-    NoContraction,
     Slab,
     SlabCollapse,
     Trajectory,
@@ -27,8 +30,11 @@ from anisostokes.marching import (
     picard_solve,
 )
 from anisostokes.stokes import StokesOperator, residual
-from anisostokes.transport import MassLedger, SolverParams, pressure_field
+from anisostokes.transport import SolverParams, pressure_field
 from anisostokes.viscosity import DiagNu, VaryingFull
+
+
+CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
 
 
 def cosine_density(grid, amp=0.2, axis=0):
@@ -289,13 +295,18 @@ def test_march_matches_chained_picard_solves():
     tensor, rho0, p = multi_slab_scenario()
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
     chain = Trajectory(grid=rho0.grid, params=p, tensor=tensor)
-    account = _Account(ledger=MassLedger.fresh(rho0))
+    account = _Account.fresh(rho0)
     rho = rho0
     for report, steps in zip(traj.fixed_point_reports, slab_steps(traj)):
         piece, _ = picard_solve(
             tensor, rho, None, p, Slab(report[0], report[1], steps), account=account
         )
-        chain.extend(piece)
+        # each piece opens with the state the previous one closed on
+        skip = 1 if chain.times else 0
+        for name in ("times", "densities", "velocities", "ledgers") + CUMULATIVES:
+            getattr(chain, name).extend(getattr(piece, name)[skip:])
+        chain.min_rho_ever = piece.min_rho_ever
+        chain.max_principle_margin = piece.max_principle_margin
         rho = piece.final_density
     assert chain.times == traj.times
     for a, b in zip(chain.densities, traj.densities):
@@ -367,12 +378,49 @@ def test_march_approaches_direct_as_delta_shrinks():
     assert gaps[1] < gaps[0]
 
 
-def test_trajectory_extend_rejects_gap():
-    g = GridSpec(1, 16)
-    p = canonical_params()
-    t1 = Trajectory(grid=g, params=p, tensor=DiagNu((1.0,)))
-    t1.times = [0.0, 0.1]
-    t2 = Trajectory(grid=g, params=p, tensor=DiagNu((1.0,)))
-    t2.times = [0.3, 0.4]
-    with pytest.raises(ValueError):
-        t1.extend(t2)
+# ------------------------------------------------------------ pinned accounting
+
+ACCOUNTING_GOLDEN = Path(__file__).resolve().parent / "data" / "accounting_golden.json"
+
+
+def accounting_cases():
+    """A 2-slab march stored every other substep and a direct march, 1D, eta > 0."""
+    g = GridSpec(1, 32)
+    x = g.meshgrid()[0]
+    rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(2 * x))
+    tensor = DiagNu((1.0,))
+    base = dict(gamma=2.0, eps=0.01, eta=0.05, dt_max=0.005)
+    marched = march(tensor, rho0, None, SolverParams(delta=0.3, **base), 0.06, 0.03,
+                    store_every=2)
+    direct = direct_march(tensor, rho0, None, SolverParams(delta=0.0, **base), 0.03,
+                          store_every=2)
+    return {"march": marched, "direct_march": direct}
+
+
+def accounting_record(traj):
+    out = {name: list(getattr(traj, name)) for name in CUMULATIVES}
+    out["times"] = list(traj.times)
+    out["ledgers"] = [dataclasses.astuple(led) for led in traj.ledgers]
+    out["min_rho_ever"] = traj.min_rho_ever
+    out["max_principle_margin"] = traj.max_principle_margin
+    return out
+
+
+def test_accounting_matches_pinned_values():
+    # bit-for-bit: regenerate the data only for an intended numerics change,
+    # under the same rules as the pinned defect-study golden
+    golden = json.loads(ACCOUNTING_GOLDEN.read_text())
+    cases = accounting_cases()
+    assert len(cases["march"].fixed_point_reports) == 2
+    assert cases["march"].slab_halvings == 0
+    for case, traj in cases.items():
+        got = json.loads(json.dumps(accounting_record(traj)))
+        assert len(got["times"]) >= 4, case
+        for name, values in golden[case].items():
+            assert got[name] == values, f"{case}: {name}"
+
+
+if __name__ == "__main__":
+    # python tests/test_marching.py writes the pinned accounting data
+    records = {case: accounting_record(t) for case, t in accounting_cases().items()}
+    ACCOUNTING_GOLDEN.write_text(json.dumps(records, indent=1) + "\n")

@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from anisostokes.fields import GridSpec, ScalarField, VectorField, div, grad
+from anisostokes.fields import GridSpec, ScalarField, VectorField, div
 from anisostokes.transport import (
     MassLedger,
     NegativeInput,
