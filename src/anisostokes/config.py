@@ -3,7 +3,8 @@
 The format is deliberately plain: one ``key = value`` per line, ``#``
 comments, UTF-8.  Every key has a default, so an empty file is a valid
 configuration; unknown keys are hard errors so typos cannot silently fall
-back to defaults.
+back to defaults, and so is a key given twice, so that no value silently
+overrides another.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from anisostokes.fields import GridSpec, ScalarField, read_snapshot
-from anisostokes.transport import SolverParams
+from anisostokes.transport import InvalidParameter, SolverParams
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull
 
 logger = logging.getLogger("anisostokes")
@@ -125,6 +126,21 @@ KNOWN_KEYS = {
     "defect.windows": "4,8",
 }
 
+# each SolverParams field: the key that sets it, its reader and its default
+_PARAM_KEYS = {
+    "gamma": ("params.gamma", "real", 2.0),
+    "eps": ("params.eps", "real", 0.0),
+    "delta": ("params.delta", "real", 0.0),
+    "eta": ("params.eta", "real", 0.0),
+    "cfl": ("transport.cfl", "real", 0.45),
+    "dt_max": ("run.dt_max", "real", 0.01),
+    "fp_tol": ("run.fp_tol", "real", 1e-7),
+    "fp_max_iter": ("run.fp_max_iter", "integer", 40),
+    "stokes_rtol": ("stokes.rtol", "real", 1e-8),
+    "stokes_max_iter": ("stokes.max_iter", "integer", 400),
+    "order": ("transport.order", "integer", 1),
+}
+
 _VALID_INITIAL_KINDS = ("constant", "bump", "cosine", "oscillatory")
 _VALID_FORCING_KINDS = ("zero", "cosine", "file")
 
@@ -143,6 +159,10 @@ def _parse_lines(path):
             value = value.split("#", 1)[0].strip()
             if key not in KNOWN_KEYS:
                 raise UnknownKey(lineno, key)
+            if key in entries:
+                raise ParseError(
+                    lineno, f"duplicate key {key!r}, first given on line {entries[key][1]}"
+                )
             entries[key] = (value, lineno)
     return entries
 
@@ -265,28 +285,14 @@ def parse_config(path):
     except ValueError as exc:
         raise ParseError(r.line_of("grid.dim") or r.line_of("grid.n"), str(exc)) from exc
 
+    values = {
+        name: getattr(r, reader)(key, default)
+        for name, (key, reader, default) in _PARAM_KEYS.items()
+    }
     try:
-        params = SolverParams(
-            gamma=r.real("params.gamma", 2.0),
-            eps=r.real("params.eps", 0.0),
-            delta=r.real("params.delta", 0.0),
-            eta=r.real("params.eta", 0.0),
-            cfl=r.real("transport.cfl", 0.45),
-            dt_max=r.real("run.dt_max", 0.01),
-            fp_tol=r.real("run.fp_tol", 1e-7),
-            fp_max_iter=r.integer("run.fp_max_iter", 40),
-            stokes_rtol=r.real("stokes.rtol", 1e-8),
-            stokes_max_iter=r.integer("stokes.max_iter", 400),
-            order=r.integer("transport.order", 1),
-        )
-    except ValueError as exc:
-        lineno = 0
-        text = str(exc)
-        for key in entries:
-            if key.rsplit(".", 1)[-1] in text:
-                lineno = r.line_of(key)
-                break
-        raise ParseError(lineno, text) from exc
+        params = SolverParams(**values)
+    except InvalidParameter as exc:
+        raise ParseError(r.line_of(_PARAM_KEYS[exc.field][0]), str(exc)) from exc
 
     tensor = _build_tensor(r, grid)
 

@@ -2,9 +2,13 @@
 
 Everything lives on a uniform tensor grid over the periodic box [0, L)^d,
 d in {1, 2, 3}, with the same cell width on every axis.  Derivatives are
-spectral (FFT); mollification is a physical-space stencil so nonnegativity
-of the kernel is exact.  All operations allocate fresh arrays and never
-mutate their inputs.
+spectral (FFT).  The mollifier is a nonnegative physical-space stencil,
+applied in one of two equivalent ways: :func:`mollify` convolves with the
+stencil (the Krylov momentum path and the commutator diagnostic), while
+the symbol-mode momentum path multiplies half spectra by
+:attr:`MollifierKernel.symbol`, the DFT of the same stencil wrapped onto
+the grid.  All operations allocate fresh arrays and never mutate their
+inputs.
 """
 
 from __future__ import annotations
@@ -67,6 +71,8 @@ class GridSpec:
         self.ncells = int(np.prod(n))
         self.cell_volume = self.h**dim
         self.volume = float(np.prod(length))
+        self.half_shape = n[:-1] + (n[-1] // 2 + 1,)
+        self._axes = tuple(range(-dim, 0))
         self._kd = None
         self._k2_full = None
         self._grad_norm_weight = None
@@ -93,6 +99,14 @@ class GridSpec:
         """Full coordinate arrays, one per axis, each of shape ``self.shape``."""
         axes = [self.axis_coords(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
+
+    def rfft(self, data):
+        """``rfftn`` over the trailing ``dim`` axes: one field or a stack of them."""
+        return np.fft.rfftn(data, axes=self._axes)
+
+    def irfft(self, hat):
+        """Inverse of :meth:`rfft`, back to real samples of ``self.shape``."""
+        return np.fft.irfftn(hat, s=self.shape, axes=self._axes)
 
     def _axis_wavenumbers(self, axis):
         m = self.n[axis]
@@ -144,8 +158,8 @@ class GridSpec:
         """
         if self._grad_norm_weight is None:
             m = self.n[-1]
-            half = m // 2 + 1
-            k2 = np.zeros(self.n[:-1] + (half,))
+            half = self.half_shape[-1]
+            k2 = np.zeros(self.half_shape)
             for a, k in enumerate(self.deriv_wavenumbers):
                 if a == self.dim - 1:
                     k = k[..., :half]
@@ -415,6 +429,7 @@ class MollifierKernel:
             raise ValueError(f"delta must be positive, got {delta}")
         self.grid = grid
         self.delta = float(delta)
+        self._symbol = None
         h = grid.h
         self.is_identity = self.delta < h
         if self.is_identity:
@@ -436,6 +451,27 @@ class MollifierKernel:
             raise ValueError("empty mollifier stencil")
         self.weights = w / total
         self.radius_cells = m
+
+    @property
+    def symbol(self):
+        """The Fourier multiplier K of the kernel on the ``rfftn`` half spectrum.
+
+        The stencil is wrapped onto the grid, offsets accumulated modulo the
+        cell counts so that a stencil wider than the grid still wraps
+        correctly, and transformed once per kernel.  The weights are even,
+        so K is real; ``grid.irfft(K * grid.rfft(f))`` equals
+        ``mollify(f, kernel)`` up to rounding.
+        """
+        if self._symbol is None:
+            grid = self.grid
+            m = self.radius_cells
+            offsets = np.meshgrid(
+                *[np.arange(-m, m + 1) % n for n in grid.n], indexing="ij"
+            )
+            wrapped = np.zeros(grid.shape)
+            np.add.at(wrapped, tuple(offsets), self.weights)
+            self._symbol = grid.rfft(wrapped).real
+        return self._symbol
 
 
 def mollify(field, kernel):

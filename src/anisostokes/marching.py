@@ -10,10 +10,17 @@ problem.  Two drivers are provided.
   ``march`` chains slabs and halves the slab length when contraction fails.
   A march builds its momentum operators and mollifier kernel once and
   hands them to every slab, together with its one trajectory and running
-  account; each slab solves its start velocity once (a march reuses the
-  velocity stored at the end of the previous slab), and the Picard
-  iterations skip the mass/energy ledger, which only the final recording
-  pass of a converged slab keeps.
+  account.  The iterates are (u, w) pairs, w = omega_delta * u the
+  advecting velocity, made by one entry, ``_velocity_pair``: for diagonal
+  and constant laws one forward transform of rho^gamma yields both (the
+  mollifier is a Fourier multiplier there), for varying laws the stencil
+  mollifier makes q and w.  The zero start is the pair (0, 0); each slab
+  solves its start pair once (a march carries the pair solved at the end
+  of the previous slab), and each iteration releases an input pair as soon
+  as its substep is done, accumulating the Picard distance on the way, so
+  an iteration holds one slab's worth of pairs.  The iterations skip the
+  mass/energy ledger, which only the final recording pass of a converged
+  slab keeps.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
 
@@ -266,52 +273,88 @@ def _forcing_at(f, t):
     return f
 
 
-def _momentum_rhs(rho, f, t, params, kernel):
-    q = _smooth(pressure_field(rho, params.gamma), kernel) * (-1.0)
+def _velocity_pair(ops, kernel, rho, f, t, params):
+    """(u, w): the velocity solved from ``rho`` at ``t`` and w = omega_delta * u.
+
+    The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
+    mollifications are the multiplier ``kernel.symbol``, so one forward
+    transform of rho^gamma (and of f) yields u_hat = G q_hat, and u and w
+    are the inverse transforms of u_hat and K u_hat.  In Krylov mode q and
+    w come from the stencil :func:`mollify`.  Without a kernel w is u.
+    """
+    op = ops.at(t)
+    p = pressure_field(rho, params.gamma)
     ft = _forcing_at(f, t)
+    if op.mode == "symbol":
+        grid = rho.grid
+        qhat = -grid.rfft(p.data)
+        if kernel is not None:
+            qhat *= kernel.symbol
+        if ft is not None:
+            qhat += grid.rfft(ft.data)
+        uhat = op.solve_hat(qhat)
+        u = VectorField.from_arrays(grid, grid.irfft(uhat))
+        if kernel is None:
+            return u, u
+        return u, VectorField.from_arrays(grid, grid.irfft(kernel.symbol * uhat))
+    q = _smooth(p, kernel) * (-1.0)
     if ft is not None:
         q = q + ft
-    return q
+    u = solve(op, q)
+    return u, _smooth(u, kernel)
 
 
-def _solve_velocity(ops, rho, f, t, params, kernel):
-    return solve(ops.at(t), _momentum_rhs(rho, f, t, params, kernel))
+def _pairs(samples, kernel):
+    """Caller-given velocity samples as (v, omega_delta * v) pairs."""
+    return [(v, _smooth(v, kernel)) for v in samples]
 
 
 def _advance(
-    ops, kernel, v_samples, rho0, u_start, f, params, t0, dt,
+    ops, kernel, pairs, rho0, start, f, params, t0, dt,
     account=None, sink=None, store_every=1,
 ):
-    """Advance rho under the given velocity samples, re-solving u as we go.
+    """Advance rho under the input samples, re-solving the velocity as we go.
 
-    ``u_start`` is the velocity solved from ``rho0`` at ``t0``; it is the
-    first returned sample, so the slab start is never solved again.
-    Returns the list of velocities, one per substep.
+    ``pairs`` holds one (v, w = omega_delta * v) input sample per substep;
+    rho is advected by w, and each list entry is released (set to None) as
+    soon as its substep is done, so the input and the solved pairs together
+    never hold more than one slab's worth.  ``start`` is the pair solved
+    from ``rho0`` at ``t0``; it is the first solved pair, so the slab start
+    is never solved again.
+
+    With ``sink=None`` (a Picard iteration) no accounting is done, the
+    continuity steps run without a ledger, and the result is the list of
+    solved pairs, one per substep, with the slab distance
+    ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)`` accumulated along the way.
     When ``sink`` is a Trajectory, which already holds the state at ``t0``,
-    every substep goes through ``account`` and the later states are recorded
-    into the sink at the ``store_every`` cadence (plus the final time); with
-    ``sink=None`` (Picard iterations) no accounting is done and the
-    continuity steps run without a ledger.
+    every substep goes through ``account``, the later states are recorded
+    into the sink at the ``store_every`` cadence (plus the final time), and
+    the result is the pair solved at the slab end.
     """
     rho = rho0
     out = []
-    for j, vj in enumerate(v_samples):
+    total = 0.0
+    for j in range(len(pairs)):
+        v, w = pairs[j]
+        pairs[j] = None
         tj = t0 + j * dt
-        u = u_start if j == 0 else _solve_velocity(ops, rho, f, tj, params, kernel)
-        out.append(u)
-        w = _smooth(vj, kernel)
+        pair = start if j == 0 else _velocity_pair(ops, kernel, rho, f, tj, params)
         if dt > cfl_dt(w, params) * (1.0 + 1e-12):
             raise _CFLBreach(w.max_component_sum())
         if sink is None:
+            out.append(pair)
+            total += grad_l2_norm(pair[0] - v) ** 2
             rho, _ = continuity_step(rho, w, dt, params, None)
             continue
         if j > 0 and j % store_every == 0:
-            sink.record(tj, rho, u, account)
-        rho = account.step(rho, w, u, tj, dt, ops.tensor, params)
-    if sink is not None:
-        t1 = t0 + len(v_samples) * dt
-        sink.record(t1, rho, _solve_velocity(ops, rho, f, t1, params, kernel), account)
-    return out
+            sink.record(tj, rho, pair[0], account)
+        rho = account.step(rho, w, pair[0], tj, dt, ops.tensor, params)
+    if sink is None:
+        return out, math.sqrt(dt * total)
+    t1 = t0 + len(pairs) * dt
+    end = _velocity_pair(ops, kernel, rho, f, t1, params)
+    sink.record(t1, rho, end[0], account)
+    return end
 
 
 def apply_B(tensor, v_samples, rho0, f, params, slab):
@@ -324,15 +367,11 @@ def apply_B(tensor, v_samples, rho0, f, params, slab):
     grid = rho0.grid
     ops = _OperatorCache(tensor, grid, params)
     kernel = _make_kernel(grid, params.delta)
-    u_start = _solve_velocity(ops, rho0, f, slab.t0, params, kernel)
-    return _advance(ops, kernel, v_samples, rho0, u_start, f, params, slab.t0, slab.dt)
-
-
-def _slab_grad_distance(ws, vs, dt):
-    total = 0.0
-    for w, v in zip(ws, vs):
-        total += grad_l2_norm(w - v) ** 2
-    return math.sqrt(dt * total)
+    start = _velocity_pair(ops, kernel, rho0, f, slab.t0, params)
+    out, _ = _advance(
+        ops, kernel, _pairs(v_samples, kernel), rho0, start, f, params, slab.t0, slab.dt
+    )
+    return [u for u, _w in out]
 
 
 def picard_solve(
@@ -363,48 +402,46 @@ def picard_solve(
     grid = rho0.grid
     ops = _OperatorCache(tensor, grid, params)
     kernel = _make_kernel(grid, params.delta)
-    u_start = _solve_velocity(ops, rho0, f, slab.t0, params, kernel)
+    start = _velocity_pair(ops, kernel, rho0, f, slab.t0, params)
     if account is None:
         account = _Account.fresh(rho0)
     traj = Trajectory(grid=grid, params=params, tensor=tensor)
-    traj.record(slab.t0, rho0, u_start, account)
-    history = _picard_slab(
-        ops, kernel, rho0, u_start, f, params, slab, v0, traj, account, store_every
+    traj.record(slab.t0, rho0, start[0], account)
+    v0 = None if v0 is None else _pairs(v0, kernel)
+    history, _end = _picard_slab(
+        ops, kernel, rho0, start, f, params, slab, v0, traj, account, store_every
     )
     return traj, history
 
 
-def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, traj, account, store_every):
+def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, store_every):
     """The fixed-point solve behind :func:`picard_solve` on shared operators.
 
-    ``u_start`` is the velocity solved from ``rho0`` at ``slab.t0``; it
-    serves substep 0 of every iteration and of the recording pass.  Once
-    the iteration converges the slab is recorded into ``traj``, which ends
-    at the slab start, and accounted into ``account``; a NoContraction
-    leaves both untouched.  Returns the contraction history.
+    ``start`` is the (u, w) pair solved from ``rho0`` at ``slab.t0``; it
+    serves substep 0 of every iteration and of the recording pass.  ``v0``
+    is a list of (v, w) pairs or None for the zero start.  Once the
+    iteration converges the slab is recorded into ``traj``, which ends at
+    the slab start, and accounted into ``account``; a NoContraction leaves
+    both untouched.  Returns the contraction history and the pair solved
+    at the slab end.
     """
     grid = rho0.grid
     steps = slab.steps
-    start = v0
+    if v0 is None:
+        zero = VectorField.zeros(grid)
+        v0 = [(zero, zero)]
 
     for _attempt in range(_MAX_CFL_RETRIES):
         dt = (slab.t1 - slab.t0) / steps
         ops.retain(slab.t0 + j * dt for j in range(steps + 1))
-        if start is None:
-            v = [VectorField.zeros(grid)] * steps
-        elif len(start) == steps:
-            v = list(start)
-        else:
-            # piecewise-constant resample of the caller's start onto the
-            # refined substep grid
-            v = [start[min(int(j * len(start) / steps), len(start) - 1)] for j in range(steps)]
+        # piecewise-constant resample of the start onto the substep grid
+        v = [v0[min(int(j * len(v0) / steps), len(v0) - 1)] for j in range(steps)]
         history = []
         diff_prev = None
         bad_streak = 0
         try:
             for _k in range(params.fp_max_iter):
-                w = _advance(ops, kernel, v, rho0, u_start, f, params, slab.t0, dt)
-                diff = _slab_grad_distance(w, v, dt)
+                v, diff = _advance(ops, kernel, v, rho0, start, f, params, slab.t0, dt)
                 if diff_prev is not None and diff_prev > 0.0:
                     ratio = diff / diff_prev
                     history.append(ratio)
@@ -413,7 +450,6 @@ def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, traj, account,
                         raise NoContraction(
                             f"update ratios {history[-3:]} on slab [{slab.t0}, {slab.t1}]"
                         )
-                v = w
                 diff_prev = diff
                 if diff <= params.fp_tol:
                     break
@@ -443,11 +479,11 @@ def _picard_slab(ops, kernel, rho0, u_start, f, params, slab, v0, traj, account,
     # and cumulative accounting; the stored velocities are fresh solves from
     # the regenerated densities (one extra half-iteration, within fp_tol of
     # the converged samples)
-    _advance(
-        ops, kernel, v, rho0, u_start, f, params, slab.t0, dt, account, traj, store_every
+    end = _advance(
+        ops, kernel, v, rho0, start, f, params, slab.t0, dt, account, traj, store_every
     )
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
-    return history
+    return history, end
 
 
 def _estimate_steps(duration, u, params):
@@ -475,17 +511,17 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=
     kernel = _make_kernel(grid, params.delta)
     traj = Trajectory(grid=grid, params=params, tensor=tensor)
     account = _Account.fresh(rho0)
-    traj.record(0.0, rho0, _solve_velocity(ops, rho0, f, 0.0, params, kernel), account)
+    pair = _velocity_pair(ops, kernel, rho0, f, 0.0, params)
+    traj.record(0.0, rho0, pair[0], account)
     length = slab_len
     halvings = 0
     while traj.final_time < t_end - 1e-12 * max(1.0, t_end):
         t = traj.final_time
         duration = min(length, t_end - t)
-        u_cur = traj.velocities[-1]
-        slab = Slab(t, t + duration, _estimate_steps(duration, u_cur, params))
+        slab = Slab(t, t + duration, _estimate_steps(duration, pair[0], params))
         try:
-            _picard_slab(
-                ops, kernel, traj.final_density, u_cur, f, params, slab, None, traj,
+            _history, pair = _picard_slab(
+                ops, kernel, traj.final_density, pair, f, params, slab, None, traj,
                 account, store_every,
             )
         except NoContraction as fail:
@@ -512,14 +548,14 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1):
     rho = rho0
     t = 0.0
     step_index = 0
-    u = _solve_velocity(ops, rho, f, t, params, None)
+    u, _w = _velocity_pair(ops, None, rho, f, t, params)
     traj.record(t, rho, u, account)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
         rho = account.step(rho, u, u, t, dt, tensor, params)
         t += dt
         step_index += 1
-        u = _solve_velocity(ops, rho, f, t, params, None)
+        u, _w = _velocity_pair(ops, None, rho, f, t, params)
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
             traj.record(t, rho, u, account)
     return traj

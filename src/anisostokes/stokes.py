@@ -1,18 +1,23 @@
 """Momentum solves: A u = grad q with A v = -div tau(D(v)).
 
-Constant-coefficient laws (diagonal or full tensor) are solved exactly by
-inverting the Fourier symbol mode by mode.  Cellwise-varying tensors go
-through a preconditioned Krylov iteration (conjugate gradients when the
-tensor has the major symmetry, a residual-minimizing iteration otherwise)
-with the cell-averaged constant tensor as preconditioner.
+Constant-coefficient laws (diagonal or full tensor) are solved exactly in
+Fourier space ("symbol mode").  Cellwise-varying tensors go through a
+preconditioned Krylov iteration (conjugate gradients when the tensor has
+the major symmetry, a residual-minimizing iteration otherwise) with the
+cell-averaged constant tensor as preconditioner.
 
 The diagonal law uses the scalar symbol sum_a nu_a k_a^2 (the weighted
 Laplacian applied componentwise); full tensors use the d x d matrix symbol
-M_ik(k) = sum_jl A_ijkl k_j k_l.  Wavevectors are the first-derivative
+M_ik(k) = sum_jl A_ijkl k_j k_l.  In symbol mode the operator keeps one
+gain G(k) = M(k)^{-1} i k on the ``rfftn`` half spectrum, so the velocity
+spectrum is u_hat = G q_hat: one real forward transform of q, one multiply
+and one inverse transform per component.  Callers that hold q_hat already
+(the marcher, which mollifies by a Fourier multiplier too) use
+:meth:`StokesOperator.solve_hat`.  Wavevectors are the first-derivative
 wavenumbers of the grid (Nyquist zeroed), which keeps the symbol
-application identical to composing the spectral operators; modes whose
-derivative wavevector vanishes entirely never receive a right side and are
-pinned to zero, which is what makes the velocity mean-free.
+application identical to composing the spectral operators; G vanishes on
+modes whose derivative wavevector vanishes entirely, which is what makes
+the velocity mean-free.
 """
 
 from __future__ import annotations
@@ -82,7 +87,7 @@ class StokesOperator:
         self.rtol = rtol
         self.max_iter = max_iter
         self._scalar_symbol = None
-        self._inv_symbol = None
+        self._gain = None
         self._precond_inv = None
         self._use_cg = False
 
@@ -107,6 +112,8 @@ class StokesOperator:
         mode = "krylov" if tensor.kind == "varying" else "symbol"
         op = cls(tensor, grid, t, mode, rtol, max_iter)
         kvec, active = _wavevectors(grid)
+        half = grid.half_shape[-1]
+        khalf, ahalf = kvec[..., :half], active[..., :half]
 
         if tensor.kind == "diag":
             nu = np.asarray(tensor.nu)
@@ -114,18 +121,18 @@ class StokesOperator:
             if np.any(sym[active] <= 0):  # unreachable for positive nu
                 raise SingularSymbol("diagonal symbol vanishes on an active mode")
             op._scalar_symbol = sym
+            op._gain = np.zeros((grid.dim,) + grid.half_shape, dtype=complex)
+            np.divide(1j * khalf, sym[..., :half], out=op._gain, where=ahalf)
         elif tensor.kind == "constant":
             a = tensor.tensor_at(t)
-            sym = np.einsum("ijkl,j...,l...->ik...", a, kvec, kvec)
-            op._inv_symbol = _invert_symbol(sym, active, grid)
+            sym = np.einsum("ijkl,j...,l...->ik...", a, khalf, khalf)
+            inv = _invert_symbol(sym, ahalf)
+            op._gain = np.einsum("ik...,k...->i...", inv, 1j * khalf)
         else:
             avg = tensor.averaged_constant(t)
-            kvec2, active2 = kvec, active
-            asym = np.einsum(
-                "ijkl,j...,l...->ik...", avg.tensor_at(t), kvec2, kvec2
-            )
+            asym = np.einsum("ijkl,j...,l...->ik...", avg.tensor_at(t), kvec, kvec)
             try:
-                op._precond_inv = _invert_symbol(asym, active2, grid)
+                op._precond_inv = _invert_symbol(asym, active)
             except SingularSymbol:
                 op._precond_inv = None
             op._use_cg = major_symmetric(avg.tensor_at(t)) and major_symmetric(tensor.tensor_at(t))
@@ -153,10 +160,19 @@ class StokesOperator:
         tau = apply_tau(self.tensor, du, self.t)
         return -1.0 * _div_tensor(grid, tau)
 
+    def solve_hat(self, qhat):
+        """Half spectrum of the symbol-mode u solving A u = grad q.
 
-def _invert_symbol(sym, active, grid):
+        ``qhat`` is ``grid.rfft(q)``; the result has shape (d, *half) and
+        ``grid.irfft`` of it is the velocity.
+        """
+        return self._gain * qhat
+
+
+def _invert_symbol(sym, active):
     """Invert the (d, d, *shape) symbol on active modes; zero elsewhere."""
     d = sym.shape[0]
+    shape = sym.shape[2:]
     mats = np.moveaxis(sym.reshape(d, d, -1), -1, 0)
     act = active.reshape(-1)
     sel = mats[act]
@@ -172,21 +188,15 @@ def _invert_symbol(sym, active, grid):
             )
     inv = np.zeros_like(mats)
     inv[act] = np.linalg.inv(sel)
-    return np.moveaxis(inv, 0, -1).reshape((d, d) + grid.shape)
-
-
-def _rhs_hat(op, q):
-    """Fourier transform of grad q as a (d, *shape) complex array."""
-    grid = op.grid
-    qhat = np.fft.fftn(q.data)
-    out = np.empty((grid.dim,) + grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        out[a] = 1j * grid.deriv_wavenumbers[a] * qhat
-    return out
+    return np.moveaxis(inv, 0, -1).reshape((d, d) + shape)
 
 
 def solve(op, q):
     """Solve A u = grad q for a mean-free velocity field.
+
+    In symbol mode this is ``irfft(G * rfft(q))`` with the operator's
+    half-spectrum gain G (see :meth:`StokesOperator.solve_hat`); varying
+    tensors go through :func:`solve_rhs` on grad q.
 
     Parameters
     ----------
@@ -204,15 +214,8 @@ def solve(op, q):
     if q.grid != op.grid:
         raise ValueError("q lives on a different grid")
     if op.mode == "symbol":
-        rhs = _rhs_hat(op, q)
-        if op.tensor.kind == "diag":
-            sym = op._scalar_symbol
-            with np.errstate(divide="ignore", invalid="ignore"):
-                uhat = np.where(sym > 0, rhs / np.where(sym > 0, sym, 1.0), 0.0)
-        else:
-            uhat = np.einsum("ik...,k...->i...", op._inv_symbol, rhs)
-        comps = [np.fft.ifftn(uhat[a]).real for a in range(op.grid.dim)]
-        return VectorField.from_arrays(op.grid, comps)
+        grid = op.grid
+        return VectorField.from_arrays(grid, grid.irfft(op.solve_hat(grid.rfft(q.data))))
     return solve_rhs(op, grad(q))
 
 

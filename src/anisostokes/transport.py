@@ -40,6 +40,14 @@ class NewtonFail(Exception):
     """The per-cell drag solve missed its tolerance."""
 
 
+class InvalidParameter(ValueError):
+    """A :class:`SolverParams` field is out of range; ``field`` names it."""
+
+    def __init__(self, field, message):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class SolverParams:
     """Physical and numerical parameters shared across the solver stack."""
@@ -58,16 +66,16 @@ class SolverParams:
 
     def __post_init__(self):
         if not self.gamma > 1.0:
-            raise ValueError(f"gamma must exceed 1, got {self.gamma}")
+            raise InvalidParameter("gamma", f"gamma must exceed 1, got {self.gamma}")
         for name in ("eps", "delta", "eta"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise InvalidParameter(name, f"{name} must be nonnegative")
         if not 0.0 < self.cfl <= 1.0:
-            raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
+            raise InvalidParameter("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_max <= 0:
-            raise ValueError("dt_max must be positive")
+            raise InvalidParameter("dt_max", "dt_max must be positive")
         if self.order not in (1, 2):
-            raise ValueError(f"order must be 1 or 2, got {self.order}")
+            raise InvalidParameter("order", f"order must be 1 or 2, got {self.order}")
 
 
 @dataclass(frozen=True)

@@ -121,7 +121,7 @@ def test_out_flag_overrides_config(tmp_path):
 def test_sweep_delta_writes_table(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        SMALL_RUN + "sweep.deltas = 0.4,0.2\nrun.t_end = 0.03\n",
+        SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03") + "sweep.deltas = 0.4,0.2\n",
     )
     out = tmp_path / "art"
     code = main(["sweep-delta", cfg, "--out", str(out)])
@@ -137,7 +137,7 @@ def test_sweep_delta_writes_table(tmp_path, capsys):
 def test_sweep_eps_writes_table(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        SMALL_RUN + "sweep.eps_levels = 0.1,0.01\nrun.t_end = 0.03\n",
+        SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03") + "sweep.eps_levels = 0.1,0.01\n",
     )
     out = tmp_path / "art"
     code = main(["sweep-eps", cfg, "--strict", "--out", str(out)])

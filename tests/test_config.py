@@ -72,6 +72,38 @@ def test_gamma_at_most_one_is_rejected_with_line(tmp_path):
     assert "gamma" in err.value.reason
 
 
+def test_parameter_error_reports_the_line_of_its_own_key(tmp_path):
+    # "n" occurs in "nonnegative"; the line must still be the one of params.eps
+    path = write_cfg(
+        tmp_path, "grid.dim = 1\ngrid.n = 32\nparams.gamma = 2.0\nparams.eps = -1\n"
+    )
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: eps must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("params.delta", "-0.1"), ("transport.cfl", "1.5"), ("run.dt_max", "0"),
+     ("transport.order", "3")],
+)
+def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
+    path = write_cfg(tmp_path, f"grid.n = 16\nparams.eta = 0.1\n{key} = {value}\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 3
+
+
+def test_duplicate_key_names_both_lines(tmp_path):
+    path = write_cfg(tmp_path, "grid.dim = 1\n# again\ngrid.dim = 2\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 3
+    assert "grid.dim" in err.value.reason
+    assert "line 1" in err.value.reason
+
+
 def test_unknown_key_is_an_error(tmp_path):
     path = write_cfg(tmp_path, "params.gama = 2.0\n")
     with pytest.raises(UnknownKey) as err:

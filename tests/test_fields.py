@@ -204,6 +204,29 @@ def test_mollify_subcell_radius_is_identity(caplog):
     assert np.array_equal(out.data, f.data)
 
 
+@pytest.mark.parametrize(
+    "dim, n, cells",
+    [(1, 32, 3.5), (1, 31, 3.5), (2, 16, 2.5), (2, 15, 2.5), (3, 8, 1.5), (3, 9, 1.5),
+     (1, 8, 5.0), (2, 8, 5.0), (3, 8, 5.0)],
+)
+def test_symbol_multiplier_matches_stencil(dim, n, cells):
+    # K times the half spectrum is the periodic convolution, also when the
+    # stencil (n = 8, delta = 5h) is wider than the grid and wraps
+    g = GridSpec(dim, n)
+    kernel = MollifierKernel(g, cells * g.h)
+    if cells == 5.0:
+        assert 2 * kernel.radius_cells + 1 > n
+    f = random_field(g, seed=dim * n, smooth=False)
+    via_symbol = g.irfft(kernel.symbol * g.rfft(f.data))
+    assert kernel.symbol.shape == g.half_shape
+    assert np.max(np.abs(via_symbol - mollify(f, kernel).data)) <= 1e-14 * f.linf_norm()
+
+
+def test_identity_kernel_symbol_is_one():
+    g = GridSpec(2, 16)
+    assert np.array_equal(MollifierKernel(g, 0.1).symbol, np.ones(g.half_shape))
+
+
 def test_mollifier_rejects_nonpositive_delta():
     g = GridSpec(1, 16)
     with pytest.raises(ValueError):

@@ -31,7 +31,7 @@ from anisostokes.marching import (
 )
 from anisostokes.stokes import StokesOperator, residual
 from anisostokes.transport import SolverParams, pressure_field
-from anisostokes.viscosity import DiagNu, VaryingFull
+from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull, isotropic_strain_tensor
 
 
 CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
@@ -174,6 +174,64 @@ def test_picard_trajectory_contracts_stokes_residual():
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
 
+# ------------------------------------------------------------ velocity pairs
+
+def anisotropic_constant_tensor():
+    direction = np.array([np.cos(0.3), np.sin(0.3)])
+    aniso = np.einsum("i,j,k,l->ijkl", *([direction] * 4))
+    return ConstantFull(isotropic_strain_tensor(2, 1.0) + 2.0 * aniso)
+
+
+@pytest.mark.parametrize("n", [16, 15])
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("tensor", [DiagNu((1.0, 4.0)), anisotropic_constant_tensor()],
+                         ids=["diag", "constant"])
+def test_symbol_pair_matches_stencil_path(tensor, forced, n):
+    g = GridSpec(2, n)
+    p = canonical_params(delta=0.6)
+    x, y = g.meshgrid()
+    rho = ScalarField(g, 1.0 + 0.3 * np.cos(x) + 0.2 * np.sin(x + 2 * y))
+    f = ScalarField(g, 0.4 * np.sin(2 * x - y)) if forced else None
+    ops = _OperatorCache(tensor, g, p)
+    kernel = MollifierKernel(g, p.delta)
+    assert 2 * kernel.radius_cells + 1 < n
+
+    u, w = marching._velocity_pair(ops, kernel, rho, f, 0.0, p)
+    stencil_w = mollify(u, kernel)
+    assert (w - stencil_w).linf_norm() <= 1e-13 * u.linf_norm()
+    q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
+    if forced:
+        q = q + f
+    op = ops.at(0.0)
+    assert op.mode == "symbol"
+    assert residual(op, u, q) <= p.stokes_rtol * grad(q).l2_norm()
+    for c in u.components:
+        assert abs(c.mean()) <= 1e-13
+
+
+def test_pair_without_mollifier_repeats_the_velocity():
+    g = GridSpec(2, 16)
+    p = canonical_params(delta=0.0)
+    ops = _OperatorCache(DiagNu((1.0, 4.0)), g, p)
+    u, w = marching._velocity_pair(ops, None, cosine_density(g), None, 0.0, p)
+    assert w is u
+
+
+def test_advance_releases_its_inputs_and_sums_the_distance():
+    tensor, rho0, p = multi_slab_scenario()
+    g = rho0.grid
+    ops = _OperatorCache(tensor, g, p)
+    kernel = MollifierKernel(g, p.delta)
+    start = marching._velocity_pair(ops, kernel, rho0, None, 0.0, p)
+    dt = 0.005
+    pairs = [start] * 4
+    out, dist = marching._advance(ops, kernel, pairs, rho0, start, None, p, 0.0, dt)
+    assert pairs == [None] * 4
+    assert len(out) == 4 and out[0] is start
+    total = sum(grad_l2_norm(u - start[0]) ** 2 for u, _w in out)
+    assert dist == np.sqrt(dt * total)
+
+
 # ------------------------------------------------------------ march
 
 def test_march_constant_data_follows_drag_ode():
@@ -274,7 +332,7 @@ def test_march_does_each_slab_computation_once(monkeypatch):
         return original_build(*args, **kwargs)
 
     monkeypatch.setattr(StokesOperator, "build", classmethod(build))
-    solves = counting(monkeypatch, marching, "solve", lambda args: None)
+    solves = counting(monkeypatch, marching, "_velocity_pair", lambda args: None)
     ledgers = counting(monkeypatch, marching, "continuity_step", lambda args: args[4])
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
 
@@ -383,8 +441,17 @@ def test_march_approaches_direct_as_delta_shrinks():
 ACCOUNTING_GOLDEN = Path(__file__).resolve().parent / "data" / "accounting_golden.json"
 
 
+def krylov_case_tensor(grid):
+    """An isotropic 2D tensor whose viscosity varies cell by cell (Krylov mode)."""
+    x, y = grid.meshgrid()
+    eye = np.eye(2)
+    iso = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye))
+    return VaryingFull(grid, iso[..., None, None] * (1.0 + 0.3 * np.cos(x + y)))
+
+
 def accounting_cases():
-    """A 2-slab march stored every other substep and a direct march, 1D, eta > 0."""
+    """Three cases with eta > 0: a 2-slab march stored every other substep and a
+    direct march, 1D, and a 2-slab march of a cellwise-varying tensor on 16^2."""
     g = GridSpec(1, 32)
     x = g.meshgrid()[0]
     rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(2 * x))
@@ -394,7 +461,12 @@ def accounting_cases():
                     store_every=2)
     direct = direct_march(tensor, rho0, None, SolverParams(delta=0.0, **base), 0.03,
                           store_every=2)
-    return {"march": marched, "direct_march": direct}
+    g2 = GridSpec(2, 16)
+    x, y = g2.meshgrid()
+    rho2 = ScalarField(g2, 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(y))
+    krylov = march(krylov_case_tensor(g2), rho2, None, SolverParams(delta=0.5, **base),
+                   0.04, 0.02, store_every=2)
+    return {"march": marched, "direct_march": direct, "march_krylov": krylov}
 
 
 def accounting_record(traj):
@@ -411,8 +483,9 @@ def test_accounting_matches_pinned_values():
     # under the same rules as the pinned defect-study golden
     golden = json.loads(ACCOUNTING_GOLDEN.read_text())
     cases = accounting_cases()
-    assert len(cases["march"].fixed_point_reports) == 2
-    assert cases["march"].slab_halvings == 0
+    for case in ("march", "march_krylov"):
+        assert len(cases[case].fixed_point_reports) == 2, case
+        assert cases[case].slab_halvings == 0, case
     for case, traj in cases.items():
         got = json.loads(json.dumps(accounting_record(traj)))
         assert len(got["times"]) >= 4, case
