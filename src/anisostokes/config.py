@@ -4,12 +4,16 @@ The format is deliberately plain: one ``key = value`` per line, ``#``
 comments, UTF-8.  Every key has a default, so an empty file is a valid
 configuration; unknown keys are hard errors so typos cannot silently fall
 back to defaults, and so is a key given twice, so that no value silently
-overrides another.
+overrides another.  Relative snapshot paths (``viscosity.files``,
+``forcing.path``, ``forcing.breakpoints``) are resolved against the
+directory of the config file, and a snapshot that cannot be read is a
+:class:`ParseError` naming the line of the key that points at it.
 """
 
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,10 +55,13 @@ class InitialSpec:
 
 @dataclass(frozen=True)
 class ForcingSpec:
+    """Forcing potential; ``line`` is the config line naming its snapshots."""
+
     kind: str = "zero"
     amplitude: float = 0.0
     path: str = ""
     breakpoints: tuple = ()
+    line: int = 0
 
 
 @dataclass(frozen=True)
@@ -145,6 +152,15 @@ _VALID_INITIAL_KINDS = ("constant", "bump", "cosine", "oscillatory")
 _VALID_FORCING_KINDS = ("zero", "cosine", "file")
 
 
+def _read_keyed_snapshot(path, key, line):
+    """The field of a snapshot named by ``key``; read failures name its line."""
+    try:
+        field, _t = read_snapshot(path)
+    except (OSError, ValueError) as exc:
+        raise ParseError(line, f"{key}: cannot read snapshot {path}: {exc}") from exc
+    return field
+
+
 def _parse_lines(path):
     entries = {}
     with open(path, encoding="utf-8") as fh:
@@ -210,7 +226,7 @@ class _Reader:
         )
 
 
-def _build_tensor(reader, grid):
+def _build_tensor(reader, grid, base_dir):
     dim = grid.dim
     kind = reader.text("viscosity.kind", "diag")
     if kind == "diag":
@@ -246,7 +262,8 @@ def _build_tensor(reader, grid):
                 raise ParseError(
                     lineno, f"viscosity.files: bad index group {idx!r} for dim {dim}"
                 )
-            coeff, _t = read_snapshot(path)
+            path = os.path.join(base_dir, path)
+            coeff = _read_keyed_snapshot(path, "viscosity.files", lineno)
             if coeff.grid != grid:
                 raise ParseError(
                     lineno, f"viscosity.files: {path} grid does not match the run grid"
@@ -259,14 +276,14 @@ def _build_tensor(reader, grid):
     )
 
 
-def _parse_breakpoints(text):
+def _parse_breakpoints(text, base_dir):
     pairs = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         t_text, _, path = chunk.partition(":")
-        pairs.append((float(t_text), path.strip()))
+        pairs.append((float(t_text), os.path.join(base_dir, path.strip())))
     if pairs != sorted(pairs, key=lambda p: p[0]):
         raise ValueError("breakpoints must be sorted by time")
     return tuple(pairs)
@@ -276,6 +293,7 @@ def parse_config(path):
     """Read a configuration file into a fully-typed RunConfig."""
     entries = _parse_lines(path)
     r = _Reader(entries)
+    base_dir = os.path.dirname(os.path.abspath(path))
 
     dim = r.integer("grid.dim", 1)
     default_n = 32 if dim == 3 else 128
@@ -294,7 +312,7 @@ def parse_config(path):
     except InvalidParameter as exc:
         raise ParseError(r.line_of(_PARAM_KEYS[exc.field][0]), str(exc)) from exc
 
-    tensor = _build_tensor(r, grid)
+    tensor = _build_tensor(r, grid, base_dir)
 
     initial = InitialSpec(
         kind=r.text("initial.kind", "constant"),
@@ -317,14 +335,16 @@ def parse_config(path):
     if "forcing.breakpoints" in entries:
         value, lineno = entries["forcing.breakpoints"]
         try:
-            breakpoints = _parse_breakpoints(value)
+            breakpoints = _parse_breakpoints(value, base_dir)
         except ValueError as exc:
             raise ParseError(lineno, f"forcing.breakpoints: {exc}") from exc
+    forcing_path = r.text("forcing.path", "")
     forcing = ForcingSpec(
         kind=r.text("forcing.kind", "zero"),
         amplitude=r.real("forcing.amplitude", 0.0),
-        path=r.text("forcing.path", ""),
+        path=os.path.join(base_dir, forcing_path) if forcing_path else "",
         breakpoints=breakpoints,
+        line=r.line_of("forcing.breakpoints" if breakpoints else "forcing.path"),
     )
     if forcing.kind not in _VALID_FORCING_KINDS:
         raise ParseError(
@@ -409,7 +429,7 @@ def make_forcing(spec, grid):
         if spec.breakpoints:
             pieces = []
             for t_start, path in spec.breakpoints:
-                f, _t = read_snapshot(path)
+                f = _read_keyed_snapshot(path, "forcing.breakpoints", spec.line)
                 if f.grid != grid:
                     raise ValueError(f"{path}: snapshot grid does not match the run grid")
                 pieces.append((t_start, f))
@@ -422,7 +442,7 @@ def make_forcing(spec, grid):
                 return current
 
             return lookup
-        f, _t = read_snapshot(spec.path)
+        f = _read_keyed_snapshot(spec.path, "forcing.path", spec.line)
         if f.grid != grid:
             raise ValueError(f"{spec.path}: snapshot grid does not match the run grid")
         return f

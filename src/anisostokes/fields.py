@@ -2,7 +2,11 @@
 
 Everything lives on a uniform tensor grid over the periodic box [0, L)^d,
 d in {1, 2, 3}, with the same cell width on every axis.  Derivatives are
-spectral (FFT).  The mollifier is a nonnegative physical-space stencil,
+spectral (FFT).  Callers that already hold a field's ``rfftn`` half
+spectrum take its divergence, Jacobian and gradient norm from it directly
+(:func:`div_hat`, :func:`jacobian_hat`, :func:`grad_norm_sq_hat`), with
+the same Nyquist-zeroed wavenumbers as :func:`div`, :func:`jacobian` and
+:func:`grad_l2_norm`.  The mollifier is a nonnegative physical-space stencil,
 applied in one of two equivalent ways: :func:`mollify` convolves with the
 stencil (the Krylov momentum path and the commutator diagnostic), while
 the symbol-mode momentum path multiplies half spectra by
@@ -17,7 +21,6 @@ import logging
 import math
 
 import numpy as np
-from scipy import ndimage
 
 logger = logging.getLogger("anisostokes")
 
@@ -74,6 +77,7 @@ class GridSpec:
         self.half_shape = n[:-1] + (n[-1] // 2 + 1,)
         self._axes = tuple(range(-dim, 0))
         self._kd = None
+        self._ik = None
         self._k2_full = None
         self._grad_norm_weight = None
 
@@ -147,23 +151,39 @@ class GridSpec:
         return self._k2_full
 
     @property
+    def ik(self):
+        """i k_a on the ``rfftn`` half spectrum, a (d, *half_shape) complex array.
+
+        k are the Nyquist-zeroed :attr:`deriv_wavenumbers`, broadcast onto
+        the half spectrum, so ``irfft(ik[a] * rfft(f))`` is the spectral
+        d f / d x_a.  Built once per grid.
+        """
+        if self._ik is None:
+            half = self.half_shape[-1]
+            ik = np.empty((self.dim,) + self.half_shape, dtype=complex)
+            for a, k in enumerate(self.deriv_wavenumbers):
+                if a == self.dim - 1:
+                    k = k[..., :half]
+                ik[a] = 1j * k
+            self._ik = ik
+        return self._ik
+
+    @property
     def grad_norm_weight(self):
         """Parseval weights for ||grad f||^2 on the ``rfftn`` half spectrum.
 
         Entry k is c(k) |k|^2 h^d / N with the Nyquist-zeroed derivative
-        wavenumbers, so sum(weight * |rfftn(f)|^2) equals the discrete
-        h^d sum_x |grad f|^2.  c(k) = 2 counts the mirrored partner of a
-        mode on the halved last axis; c(k) = 1 on the zero mode and, for
-        even n, on the Nyquist plane, which have no partner.
+        wavenumbers of :attr:`ik`, so sum(weight * |rfftn(f)|^2) equals the
+        discrete h^d sum_x |grad f|^2.  c(k) = 2 counts the mirrored partner
+        of a mode on the halved last axis; c(k) = 1 on the zero mode and,
+        for even n, on the Nyquist plane, which have no partner.
         """
         if self._grad_norm_weight is None:
             m = self.n[-1]
             half = self.half_shape[-1]
             k2 = np.zeros(self.half_shape)
-            for a, k in enumerate(self.deriv_wavenumbers):
-                if a == self.dim - 1:
-                    k = k[..., :half]
-                k2 = k2 + k**2
+            for ika in self.ik:
+                k2 = k2 + ika.imag**2
             mult = np.full(half, 2.0)
             mult[0] = 1.0
             if m % 2 == 0:
@@ -340,6 +360,35 @@ def div(v):
     return ScalarField(grid, np.fft.ifftn(acc).real)
 
 
+def div_hat(grid, vhat):
+    """Spectral divergence from a half spectrum, as a ScalarField.
+
+    ``vhat`` is ``grid.rfft`` of the d components, a (d, *half_shape)
+    stack; the result is irfft(sum_a i k_a vhat_a), which equals
+    :func:`div` of the real field up to rounding.
+    """
+    ik = grid.ik
+    acc = ik[0] * vhat[0]
+    for a in range(1, grid.dim):
+        acc += ik[a] * vhat[a]
+    return ScalarField(grid, grid.irfft(acc))
+
+
+def jacobian_hat(grid, uhat):
+    """J[i, j] = d u_i / d x_j from the half spectrum ``uhat`` of u.
+
+    Row i is irfft(i k_j uhat_i) over j, built one row at a time so no
+    (d, d, *half_shape) complex stack is held.  Returns the same
+    (d, d, *shape) array as :func:`jacobian` of the real field, up to
+    rounding.
+    """
+    d = grid.dim
+    J = np.empty((d, d) + grid.shape)
+    for i in range(d):
+        J[i] = grid.irfft(grid.ik * uhat[i])
+    return J
+
+
 def jacobian(v):
     """Full velocity gradient J[i, j] = d u_i / d x_j as a (d, d, *shape) array."""
     grid = v.grid
@@ -374,21 +423,30 @@ def l2_inner(f, g):
     return float(np.sum(f.data * g.data) * f.grid.cell_volume)
 
 
+def grad_norm_sq_hat(grid, hats):
+    """||grad f||^2 summed over fields given by their half spectra.
+
+    ``hats`` yields ``grid.rfft`` of each component (a (d, *half_shape)
+    stack works); by Parseval the result is sum_k c(k) |k|^2 |hat(k)|^2
+    with the weights of :attr:`GridSpec.grad_norm_weight`, no transform
+    needed.
+    """
+    weight = grid.grad_norm_weight
+    total = 0.0
+    for chat in hats:
+        total += float(np.sum(weight * (chat.real**2 + chat.imag**2)))
+    return total
+
+
 def grad_l2_norm(v):
     """L2 norm of the full velocity gradient, ||grad v||_{L2}.
 
-    Evaluated by Parseval from one real forward transform per component:
-    sum_k c(k) |k|^2 |v_hat(k)|^2 over the ``rfftn`` half spectrum (see
-    :attr:`GridSpec.grad_norm_weight`).  The wavenumbers are the
-    Nyquist-zeroed derivative ones, so the value agrees with the norm of
-    :func:`jacobian` up to rounding, for even and odd n alike.
+    Evaluated by Parseval (:func:`grad_norm_sq_hat`) from one real forward
+    transform per component.  The wavenumbers are the Nyquist-zeroed
+    derivative ones, so the value agrees with the norm of :func:`jacobian`
+    up to rounding, for even and odd n alike.
     """
-    weight = v.grid.grad_norm_weight
-    total = 0.0
-    for c in v.components:
-        chat = np.fft.rfftn(c.data)
-        total += float(np.sum(weight * (chat.real**2 + chat.imag**2)))
-    return math.sqrt(total)
+    return math.sqrt(grad_norm_sq_hat(v.grid, (v.grid.rfft(c.data) for c in v.components)))
 
 
 def vector_lp_norm(v, p):
@@ -497,6 +555,8 @@ def mollify(field, kernel):
         raise ValueError("kernel built for a different grid")
     if kernel.is_identity:
         return field.copy()
+    from scipy import ndimage  # only the stencil paths need it
+
     out = ndimage.convolve(field.data, kernel.weights, mode="wrap")
     return ScalarField(field.grid, out)
 
@@ -579,7 +639,7 @@ def read_snapshot(path, length=None):
                 raise ValueError(f"{path}: truncated header")
             header += byte
         parts = header.decode("ascii").split()
-        dim = int(parts[0])
+        dim = int(parts[0]) if parts else 0
         if len(parts) != dim + 2:
             raise ValueError(f"{path}: malformed header {header!r}")
         n = tuple(int(p) for p in parts[1 : 1 + dim])

@@ -10,17 +10,23 @@ problem.  Two drivers are provided.
   ``march`` chains slabs and halves the slab length when contraction fails.
   A march builds its momentum operators and mollifier kernel once and
   hands them to every slab, together with its one trajectory and running
-  account.  The iterates are (u, w) pairs, w = omega_delta * u the
-  advecting velocity, made by one entry, ``_velocity_pair``: for diagonal
-  and constant laws one forward transform of rho^gamma yields both (the
-  mollifier is a Fourier multiplier there), for varying laws the stencil
-  mollifier makes q and w.  The zero start is the pair (0, 0); each slab
-  solves its start pair once (a march carries the pair solved at the end
-  of the previous slab), and each iteration releases an input pair as soon
-  as its substep is done, accumulating the Picard distance on the way, so
-  an iteration holds one slab's worth of pairs.  The iterations skip the
-  mass/energy ledger, which only the final recording pass of a converged
-  slab keeps.
+  account.  The iterates are (u_hat, w) pairs: u_hat is the ``rfftn``
+  half spectrum of the solved velocity u and w = omega_delta * u the real
+  advecting velocity, both made by one entry, ``_velocity_pair``.  For
+  diagonal and constant laws one forward transform of rho^gamma yields
+  u_hat = G q_hat and w is the inverse transform of K u_hat (the mollifier
+  is a Fourier multiplier there); for varying laws the stencil mollifier
+  makes q and w, and u_hat is the transform of the Krylov solution.  The
+  Picard distance is a Parseval sum over u_hat - v_hat, and the recording
+  pass takes div w and grad u from half spectra too, so real u is
+  synthesized (one inverse transform) only where a state is stored: the
+  trajectory, the slab starts and ``apply_B``'s result.  The zero start
+  is the pair (0, 0); each slab solves its start pair once (a march
+  carries the pair solved at the end of the previous slab), and each
+  iteration releases an input pair as soon as its substep is done,
+  accumulating the Picard distance on the way, so an iteration holds one
+  slab's worth of pairs.  The iterations skip the mass/energy ledger,
+  which only the final recording pass of a converged slab keeps.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
 
@@ -43,9 +49,9 @@ import numpy as np
 from anisostokes.fields import (
     MollifierKernel,
     VectorField,
-    div,
-    grad_l2_norm,
-    jacobian,
+    div_hat,
+    grad_norm_sq_hat,
+    jacobian_hat,
     mollify,
 )
 from anisostokes.stokes import StokesOperator, solve
@@ -103,8 +109,8 @@ class Slab:
 _CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
 
 
-def _viscous_work_integral(tensor, u, t, grid):
-    J = jacobian(u)
+def _viscous_work_integral(tensor, uhat, t, grid):
+    J = jacobian_hat(grid, uhat)
     tau = apply_tau(tensor, 0.5 * (J + np.swapaxes(J, 0, 1)), t)
     return float(np.sum(tau * J)) * grid.cell_volume
 
@@ -126,19 +132,21 @@ class _Account:
     def fresh(cls, rho0):
         return cls(ledger=MassLedger.fresh(rho0), min_rho=rho0.min())
 
-    def step(self, rho, w, u, t, dt, tensor, params):
+    def step(self, rho, w, what, uhat, t, dt, tensor, params):
         """One continuity step of ``rho`` under ``w`` with its accounting.
 
-        ``u`` is the velocity solved at ``t``, whose stress power enters the
-        viscous work.  Returns the advanced density.
+        ``what`` is the half spectrum of w, whose divergence enters the
+        defect budget; ``uhat`` is that of the velocity solved at ``t``,
+        whose stress power enters the viscous work.  Returns the advanced
+        density.
         """
         grid = rho.grid
         gamma = params.gamma
-        divw = div(w)
+        divw = div_hat(grid, what)
         max_before = rho.max()
         bound = 1.0 + 1.1 * dt * divw.linf_norm()
         self.divu_l1_cum += dt * float(np.abs(divw.data).sum()) * grid.cell_volume
-        self.work_cum += dt * _viscous_work_integral(tensor, u, t, grid)
+        self.work_cum += dt * _viscous_work_integral(tensor, uhat, t, grid)
         rho, self.ledger = continuity_step(rho, w, dt, params, self.ledger)
         if params.eta > 0.0:
             egam = params.eta * gamma
@@ -274,39 +282,57 @@ def _forcing_at(f, t):
 
 
 def _velocity_pair(ops, kernel, rho, f, t, params):
-    """(u, w): the velocity solved from ``rho`` at ``t`` and w = omega_delta * u.
+    """(u_hat, w): the velocity solved from ``rho`` at ``t``, as its half
+    spectrum, and the real advecting field w = omega_delta * u.
 
     The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
     mollifications are the multiplier ``kernel.symbol``, so one forward
-    transform of rho^gamma (and of f) yields u_hat = G q_hat, and u and w
-    are the inverse transforms of u_hat and K u_hat.  In Krylov mode q and
-    w come from the stencil :func:`mollify`.  Without a kernel w is u.
+    transform of rho^gamma (and of f) yields u_hat = G q_hat, and w is the
+    inverse transform of K u_hat.  In Krylov mode q and w come from the
+    stencil :func:`mollify` and u_hat is the transform of the solved u.
+    Without a kernel w is u.
     """
     op = ops.at(t)
+    grid = rho.grid
     p = pressure_field(rho, params.gamma)
     ft = _forcing_at(f, t)
     if op.mode == "symbol":
-        grid = rho.grid
         qhat = -grid.rfft(p.data)
         if kernel is not None:
             qhat *= kernel.symbol
         if ft is not None:
             qhat += grid.rfft(ft.data)
         uhat = op.solve_hat(qhat)
-        u = VectorField.from_arrays(grid, grid.irfft(uhat))
-        if kernel is None:
-            return u, u
-        return u, VectorField.from_arrays(grid, grid.irfft(kernel.symbol * uhat))
+        what = uhat if kernel is None else kernel.symbol * uhat
+        return uhat, VectorField.from_arrays(grid, grid.irfft(what))
     q = _smooth(p, kernel) * (-1.0)
     if ft is not None:
         q = q + ft
     u = solve(op, q)
-    return u, _smooth(u, kernel)
+    return grid.rfft(u.stacked()), _smooth(u, kernel)
+
+
+def _velocity(pair, kernel):
+    """The real velocity u of a pair: w itself without a kernel, else irfft(u_hat)."""
+    uhat, w = pair
+    if kernel is None:
+        return w
+    return VectorField.from_arrays(w.grid, w.grid.irfft(uhat))
+
+
+def _advecting_hat(uhat, w, kernel, op):
+    """The half spectrum of the pair (u_hat, w)'s w: u_hat without a kernel,
+    K u_hat in symbol mode, the transform of w otherwise."""
+    if kernel is None:
+        return uhat
+    if op.mode == "symbol":
+        return kernel.symbol * uhat
+    return w.grid.rfft(w.stacked())
 
 
 def _pairs(samples, kernel):
-    """Caller-given velocity samples as (v, omega_delta * v) pairs."""
-    return [(v, _smooth(v, kernel)) for v in samples]
+    """Caller-given velocity samples as (v_hat, omega_delta * v) pairs."""
+    return [(v.grid.rfft(v.stacked()), _smooth(v, kernel)) for v in samples]
 
 
 def _advance(
@@ -315,27 +341,29 @@ def _advance(
 ):
     """Advance rho under the input samples, re-solving the velocity as we go.
 
-    ``pairs`` holds one (v, w = omega_delta * v) input sample per substep;
-    rho is advected by w, and each list entry is released (set to None) as
-    soon as its substep is done, so the input and the solved pairs together
-    never hold more than one slab's worth.  ``start`` is the pair solved
-    from ``rho0`` at ``t0``; it is the first solved pair, so the slab start
-    is never solved again.
+    ``pairs`` holds one (v_hat, w = omega_delta * v) input sample per
+    substep; rho is advected by w, and each list entry is released (set to
+    None) as soon as its substep is done, so the input and the solved pairs
+    together never hold more than one slab's worth.  ``start`` is the pair
+    solved from ``rho0`` at ``t0``; it is the first solved pair, so the
+    slab start is never solved again.
 
     With ``sink=None`` (a Picard iteration) no accounting is done, the
     continuity steps run without a ledger, and the result is the list of
     solved pairs, one per substep, with the slab distance
-    ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)`` accumulated along the way.
-    When ``sink`` is a Trajectory, which already holds the state at ``t0``,
-    every substep goes through ``account``, the later states are recorded
-    into the sink at the ``store_every`` cadence (plus the final time), and
-    the result is the pair solved at the slab end.
+    ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)`` accumulated along the way by
+    Parseval on u_hat_j - v_hat_j.  When ``sink`` is a Trajectory, which
+    already holds the state at ``t0``, every substep goes through
+    ``account``, the later states are recorded into the sink at the
+    ``store_every`` cadence (plus the final time), and the result is the
+    pair solved at the slab end.
     """
+    grid = rho0.grid
     rho = rho0
     out = []
     total = 0.0
     for j in range(len(pairs)):
-        v, w = pairs[j]
+        vhat, w = pairs[j]
         pairs[j] = None
         tj = t0 + j * dt
         pair = start if j == 0 else _velocity_pair(ops, kernel, rho, f, tj, params)
@@ -343,17 +371,18 @@ def _advance(
             raise _CFLBreach(w.max_component_sum())
         if sink is None:
             out.append(pair)
-            total += grad_l2_norm(pair[0] - v) ** 2
+            total += grad_norm_sq_hat(grid, pair[0] - vhat)
             rho, _ = continuity_step(rho, w, dt, params, None)
             continue
         if j > 0 and j % store_every == 0:
-            sink.record(tj, rho, pair[0], account)
-        rho = account.step(rho, w, pair[0], tj, dt, ops.tensor, params)
+            sink.record(tj, rho, _velocity(pair, kernel), account)
+        what = _advecting_hat(vhat, w, kernel, ops.at(tj))
+        rho = account.step(rho, w, what, pair[0], tj, dt, ops.tensor, params)
     if sink is None:
         return out, math.sqrt(dt * total)
     t1 = t0 + len(pairs) * dt
     end = _velocity_pair(ops, kernel, rho, f, t1, params)
-    sink.record(t1, rho, end[0], account)
+    sink.record(t1, rho, _velocity(end, kernel), account)
     return end
 
 
@@ -371,7 +400,7 @@ def apply_B(tensor, v_samples, rho0, f, params, slab):
     out, _ = _advance(
         ops, kernel, _pairs(v_samples, kernel), rho0, start, f, params, slab.t0, slab.dt
     )
-    return [u for u, _w in out]
+    return [_velocity(pair, kernel) for pair in out]
 
 
 def picard_solve(
@@ -406,7 +435,7 @@ def picard_solve(
     if account is None:
         account = _Account.fresh(rho0)
     traj = Trajectory(grid=grid, params=params, tensor=tensor)
-    traj.record(slab.t0, rho0, start[0], account)
+    traj.record(slab.t0, rho0, _velocity(start, kernel), account)
     v0 = None if v0 is None else _pairs(v0, kernel)
     history, _end = _picard_slab(
         ops, kernel, rho0, start, f, params, slab, v0, traj, account, store_every
@@ -417,9 +446,9 @@ def picard_solve(
 def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, store_every):
     """The fixed-point solve behind :func:`picard_solve` on shared operators.
 
-    ``start`` is the (u, w) pair solved from ``rho0`` at ``slab.t0``; it
-    serves substep 0 of every iteration and of the recording pass.  ``v0``
-    is a list of (v, w) pairs or None for the zero start.  Once the
+    ``start`` is the (u_hat, w) pair solved from ``rho0`` at ``slab.t0``;
+    it serves substep 0 of every iteration and of the recording pass.
+    ``v0`` is a list of (v_hat, w) pairs or None for the zero start.  Once the
     iteration converges the slab is recorded into ``traj``, which ends at
     the slab start, and accounted into ``account``; a NoContraction leaves
     both untouched.  Returns the contraction history and the pair solved
@@ -428,8 +457,7 @@ def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, s
     grid = rho0.grid
     steps = slab.steps
     if v0 is None:
-        zero = VectorField.zeros(grid)
-        v0 = [(zero, zero)]
+        v0 = [(0.0, VectorField.zeros(grid))]
 
     for _attempt in range(_MAX_CFL_RETRIES):
         dt = (slab.t1 - slab.t0) / steps
@@ -512,13 +540,13 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=
     traj = Trajectory(grid=grid, params=params, tensor=tensor)
     account = _Account.fresh(rho0)
     pair = _velocity_pair(ops, kernel, rho0, f, 0.0, params)
-    traj.record(0.0, rho0, pair[0], account)
+    traj.record(0.0, rho0, _velocity(pair, kernel), account)
     length = slab_len
     halvings = 0
     while traj.final_time < t_end - 1e-12 * max(1.0, t_end):
         t = traj.final_time
         duration = min(length, t_end - t)
-        slab = Slab(t, t + duration, _estimate_steps(duration, pair[0], params))
+        slab = Slab(t, t + duration, _estimate_steps(duration, traj.velocities[-1], params))
         try:
             _history, pair = _picard_slab(
                 ops, kernel, traj.final_density, pair, f, params, slab, None, traj,
@@ -548,14 +576,14 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1):
     rho = rho0
     t = 0.0
     step_index = 0
-    u, _w = _velocity_pair(ops, None, rho, f, t, params)
+    uhat, u = _velocity_pair(ops, None, rho, f, t, params)
     traj.record(t, rho, u, account)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
-        rho = account.step(rho, u, u, t, dt, tensor, params)
+        rho = account.step(rho, u, uhat, uhat, t, dt, tensor, params)
         t += dt
         step_index += 1
-        u, _w = _velocity_pair(ops, None, rho, f, t, params)
+        uhat, u = _velocity_pair(ops, None, rho, f, t, params)
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
             traj.record(t, rho, u, account)
     return traj

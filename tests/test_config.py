@@ -179,6 +179,63 @@ def test_varying_tensor_rejects_bad_index_group(tmp_path):
     assert "index group" in err.value.reason
 
 
+# --------------------------------------------------------- snapshot paths
+
+def snapshot_dir(tmp_path):
+    """A config directory holding two 1D snapshots, and a different cwd."""
+    g = GridSpec(1, 16)
+    cfg_dir = tmp_path / "study"
+    (cfg_dir / "data").mkdir(parents=True)
+    coeff = make_initial(InitialSpec(kind="cosine", value=2.0, amplitude=0.5), g)
+    force = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), g)
+    write_snapshot(str(cfg_dir / "data" / "a.asf"), coeff, 0.0)
+    write_snapshot(str(cfg_dir / "data" / "f.asf"), force, 0.0)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    return g, cfg_dir, elsewhere, coeff, force
+
+
+def test_relative_snapshot_paths_resolve_against_the_config(tmp_path, monkeypatch):
+    g, cfg_dir, elsewhere, coeff, force = snapshot_dir(tmp_path)
+    monkeypatch.chdir(elsewhere)
+    cfg = parse_config(write_cfg(
+        cfg_dir,
+        "grid.n = 16\nviscosity.kind = varying\nviscosity.files = 0000:data/a.asf\n"
+        "forcing.kind = file\nforcing.path = data/f.asf\n",
+    ))
+    np.testing.assert_array_equal(cfg.tensor.tensor_at(0.0)[0, 0, 0, 0], coeff.data)
+    np.testing.assert_array_equal(make_forcing(cfg.forcing, g).data, force.data)
+    cfg = parse_config(write_cfg(
+        cfg_dir,
+        "grid.n = 16\nforcing.kind = file\nforcing.breakpoints = 0:data/a.asf;0.5:data/f.asf\n",
+        name="b.cfg",
+    ))
+    lookup = make_forcing(cfg.forcing, g)
+    np.testing.assert_array_equal(lookup(0.1).data, coeff.data)
+    np.testing.assert_array_equal(lookup(0.7).data, force.data)
+
+
+@pytest.mark.parametrize("key,text,line", [
+    ("viscosity.files", "viscosity.kind = varying\nviscosity.files = 0000:data/{name}\n", 3),
+    ("forcing.path", "forcing.kind = file\nforcing.path = data/{name}\n", 3),
+    ("forcing.breakpoints",
+     "forcing.kind = file\n# two pieces\nforcing.breakpoints = 0:data/f.asf;1:data/{name}\n", 4),
+], ids=["viscosity.files", "forcing.path", "forcing.breakpoints"])
+@pytest.mark.parametrize("name", ["missing.asf", "garbage.asf"])
+def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, line, name):
+    g, cfg_dir, elsewhere, _coeff, _force = snapshot_dir(tmp_path)
+    (cfg_dir / "data" / "garbage.asf").write_bytes(b"not a snapshot")
+    # the same names relative to the cwd must not be picked up instead
+    (elsewhere / "data").mkdir()
+    (elsewhere / "data" / "missing.asf").write_bytes((cfg_dir / "data" / "f.asf").read_bytes())
+    monkeypatch.chdir(elsewhere)
+    path = write_cfg(cfg_dir, "grid.n = 16\n" + text.format(name=name))
+    with pytest.raises(ParseError) as err:
+        make_forcing(parse_config(path).forcing, g)
+    assert err.value.line == line
+    assert key in err.value.reason and name in err.value.reason
+
+
 def test_unknown_kinds_are_rejected(tmp_path):
     with pytest.raises(ParseError):
         parse_config(write_cfg(tmp_path, "viscosity.kind = tensorial\n"))

@@ -12,9 +12,12 @@ from anisostokes.fields import (
     VectorField,
     commutator_residual,
     div,
+    div_hat,
     grad,
     grad_l2_norm,
+    grad_norm_sq_hat,
     jacobian,
+    jacobian_hat,
     l2_inner,
     laplacian,
     mollify,
@@ -287,6 +290,13 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         read_snapshot(path)
 
 
+def test_snapshot_rejects_empty_header(tmp_path):
+    path = tmp_path / "blank.asf"
+    path.write_bytes(b"ASF1" + b" \n" + b"\x00" * 64)
+    with pytest.raises(ValueError, match="malformed header"):
+        read_snapshot(path)
+
+
 def test_snapshot_detects_truncation(tmp_path):
     g = GridSpec(1, 8)
     f = ScalarField.constant(g, 1.0)
@@ -315,3 +325,45 @@ def test_grad_l2_norm_parseval_matches_jacobian(dim, n):
     J = jacobian(v)
     expected = np.sqrt(np.sum(J**2) * g.cell_volume)
     assert grad_l2_norm(v) == pytest.approx(expected, rel=1e-12)
+
+
+# ------------------------------------------------------------ half spectra
+
+def rough_vector_hat(grid, seed):
+    """rfft of rough random components: every mode, Nyquist planes included."""
+    rng = np.random.default_rng(seed)
+    return grid.rfft(rng.standard_normal((grid.dim,) + grid.shape))
+
+
+def from_hat(grid, hat):
+    return VectorField.from_arrays(grid, grid.irfft(hat))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 8])
+def test_parseval_distance_matches_grad_l2_norm(dim, n):
+    g = GridSpec(dim, n)
+    uhat, vhat = rough_vector_hat(g, 3 * n + dim), rough_vector_hat(g, 5 * n + dim)
+    expected = grad_l2_norm(from_hat(g, uhat) - from_hat(g, vhat))
+    assert np.sqrt(grad_norm_sq_hat(g, uhat - vhat)) == pytest.approx(expected, rel=1e-13)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 8])
+def test_half_spectrum_jacobian_and_div_match_real_ones(dim, n):
+    g = GridSpec(dim, n)
+    uhat = rough_vector_hat(g, 7 * n + dim)
+    u = from_hat(g, uhat)
+    J = jacobian(u)
+    assert np.max(np.abs(jacobian_hat(g, uhat) - J)) <= 1e-13 * np.max(np.abs(J))
+    d = div(u)
+    assert np.max(np.abs(div_hat(g, uhat).data - d.data)) <= 1e-13 * d.linf_norm()
+
+
+def test_half_spectrum_ik_differentiates_a_single_mode():
+    g = GridSpec(2, 8)
+    x, y = g.meshgrid()
+    f = np.sin(x + 3 * y)
+    dx, dy = g.irfft(g.ik * g.rfft(f))
+    np.testing.assert_allclose(dx, np.cos(x + 3 * y), atol=1e-13)
+    np.testing.assert_allclose(dy, 3 * np.cos(x + 3 * y), atol=1e-13)

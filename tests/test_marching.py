@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +18,10 @@ from anisostokes.fields import (
     VectorField,
     grad,
     grad_l2_norm,
+    grad_norm_sq_hat,
     mollify,
 )
-from anisostokes import marching
+from anisostokes import fields, marching
 from anisostokes.marching import (
     Slab,
     SlabCollapse,
@@ -196,7 +200,8 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
     kernel = MollifierKernel(g, p.delta)
     assert 2 * kernel.radius_cells + 1 < n
 
-    u, w = marching._velocity_pair(ops, kernel, rho, f, 0.0, p)
+    uhat, w = marching._velocity_pair(ops, kernel, rho, f, 0.0, p)
+    u = VectorField.from_arrays(g, g.irfft(uhat))
     stencil_w = mollify(u, kernel)
     assert (w - stencil_w).linf_norm() <= 1e-13 * u.linf_norm()
     q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
@@ -213,8 +218,10 @@ def test_pair_without_mollifier_repeats_the_velocity():
     g = GridSpec(2, 16)
     p = canonical_params(delta=0.0)
     ops = _OperatorCache(DiagNu((1.0, 4.0)), g, p)
-    u, w = marching._velocity_pair(ops, None, cosine_density(g), None, 0.0, p)
-    assert w is u
+    pair = marching._velocity_pair(ops, None, cosine_density(g), None, 0.0, p)
+    uhat, w = pair
+    assert np.array_equal(w.stacked(), g.irfft(uhat))
+    assert marching._velocity(pair, None) is w
 
 
 def test_advance_releases_its_inputs_and_sums_the_distance():
@@ -228,8 +235,11 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
     out, dist = marching._advance(ops, kernel, pairs, rho0, start, None, p, 0.0, dt)
     assert pairs == [None] * 4
     assert len(out) == 4 and out[0] is start
-    total = sum(grad_l2_norm(u - start[0]) ** 2 for u, _w in out)
+    total = sum(grad_norm_sq_hat(g, uhat - start[0]) for uhat, _w in out)
     assert dist == np.sqrt(dt * total)
+    u0 = marching._velocity(start, kernel)
+    real = sum(grad_l2_norm(marching._velocity(pair, kernel) - u0) ** 2 for pair in out)
+    assert dist == pytest.approx(np.sqrt(dt * real), rel=1e-13)
 
 
 # ------------------------------------------------------------ march
@@ -349,6 +359,23 @@ def test_march_does_each_slab_computation_once(monkeypatch):
     assert len(ledgers) - len(with_ledger) == sum(k * s for k, s in zip(iters, steps))
 
 
+def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
+    # the distance, the divergence and the stress power all come from half
+    # spectra; every binding of the real-space helpers in the package counts
+    tensor, rho0, p = multi_slab_scenario()
+    logs = []
+    for name in ("grad_l2_norm", "jacobian", "div"):
+        original = getattr(fields, name)
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("anisostokes")
+                    and vars(module).get(name) is original):
+                logs.append(counting(monkeypatch, module, name, lambda args: args))
+    assert len(logs) >= 3
+    traj = march(tensor, rho0, None, p, 0.09, 0.03)
+    assert len(traj.fixed_point_reports) >= 3
+    assert [log for log in logs if log] == []
+
+
 def test_march_matches_chained_picard_solves():
     tensor, rho0, p = multi_slab_scenario()
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
@@ -395,6 +422,28 @@ def test_march_keeps_one_slab_of_time_dependent_operators(monkeypatch):
     assert len(steps) >= 3
     assert len({t for t, _ in held}) > max(steps) + 1
     assert max(size for _, size in held) <= max(steps) + 1
+
+
+SYMBOL_MARCH_SCRIPT = """
+import sys
+import numpy as np
+import anisostokes
+from anisostokes import DiagNu, GridSpec, ScalarField, SolverParams, march
+g = GridSpec(1, 32)
+rho = ScalarField(g, 1.0 + 0.2 * np.cos(g.meshgrid()[0]))
+march(DiagNu((1.0,)), rho, None, SolverParams(gamma=2.0, delta=0.3), 0.02, 0.01)
+print(sorted(m for m in ("scipy.sparse.linalg", "scipy.ndimage") if m in sys.modules))
+"""
+
+
+def test_symbol_march_never_loads_the_stencil_or_krylov_modules():
+    src = os.path.dirname(os.path.dirname(marching.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", SYMBOL_MARCH_SCRIPT], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ direct march

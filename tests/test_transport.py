@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -305,3 +308,57 @@ def test_second_order_sharper_on_smooth_profile():
             rho, led = continuity_step(rho, v, dt, p, led)
         results[order] = (rho.max() - rho.min())
     assert results[2] > results[1]
+
+
+# ------------------------------------------------------------ properties
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@st.composite
+def transport_states(draw):
+    """A positive density, an arbitrary velocity and a CFL-admissible dt."""
+    dim = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(4, 24 if dim == 1 else 10))
+    shape = (n,) * dim
+    rho = draw(arrays(np.float64, shape, elements=st.floats(1e-3, 10.0)))
+    v = draw(arrays(np.float64, (dim,) + shape, elements=st.floats(-3.0, 3.0)))
+    fraction = draw(st.floats(0.05, 1.0))
+    g = GridSpec(dim, n)
+    return ScalarField(g, rho), VectorField.from_arrays(g, v), fraction
+
+
+def central_divergence(v):
+    """The discrete divergence the order-1 upwind fluxes telescope to."""
+    h = v.grid.h
+    return sum(
+        (np.roll(v[a].data, -1, axis=a) - np.roll(v[a].data, 1, axis=a)) / (2.0 * h)
+        for a in range(v.grid.dim)
+    )
+
+
+@PROPERTY_SETTINGS
+@given(state=transport_states(), eps=st.sampled_from([0.0, 0.05]), eta=st.sampled_from([0.0, 0.3]))
+def test_step_keeps_the_ledger_identity_and_positivity(state, eps, eta):
+    rho, v, fraction = state
+    p = SolverParams(gamma=1.7, eps=eps, eta=eta, dt_max=5e-2)
+    dt = fraction * cfl_dt(v, p)
+    led = MassLedger.fresh(rho)
+    for _ in range(3):
+        rho, led = continuity_step(rho, v, dt, p, led)
+        assert rho.min() >= 0.0
+    assert led.identity_defect() <= 1e-12 * led.mass_initial * 3
+
+
+@PROPERTY_SETTINGS
+@given(state=transport_states())
+def test_order_one_step_obeys_the_max_principle(state):
+    # without drag or diffusion each new value is a nonnegative combination
+    # of old ones whose weights sum to 1 - dt * (central divergence)
+    rho, v, fraction = state
+    p = SolverParams(gamma=2.0, dt_max=5e-2)
+    dt = fraction * cfl_dt(v, p)
+    out, _ = continuity_step(rho, v, dt, p, None)
+    growth = 1.0 + dt * max(0.0, float(-central_divergence(v).min()))
+    assert out.max() <= rho.max() * growth * (1.0 + 1e-12)
+    assert out.min() >= 0.0
