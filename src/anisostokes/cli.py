@@ -15,13 +15,13 @@ import os
 import sys
 from dataclasses import replace
 
-from anisostokes.config import KNOWN_KEYS, make_forcing, make_initial, parse_config
+from anisostokes.config import KEYS, default_of, make_forcing, make_initial, parse_config
 from anisostokes.diagnostics import (
-    DefectParams,
     defect_inequality_audit,
     energy_violation,
     pressure_l2_audit,
     rows_for_trajectory,
+    write_csv,
     write_rows_csv,
 )
 from anisostokes.fields import write_snapshot
@@ -57,15 +57,34 @@ def _write_trajectory(traj, out_dir):
             write_snapshot(os.path.join(out_dir, f"u{a}_{i:06d}.asf"), comp, t)
 
 
-def _standard_audits(traj, cfg, results):
+def _mass_identity(results, traj, name="mass-identity"):
+    """Audit the mass identity of every ledger; return the worst defect."""
     mass0 = traj.ledgers[0].mass_initial
     worst = max(ledger.identity_defect() for ledger in traj.ledgers)
     _audit(
         results,
-        "mass-identity",
+        name,
         worst <= 1e-10 * mass0,
         f"max defect {worst:.3e} against 1e-10 * {mass0:.6g}",
     )
+    return worst
+
+
+def _energy_slack(results, traj, name="energy-slack"):
+    """Audit the energy budget against its initial pressure; return the violation."""
+    e0 = traj.initial_pressure_integral()
+    violation = energy_violation(traj)
+    _audit(
+        results,
+        name,
+        violation <= 1e-2 * max(e0, 1e-300),
+        f"violation {violation:.3e} against 1e-2 * {e0:.6g}",
+    )
+    return violation
+
+
+def _standard_audits(traj, cfg, results):
+    _mass_identity(results, traj)
 
     _audit(
         results,
@@ -83,22 +102,14 @@ def _standard_audits(traj, cfg, results):
             f"worst margin {traj.max_principle_margin:.3e}",
         )
 
-    e0 = traj.initial_pressure_integral()
-    violation = energy_violation(traj)
-    _audit(
-        results,
-        "energy-slack",
-        violation <= 1e-2 * max(e0, 1e-300),
-        f"violation {violation:.3e} against 1e-2 * {e0:.6g}",
-    )
+    _energy_slack(results, traj)
 
-    dp = DefectParams(window=cfg.diagnostics.window, h_reg=cfg.diagnostics.h_reg)
-    lhs, rhs, ok = defect_inequality_audit(traj, cfg.params.gamma, dp)
+    lhs, rhs, ok = defect_inequality_audit(traj, cfg.params.gamma, cfg.defect_params)
     _audit(
         results,
         "defect-inequality",
         ok,
-        f"lhs {lhs:.6g} against rhs {rhs:.6g} (window {dp.window})",
+        f"lhs {lhs:.6g} against rhs {rhs:.6g} (window {cfg.defect_params.window})",
     )
 
 
@@ -107,9 +118,7 @@ def cmd_run(cfg, out_dir):
     traj = _march_config(cfg)
     _write_trajectory(traj, out_dir)
     rows = rows_for_trajectory(
-        traj,
-        dp=DefectParams(window=cfg.diagnostics.window, h_reg=cfg.diagnostics.h_reg),
-        commutator_delta=cfg.diagnostics.commutator_delta,
+        traj, dp=cfg.defect_params, commutator_delta=cfg.commutator_delta
     )
     write_rows_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
     _standard_audits(traj, cfg, results)
@@ -120,8 +129,6 @@ def cmd_run(cfg, out_dir):
 def cmd_sweep_delta(cfg, out_dir):
     results = []
     deltas = tuple(sorted(cfg.sweep_deltas, reverse=True))
-    if len(deltas) < 2:
-        raise ValueError("sweep.deltas needs at least two levels")
 
     finals = []
     for d in deltas:
@@ -141,12 +148,11 @@ def cmd_sweep_delta(cfg, out_dir):
     to_direct = [(rho - direct).l2_norm() for rho in finals]
 
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["delta,gap_to_coarser,dist_to_direct"]
-    for i, d in enumerate(deltas):
-        gap = "" if i == 0 else "%.17g" % gaps[i - 1]
-        lines.append(f"%.17g,{gap},%.17g" % (d, to_direct[i]))
-    with open(os.path.join(out_dir, "sweep_delta.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        os.path.join(out_dir, "sweep_delta.csv"),
+        "delta,gap_to_coarser,dist_to_direct",
+        zip(deltas, [""] + gaps, to_direct),
+    )
 
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1)]
     _audit(
@@ -167,42 +173,22 @@ def cmd_sweep_delta(cfg, out_dir):
 
 def cmd_sweep_eps(cfg, out_dir):
     results = []
-    levels = tuple(cfg.sweep_eps_levels)
-    if not levels:
-        raise ValueError("sweep.eps_levels must not be empty")
-
     rows = []
     pressures = []
-    for level in levels:
-        traj = _march_config(
-            cfg, params=replace(cfg.params, eps=level, eta=level)
-        )
-        mass0 = traj.ledgers[0].mass_initial
-        defect = max(ledger.identity_defect() for ledger in traj.ledgers)
-        violation = energy_violation(traj)
+    for level in cfg.sweep_eps_levels:
+        traj = _march_config(cfg, params=replace(cfg.params, eps=level, eta=level))
+        defect = _mass_identity(results, traj, f"mass-identity[{level:g}]")
+        violation = _energy_slack(results, traj, f"energy-slack[{level:g}]")
         pl2 = pressure_l2_audit(traj)
         pressures.append(pl2)
         rows.append((level, defect, violation, pl2))
-        e0 = traj.initial_pressure_integral()
-        _audit(
-            results,
-            f"mass-identity[{level:g}]",
-            defect <= 1e-10 * mass0,
-            f"max defect {defect:.3e}",
-        )
-        _audit(
-            results,
-            f"energy-slack[{level:g}]",
-            violation <= 1e-2 * max(e0, 1e-300),
-            f"violation {violation:.3e}",
-        )
 
     os.makedirs(out_dir, exist_ok=True)
-    lines = ["level,mass_defect,energy_violation,pressure_l2"]
-    for row in rows:
-        lines.append(",".join("%.17g" % v for v in row))
-    with open(os.path.join(out_dir, "sweep_eps.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(
+        os.path.join(out_dir, "sweep_eps.csv"),
+        "level,mass_defect,energy_violation,pressure_l2",
+        rows,
+    )
 
     spread = max(pressures) / max(min(pressures), 1e-300)
     _audit(
@@ -221,22 +207,18 @@ def cmd_defect_study(cfg, out_dir):
         raise ValueError("the defect study scales a per-axis viscosity; use viscosity.kind = diag")
     base = cfg.tensor.nu
 
-    os.makedirs(out_dir, exist_ok=True)
-    lines = ["ratio,window,lhs,rhs,passed"]
+    rows = []
     all_ok = True
     for ratio in cfg.defect_ratios:
         nu = base[:-1] + (base[-1] * ratio,)
         traj = _march_config(cfg, tensor=DiagNu(nu))
         for window in cfg.defect_windows:
-            dp = DefectParams(window=window, h_reg=cfg.diagnostics.h_reg)
+            dp = replace(cfg.defect_params, window=window)
             lhs, rhs, ok = defect_inequality_audit(traj, cfg.params.gamma, dp)
             all_ok = all_ok and ok
-            lines.append(
-                "%.17g,%d,%.17g,%.17g,%s"
-                % (ratio, window, lhs, rhs, "true" if ok else "false")
-            )
-    with open(os.path.join(out_dir, "defect_study.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+            rows.append((ratio, window, lhs, rhs, "true" if ok else "false"))
+    os.makedirs(out_dir, exist_ok=True)
+    write_csv(os.path.join(out_dir, "defect_study.csv"), "ratio,window,lhs,rhs,passed", rows)
 
     _audit(
         results,
@@ -288,9 +270,17 @@ _COMMANDS = {
 }
 
 
+def _shown_default(key):
+    """The default of ``key`` written as a config value, or its note."""
+    if KEYS[key].note:
+        return f"({KEYS[key].note})"
+    value = default_of(key)
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
 def _key_help():
-    width = max(len(k) for k in KNOWN_KEYS)
-    rows = [f"  {k.ljust(width)}  default: {v}" for k, v in KNOWN_KEYS.items()]
+    width = max(len(k) for k in KEYS)
+    rows = [f"  {k.ljust(width)}  default: {_shown_default(k)}" for k in KEYS]
     return "config keys (key = value per line, # comments):\n" + "\n".join(rows)
 
 

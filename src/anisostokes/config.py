@@ -8,16 +8,23 @@ overrides another.  Relative snapshot paths (``viscosity.files``,
 ``forcing.path``, ``forcing.breakpoints``) are resolved against the
 directory of the config file, and a snapshot that cannot be read is a
 :class:`ParseError` naming the line of the key that points at it.
+
+:data:`KEYS` is the one description of every key: its reader, the field
+of :class:`RunConfig` it fills (whose dataclass default is the key's
+default) and its accepted range.  A value out of range is a
+:class:`ParseError` on its key's line.
 """
 
 from __future__ import annotations
 
 import logging
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
+from anisostokes.diagnostics import DefectParams
 from anisostokes.fields import GridSpec, ScalarField, read_snapshot
 from anisostokes.transport import InvalidParameter, SolverParams
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull
@@ -65,20 +72,14 @@ class ForcingSpec:
 
 
 @dataclass(frozen=True)
-class DiagnosticsSpec:
-    window: int = 8
-    h_reg: float = 1e-8
-    commutator_delta: float = 0.0
-
-
-@dataclass(frozen=True)
 class RunConfig:
     grid: GridSpec
     params: SolverParams
     tensor: object
     initial: InitialSpec
     forcing: ForcingSpec
-    diagnostics: DiagnosticsSpec
+    defect_params: DefectParams
+    commutator_delta: float = 0.0
     t_end: float = 0.1
     slab: float = 0.05
     store_every: int = 1
@@ -90,66 +91,108 @@ class RunConfig:
     defect_windows: tuple = (4, 8)
 
 
-# every key the parser accepts, with its documented default
-KNOWN_KEYS = {
-    "grid.dim": "1",
-    "grid.n": "(128 for dim 1 or 2, 32 for dim 3)",
-    "params.gamma": "2.0",
-    "params.eps": "0.0",
-    "params.delta": "0.0",
-    "params.eta": "0.0",
-    "transport.cfl": "0.45",
-    "transport.order": "1",
-    "stokes.rtol": "1e-8",
-    "stokes.max_iter": "400",
-    "run.t_end": "0.1",
-    "run.slab": "0.05",
-    "run.fp_tol": "1e-7",
-    "run.fp_max_iter": "40",
-    "run.dt_max": "0.01",
-    "run.store_every": "1",
-    "run.out": "out",
-    "run.seed": "0",
-    "viscosity.kind": "diag",
-    "viscosity.nu": "1 per axis",
-    "viscosity.a": "(constant-full entries, dim^4 comma-separated, row-major)",
-    "viscosity.files": "(varying entries, semicolon-separated ijkl:path snapshots)",
-    "initial.kind": "constant",
-    "initial.value": "1.0",
-    "initial.amplitude": "0.2",
-    "initial.wavelength": "2*pi/16",
-    "initial.width": "pi/2",
-    "initial.base": "constant",
-    "forcing.kind": "zero",
-    "forcing.amplitude": "0.0",
-    "forcing.path": "",
-    "forcing.breakpoints": "(time:path pairs, semicolon-separated)",
-    "diagnostics.window": "8",
-    "diagnostics.h_reg": "1e-8",
-    "diagnostics.commutator_delta": "0.0",
-    "sweep.deltas": "0.4,0.2,0.1,0.05",
-    "sweep.eps_levels": "0.1,0.01,0.001",
-    "defect.ratios": "1,4,16",
-    "defect.windows": "4,8",
+# the dataclass behind each prefix of a _Key.field ("" is RunConfig itself)
+_HOLDERS = {
+    "": RunConfig,
+    "params": SolverParams,
+    "initial": InitialSpec,
+    "forcing": ForcingSpec,
+    "defect_params": DefectParams,
 }
 
-# each SolverParams field: the key that sets it, its reader and its default
-_PARAM_KEYS = {
-    "gamma": ("params.gamma", "real", 2.0),
-    "eps": ("params.eps", "real", 0.0),
-    "delta": ("params.delta", "real", 0.0),
-    "eta": ("params.eta", "real", 0.0),
-    "cfl": ("transport.cfl", "real", 0.45),
-    "dt_max": ("run.dt_max", "real", 0.01),
-    "fp_tol": ("run.fp_tol", "real", 1e-7),
-    "fp_max_iter": ("run.fp_max_iter", "integer", 40),
-    "stokes_rtol": ("stokes.rtol", "real", 1e-8),
-    "stokes_max_iter": ("stokes.max_iter", "integer", 400),
-    "order": ("transport.order", "integer", 1),
+
+class _Key(NamedTuple):
+    """How one config key is read, where its value goes and what it accepts.
+
+    ``field`` is the value's attribute path in :class:`RunConfig`; that
+    field's default is the key's default.  Keys that build the grid or the
+    tensor have no field and keep their ``default`` here (a function of the
+    grid dimension where it depends on it, described by ``note``).
+    ``check`` is ``(accepts(value, grid), range)``; SolverParams checks its
+    own fields.
+    """
+
+    reader: str
+    field: str = ""
+    check: tuple = None
+    default: object = None
+    note: str = ""
+
+
+def _divides(window, grid):
+    return window >= 1 and all(n % window == 0 for n in grid.n)
+
+
+def _kind(*names):
+    return (lambda v, _grid: v in names), "one of " + ", ".join(names)
+
+
+_WINDOW = "a cell count >= 1 dividing every grid extent"
+_AT_LEAST_0 = (lambda v, _grid: v >= 0), ">= 0"
+_POSITIVE = (lambda v, _grid: v > 0), "> 0"
+_AT_LEAST_1 = (lambda v, _grid: v >= 1), ">= 1"
+_DELTAS = (
+    lambda v, _grid: len(set(v)) == len(v) >= 3 and min(v) > 0
+), "at least three distinct levels, each > 0"
+_EPS_LEVELS = (lambda v, _grid: bool(v) and min(v) >= 0), "at least one level, each >= 0"
+_RATIOS = (lambda v, _grid: all(r > 0 for r in v)), "ratios > 0"
+_WINDOWS = (lambda v, grid: all(_divides(w, grid) for w in v)), f"each {_WINDOW}"
+
+KEYS = {
+    "grid.dim": _Key("integer", default=1),
+    "grid.n": _Key("integer", default=lambda dim: 32 if dim == 3 else 128,
+                   note="128 for dim 1 or 2, 32 for dim 3"),
+    "params.gamma": _Key("real", "params.gamma"),
+    "params.eps": _Key("real", "params.eps"),
+    "params.delta": _Key("real", "params.delta"),
+    "params.eta": _Key("real", "params.eta"),
+    "transport.cfl": _Key("real", "params.cfl"),
+    "transport.order": _Key("integer", "params.order"),
+    "stokes.rtol": _Key("real", "params.stokes_rtol"),
+    "stokes.max_iter": _Key("integer", "params.stokes_max_iter"),
+    "run.t_end": _Key("real", "t_end", _AT_LEAST_0),
+    "run.slab": _Key("real", "slab", _POSITIVE),
+    "run.fp_tol": _Key("real", "params.fp_tol"),
+    "run.fp_max_iter": _Key("integer", "params.fp_max_iter"),
+    "run.dt_max": _Key("real", "params.dt_max"),
+    "run.store_every": _Key("integer", "store_every", _AT_LEAST_1),
+    "run.out": _Key("text", "out"),
+    "run.seed": _Key("integer", "seed"),
+    "viscosity.kind": _Key("text", check=_kind("diag", "constant", "varying"), default="diag"),
+    "viscosity.nu": _Key("reals", default=lambda dim: (1.0,) * dim, note="1.0 per axis"),
+    "viscosity.a": _Key("reals", default=(),
+                        note="constant-full entries, dim^4 comma-separated, row-major"),
+    "viscosity.files": _Key("text", default="",
+                            note="varying entries, semicolon-separated ijkl:path snapshots"),
+    "initial.kind": _Key("text", "initial.kind",
+                         _kind("constant", "bump", "cosine", "oscillatory")),
+    "initial.value": _Key("real", "initial.value"),
+    "initial.amplitude": _Key("real", "initial.amplitude"),
+    "initial.wavelength": _Key("real", "initial.wavelength"),
+    "initial.width": _Key("real", "initial.width"),
+    "initial.base": _Key("text", "initial.base", _kind("constant", "cosine", "bump")),
+    "forcing.kind": _Key("text", "forcing.kind", _kind("zero", "cosine", "file")),
+    "forcing.amplitude": _Key("real", "forcing.amplitude"),
+    "forcing.path": _Key("path", "forcing.path"),
+    "forcing.breakpoints": _Key("breakpoints", "forcing.breakpoints",
+                                note="time:path pairs, semicolon-separated"),
+    "diagnostics.window": _Key("integer", "defect_params.window", (_divides, _WINDOW)),
+    "diagnostics.h_reg": _Key("real", "defect_params.h_reg", _AT_LEAST_0),
+    "diagnostics.commutator_delta": _Key("real", "commutator_delta"),
+    "sweep.deltas": _Key("reals", "sweep_deltas", _DELTAS),
+    "sweep.eps_levels": _Key("reals", "sweep_eps_levels", _EPS_LEVELS),
+    "defect.ratios": _Key("reals", "defect_ratios", _RATIOS),
+    "defect.windows": _Key("integers", "defect_windows", _WINDOWS),
 }
 
-_VALID_INITIAL_KINDS = ("constant", "bump", "cosine", "oscillatory")
-_VALID_FORCING_KINDS = ("zero", "cosine", "file")
+
+def default_of(key, dim=1):
+    """The value ``key`` takes when a config on a ``dim``-D grid omits it."""
+    spec = KEYS[key]
+    if spec.field:
+        holder, _, name = spec.field.rpartition(".")
+        return next(f.default for f in fields(_HOLDERS[holder]) if f.name == name)
+    return spec.default(dim) if callable(spec.default) else spec.default
 
 
 def _read_keyed_snapshot(path, key, line):
@@ -159,121 +202,6 @@ def _read_keyed_snapshot(path, key, line):
     except (OSError, ValueError) as exc:
         raise ParseError(line, f"{key}: cannot read snapshot {path}: {exc}") from exc
     return field
-
-
-def _parse_lines(path):
-    entries = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParseError(lineno, f"expected 'key = value', got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            value = value.split("#", 1)[0].strip()
-            if key not in KNOWN_KEYS:
-                raise UnknownKey(lineno, key)
-            if key in entries:
-                raise ParseError(
-                    lineno, f"duplicate key {key!r}, first given on line {entries[key][1]}"
-                )
-            entries[key] = (value, lineno)
-    return entries
-
-
-class _Reader:
-    def __init__(self, entries):
-        self.entries = entries
-        self.lines = {k: ln for k, (_v, ln) in entries.items()}
-
-    def line_of(self, key):
-        return self.lines.get(key, 0)
-
-    def _fetch(self, key, default, conv, what):
-        if key not in self.entries:
-            return default
-        value, lineno = self.entries[key]
-        try:
-            return conv(value)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(lineno, f"{key}: expected {what}, got {value!r}") from exc
-
-    def real(self, key, default):
-        return self._fetch(key, default, float, "a real number")
-
-    def integer(self, key, default):
-        return self._fetch(key, default, int, "an integer")
-
-    def text(self, key, default):
-        return self._fetch(key, default, str, "text")
-
-    def reals(self, key, default):
-        return self._fetch(
-            key,
-            default,
-            lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
-            "comma-separated reals",
-        )
-
-    def integers(self, key, default):
-        return self._fetch(
-            key,
-            default,
-            lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
-            "comma-separated integers",
-        )
-
-
-def _build_tensor(reader, grid, base_dir):
-    dim = grid.dim
-    kind = reader.text("viscosity.kind", "diag")
-    if kind == "diag":
-        nu = reader.reals("viscosity.nu", tuple([1.0] * dim))
-        if len(nu) != dim:
-            raise ParseError(
-                reader.line_of("viscosity.nu"),
-                f"viscosity.nu: expected {dim} entries, got {len(nu)}",
-            )
-        return DiagNu(nu)
-    if kind == "constant":
-        flat = reader.reals("viscosity.a", ())
-        if len(flat) != dim**4:
-            raise ParseError(
-                reader.line_of("viscosity.a"),
-                f"viscosity.a: expected {dim**4} entries, got {len(flat)}",
-            )
-        return ConstantFull(np.array(flat).reshape((dim,) * 4))
-    if kind == "varying":
-        text = reader.text("viscosity.files", "")
-        lineno = reader.line_of("viscosity.files")
-        if not text:
-            raise ParseError(lineno, "viscosity.files: need at least one ijkl:path entry")
-        values = np.zeros((dim,) * 4 + grid.shape)
-        for chunk in text.split(";"):
-            chunk = chunk.strip()
-            if not chunk:
-                continue
-            idx, _, path = chunk.partition(":")
-            idx = idx.strip()
-            path = path.strip()
-            if len(idx) != 4 or not idx.isdigit() or any(int(c) >= dim for c in idx):
-                raise ParseError(
-                    lineno, f"viscosity.files: bad index group {idx!r} for dim {dim}"
-                )
-            path = os.path.join(base_dir, path)
-            coeff = _read_keyed_snapshot(path, "viscosity.files", lineno)
-            if coeff.grid != grid:
-                raise ParseError(
-                    lineno, f"viscosity.files: {path} grid does not match the run grid"
-                )
-            i, j, k, l = (int(c) for c in idx)
-            values[i, j, k, l] = coeff.data
-        return VaryingFull(grid, values)
-    raise ParseError(
-        reader.line_of("viscosity.kind"), f"viscosity.kind: unknown kind {kind!r}"
-    )
 
 
 def _parse_breakpoints(text, base_dir):
@@ -289,90 +217,134 @@ def _parse_breakpoints(text, base_dir):
     return tuple(pairs)
 
 
+def _listed(convert):
+    return lambda v, _dir: tuple(convert(x) for x in v.split(",") if x.strip())
+
+
+# each _Key.reader: its converter (text, config directory) -> value, and what it expects
+_READERS = {
+    "real": (lambda v, _dir: float(v), "a real number"),
+    "integer": (lambda v, _dir: int(v), "an integer"),
+    "text": (lambda v, _dir: v, "text"),
+    "reals": (_listed(float), "comma-separated reals"),
+    "integers": (_listed(int), "comma-separated integers"),
+    "path": (lambda v, base_dir: os.path.join(base_dir, v) if v else "", "a path"),
+    "breakpoints": (_parse_breakpoints, "time:path pairs in increasing time"),
+}
+
+
+def _parse_lines(path):
+    """Each key given in the file: its text value and line number."""
+    entries = {}
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if "=" not in line:
+                raise ParseError(lineno, f"expected 'key = value', got {line!r}")
+            key, _, value = line.partition("=")
+            key = key.strip()
+            value = value.split("#", 1)[0].strip()
+            if key not in KEYS:
+                raise UnknownKey(lineno, key)
+            if key in entries:
+                raise ParseError(
+                    lineno, f"duplicate key {key!r}, first given on line {entries[key][1]}"
+                )
+            entries[key] = (value, lineno)
+    return entries
+
+
+def _read(key, text, line, base_dir):
+    convert, what = _READERS[KEYS[key].reader]
+    try:
+        return convert(text, base_dir)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(line, f"{key}: expected {what}, got {text!r}") from exc
+
+
+def _build_tensor(value, lines, grid, base_dir):
+    dim = grid.dim
+    kind = value["viscosity.kind"]
+    if kind == "diag":
+        nu = value["viscosity.nu"]
+        if len(nu) != dim:
+            raise ParseError(
+                lines.get("viscosity.nu", 0),
+                f"viscosity.nu: expected {dim} entries, got {len(nu)}",
+            )
+        return DiagNu(nu)
+    if kind == "constant":
+        flat = value["viscosity.a"]
+        if len(flat) != dim**4:
+            raise ParseError(
+                lines.get("viscosity.a", 0),
+                f"viscosity.a: expected {dim**4} entries, got {len(flat)}",
+            )
+        return ConstantFull(np.array(flat).reshape((dim,) * 4))
+    text = value["viscosity.files"]
+    lineno = lines.get("viscosity.files", 0)
+    if not text:
+        raise ParseError(lineno, "viscosity.files: need at least one ijkl:path entry")
+    values = np.zeros((dim,) * 4 + grid.shape)
+    for chunk in text.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        idx, _, path = chunk.partition(":")
+        idx = idx.strip()
+        path = path.strip()
+        if len(idx) != 4 or not idx.isdigit() or any(int(c) >= dim for c in idx):
+            raise ParseError(lineno, f"viscosity.files: bad index group {idx!r} for dim {dim}")
+        path = os.path.join(base_dir, path)
+        coeff = _read_keyed_snapshot(path, "viscosity.files", lineno)
+        if coeff.grid != grid:
+            raise ParseError(
+                lineno, f"viscosity.files: {path} grid does not match the run grid"
+            )
+        i, j, k, l = (int(c) for c in idx)
+        values[i, j, k, l] = coeff.data
+    return VaryingFull(grid, values)
+
+
 def parse_config(path):
     """Read a configuration file into a fully-typed RunConfig."""
     entries = _parse_lines(path)
-    r = _Reader(entries)
+    lines = {key: lineno for key, (_text, lineno) in entries.items()}
     base_dir = os.path.dirname(os.path.abspath(path))
-
-    dim = r.integer("grid.dim", 1)
-    default_n = 32 if dim == 3 else 128
-    n = r.integer("grid.n", default_n)
+    given = {key: _read(key, text, lines[key], base_dir) for key, (text, _ln) in entries.items()}
+    dim = given.get("grid.dim", default_of("grid.dim"))
+    value = {key: given[key] if key in given else default_of(key, dim) for key in KEYS}
     try:
-        grid = GridSpec(dim, n)
+        grid = GridSpec(dim, value["grid.n"])
     except ValueError as exc:
-        raise ParseError(r.line_of("grid.dim") or r.line_of("grid.n"), str(exc)) from exc
+        raise ParseError(lines.get("grid.dim") or lines.get("grid.n", 0), str(exc)) from exc
 
-    values = {
-        name: getattr(r, reader)(key, default)
-        for name, (key, reader, default) in _PARAM_KEYS.items()
-    }
+    held = {holder: {} for holder in _HOLDERS}
+    for key, spec in KEYS.items():
+        if spec.check and not spec.check[0](value[key], grid):
+            # an omitted key fails only when its default does not fit the grid
+            line = lines.get(key) or lines.get("grid.n") or lines.get("grid.dim", 0)
+            raise ParseError(line, f"{key}: must be {spec.check[1]}, got {value[key]!r}")
+        if spec.field:
+            holder, _, name = spec.field.rpartition(".")
+            held[holder][name] = value[key]
     try:
-        params = SolverParams(**values)
+        params = SolverParams(**held["params"])
     except InvalidParameter as exc:
-        raise ParseError(r.line_of(_PARAM_KEYS[exc.field][0]), str(exc)) from exc
+        key = next(k for k, spec in KEYS.items() if spec.field == f"params.{exc.field}")
+        raise ParseError(lines.get(key, 0), str(exc)) from exc
 
-    tensor = _build_tensor(r, grid, base_dir)
-
-    initial = InitialSpec(
-        kind=r.text("initial.kind", "constant"),
-        value=r.real("initial.value", 1.0),
-        amplitude=r.real("initial.amplitude", 0.2),
-        wavelength=r.real("initial.wavelength", 2 * np.pi / 16),
-        width=r.real("initial.width", np.pi / 2),
-        base=r.text("initial.base", "constant"),
-    )
-    if initial.kind not in _VALID_INITIAL_KINDS:
-        raise ParseError(
-            r.line_of("initial.kind"), f"initial.kind: unknown kind {initial.kind!r}"
-        )
-    if initial.base not in ("constant", "cosine", "bump"):
-        raise ParseError(
-            r.line_of("initial.base"), f"initial.base: unknown kind {initial.base!r}"
-        )
-
-    breakpoints = ()
-    if "forcing.breakpoints" in entries:
-        value, lineno = entries["forcing.breakpoints"]
-        try:
-            breakpoints = _parse_breakpoints(value, base_dir)
-        except ValueError as exc:
-            raise ParseError(lineno, f"forcing.breakpoints: {exc}") from exc
-    forcing_path = r.text("forcing.path", "")
-    forcing = ForcingSpec(
-        kind=r.text("forcing.kind", "zero"),
-        amplitude=r.real("forcing.amplitude", 0.0),
-        path=os.path.join(base_dir, forcing_path) if forcing_path else "",
-        breakpoints=breakpoints,
-        line=r.line_of("forcing.breakpoints" if breakpoints else "forcing.path"),
-    )
-    if forcing.kind not in _VALID_FORCING_KINDS:
-        raise ParseError(
-            r.line_of("forcing.kind"), f"forcing.kind: unknown kind {forcing.kind!r}"
-        )
-
-    diagnostics = DiagnosticsSpec(
-        window=r.integer("diagnostics.window", 8),
-        h_reg=r.real("diagnostics.h_reg", 1e-8),
-        commutator_delta=r.real("diagnostics.commutator_delta", 0.0),
-    )
-
+    forcing_key = "forcing.breakpoints" if value["forcing.breakpoints"] else "forcing.path"
     return RunConfig(
         grid=grid,
         params=params,
-        tensor=tensor,
-        initial=initial,
-        forcing=forcing,
-        diagnostics=diagnostics,
-        t_end=r.real("run.t_end", 0.1),
-        slab=r.real("run.slab", 0.05),
-        store_every=r.integer("run.store_every", 1),
-        out=r.text("run.out", "out"),
-        seed=r.integer("run.seed", 0),
-        sweep_deltas=r.reals("sweep.deltas", (0.4, 0.2, 0.1, 0.05)),
-        sweep_eps_levels=r.reals("sweep.eps_levels", (0.1, 0.01, 0.001)),
-        defect_ratios=r.reals("defect.ratios", (1.0, 4.0, 16.0)),
-        defect_windows=r.integers("defect.windows", (4, 8)),
+        tensor=_build_tensor(value, lines, grid, base_dir),
+        initial=InitialSpec(**held["initial"]),
+        forcing=ForcingSpec(**held["forcing"], line=lines.get(forcing_key, 0)),
+        defect_params=DefectParams(**held["defect_params"]),
+        **held[""],
     )
 
 

@@ -9,7 +9,7 @@ the solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -42,22 +42,7 @@ class DiagnosticsRow:
     commutator_l1: float
 
     def as_csv_line(self):
-        vals = (
-            self.t,
-            self.mass,
-            self.drag2g_cum,
-            self.drag3_cum,
-            self.pgamma_integral,
-            self.dissipation_cum,
-            self.grad_rho_gamma_half_cum,
-            self.energy_slack,
-            self.rho_min,
-            self.rho_max,
-            self.pgamma_l2_running,
-            self.defect_proxy,
-            self.commutator_l1,
-        )
-        return ",".join("%.17g" % v for v in vals)
+        return _csv_line(astuple(self))
 
 
 @dataclass(frozen=True)
@@ -216,8 +201,17 @@ def rows_for_trajectory(traj, dp=None, commutator_delta=0.0):
     return rows
 
 
-def write_rows_csv(rows, path):
+def _csv_line(cells):
+    return ",".join(c if isinstance(c, str) else "%.17g" % c for c in cells)
+
+
+def write_csv(path, header, rows):
+    """Write ``header`` and one line per row; numbers as ``%.17g``, text as is."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(header + "\n")
         for row in rows:
-            fh.write(row.as_csv_line() + "\n")
+            fh.write(_csv_line(row) + "\n")
+
+
+def write_rows_csv(rows, path):
+    write_csv(path, CSV_HEADER, (astuple(row) for row in rows))

@@ -69,6 +69,7 @@ logger = logging.getLogger("anisostokes")
 
 _CFL_GROWTH_MARGIN = 1.25
 _MAX_CFL_RETRIES = 8
+_MAX_SLAB_HALVINGS = 6
 
 
 class NoContraction(Exception):
@@ -523,7 +524,7 @@ def _estimate_steps(duration, u, params):
     return max(1, math.ceil(duration / limit))
 
 
-def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=6):
+def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
     """Chain fixed-point slabs to t_end, halving the slab length on failure.
 
     One operator cache, one mollifier kernel, one trajectory and one running
@@ -554,7 +555,7 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, max_halvings=
             )
         except NoContraction as fail:
             halvings += 1
-            if halvings > max_halvings:
+            if halvings > _MAX_SLAB_HALVINGS:
                 raise SlabCollapse(
                     f"slab shrank {halvings - 1} times without contraction: {fail}"
                 ) from fail

@@ -52,7 +52,7 @@ class InvalidParameter(ValueError):
 class SolverParams:
     """Physical and numerical parameters shared across the solver stack."""
 
-    gamma: float
+    gamma: float = 2.0
     eps: float = 0.0
     delta: float = 0.0
     eta: float = 0.0
@@ -74,6 +74,13 @@ class SolverParams:
             raise InvalidParameter("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_max <= 0:
             raise InvalidParameter("dt_max", "dt_max must be positive")
+        if self.fp_tol < 0:
+            raise InvalidParameter("fp_tol", f"fp_tol must be nonnegative, got {self.fp_tol}")
+        for name in ("fp_max_iter", "stokes_max_iter"):
+            if getattr(self, name) < 1:
+                raise InvalidParameter(name, f"{name} must be at least 1")
+        if not self.stokes_rtol > 0:
+            raise InvalidParameter("stokes_rtol", "stokes_rtol must be positive")
         if self.order not in (1, 2):
             raise InvalidParameter("order", f"order must be 1 or 2, got {self.order}")
 

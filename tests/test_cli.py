@@ -1,8 +1,12 @@
 """Command-line surface: artifacts, audit lines, exit codes."""
 
+import re
+from operator import attrgetter
+
 import numpy as np
 
 from anisostokes.cli import build_parser, main
+from anisostokes.config import KEYS, parse_config
 from anisostokes.fields import read_snapshot
 
 
@@ -32,6 +36,32 @@ def test_help_documents_config_keys():
     assert "params.gamma" in text
     assert "viscosity.nu" in text
     assert "sweep.deltas" in text
+
+
+def _shown(value):
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def test_help_lists_each_key_once_with_its_parsed_default(tmp_path):
+    listed = re.findall(r"^  (\S+) +default: (.*)$", build_parser().format_help(), re.M)
+    keys = [key for key, _shown_default in listed]
+    assert sorted(keys) == sorted(KEYS)
+    assert len(set(keys)) == len(keys)
+    shown = dict(listed)
+    cfg = parse_config(write_cfg(tmp_path, ""))
+    for key, spec in KEYS.items():
+        if spec.note:  # a default that depends on the grid, or has no config syntax
+            assert shown[key] == f"({spec.note})", key
+        elif spec.field:
+            value = attrgetter(spec.field)(cfg)
+            assert shown[key] == _shown(value), key
+            # the shown default is a config value that reads back the same
+            again = parse_config(write_cfg(tmp_path, f"{key} = {shown[key]}\n", name="again.cfg"))
+            assert attrgetter(spec.field)(again) == value, key
+    assert shown["grid.dim"] == str(cfg.grid.dim)
+    assert str(cfg.grid.n[0]) in shown["grid.n"]
+    assert shown["viscosity.kind"] == "diag" and cfg.tensor.nu == (1.0,)
+    assert "1.0 per axis" in shown["viscosity.nu"]
 
 
 def test_zero_horizon_run_writes_initial_state_only(tmp_path, capsys):
@@ -121,17 +151,17 @@ def test_out_flag_overrides_config(tmp_path):
 def test_sweep_delta_writes_table(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
-        SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03") + "sweep.deltas = 0.4,0.2\n",
+        SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03") + "sweep.deltas = 0.4,0.2,0.1\n",
     )
     out = tmp_path / "art"
     code = main(["sweep-delta", cfg, "--out", str(out)])
     assert code == 0
     lines = (out / "sweep_delta.csv").read_text().splitlines()
     assert lines[0] == "delta,gap_to_coarser,dist_to_direct"
-    assert len(lines) == 3
+    assert len(lines) == 4
     # coarsest row has no predecessor gap
     assert lines[1].split(",")[1] == ""
-    assert float(lines[2].split(",")[1]) > 0.0
+    assert all(float(line.split(",")[1]) > 0.0 for line in lines[2:])
 
 
 def test_sweep_eps_writes_table(tmp_path, capsys):

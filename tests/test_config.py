@@ -1,13 +1,23 @@
 """Config parsing, initial-data and forcing construction."""
 
+import os
+import re
+import tempfile
+from operator import attrgetter
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from anisostokes.config import (
+    KEYS,
     InitialSpec,
     ParseError,
     UnknownKey,
     UnresolvedWavelength,
+    default_of,
     make_forcing,
     make_initial,
     parse_config,
@@ -86,13 +96,140 @@ def test_parameter_error_reports_the_line_of_its_own_key(tmp_path):
 @pytest.mark.parametrize(
     "key, value",
     [("params.delta", "-0.1"), ("transport.cfl", "1.5"), ("run.dt_max", "0"),
-     ("transport.order", "3")],
+     ("transport.order", "3"), ("run.fp_tol", "-1e-9"), ("run.fp_max_iter", "0"),
+     ("stokes.rtol", "0"), ("stokes.max_iter", "0")],
 )
 def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
     path = write_cfg(tmp_path, f"grid.n = 16\nparams.eta = 0.1\n{key} = {value}\n")
     with pytest.raises(ParseError) as err:
         parse_config(path)
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("run.t_end = -0.1", "run.t_end"),
+        ("run.slab = 0", "run.slab"),
+        ("run.store_every = 0", "run.store_every"),
+        ("diagnostics.window = 0", "diagnostics.window"),
+        ("diagnostics.window = 3", "diagnostics.window"),
+        ("diagnostics.h_reg = -1e-9", "diagnostics.h_reg"),
+        ("defect.windows = 4,0", "defect.windows"),
+        ("defect.windows = 4,6", "defect.windows"),
+        ("defect.ratios = 1,0", "defect.ratios"),
+        ("sweep.eps_levels = 0.1,-0.01", "sweep.eps_levels"),
+        ("sweep.eps_levels =", "sweep.eps_levels"),
+        ("sweep.deltas = 0.4,0.2", "sweep.deltas"),
+        ("sweep.deltas = 0.4,0.2,0.2,0.1", "sweep.deltas"),
+        ("sweep.deltas = 0.4,0.2,0", "sweep.deltas"),
+    ],
+)
+def test_out_of_range_run_and_study_keys_name_their_line(tmp_path, text, key):
+    path = write_cfg(tmp_path, f"grid.n = 16\n# the bad value\n{text}\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 3
+    assert err.value.reason.startswith(f"{key}: must be ")
+
+
+def test_default_window_that_does_not_fit_the_grid_names_the_grid_line(tmp_path):
+    path = write_cfg(tmp_path, "grid.dim = 2\ngrid.n = 12\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 2
+    assert err.value.reason.startswith("diagnostics.window: ")
+
+
+def _floats(lo, hi, **kw):
+    return st.floats(lo, hi, allow_nan=False, **kw)
+
+
+def _levels(elements, min_size=0, unique=False):
+    return st.lists(elements, min_size=min_size, max_size=5, unique=unique).map(tuple)
+
+
+# every key whose value reads back from RunConfig, with in-range values;
+# windows divide every grid extent drawn here (16 or 32 cells per axis)
+_WINDOWS = st.sampled_from([1, 2, 4, 8, 16])
+IN_RANGE = {
+    "grid.dim": st.sampled_from([1, 2, 3]),
+    "grid.n": st.sampled_from([16, 32]),
+    "params.gamma": _floats(1.0, 5.0, exclude_min=True),
+    "params.eps": _floats(0.0, 1.0),
+    "params.delta": _floats(0.0, 1.0),
+    "params.eta": _floats(0.0, 1.0),
+    "transport.cfl": _floats(0.0, 1.0, exclude_min=True),
+    "transport.order": st.sampled_from([1, 2]),
+    "stokes.rtol": _floats(1e-14, 1e-2),
+    "stokes.max_iter": st.integers(1, 10_000),
+    "run.t_end": _floats(0.0, 10.0),
+    "run.slab": _floats(1e-6, 1.0),
+    "run.fp_tol": _floats(0.0, 1.0),
+    "run.fp_max_iter": st.integers(1, 1000),
+    "run.dt_max": _floats(1e-6, 1.0),
+    "run.store_every": st.integers(1, 100),
+    "run.out": st.from_regex(r"[a-z0-9_./-]{1,12}", fullmatch=True),
+    "run.seed": st.integers(0, 2**31),
+    "initial.kind": st.sampled_from(["constant", "bump", "cosine", "oscillatory"]),
+    "initial.value": _floats(-10.0, 10.0),
+    "initial.amplitude": _floats(-10.0, 10.0),
+    "initial.wavelength": _floats(1e-3, 10.0),
+    "initial.width": _floats(1e-3, 10.0),
+    "initial.base": st.sampled_from(["constant", "cosine", "bump"]),
+    "forcing.kind": st.sampled_from(["zero", "cosine", "file"]),
+    "forcing.amplitude": _floats(-10.0, 10.0),
+    "forcing.path": st.from_regex(r"[a-z0-9_]{1,8}\.asf", fullmatch=True),
+    "diagnostics.window": _WINDOWS,
+    "diagnostics.h_reg": _floats(0.0, 1.0),
+    "diagnostics.commutator_delta": _floats(0.0, 1.0),
+    "sweep.deltas": _levels(_floats(1e-3, 1.0), min_size=3, unique=True),
+    "sweep.eps_levels": _levels(_floats(0.0, 1.0), min_size=1),
+    "defect.ratios": _levels(_floats(1e-3, 100.0)),
+    "defect.windows": _levels(_WINDOWS),
+}
+
+
+def _written(value):
+    if isinstance(value, tuple):
+        return ",".join(map(repr, value))
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _read_back(cfg, key):
+    if key == "grid.dim":
+        return cfg.grid.dim
+    if key == "grid.n":
+        return cfg.grid.n[0]
+    return attrgetter(KEYS[key].field)(cfg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.fixed_dictionaries({}, optional=IN_RANGE))
+def test_config_round_trip(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "run.cfg")
+        Path(path).write_text(
+            "".join(f"{key} = {_written(v)}\n" for key, v in values.items()), encoding="utf-8"
+        )
+        cfg = parse_config(path)
+    for key in IN_RANGE:
+        if key in values:
+            expected = values[key]
+            if key == "forcing.path":
+                expected = os.path.join(tmp, expected)
+        else:
+            expected = default_of(key, cfg.grid.dim)
+        assert _read_back(cfg, key) == expected, key
+
+
+def test_readme_configuration_keys_are_known():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"```text\n(.*?)```", section, re.S).group(1)
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines() if "=" in line]
+    assert keys
+    assert [k for k in keys if k not in KEYS] == []
 
 
 def test_duplicate_key_names_both_lines(tmp_path):
