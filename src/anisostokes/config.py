@@ -12,7 +12,8 @@ directory of the config file, and a snapshot that cannot be read is a
 :data:`KEYS` is the one description of every key: its reader, the field
 of :class:`RunConfig` it fills (whose dataclass default is the key's
 default) and its accepted range.  A value out of range is a
-:class:`ParseError` on its key's line.
+:class:`ParseError` on its key's line, and so are an oscillatory
+``initial.wavelength`` below four cells and a file forcing with no snapshot.
 """
 
 from __future__ import annotations
@@ -321,15 +322,31 @@ def parse_config(path):
     except ValueError as exc:
         raise ParseError(lines.get("grid.dim") or lines.get("grid.n", 0), str(exc)) from exc
 
+    def line_of(key):
+        # an omitted key fails only when its default does not fit the grid
+        return lines.get(key) or lines.get("grid.n") or lines.get("grid.dim", 0)
+
     held = {holder: {} for holder in _HOLDERS}
     for key, spec in KEYS.items():
         if spec.check and not spec.check[0](value[key], grid):
-            # an omitted key fails only when its default does not fit the grid
-            line = lines.get(key) or lines.get("grid.n") or lines.get("grid.dim", 0)
-            raise ParseError(line, f"{key}: must be {spec.check[1]}, got {value[key]!r}")
+            raise ParseError(line_of(key), f"{key}: must be {spec.check[1]}, got {value[key]!r}")
         if spec.field:
             holder, _, name = spec.field.rpartition(".")
             held[holder][name] = value[key]
+    if value["initial.kind"] == "oscillatory" and value["initial.wavelength"] < 4.0 * grid.h:
+        raise ParseError(
+            line_of("initial.wavelength"),
+            f"initial.wavelength: must be at least 4 cells ({4.0 * grid.h:.4g}) "
+            f"for initial.kind = oscillatory, got {value['initial.wavelength']!r}",
+        )
+    if value["forcing.kind"] == "file" and not (
+        value["forcing.path"] or value["forcing.breakpoints"]
+    ):
+        raise ParseError(
+            lines["forcing.kind"],
+            "forcing.kind: must be zero or cosine without forcing.path or "
+            "forcing.breakpoints, got 'file'",
+        )
     try:
         params = SolverParams(**held["params"])
     except InvalidParameter as exc:

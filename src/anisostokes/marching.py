@@ -5,30 +5,34 @@ reduces to advancing the density and re-solving the tensor-weighted momentum
 problem.  Two drivers are provided.
 
 * ``picard_solve`` / ``march``: over a short time slab the velocity is a
-  fixed point of "solve the momentum equation from the density transported
-  by the mollified candidate velocity".  The map contracts on short slabs;
-  ``march`` chains slabs and halves the slab length when contraction fails.
-  A march builds its momentum operators and mollifier kernel once and
-  hands them to every slab, together with its one trajectory and running
-  account.  The iterates are (u_hat, w) pairs: u_hat is the ``rfftn``
-  half spectrum of the solved velocity u and w = omega_delta * u the real
-  advecting velocity, both made by one entry, ``_velocity_pair``.  For
-  diagonal and constant laws one forward transform of rho^gamma yields
-  u_hat = G q_hat and w is the inverse transform of K u_hat (the mollifier
-  is a Fourier multiplier there); for varying laws the stencil mollifier
-  makes q and w, and u_hat is the transform of the Krylov solution.  The
-  Picard distance is a Parseval sum over u_hat - v_hat, and the recording
-  pass takes div w and grad u from half spectra too, so real u is
-  synthesized (one inverse transform) only where a state is stored: the
-  trajectory, the slab starts and ``apply_B``'s result.  The zero start
-  is the pair (0, 0); each slab solves its start pair once (a march
-  carries the pair solved at the end of the previous slab), and each
-  iteration releases an input pair as soon as its substep is done,
-  accumulating the Picard distance on the way, so an iteration holds one
-  slab's worth of pairs.  The iterations skip the mass/energy ledger,
-  which only the final recording pass of a converged slab keeps.
+  fixed point of the slab map B, "solve the momentum equation from the
+  density transported by the mollified candidate velocity".  The map
+  contracts on short slabs; ``march`` chains slabs and halves the slab
+  length when contraction fails.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
+
+Each entry builds one ``_Momentum``: the momentum operators (built lazily,
+once per distinct time), the mollifier kernel, the forcing and the
+parameters of a march.  It carries a solved velocity as a (u_hat, w) pair:
+u_hat is the ``rfftn`` half spectrum of the velocity u solved from rho and
+w = omega_delta * u the real advecting velocity.  For diagonal and constant
+laws one forward transform of rho^gamma yields u_hat = G q_hat and w is the
+inverse transform of K u_hat (the mollifier is a Fourier multiplier there);
+for varying laws the stencil mollifier makes q and w, and u_hat is the
+transform of the Krylov solution.  Real u is synthesized (one inverse
+transform) only where a state is stored: the trajectory, the slab starts
+and ``apply_B``'s result.
+
+A slab runs in two passes over one list of input pairs, one per substep.
+``_iterate`` is one Picard pass: it advects rho by each input w without a
+ledger, solves the next velocity from the advected density, releases each
+input as soon as its substep is done and returns the solved pairs with the
+Parseval distance over u_hat - v_hat.  Once the iterates converge and pass
+the CFL check, ``_record`` replays the slab along them through the
+accountant and the trajectory.  The zero start is the pair (0, 0), and
+each slab solves its start pair once (a march carries the pair solved at
+the end of the previous slab).
 
 Both drivers advance the density through one accountant, ``_Account.step``,
 which keeps the mass ledger and the cumulative integrals that diagnostics
@@ -219,18 +223,21 @@ class Trajectory:
         self.max_principle_margin = account.max_principle_margin
 
 
-class _OperatorCache:
-    """Build momentum operators lazily, once per distinct time.
+class _Momentum:
+    """The momentum solve of one march and how it carries a solved velocity.
 
-    A time-dependent tensor gets one operator per substep time; ``retain``
-    drops those a slab no longer needs, so a march holds at most one slab's
-    worth.
+    Operators are built lazily, once per distinct time.  A time-dependent
+    tensor gets one operator per substep time; ``retain`` drops those a
+    slab no longer needs, so a march holds at most one slab's worth.  The
+    mollifier ``kernel`` is None at delta = 0, where w is u itself.
     """
 
-    def __init__(self, tensor, grid, params):
+    def __init__(self, tensor, grid, f, params):
         self.tensor = tensor
         self.grid = grid
+        self.f = f
         self.params = params
+        self.kernel = None if params.delta <= 0.0 else MollifierKernel(grid, params.delta)
         self._static = None
         self._by_time = {}
 
@@ -261,129 +268,115 @@ class _OperatorCache:
             self._by_time[t] = op
         return op
 
+    def _smooth(self, fieldlike):
+        return fieldlike if self.kernel is None else mollify(fieldlike, self.kernel)
 
-def _make_kernel(grid, delta):
-    if delta <= 0.0:
-        return None
-    return MollifierKernel(grid, delta)
+    def pair(self, rho, t):
+        """(u_hat, w): the velocity solved from ``rho`` at ``t``, as its half
+        spectrum, and the real advecting field w = omega_delta * u.
 
-
-def _smooth(fieldlike, kernel):
-    if kernel is None:
-        return fieldlike
-    return mollify(fieldlike, kernel)
-
-
-def _forcing_at(f, t):
-    if f is None:
-        return None
-    if callable(f):
-        return f(t)
-    return f
-
-
-def _velocity_pair(ops, kernel, rho, f, t, params):
-    """(u_hat, w): the velocity solved from ``rho`` at ``t``, as its half
-    spectrum, and the real advecting field w = omega_delta * u.
-
-    The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
-    mollifications are the multiplier ``kernel.symbol``, so one forward
-    transform of rho^gamma (and of f) yields u_hat = G q_hat, and w is the
-    inverse transform of K u_hat.  In Krylov mode q and w come from the
-    stencil :func:`mollify` and u_hat is the transform of the solved u.
-    Without a kernel w is u.
-    """
-    op = ops.at(t)
-    grid = rho.grid
-    p = pressure_field(rho, params.gamma)
-    ft = _forcing_at(f, t)
-    if op.mode == "symbol":
-        qhat = -grid.rfft(p.data)
-        if kernel is not None:
-            qhat *= kernel.symbol
+        The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
+        mollifications are the multiplier ``kernel.symbol``, so one forward
+        transform of rho^gamma (and of f) yields u_hat = G q_hat, and w is the
+        inverse transform of K u_hat.  In Krylov mode q and w come from the
+        stencil :func:`mollify` and u_hat is the transform of the solved u.
+        """
+        op = self.at(t)
+        grid = rho.grid
+        p = pressure_field(rho, self.params.gamma)
+        ft = self.f(t) if callable(self.f) else self.f
+        if op.mode == "symbol":
+            qhat = -grid.rfft(p.data)
+            if self.kernel is not None:
+                qhat *= self.kernel.symbol
+            if ft is not None:
+                qhat += grid.rfft(ft.data)
+            uhat = op.solve_hat(qhat)
+            what = uhat if self.kernel is None else self.kernel.symbol * uhat
+            return uhat, VectorField.from_arrays(grid, grid.irfft(what))
+        q = self._smooth(p) * (-1.0)
         if ft is not None:
-            qhat += grid.rfft(ft.data)
-        uhat = op.solve_hat(qhat)
-        what = uhat if kernel is None else kernel.symbol * uhat
-        return uhat, VectorField.from_arrays(grid, grid.irfft(what))
-    q = _smooth(p, kernel) * (-1.0)
-    if ft is not None:
-        q = q + ft
-    u = solve(op, q)
-    return grid.rfft(u.stacked()), _smooth(u, kernel)
+            q = q + ft
+        u = solve(op, q)
+        return grid.rfft(u.stacked()), self._smooth(u)
+
+    def velocity(self, pair):
+        """The real velocity u of a pair: w itself without a kernel, else irfft(u_hat)."""
+        uhat, w = pair
+        if self.kernel is None:
+            return w
+        return VectorField.from_arrays(w.grid, w.grid.irfft(uhat))
+
+    def advecting_hat(self, pair, t):
+        """The half spectrum of the pair's w: u_hat without a kernel, K u_hat
+        in symbol mode, the transform of w otherwise."""
+        uhat, w = pair
+        if self.kernel is None:
+            return uhat
+        if self.at(t).mode == "symbol":
+            return self.kernel.symbol * uhat
+        return w.grid.rfft(w.stacked())
+
+    def pairs(self, samples):
+        """Caller-given velocity samples as (v_hat, omega_delta * v) pairs."""
+        return [(v.grid.rfft(v.stacked()), self._smooth(v)) for v in samples]
 
 
-def _velocity(pair, kernel):
-    """The real velocity u of a pair: w itself without a kernel, else irfft(u_hat)."""
-    uhat, w = pair
-    if kernel is None:
-        return w
-    return VectorField.from_arrays(w.grid, w.grid.irfft(uhat))
+def _check_cfl(w, dt, params):
+    if dt > cfl_dt(w, params) * (1.0 + 1e-12):
+        raise _CFLBreach(w.max_component_sum())
 
 
-def _advecting_hat(uhat, w, kernel, op):
-    """The half spectrum of the pair (u_hat, w)'s w: u_hat without a kernel,
-    K u_hat in symbol mode, the transform of w otherwise."""
-    if kernel is None:
-        return uhat
-    if op.mode == "symbol":
-        return kernel.symbol * uhat
-    return w.grid.rfft(w.stacked())
-
-
-def _pairs(samples, kernel):
-    """Caller-given velocity samples as (v_hat, omega_delta * v) pairs."""
-    return [(v.grid.rfft(v.stacked()), _smooth(v, kernel)) for v in samples]
-
-
-def _advance(
-    ops, kernel, pairs, rho0, start, f, params, t0, dt,
-    account=None, sink=None, store_every=1,
-):
-    """Advance rho under the input samples, re-solving the velocity as we go.
+def _iterate(mom, pairs, rho0, start, t0, dt):
+    """One Picard pass: advance rho under the input samples, re-solving as we go.
 
     ``pairs`` holds one (v_hat, w = omega_delta * v) input sample per
-    substep; rho is advected by w, and each list entry is released (set to
-    None) as soon as its substep is done, so the input and the solved pairs
-    together never hold more than one slab's worth.  ``start`` is the pair
-    solved from ``rho0`` at ``t0``; it is the first solved pair, so the
-    slab start is never solved again.
-
-    With ``sink=None`` (a Picard iteration) no accounting is done, the
-    continuity steps run without a ledger, and the result is the list of
-    solved pairs, one per substep, with the slab distance
-    ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)`` accumulated along the way by
-    Parseval on u_hat_j - v_hat_j.  When ``sink`` is a Trajectory, which
-    already holds the state at ``t0``, every substep goes through
-    ``account``, the later states are recorded into the sink at the
-    ``store_every`` cadence (plus the final time), and the result is the
-    pair solved at the slab end.
+    substep; rho is advected by w without a ledger, and each list entry is
+    released (set to None) as soon as its substep is done, so the input and
+    the solved pairs together never hold more than one slab's worth.
+    ``start`` is the pair solved from ``rho0`` at ``t0``; it is the first
+    solved pair, so the slab start is never solved again.  Returns the
+    solved pairs, one per substep, and the slab distance
+    ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)``, a Parseval sum over
+    u_hat_j - v_hat_j.
     """
-    grid = rho0.grid
     rho = rho0
     out = []
     total = 0.0
     for j in range(len(pairs)):
         vhat, w = pairs[j]
         pairs[j] = None
+        pair = start if j == 0 else mom.pair(rho, t0 + j * dt)
+        _check_cfl(w, dt, mom.params)
+        out.append(pair)
+        total += grad_norm_sq_hat(rho0.grid, pair[0] - vhat)
+        rho, _ = continuity_step(rho, w, dt, mom.params, None)
+    return out, math.sqrt(dt * total)
+
+
+def _record(mom, pairs, rho, start, t0, dt, account, sink, store_every):
+    """The recording pass of a converged slab.
+
+    Advances rho from the slab start under the converged ``pairs``
+    (released as in :func:`_iterate`) through ``account``; ``start`` serves
+    substep 0 and every later velocity is a fresh solve from the advected
+    density (one extra half-iteration, within fp_tol of the converged
+    samples).  ``sink``, a Trajectory that already holds the state at
+    ``t0``, records the later states at the ``store_every`` cadence plus
+    the final time.  Returns the pair solved at the slab end.
+    """
+    for j in range(len(pairs)):
+        vhat, w = pairs[j]
+        pairs[j] = None
         tj = t0 + j * dt
-        pair = start if j == 0 else _velocity_pair(ops, kernel, rho, f, tj, params)
-        if dt > cfl_dt(w, params) * (1.0 + 1e-12):
-            raise _CFLBreach(w.max_component_sum())
-        if sink is None:
-            out.append(pair)
-            total += grad_norm_sq_hat(grid, pair[0] - vhat)
-            rho, _ = continuity_step(rho, w, dt, params, None)
-            continue
+        pair = start if j == 0 else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
-            sink.record(tj, rho, _velocity(pair, kernel), account)
-        what = _advecting_hat(vhat, w, kernel, ops.at(tj))
-        rho = account.step(rho, w, what, pair[0], tj, dt, ops.tensor, params)
-    if sink is None:
-        return out, math.sqrt(dt * total)
+            sink.record(tj, rho, mom.velocity(pair), account)
+        what = mom.advecting_hat((vhat, w), tj)
+        rho = account.step(rho, w, what, pair[0], tj, dt, mom.tensor, mom.params)
     t1 = t0 + len(pairs) * dt
-    end = _velocity_pair(ops, kernel, rho, f, t1, params)
-    sink.record(t1, rho, _velocity(end, kernel), account)
+    end = mom.pair(rho, t1)
+    sink.record(t1, rho, mom.velocity(end), account)
     return end
 
 
@@ -394,14 +387,10 @@ def apply_B(tensor, v_samples, rho0, f, params, slab):
     the mollified ``v_samples`` and returns the momentum solves along the
     way, one velocity per substep.
     """
-    grid = rho0.grid
-    ops = _OperatorCache(tensor, grid, params)
-    kernel = _make_kernel(grid, params.delta)
-    start = _velocity_pair(ops, kernel, rho0, f, slab.t0, params)
-    out, _ = _advance(
-        ops, kernel, _pairs(v_samples, kernel), rho0, start, f, params, slab.t0, slab.dt
-    )
-    return [_velocity(pair, kernel) for pair in out]
+    mom = _Momentum(tensor, rho0.grid, f, params)
+    start = mom.pair(rho0, slab.t0)
+    out, _ = _iterate(mom, mom.pairs(v_samples), rho0, start, slab.t0, slab.dt)
+    return [mom.velocity(pair) for pair in out]
 
 
 def picard_solve(
@@ -423,46 +412,41 @@ def picard_solve(
     iterate outruns the substep CFL budget the slab is re-run with more
     substeps (same interval), up to a retry cap.
 
-    This standalone entry builds its own momentum operators, mollifier
-    kernel and trajectory, records the slab start and accounts into
-    ``account`` (a fresh one by default).  ``march`` shares all of them
-    across its slabs, so a chain of ``picard_solve`` calls sharing one
-    account gives bit-identical results.
+    This standalone entry builds its own momentum object and trajectory,
+    records the slab start and accounts into ``account`` (a fresh one by
+    default).  ``march`` shares all of them across its slabs, so a chain of
+    ``picard_solve`` calls sharing one account gives bit-identical results.
     """
-    grid = rho0.grid
-    ops = _OperatorCache(tensor, grid, params)
-    kernel = _make_kernel(grid, params.delta)
-    start = _velocity_pair(ops, kernel, rho0, f, slab.t0, params)
+    mom = _Momentum(tensor, rho0.grid, f, params)
+    start = mom.pair(rho0, slab.t0)
     if account is None:
         account = _Account.fresh(rho0)
-    traj = Trajectory(grid=grid, params=params, tensor=tensor)
-    traj.record(slab.t0, rho0, _velocity(start, kernel), account)
-    v0 = None if v0 is None else _pairs(v0, kernel)
-    history, _end = _picard_slab(
-        ops, kernel, rho0, start, f, params, slab, v0, traj, account, store_every
-    )
+    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
+    traj.record(slab.t0, rho0, mom.velocity(start), account)
+    v0 = None if v0 is None else mom.pairs(v0)
+    history, _end = _picard_slab(mom, rho0, start, slab, v0, traj, account, store_every)
     return traj, history
 
 
-def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, store_every):
-    """The fixed-point solve behind :func:`picard_solve` on shared operators.
+def _picard_slab(mom, rho0, start, slab, v0, traj, account, store_every):
+    """The fixed-point solve behind :func:`picard_solve` on a shared momentum object.
 
     ``start`` is the (u_hat, w) pair solved from ``rho0`` at ``slab.t0``;
-    it serves substep 0 of every iteration and of the recording pass.
-    ``v0`` is a list of (v_hat, w) pairs or None for the zero start.  Once the
-    iteration converges the slab is recorded into ``traj``, which ends at
-    the slab start, and accounted into ``account``; a NoContraction leaves
-    both untouched.  Returns the contraction history and the pair solved
-    at the slab end.
+    it serves substep 0 of every pass.  ``v0`` is a list of (v_hat, w)
+    pairs or None for the zero start.  The converged iterates must pass the
+    CFL check too, since the recording pass advects with them.  Once they
+    do, the slab is recorded into ``traj``, which ends at the slab start,
+    and accounted into ``account``; a NoContraction leaves both untouched.
+    Returns the contraction history and the pair solved at the slab end.
     """
-    grid = rho0.grid
+    params = mom.params
     steps = slab.steps
     if v0 is None:
-        v0 = [(0.0, VectorField.zeros(grid))]
+        v0 = [(0.0, VectorField.zeros(mom.grid))]
 
     for _attempt in range(_MAX_CFL_RETRIES):
         dt = (slab.t1 - slab.t0) / steps
-        ops.retain(slab.t0 + j * dt for j in range(steps + 1))
+        mom.retain(slab.t0 + j * dt for j in range(steps + 1))
         # piecewise-constant resample of the start onto the substep grid
         v = [v0[min(int(j * len(v0) / steps), len(v0) - 1)] for j in range(steps)]
         history = []
@@ -470,7 +454,7 @@ def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, s
         bad_streak = 0
         try:
             for _k in range(params.fp_max_iter):
-                v, diff = _advance(ops, kernel, v, rho0, start, f, params, slab.t0, dt)
+                v, diff = _iterate(mom, v, rho0, start, slab.t0, dt)
                 if diff_prev is not None and diff_prev > 0.0:
                     ratio = diff / diff_prev
                     history.append(ratio)
@@ -487,10 +471,12 @@ def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, s
                     f"no convergence in {params.fp_max_iter} iterations "
                     f"(last update {diff_prev:.3e})"
                 )
+            for _uhat, w in v:
+                _check_cfl(w, dt, params)
         except _CFLBreach as breach:
             dt_needed = min(
                 params.dt_max,
-                params.cfl * grid.h / (_CFL_GROWTH_MARGIN * max(breach.speed, 1e-30)),
+                params.cfl * mom.grid.h / (_CFL_GROWTH_MARGIN * max(breach.speed, 1e-30)),
             )
             steps = max(steps + 1, math.ceil((slab.t1 - slab.t0) / dt_needed))
             logger.info(
@@ -504,13 +490,7 @@ def _picard_slab(ops, kernel, rho0, start, f, params, slab, v0, traj, account, s
     else:
         raise NoContraction("iterates kept outrunning the CFL budget")
 
-    # regenerate the density along the converged velocity, recording states
-    # and cumulative accounting; the stored velocities are fresh solves from
-    # the regenerated densities (one extra half-iteration, within fp_tol of
-    # the converged samples)
-    end = _advance(
-        ops, kernel, v, rho0, start, f, params, slab.t0, dt, account, traj, store_every
-    )
+    end = _record(mom, v, rho0, start, slab.t0, dt, account, traj, store_every)
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
     return history, end
 
@@ -527,21 +507,19 @@ def _estimate_steps(duration, u, params):
 def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
     """Chain fixed-point slabs to t_end, halving the slab length on failure.
 
-    One operator cache, one mollifier kernel, one trajectory and one running
-    account serve every slab; the initial state is recorded once, and each
-    slab starts from the last stored state (whose velocity was solved from
-    that same density at that same time).  For time-dependent tensors the
-    cache keeps only the operators of the current slab's substep times.
+    One momentum object, one trajectory and one running account serve every
+    slab; the initial state is recorded once, and each slab starts from the
+    last stored state (whose velocity was solved from that same density at
+    that same time).  For time-dependent tensors the momentum object keeps
+    only the operators of the current slab's substep times.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    grid = rho0.grid
-    ops = _OperatorCache(tensor, grid, params)
-    kernel = _make_kernel(grid, params.delta)
-    traj = Trajectory(grid=grid, params=params, tensor=tensor)
+    mom = _Momentum(tensor, rho0.grid, f, params)
+    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
     account = _Account.fresh(rho0)
-    pair = _velocity_pair(ops, kernel, rho0, f, 0.0, params)
-    traj.record(0.0, rho0, _velocity(pair, kernel), account)
+    pair = mom.pair(rho0, 0.0)
+    traj.record(0.0, rho0, mom.velocity(pair), account)
     length = slab_len
     halvings = 0
     while traj.final_time < t_end - 1e-12 * max(1.0, t_end):
@@ -550,8 +528,7 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
         slab = Slab(t, t + duration, _estimate_steps(duration, traj.velocities[-1], params))
         try:
             _history, pair = _picard_slab(
-                ops, kernel, traj.final_density, pair, f, params, slab, None, traj,
-                account, store_every,
+                mom, traj.final_density, pair, slab, None, traj, account, store_every
             )
         except NoContraction as fail:
             halvings += 1
@@ -571,20 +548,20 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1):
         raise ValueError("direct_march requires params.delta = 0")
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
-    ops = _OperatorCache(tensor, rho0.grid, params)
+    mom = _Momentum(tensor, rho0.grid, f, params)
     traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
     account = _Account.fresh(rho0)
     rho = rho0
     t = 0.0
     step_index = 0
-    uhat, u = _velocity_pair(ops, None, rho, f, t, params)
+    uhat, u = mom.pair(rho, t)
     traj.record(t, rho, u, account)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
         rho = account.step(rho, u, uhat, uhat, t, dt, tensor, params)
         t += dt
         step_index += 1
-        uhat, u = _velocity_pair(ops, None, rho, f, t, params)
+        uhat, u = mom.pair(rho, t)
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
             traj.record(t, rho, u, account)
     return traj

@@ -123,6 +123,8 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("sweep.deltas = 0.4,0.2", "sweep.deltas"),
         ("sweep.deltas = 0.4,0.2,0.2,0.1", "sweep.deltas"),
         ("sweep.deltas = 0.4,0.2,0", "sweep.deltas"),
+        ("initial.wavelength = 0.39\ninitial.kind = oscillatory", "initial.wavelength"),
+        ("forcing.kind = file", "forcing.kind"),
     ],
 )
 def test_out_of_range_run_and_study_keys_name_their_line(tmp_path, text, key):
@@ -139,6 +141,15 @@ def test_default_window_that_does_not_fit_the_grid_names_the_grid_line(tmp_path)
         parse_config(path)
     assert err.value.line == 2
     assert err.value.reason.startswith("diagnostics.window: ")
+
+
+def test_default_wavelength_that_the_grid_cannot_resolve_names_the_grid_line(tmp_path):
+    # the default wavelength 2 pi / 16 is one cell of a 16-cell grid
+    path = write_cfg(tmp_path, "initial.kind = oscillatory\ngrid.n = 16\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 2
+    assert err.value.reason.startswith("initial.wavelength: must be ")
 
 
 def _floats(lo, hi, **kw):
@@ -204,6 +215,16 @@ def _read_back(cfg, key):
     return attrgetter(KEYS[key].field)(cfg)
 
 
+def _rejected_across_keys(values):
+    """An oscillatory wavelength below four cells, or a file forcing without a path."""
+    dim = values.get("grid.dim", 1)
+    grid = GridSpec(dim, values.get("grid.n", default_of("grid.n", dim)))
+    wavelength = values.get("initial.wavelength", default_of("initial.wavelength"))
+    return (values.get("initial.kind") == "oscillatory" and wavelength < 4.0 * grid.h) or (
+        values.get("forcing.kind") == "file" and "forcing.path" not in values
+    )
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.fixed_dictionaries({}, optional=IN_RANGE))
 def test_config_round_trip(values):
@@ -212,6 +233,10 @@ def test_config_round_trip(values):
         Path(path).write_text(
             "".join(f"{key} = {_written(v)}\n" for key, v in values.items()), encoding="utf-8"
         )
+        if _rejected_across_keys(values):
+            with pytest.raises(ParseError):
+                parse_config(path)
+            return
         cfg = parse_config(path)
     for key in IN_RANGE:
         if key in values:

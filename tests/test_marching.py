@@ -27,7 +27,7 @@ from anisostokes.marching import (
     SlabCollapse,
     Trajectory,
     _Account,
-    _OperatorCache,
+    _Momentum,
     apply_B,
     direct_march,
     march,
@@ -196,18 +196,18 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
     x, y = g.meshgrid()
     rho = ScalarField(g, 1.0 + 0.3 * np.cos(x) + 0.2 * np.sin(x + 2 * y))
     f = ScalarField(g, 0.4 * np.sin(2 * x - y)) if forced else None
-    ops = _OperatorCache(tensor, g, p)
+    mom = _Momentum(tensor, g, f, p)
     kernel = MollifierKernel(g, p.delta)
     assert 2 * kernel.radius_cells + 1 < n
 
-    uhat, w = marching._velocity_pair(ops, kernel, rho, f, 0.0, p)
+    uhat, w = mom.pair(rho, 0.0)
     u = VectorField.from_arrays(g, g.irfft(uhat))
     stencil_w = mollify(u, kernel)
     assert (w - stencil_w).linf_norm() <= 1e-13 * u.linf_norm()
     q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
     if forced:
         q = q + f
-    op = ops.at(0.0)
+    op = mom.at(0.0)
     assert op.mode == "symbol"
     assert residual(op, u, q) <= p.stokes_rtol * grad(q).l2_norm()
     for c in u.components:
@@ -217,28 +217,28 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
 def test_pair_without_mollifier_repeats_the_velocity():
     g = GridSpec(2, 16)
     p = canonical_params(delta=0.0)
-    ops = _OperatorCache(DiagNu((1.0, 4.0)), g, p)
-    pair = marching._velocity_pair(ops, None, cosine_density(g), None, 0.0, p)
+    mom = _Momentum(DiagNu((1.0, 4.0)), g, None, p)
+    assert mom.kernel is None
+    pair = mom.pair(cosine_density(g), 0.0)
     uhat, w = pair
     assert np.array_equal(w.stacked(), g.irfft(uhat))
-    assert marching._velocity(pair, None) is w
+    assert mom.velocity(pair) is w
 
 
 def test_advance_releases_its_inputs_and_sums_the_distance():
     tensor, rho0, p = multi_slab_scenario()
     g = rho0.grid
-    ops = _OperatorCache(tensor, g, p)
-    kernel = MollifierKernel(g, p.delta)
-    start = marching._velocity_pair(ops, kernel, rho0, None, 0.0, p)
+    mom = _Momentum(tensor, g, None, p)
+    start = mom.pair(rho0, 0.0)
     dt = 0.005
     pairs = [start] * 4
-    out, dist = marching._advance(ops, kernel, pairs, rho0, start, None, p, 0.0, dt)
+    out, dist = marching._iterate(mom, pairs, rho0, start, 0.0, dt)
     assert pairs == [None] * 4
     assert len(out) == 4 and out[0] is start
     total = sum(grad_norm_sq_hat(g, uhat - start[0]) for uhat, _w in out)
     assert dist == np.sqrt(dt * total)
-    u0 = marching._velocity(start, kernel)
-    real = sum(grad_l2_norm(marching._velocity(pair, kernel) - u0) ** 2 for pair in out)
+    u0 = mom.velocity(start)
+    real = sum(grad_l2_norm(mom.velocity(pair) - u0) ** 2 for pair in out)
     assert dist == pytest.approx(np.sqrt(dt * real), rel=1e-13)
 
 
@@ -306,6 +306,20 @@ def test_march_slab_collapse_when_iteration_is_starved():
         march(DiagNu((1.0, 4.0)), rho0, None, p, 0.05, 0.05)
 
 
+@pytest.mark.parametrize("fp_tol", [1e9, 1e-7])
+def test_converged_iterate_that_breaks_cfl_retries_the_slab(fp_tol):
+    # the forcing switches on mid-slab; at fp_tol = 1e9 the first pass is
+    # accepted, and its speed of 50 outruns the two-substep budget
+    g = GridSpec(1, 32)
+    on = ScalarField(g, 50.0 * np.cos(g.meshgrid()[0]))
+    off = ScalarField.constant(g, 0.0)
+    p = SolverParams(fp_tol=fp_tol)
+    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.0),
+                 lambda t: on if t >= 0.005 else off, p, 0.02, 0.02)
+    assert traj.final_time == pytest.approx(0.02, abs=1e-12)
+    assert slab_steps(traj) == [15]
+
+
 # ------------------------------------------------------------ work per march
 
 def multi_slab_scenario():
@@ -342,7 +356,7 @@ def test_march_does_each_slab_computation_once(monkeypatch):
         return original_build(*args, **kwargs)
 
     monkeypatch.setattr(StokesOperator, "build", classmethod(build))
-    solves = counting(monkeypatch, marching, "_velocity_pair", lambda args: None)
+    solves = counting(monkeypatch, _Momentum, "pair", lambda args: None)
     ledgers = counting(monkeypatch, marching, "continuity_step", lambda args: args[4])
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
 
@@ -408,14 +422,14 @@ def test_march_keeps_one_slab_of_time_dependent_operators(monkeypatch):
     base = np.ones((1, 1, 1, 1) + g.shape)
     tensor = VaryingFull(g, np.stack([base, 2.0 * base]), times=[0.0, 1.0])
     held = []
-    original_at = _OperatorCache.at
+    original_at = _Momentum.at
 
     def at(self, t):
         op = original_at(self, t)
         held.append((t, len(self._by_time)))
         return op
 
-    monkeypatch.setattr(_OperatorCache, "at", at)
+    monkeypatch.setattr(_Momentum, "at", at)
     p = canonical_params(delta=0.5)
     traj = march(tensor, cosine_density(g, amp=0.3), None, p, 0.09, 0.03)
     steps = slab_steps(traj)
