@@ -4,7 +4,8 @@ Every subcommand reads one config file, writes its artifacts (snapshots,
 CSV tables) to the output directory and prints one PASS/FAIL line per
 audit.  With ``--strict`` the exit code is 0 only when every audit passed;
 without it the audits are informational and the exit code is 0 unless an
-error is raised.
+error is raised.  A config that cannot be opened or parsed, or a snapshot
+it names that cannot be read, prints one ``FAIL config`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -15,7 +16,14 @@ import os
 import sys
 from dataclasses import replace
 
-from anisostokes.config import KEYS, default_of, make_forcing, make_initial, parse_config
+from anisostokes.config import (
+    KEYS,
+    ParseError,
+    default_of,
+    make_forcing,
+    make_initial,
+    parse_config,
+)
 from anisostokes.diagnostics import (
     defect_inequality_audit,
     energy_violation,
@@ -304,13 +312,24 @@ def build_parser():
     return parser
 
 
+def _config_failure(path, exc):
+    print(f"FAIL config: {path}: {exc}")
+    return 2
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     logging.basicConfig(level=logging.INFO, format="%(name)s: %(message)s")
 
-    cfg = parse_config(args.config)
+    try:
+        cfg = parse_config(args.config)
+    except (ParseError, OSError) as exc:
+        return _config_failure(args.config, exc)
     out_dir = args.out if args.out is not None else cfg.out
-    results = _COMMANDS[args.command](cfg, out_dir)
+    try:
+        results = _COMMANDS[args.command](cfg, out_dir)
+    except ParseError as exc:
+        return _config_failure(args.config, exc)
 
     failed = [name for name, ok in results if not ok]
     if failed:

@@ -12,8 +12,9 @@ directory of the config file, and a snapshot that cannot be read is a
 :data:`KEYS` is the one description of every key: its reader, the field
 of :class:`RunConfig` it fills (whose dataclass default is the key's
 default) and its accepted range.  A value out of range is a
-:class:`ParseError` on its key's line, and so are an oscillatory
-``initial.wavelength`` below four cells and a file forcing with no snapshot.
+:class:`ParseError` on its key's line, and so is an oscillatory
+``initial.wavelength`` below four cells; a tensor or forcing kind given
+without the data it needs is one on the kind's line.
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ class ParseError(Exception):
         self.reason = reason
 
 
-class UnknownKey(Exception):
+class UnknownKey(ParseError):
     def __init__(self, line, key):
-        super().__init__(f"line {line}: unknown key {key!r}")
-        self.line = line
+        super().__init__(line, f"unknown key {key!r}")
         self.key = key
 
 
@@ -187,6 +187,14 @@ KEYS = {
 }
 
 
+# kind key, kind, the keys of which that kind needs one, and the kinds needing none
+_KIND_NEEDS = (
+    ("viscosity.kind", "constant", ("viscosity.a",), "diag or varying"),
+    ("viscosity.kind", "varying", ("viscosity.files",), "diag or constant"),
+    ("forcing.kind", "file", ("forcing.path", "forcing.breakpoints"), "zero or cosine"),
+)
+
+
 def default_of(key, dim=1):
     """The value ``key`` takes when a config on a ``dim``-D grid omits it."""
     spec = KEYS[key]
@@ -280,14 +288,11 @@ def _build_tensor(value, lines, grid, base_dir):
         flat = value["viscosity.a"]
         if len(flat) != dim**4:
             raise ParseError(
-                lines.get("viscosity.a", 0),
-                f"viscosity.a: expected {dim**4} entries, got {len(flat)}",
+                lines["viscosity.a"], f"viscosity.a: expected {dim**4} entries, got {len(flat)}"
             )
         return ConstantFull(np.array(flat).reshape((dim,) * 4))
     text = value["viscosity.files"]
-    lineno = lines.get("viscosity.files", 0)
-    if not text:
-        raise ParseError(lineno, "viscosity.files: need at least one ijkl:path entry")
+    lineno = lines["viscosity.files"]
     values = np.zeros((dim,) * 4 + grid.shape)
     for chunk in text.split(";"):
         chunk = chunk.strip()
@@ -339,14 +344,12 @@ def parse_config(path):
             f"initial.wavelength: must be at least 4 cells ({4.0 * grid.h:.4g}) "
             f"for initial.kind = oscillatory, got {value['initial.wavelength']!r}",
         )
-    if value["forcing.kind"] == "file" and not (
-        value["forcing.path"] or value["forcing.breakpoints"]
-    ):
-        raise ParseError(
-            lines["forcing.kind"],
-            "forcing.kind: must be zero or cosine without forcing.path or "
-            "forcing.breakpoints, got 'file'",
-        )
+    for key, kind, needs, others in _KIND_NEEDS:
+        if value[key] == kind and not any(value[k] for k in needs):
+            raise ParseError(
+                lines[key],
+                f"{key}: must be {others} without {' or '.join(needs)}, got {kind!r}",
+            )
     try:
         params = SolverParams(**held["params"])
     except InvalidParameter as exc:

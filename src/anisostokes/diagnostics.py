@@ -9,19 +9,12 @@ the solver.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
 from anisostokes.fields import ScalarField, commutator_residual, div
 from anisostokes.transport import pressure_field
-
-CSV_HEADER = (
-    "t,mass,drag2g_cum,drag3_cum,pgamma_integral,dissipation_cum,"
-    "grad_rho_gamma_half_cum,energy_slack,rho_min,rho_max,"
-    "pgamma_l2_running,defect_proxy,commutator_l1"
-)
-
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -43,6 +36,9 @@ class DiagnosticsRow:
 
     def as_csv_line(self):
         return _csv_line(astuple(self))
+
+
+CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
 
 @dataclass(frozen=True)
@@ -74,13 +70,13 @@ def energy_audit(traj, gamma=None):
     g = traj.params.gamma if gamma is None else gamma
     e0 = traj.initial_pressure_integral()
     slacks = []
-    for i in range(len(traj.times)):
+    for rho, led in zip(traj.densities, traj.ledgers):
         spent = (
-            pressure_field(traj.densities[i], g).integral()
-            + (g - 1.0) * traj.work_cum[i]
-            + traj.drag_hi_cum[i]
-            + traj.drag_lo_cum[i]
-            + traj.ledgers[i].grad_rho_gamma_half_cum
+            pressure_field(rho, g).integral()
+            + (g - 1.0) * led.work_cum
+            + led.drag_hi_cum
+            + led.drag_lo_cum
+            + led.grad_rho_gamma_half_cum
         )
         slacks.append(e0 - spent)
     return slacks
@@ -93,7 +89,7 @@ def energy_violation(traj, gamma=None):
 
 def pressure_l2_audit(traj):
     """Running L2((0,T) x domain) norm of rho^gamma at the final time."""
-    return float(np.sqrt(traj.pgamma_l2_sq_cum[-1]))
+    return float(np.sqrt(traj.ledgers[-1].pgamma_l2_sq_cum))
 
 
 def effective_flux(rho, u, nu, gamma):
@@ -150,7 +146,7 @@ def defect_inequality_audit(traj, gamma, dp):
     scale = horizon * traj.grid.volume * (1.0 + traj.densities[0].max())
     rhs = (
         horizon * series[0]
-        + dp.h_reg ** (1.0 / gamma) * traj.divu_l1_cum[-1]
+        + dp.h_reg ** (1.0 / gamma) * traj.ledgers[-1].divu_l1_cum
         + dp.slack_tolerance * scale
     )
     return lhs, rhs, lhs <= rhs
@@ -188,12 +184,12 @@ def rows_for_trajectory(traj, dp=None, commutator_delta=0.0):
                 drag2g_cum=led.drag2g_cum,
                 drag3_cum=led.drag3_cum,
                 pgamma_integral=pressure_field(rho, g).integral(),
-                dissipation_cum=(g - 1.0) * traj.work_cum[i],
+                dissipation_cum=(g - 1.0) * led.work_cum,
                 grad_rho_gamma_half_cum=led.grad_rho_gamma_half_cum,
                 energy_slack=slacks[i],
                 rho_min=rho.min(),
                 rho_max=rho.max(),
-                pgamma_l2_running=float(np.sqrt(traj.pgamma_l2_sq_cum[i])),
+                pgamma_l2_running=float(np.sqrt(led.pgamma_l2_sq_cum)),
                 defect_proxy=defect_proxy(rho, g, dp),
                 commutator_l1=commutator,
             )

@@ -25,18 +25,19 @@ transform) only where a state is stored: the trajectory, the slab starts
 and ``apply_B``'s result.
 
 A slab runs in two passes over one list of input pairs, one per substep.
-``_iterate`` is one Picard pass: it advects rho by each input w without a
-ledger, solves the next velocity from the advected density, releases each
-input as soon as its substep is done and returns the solved pairs with the
-Parseval distance over u_hat - v_hat.  Once the iterates converge and pass
-the CFL check, ``_record`` replays the slab along them through the
+``_iterate`` is one Picard pass: it advects rho by each input w without
+accounting, solves the next velocity from the advected density, releases
+each input as soon as its substep is done and returns the solved pairs with
+the Parseval distance over u_hat - v_hat.  Once the iterates converge and
+pass the CFL check, ``_record`` replays the slab along them through the
 accountant and the trajectory.  The zero start is the pair (0, 0), and
 each slab solves its start pair once (a march carries the pair solved at
 the end of the previous slab).
 
-Both drivers advance the density through one accountant, ``_Account.step``,
-which keeps the mass ledger and the cumulative integrals that diagnostics
-consume, and store states through ``Trajectory.record``.  Velocities inside
+Both drivers advance the density through one accountant, ``_account``,
+which takes a frozen :class:`Ledger` (the mass identity and the cumulative
+integrals that diagnostics consume) and returns the next one, and store
+each state with its ledger through ``Trajectory.record``.  Velocities inside
 a slab are piecewise constant per substep; each stored (rho, u) pair has u
 freshly solved from rho, so the momentum residual contract holds sample by
 sample.
@@ -52,8 +53,10 @@ import numpy as np
 
 from anisostokes.fields import (
     MollifierKernel,
+    ScalarField,
     VectorField,
     div_hat,
+    grad,
     grad_norm_sq_hat,
     jacobian_hat,
     mollify,
@@ -61,9 +64,10 @@ from anisostokes.fields import (
 from anisostokes.stokes import StokesOperator, solve
 from anisostokes.transport import (
     _TINY_SPEED,
-    MassLedger,
+    CFLBreach,
     SolverParams,
     cfl_dt,
+    check_cfl,
     continuity_step,
     pressure_field,
 )
@@ -82,14 +86,6 @@ class NoContraction(Exception):
 
 class SlabCollapse(Exception):
     """Slab halving hit its limit without restoring contraction."""
-
-
-class _CFLBreach(Exception):
-    """Internal: an iterate outran the substep CFL budget."""
-
-    def __init__(self, speed):
-        super().__init__(f"iterate speed {speed:.3e} breaks the CFL budget")
-        self.speed = speed
 
 
 @dataclass(frozen=True)
@@ -111,20 +107,30 @@ class Slab:
         return (self.t1 - self.t0) / self.steps
 
 
-_CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
-
-
 def _viscous_work_integral(tensor, uhat, t, grid):
     J = jacobian_hat(grid, uhat)
     tau = apply_tau(tensor, 0.5 * (J + np.swapaxes(J, 0, 1)), t)
     return float(np.sum(tau * J)) * grid.cell_volume
 
 
-@dataclass
-class _Account:
-    """Running ledger and cumulative integrals of one march."""
+@dataclass(frozen=True)
+class Ledger:
+    """Running accounts of a march up to one stored state.
 
-    ledger: MassLedger
+    ``mass_now + drag2g_cum + drag3_cum`` equals ``mass_initial`` up to
+    floating-point summation noise.  ``grad_rho_gamma_half_cum`` is 4 eps
+    (1 - 1/gamma) int |grad rho^{gamma/2}|^2 dt, ``work_cum`` the raw
+    viscous work int tau : grad u (the energy audit applies its
+    gamma-dependent prefactor), and the drag energy terms already include
+    the eta*gamma prefactor.  ``min_rho`` and ``max_principle_margin`` are
+    running minima over every step so far.
+    """
+
+    mass_now: float
+    mass_initial: float
+    drag2g_cum: float = 0.0
+    drag3_cum: float = 0.0
+    grad_rho_gamma_half_cum: float = 0.0
     work_cum: float = 0.0
     drag_hi_cum: float = 0.0
     drag_lo_cum: float = 0.0
@@ -135,49 +141,70 @@ class _Account:
 
     @classmethod
     def fresh(cls, rho0):
-        return cls(ledger=MassLedger.fresh(rho0), min_rho=rho0.min())
+        m = rho0.integral()
+        return cls(mass_now=m, mass_initial=m, min_rho=rho0.min())
 
-    def step(self, rho, w, what, uhat, t, dt, tensor, params):
-        """One continuity step of ``rho`` under ``w`` with its accounting.
+    def identity_defect(self):
+        return abs(self.mass_now + self.drag2g_cum + self.drag3_cum - self.mass_initial)
 
-        ``what`` is the half spectrum of w, whose divergence enters the
-        defect budget; ``uhat`` is that of the velocity solved at ``t``,
-        whose stress power enters the viscous work.  Returns the advanced
-        density.
-        """
-        grid = rho.grid
-        gamma = params.gamma
-        divw = div_hat(grid, what)
-        max_before = rho.max()
-        bound = 1.0 + 1.1 * dt * divw.linf_norm()
-        self.divu_l1_cum += dt * float(np.abs(divw.data).sum()) * grid.cell_volume
-        self.work_cum += dt * _viscous_work_integral(tensor, uhat, t, grid)
-        rho, self.ledger = continuity_step(rho, w, dt, params, self.ledger)
-        if params.eta > 0.0:
-            egam = params.eta * gamma
-            self.drag_hi_cum += dt * egam * float(
-                np.sum(rho.data ** (3.0 * gamma - 1.0))
-            ) * grid.cell_volume
-            self.drag_lo_cum += dt * egam * float(
-                np.sum(rho.data ** (gamma + 2.0))
-            ) * grid.cell_volume
-        self.pgamma_l2_sq_cum += dt * float(np.sum(rho.data ** (2.0 * gamma))) * grid.cell_volume
-        self.min_rho = min(self.min_rho, rho.min())
-        self.max_principle_margin = min(
-            self.max_principle_margin, bound * max_before - rho.max()
-        )
-        return rho
+
+def _account(ledger, rho, w, what, uhat, t, dt, tensor, params):
+    """One continuity step of ``rho`` under ``w`` and the ledger after it.
+
+    ``what`` is the half spectrum of w, whose divergence enters the defect
+    budget; ``uhat`` is that of the velocity solved at ``t``, whose stress
+    power enters the viscous work.  The drag removal is split between the
+    two channels in proportion to r^{2 gamma} and r^3 of the new density r.
+    Returns the advanced density and the new ledger.
+    """
+    grid = rho.grid
+    gamma = params.gamma
+    vol = grid.cell_volume
+    divw = div_hat(grid, what)
+    max_before = rho.max()
+    bound = 1.0 + 1.1 * dt * divw.linf_norm()
+    divu_l1 = dt * float(np.abs(divw.data).sum()) * vol
+    work = dt * _viscous_work_integral(tensor, uhat, t, grid)
+    rho, removed = continuity_step(rho, w, dt, params)
+    r = rho.data
+    drag2g = drag3 = drag_hi = drag_lo = grad_term = 0.0
+    if removed is not None:
+        r2g = r ** (2.0 * gamma)
+        channels = r2g + r**3
+        positive = channels > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w2 = np.where(positive, r2g / np.where(positive, channels, 1.0), 0.0)
+        d2g = removed * w2
+        drag2g = float(d2g.sum()) * vol
+        drag3 = float((removed - d2g).sum()) * vol
+        egam = params.eta * gamma
+        drag_hi = dt * egam * float(np.sum(r ** (3.0 * gamma - 1.0))) * vol
+        drag_lo = dt * egam * float(np.sum(r ** (gamma + 2.0))) * vol
+    if params.eps > 0.0:
+        g2 = sum(c.data**2 for c in grad(ScalarField(grid, r ** (0.5 * gamma))).components)
+        grad_term = 4.0 * params.eps * (1.0 - 1.0 / gamma) * float(g2.sum()) * vol * dt
+    return rho, Ledger(
+        mass_now=rho.integral(),
+        mass_initial=ledger.mass_initial,
+        drag2g_cum=ledger.drag2g_cum + drag2g,
+        drag3_cum=ledger.drag3_cum + drag3,
+        grad_rho_gamma_half_cum=ledger.grad_rho_gamma_half_cum + grad_term,
+        work_cum=ledger.work_cum + work,
+        drag_hi_cum=ledger.drag_hi_cum + drag_hi,
+        drag_lo_cum=ledger.drag_lo_cum + drag_lo,
+        pgamma_l2_sq_cum=ledger.pgamma_l2_sq_cum + dt * float(np.sum(r ** (2.0 * gamma))) * vol,
+        divu_l1_cum=ledger.divu_l1_cum + divu_l1,
+        min_rho=min(ledger.min_rho, rho.min()),
+        max_principle_margin=min(ledger.max_principle_margin, bound * max_before - rho.max()),
+    )
 
 
 @dataclass
 class Trajectory:
-    """Stored time samples of the coupled run plus cumulative accounting.
+    """Stored time samples of the coupled run, each with its ledger.
 
     Lists are parallel: entry i holds the state at ``times[i]`` and the
-    cumulative integrals up to that time.  ``work_cum`` is the raw viscous
-    work int tau : grad u (the energy audit applies its gamma-dependent
-    prefactor); the drag energy columns already include the eta*gamma
-    prefactor.
+    :class:`Ledger` of the march up to that time.
     """
 
     grid: object
@@ -187,13 +214,6 @@ class Trajectory:
     densities: list = field(default_factory=list)
     velocities: list = field(default_factory=list)
     ledgers: list = field(default_factory=list)
-    work_cum: list = field(default_factory=list)
-    drag_hi_cum: list = field(default_factory=list)
-    drag_lo_cum: list = field(default_factory=list)
-    pgamma_l2_sq_cum: list = field(default_factory=list)
-    divu_l1_cum: list = field(default_factory=list)
-    min_rho_ever: float = math.inf
-    max_principle_margin: float = math.inf
     slab_halvings: int = 0
     fixed_point_reports: list = field(default_factory=list)
 
@@ -208,19 +228,23 @@ class Trajectory:
     def final_density(self):
         return self.densities[-1]
 
+    @property
+    def min_rho_ever(self):
+        return self.ledgers[-1].min_rho
+
+    @property
+    def max_principle_margin(self):
+        return self.ledgers[-1].max_principle_margin
+
     def initial_pressure_integral(self):
         return pressure_field(self.densities[0], self.params.gamma).integral()
 
-    def record(self, t, rho, u, account):
-        """Store the state at ``t`` with the running totals of ``account``."""
+    def record(self, t, rho, u, ledger):
+        """Store the state at ``t`` with the ledger of the march up to ``t``."""
         self.times.append(t)
         self.densities.append(rho)
         self.velocities.append(u)
-        self.ledgers.append(account.ledger)
-        for name in _CUMULATIVES:
-            getattr(self, name).append(getattr(account, name))
-        self.min_rho_ever = account.min_rho
-        self.max_principle_margin = account.max_principle_margin
+        self.ledgers.append(ledger)
 
 
 class _Momentum:
@@ -322,16 +346,11 @@ class _Momentum:
         return [(v.grid.rfft(v.stacked()), self._smooth(v)) for v in samples]
 
 
-def _check_cfl(w, dt, params):
-    if dt > cfl_dt(w, params) * (1.0 + 1e-12):
-        raise _CFLBreach(w.max_component_sum())
-
-
 def _iterate(mom, pairs, rho0, start, t0, dt):
     """One Picard pass: advance rho under the input samples, re-solving as we go.
 
     ``pairs`` holds one (v_hat, w = omega_delta * v) input sample per
-    substep; rho is advected by w without a ledger, and each list entry is
+    substep; rho is advected by w without accounting, and each list entry is
     released (set to None) as soon as its substep is done, so the input and
     the solved pairs together never hold more than one slab's worth.
     ``start`` is the pair solved from ``rho0`` at ``t0``; it is the first
@@ -347,36 +366,37 @@ def _iterate(mom, pairs, rho0, start, t0, dt):
         vhat, w = pairs[j]
         pairs[j] = None
         pair = start if j == 0 else mom.pair(rho, t0 + j * dt)
-        _check_cfl(w, dt, mom.params)
         out.append(pair)
         total += grad_norm_sq_hat(rho0.grid, pair[0] - vhat)
-        rho, _ = continuity_step(rho, w, dt, mom.params, None)
+        rho, _ = continuity_step(rho, w, dt, mom.params)
     return out, math.sqrt(dt * total)
 
 
-def _record(mom, pairs, rho, start, t0, dt, account, sink, store_every):
+def _record(mom, pairs, rho, start, t0, dt, sink, store_every):
     """The recording pass of a converged slab.
 
     Advances rho from the slab start under the converged ``pairs``
-    (released as in :func:`_iterate`) through ``account``; ``start`` serves
-    substep 0 and every later velocity is a fresh solve from the advected
-    density (one extra half-iteration, within fp_tol of the converged
-    samples).  ``sink``, a Trajectory that already holds the state at
-    ``t0``, records the later states at the ``store_every`` cadence plus
-    the final time.  Returns the pair solved at the slab end.
+    (released as in :func:`_iterate`) through :func:`_account`; ``start``
+    serves substep 0 and every later velocity is a fresh solve from the
+    advected density (one extra half-iteration, within fp_tol of the
+    converged samples).  ``sink``, a Trajectory whose last entry is the
+    state at ``t0``, supplies the running ledger and records the later
+    states at the ``store_every`` cadence plus the final time.  Returns the
+    pair solved at the slab end.
     """
+    ledger = sink.ledgers[-1]
     for j in range(len(pairs)):
         vhat, w = pairs[j]
         pairs[j] = None
         tj = t0 + j * dt
         pair = start if j == 0 else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
-            sink.record(tj, rho, mom.velocity(pair), account)
+            sink.record(tj, rho, mom.velocity(pair), ledger)
         what = mom.advecting_hat((vhat, w), tj)
-        rho = account.step(rho, w, what, pair[0], tj, dt, mom.tensor, mom.params)
+        rho, ledger = _account(ledger, rho, w, what, pair[0], tj, dt, mom.tensor, mom.params)
     t1 = t0 + len(pairs) * dt
     end = mom.pair(rho, t1)
-    sink.record(t1, rho, mom.velocity(end), account)
+    sink.record(t1, rho, mom.velocity(end), ledger)
     return end
 
 
@@ -400,7 +420,7 @@ def picard_solve(
     params,
     slab,
     v0=None,
-    account=None,
+    ledger=None,
     store_every=1,
 ):
     """Fixed-point solve on one slab; returns (Trajectory, contraction history).
@@ -412,31 +432,32 @@ def picard_solve(
     iterate outruns the substep CFL budget the slab is re-run with more
     substeps (same interval), up to a retry cap.
 
-    This standalone entry builds its own momentum object and trajectory,
-    records the slab start and accounts into ``account`` (a fresh one by
-    default).  ``march`` shares all of them across its slabs, so a chain of
-    ``picard_solve`` calls sharing one account gives bit-identical results.
+    This standalone entry builds its own momentum object and trajectory and
+    records the slab start with ``ledger``, the accounts up to ``slab.t0``
+    (a fresh ledger by default).  ``march`` shares its momentum object and
+    trajectory across its slabs, so a chain of ``picard_solve`` calls, each
+    given the last ledger of the one before, gives bit-identical results.
     """
     mom = _Momentum(tensor, rho0.grid, f, params)
     start = mom.pair(rho0, slab.t0)
-    if account is None:
-        account = _Account.fresh(rho0)
     traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
-    traj.record(slab.t0, rho0, mom.velocity(start), account)
+    if ledger is None:
+        ledger = Ledger.fresh(rho0)
+    traj.record(slab.t0, rho0, mom.velocity(start), ledger)
     v0 = None if v0 is None else mom.pairs(v0)
-    history, _end = _picard_slab(mom, rho0, start, slab, v0, traj, account, store_every)
+    history, _end = _picard_slab(mom, rho0, start, slab, v0, traj, store_every)
     return traj, history
 
 
-def _picard_slab(mom, rho0, start, slab, v0, traj, account, store_every):
+def _picard_slab(mom, rho0, start, slab, v0, traj, store_every):
     """The fixed-point solve behind :func:`picard_solve` on a shared momentum object.
 
     ``start`` is the (u_hat, w) pair solved from ``rho0`` at ``slab.t0``;
     it serves substep 0 of every pass.  ``v0`` is a list of (v_hat, w)
     pairs or None for the zero start.  The converged iterates must pass the
     CFL check too, since the recording pass advects with them.  Once they
-    do, the slab is recorded into ``traj``, which ends at the slab start,
-    and accounted into ``account``; a NoContraction leaves both untouched.
+    do, the slab is recorded into ``traj``, which ends at the slab start and
+    supplies the running ledger; a NoContraction leaves it untouched.
     Returns the contraction history and the pair solved at the slab end.
     """
     params = mom.params
@@ -472,8 +493,8 @@ def _picard_slab(mom, rho0, start, slab, v0, traj, account, store_every):
                     f"(last update {diff_prev:.3e})"
                 )
             for _uhat, w in v:
-                _check_cfl(w, dt, params)
-        except _CFLBreach as breach:
+                check_cfl(w, dt, params)
+        except CFLBreach as breach:
             dt_needed = min(
                 params.dt_max,
                 params.cfl * mom.grid.h / (_CFL_GROWTH_MARGIN * max(breach.speed, 1e-30)),
@@ -490,7 +511,7 @@ def _picard_slab(mom, rho0, start, slab, v0, traj, account, store_every):
     else:
         raise NoContraction("iterates kept outrunning the CFL budget")
 
-    end = _record(mom, v, rho0, start, slab.t0, dt, account, traj, store_every)
+    end = _record(mom, v, rho0, start, slab.t0, dt, traj, store_every)
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
     return history, end
 
@@ -507,19 +528,18 @@ def _estimate_steps(duration, u, params):
 def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
     """Chain fixed-point slabs to t_end, halving the slab length on failure.
 
-    One momentum object, one trajectory and one running account serve every
-    slab; the initial state is recorded once, and each slab starts from the
-    last stored state (whose velocity was solved from that same density at
-    that same time).  For time-dependent tensors the momentum object keeps
+    One momentum object and one trajectory serve every slab; the initial
+    state is recorded once, and each slab starts from the last stored state
+    (whose velocity was solved from that same density at that same time)
+    and its ledger.  For time-dependent tensors the momentum object keeps
     only the operators of the current slab's substep times.
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     mom = _Momentum(tensor, rho0.grid, f, params)
     traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
-    account = _Account.fresh(rho0)
     pair = mom.pair(rho0, 0.0)
-    traj.record(0.0, rho0, mom.velocity(pair), account)
+    traj.record(0.0, rho0, mom.velocity(pair), Ledger.fresh(rho0))
     length = slab_len
     halvings = 0
     while traj.final_time < t_end - 1e-12 * max(1.0, t_end):
@@ -528,7 +548,7 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
         slab = Slab(t, t + duration, _estimate_steps(duration, traj.velocities[-1], params))
         try:
             _history, pair = _picard_slab(
-                mom, traj.final_density, pair, slab, None, traj, account, store_every
+                mom, traj.final_density, pair, slab, None, traj, store_every
             )
         except NoContraction as fail:
             halvings += 1
@@ -550,18 +570,18 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1):
         raise ValueError("t_end must be nonnegative")
     mom = _Momentum(tensor, rho0.grid, f, params)
     traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
-    account = _Account.fresh(rho0)
+    ledger = Ledger.fresh(rho0)
     rho = rho0
     t = 0.0
     step_index = 0
     uhat, u = mom.pair(rho, t)
-    traj.record(t, rho, u, account)
+    traj.record(t, rho, u, ledger)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
-        rho = account.step(rho, u, uhat, uhat, t, dt, tensor, params)
+        rho, ledger = _account(ledger, rho, u, uhat, uhat, t, dt, tensor, params)
         t += dt
         step_index += 1
         uhat, u = mom.pair(rho, t)
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
-            traj.record(t, rho, u, account)
+            traj.record(t, rho, u, ledger)
     return traj

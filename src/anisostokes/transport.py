@@ -8,24 +8,25 @@ One step advances d_t rho + div(rho v) = eps Lap(rho) - eta rho^{2 gamma}
     maximum-principle guarantees below are only claimed at order 1),
 (b) implicit spectral diffusion (I - eps dt Lap)^{-1},
 (c) a per-cell implicit solve of r + dt eta (r^{2 gamma} + r^3) = rho,
-    whose removed mass is split exactly between the two drag channels.
+    whose per-cell removal the step returns.
 
-Mass bookkeeping is exact by construction: the advection fluxes telescope,
-the diffusion symbol fixes the mean mode, and the drag ledger increments
-are defined as the per-cell removals.  The spectral diffusion resolvent has
-tiny negative side lobes, so rough densities can dip below zero by a hair;
-step (b) therefore floors at zero and rescales the positive part to restore
-the pre-clip mass (a no-op for smooth fields).
+Mass is exact by construction: the advection fluxes telescope, the
+diffusion symbol fixes the mean mode, and the step returns the drag
+removal cell by cell, so the old mass is the new mass plus that removal
+(the marcher's ledger keeps the running accounts).  The spectral diffusion
+resolvent has tiny negative side lobes, so rough densities can dip below
+zero by a hair; step (b) therefore floors at zero and rescales the positive
+part to restore the pre-clip mass (a no-op for smooth fields).
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import ScalarField, grad
+from anisostokes.fields import ScalarField
 
 logger = logging.getLogger("anisostokes")
 
@@ -38,6 +39,14 @@ class NegativeInput(Exception):
 
 class NewtonFail(Exception):
     """The per-cell drag solve missed its tolerance."""
+
+
+class CFLBreach(ValueError):
+    """A step longer than the CFL limit; ``speed`` is the velocity's max component sum."""
+
+    def __init__(self, dt, limit, speed):
+        super().__init__(f"dt {dt:.3e} exceeds the CFL limit {limit:.3e}")
+        self.speed = speed
 
 
 class InvalidParameter(ValueError):
@@ -85,35 +94,17 @@ class SolverParams:
             raise InvalidParameter("order", f"order must be 1 or 2, got {self.order}")
 
 
-@dataclass(frozen=True)
-class MassLedger:
-    """Running mass account: current mass plus cumulative drag removals.
-
-    ``mass_now + drag2g_cum + drag3_cum`` equals ``mass_initial`` up to
-    floating-point summation noise.  The gradient term is a diagnostic
-    accumulator for the energy audit (4 eps (1 - 1/gamma) int |grad
-    rho^{gamma/2}|^2 dt), not part of the mass identity.
-    """
-
-    mass_now: float
-    drag2g_cum: float = 0.0
-    drag3_cum: float = 0.0
-    grad_rho_gamma_half_cum: float = 0.0
-    mass_initial: float = 0.0
-
-    @classmethod
-    def fresh(cls, rho):
-        m = rho.integral()
-        return cls(mass_now=m, mass_initial=m)
-
-    def identity_defect(self):
-        return abs(self.mass_now + self.drag2g_cum + self.drag3_cum - self.mass_initial)
-
-
 def cfl_dt(v, params):
     """Largest admissible step for the explicit advection of velocity v."""
     speed = max(v.max_component_sum(), _TINY_SPEED)
     return min(params.dt_max, params.cfl * v.grid.h / speed)
+
+
+def check_cfl(v, dt, params):
+    """Raise :class:`CFLBreach` when ``dt`` exceeds ``cfl_dt(v, params)``."""
+    limit = cfl_dt(v, params)
+    if dt > limit * (1.0 + 1e-12):
+        raise CFLBreach(dt, limit, v.max_component_sum())
 
 
 def pressure_field(rho, gamma):
@@ -191,7 +182,7 @@ def _drag_solve(s, a, gamma, max_iter=100, tol=1e-13):
     return np.maximum(x, 0.0)
 
 
-def continuity_step(rho, v, dt, params, ledger):
+def continuity_step(rho, v, dt, params):
     """One splitting step of the regularized continuity equation.
 
     Parameters
@@ -201,18 +192,15 @@ def continuity_step(rho, v, dt, params, ledger):
     v : VectorField
         Advecting velocity, held constant over the step.
     dt : float
-        Step size; must not exceed ``cfl_dt(v, params)``.
+        Step size; a step beyond ``cfl_dt(v, params)`` raises :class:`CFLBreach`.
     params : SolverParams
-    ledger : MassLedger or None
-        Account to extend; a new ledger is returned, inputs are untouched.
-        With ``None`` the step only advances the density: the drag-channel
-        split, the mass integral and the int |grad rho^{gamma/2}|^2 term are
-        skipped and ``(rho, None)`` is returned.  The density is the same
-        either way.
 
     Returns
     -------
-    (ScalarField, MassLedger or None)
+    (ScalarField, ndarray or None)
+        The advanced density and the density the drag solve removed from
+        each cell, so that rho's integral is the new one plus
+        ``removed.sum() * cell_volume`` (None when eta = 0).
     """
     if rho.min() < 0.0:
         raise NegativeInput(f"density has negative samples (min {rho.min():.3e})")
@@ -220,53 +208,15 @@ def continuity_step(rho, v, dt, params, ledger):
         raise ValueError("rho and v live on different grids")
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    limit = cfl_dt(v, params)
-    if dt > limit * (1.0 + 1e-12):
-        raise ValueError(f"dt {dt:.3e} exceeds the CFL limit {limit:.3e}")
+    check_cfl(v, dt, params)
 
     grid = rho.grid
     data = _advect(rho, v, dt, params.order)
     if params.eps > 0.0:
         data = _diffuse(data, grid, params.eps, dt)
-
-    drag2g_inc = 0.0
-    drag3_inc = 0.0
+    removed = None
     if params.eta > 0.0:
-        a = dt * params.eta
-        r = _drag_solve(data, a, params.gamma)
-        if ledger is not None:
-            removed = data - r
-            channels = r ** (2.0 * params.gamma) + r**3
-            with np.errstate(divide="ignore", invalid="ignore"):
-                w2 = np.where(channels > 0.0, r ** (2.0 * params.gamma) / np.where(channels > 0.0, channels, 1.0), 0.0)
-            d2g = removed * w2
-            d3 = removed - d2g
-            drag2g_inc = float(d2g.sum()) * grid.cell_volume
-            drag3_inc = float(d3.sum()) * grid.cell_volume
+        r = _drag_solve(data, dt * params.eta, params.gamma)
+        removed = data - r
         data = r
-
-    out = ScalarField(grid, data)
-    if ledger is None:
-        return out, None
-
-    grad_inc = 0.0
-    if params.eps > 0.0:
-        half = ScalarField(grid, data ** (0.5 * params.gamma))
-        g2 = sum(c.data**2 for c in grad(half).components)
-        grad_inc = (
-            4.0
-            * params.eps
-            * (1.0 - 1.0 / params.gamma)
-            * float(g2.sum())
-            * grid.cell_volume
-            * dt
-        )
-
-    new_ledger = replace(
-        ledger,
-        mass_now=out.integral(),
-        drag2g_cum=ledger.drag2g_cum + drag2g_inc,
-        drag3_cum=ledger.drag3_cum + drag3_inc,
-        grad_rho_gamma_half_cum=ledger.grad_rho_gamma_half_cum + grad_inc,
-    )
-    return out, new_ledger
+    return ScalarField(grid, data), removed

@@ -206,3 +206,29 @@ defect.windows = 4,8
     assert lines[0] == "ratio,window,lhs,rhs,passed"
     assert len(lines) == 5
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+def test_unknown_key_fails_the_config_with_exit_code_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, "grid.n = 16\nparams.gama = 2\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 2
+    captured = capsys.readouterr().out
+    assert captured == f"FAIL config: {cfg}: line 2: unknown key 'params.gama'\n"
+    assert not (tmp_path / "art").exists()
+
+
+def test_missing_config_file_fails_with_exit_code_2(tmp_path, capsys):
+    cfg = str(tmp_path / "absent.cfg")
+    assert main(["sweep-eps", cfg, "--strict"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"FAIL config: {cfg}: ")
+    assert "No such file" in lines[0]
+
+
+def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
+    # the snapshot is read when the study builds its forcing, after parsing
+    cfg = write_cfg(tmp_path, SMALL_RUN + "forcing.kind = file\nforcing.path = gone.asf\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"FAIL config: {cfg}: line 13: forcing.path: cannot read ")

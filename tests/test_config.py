@@ -125,6 +125,8 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("sweep.deltas = 0.4,0.2,0", "sweep.deltas"),
         ("initial.wavelength = 0.39\ninitial.kind = oscillatory", "initial.wavelength"),
         ("forcing.kind = file", "forcing.kind"),
+        ("viscosity.kind = constant", "viscosity.kind"),
+        ("viscosity.kind = varying", "viscosity.kind"),
     ],
 )
 def test_out_of_range_run_and_study_keys_name_their_line(tmp_path, text, key):
@@ -272,6 +274,8 @@ def test_unknown_key_is_an_error(tmp_path):
         parse_config(path)
     assert err.value.line == 1
     assert err.value.key == "params.gama"
+    assert isinstance(err.value, ParseError)
+    assert str(err.value) == "line 1: unknown key 'params.gama'"
 
 
 def test_malformed_line_reports_position(tmp_path):

@@ -87,7 +87,7 @@ def test_energy_slack_nonnegative_for_drag_only_run():
         lambda t, y: -0.2 * (y**4 + y**3), (0.0, 0.2), [1.0], rtol=1e-11, atol=1e-13
     )
     exact_drop = (1.0 - sol.y[0, -1] ** 2) * g.volume
-    audited_drop = traj.drag_hi_cum[-1] + traj.drag_lo_cum[-1]
+    audited_drop = traj.ledgers[-1].drag_hi_cum + traj.ledgers[-1].drag_lo_cum
     assert audited_drop == pytest.approx(exact_drop, rel=2e-2)
     assert slacks[-1] <= 5e-3 * traj.initial_pressure_integral()
 
@@ -248,7 +248,11 @@ def test_rows_and_csv_roundtrip(tmp_path):
     out = tmp_path / "diag.csv"
     write_rows_csv(rows, out)
     text = out.read_text(encoding="utf-8").splitlines()
-    assert text[0] == CSV_HEADER
+    assert text[0] == CSV_HEADER == (
+        "t,mass,drag2g_cum,drag3_cum,pgamma_integral,dissipation_cum,"
+        "grad_rho_gamma_half_cum,energy_slack,rho_min,rho_max,"
+        "pgamma_l2_running,defect_proxy,commutator_l1"
+    )
     assert len(text) == len(rows) + 1
     assert len(text[1].split(",")) == 13
 

@@ -1,9 +1,15 @@
 """Grid, spectral calculus, mollifier and snapshot tests."""
 
 import logging
+import os
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from anisostokes.fields import (
     GridSpec,
@@ -306,6 +312,52 @@ def test_snapshot_detects_truncation(tmp_path):
     path.write_bytes(raw[:-8])
     with pytest.raises(ValueError, match="truncated"):
         read_snapshot(path)
+
+
+PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def snapshot_files(draw):
+    """The bytes of a snapshot: dim 1-3, 4-9 cells per axis, finite samples and time."""
+    g = GridSpec(draw(st.integers(1, 3)), draw(st.integers(4, 9)))
+    field = ScalarField(g, draw(arrays(np.float64, g.shape, elements=_FINITE)))
+    t = draw(_FINITE)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "field.asf")
+        write_snapshot(path, field, t)
+        return field, t, Path(path).read_bytes()
+
+
+def read_bytes_as_snapshot(raw):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "field.asf"
+        path.write_bytes(raw)
+        return read_snapshot(path)
+
+
+@PROPERTY_SETTINGS
+@given(snapshot_files())
+def test_snapshot_round_trip_is_bit_exact(snapshot):
+    field, t, raw = snapshot
+    back, t_back = read_bytes_as_snapshot(raw)
+    assert back.grid == field.grid
+    assert back.data.tobytes() == field.data.tobytes()
+    assert np.float64(t_back).tobytes() == np.float64(t).tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(snapshot_files(), st.data())
+def test_every_proper_prefix_of_a_snapshot_is_rejected(snapshot, data):
+    # every cut through the magic and the header line, the first sample,
+    # and one drawn cut anywhere short of the end
+    _field, _t, raw = snapshot
+    header_end = raw.index(b"\n") + 1
+    cuts = set(range(header_end + 9)) | {data.draw(st.integers(0, len(raw) - 1))}
+    for cut in sorted(cuts):
+        with pytest.raises(ValueError):
+            read_bytes_as_snapshot(raw[:cut])
 
 
 def test_grad_l2_norm_matches_hand_value():

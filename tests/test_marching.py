@@ -1,6 +1,5 @@
 """Fixed-point slab tests: contraction, chaining, halving, direct stepping."""
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import brentq
 
 from anisostokes.fields import (
     GridSpec,
@@ -23,10 +23,11 @@ from anisostokes.fields import (
 )
 from anisostokes import fields, marching
 from anisostokes.marching import (
+    Ledger,
     Slab,
     SlabCollapse,
     Trajectory,
-    _Account,
+    _account,
     _Momentum,
     apply_B,
     direct_march,
@@ -34,11 +35,13 @@ from anisostokes.marching import (
     picard_solve,
 )
 from anisostokes.stokes import StokesOperator, residual
-from anisostokes.transport import SolverParams, pressure_field
+from anisostokes.transport import SolverParams, cfl_dt, continuity_step, pressure_field
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull, isotropic_strain_tensor
 
 
 CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
+# the old transport ledger's fields, in the order the pinned data lists them
+MASS_FIELDS = ("mass_now", "drag2g_cum", "drag3_cum", "grad_rho_gamma_half_cum", "mass_initial")
 
 
 def cosine_density(grid, amp=0.2, axis=0):
@@ -242,6 +245,59 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
     assert dist == pytest.approx(np.sqrt(dt * real), rel=1e-13)
 
 
+# ------------------------------------------------------------ accountant
+
+def account_steps(rho, v, dt, p, steps, tensor):
+    """``steps`` accounted continuity steps under a fixed v from a fresh ledger."""
+    vhat = rho.grid.rfft(v.stacked())
+    ledger = Ledger.fresh(rho)
+    for j in range(steps):
+        rho, ledger = _account(ledger, rho, v, vhat, vhat, j * dt, dt, tensor, p)
+    return rho, ledger
+
+
+@pytest.mark.parametrize("eps,eta", [(0.0, 0.0), (0.05, 0.0), (0.0, 0.4), (0.05, 0.4)])
+def test_account_advances_the_same_density(eps, eta):
+    g = GridSpec(2, 16)
+    p = SolverParams(gamma=1.6, eps=eps, eta=eta, dt_max=5e-3)
+    rho = cosine_density(g, amp=0.4)
+    x, y = g.meshgrid()
+    v = VectorField.from_arrays(g, [0.5 * np.sin(x + 2 * y), 0.3 * np.cos(y)])
+    dt = cfl_dt(v, p)
+    accounted, ledger = account_steps(rho, v, dt, p, 1, DiagNu((1.0, 2.0)))
+    bare, _ = continuity_step(rho, v, dt, p)
+    assert isinstance(ledger, Ledger)
+    assert np.array_equal(bare.data, accounted.data)
+
+
+def test_account_splits_the_drag_removal_over_the_channels():
+    # uniform rho = 1, gamma = 2, eta = 0.1, dt = 0.01: the removed mass
+    # 1 - r of the root r of r + dt*eta*(r^4 + r^3) = 1 splits as r^4 : r^3
+    g = GridSpec(1, 16)
+    p = SolverParams(gamma=2.0, eta=0.1)
+    dt = 0.01
+    _, led = account_steps(ScalarField.constant(g, 1.0), VectorField.zeros(g), dt, p, 1,
+                           DiagNu((1.0,)))
+    root = brentq(lambda r: r + dt * 0.1 * (r**4 + r**3) - 1.0, 0.0, 1.0, xtol=1e-15)
+    removed = (1.0 - root) * g.volume
+    assert led.drag2g_cum + led.drag3_cum == pytest.approx(removed, rel=1e-12)
+    assert led.drag2g_cum / led.drag3_cum == pytest.approx(root**4 / root**3, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (3, 12)])
+def test_account_keeps_the_mass_identity_full_physics(dim, n):
+    g = GridSpec(dim, n)
+    p = SolverParams(gamma=1.6, eps=0.05, eta=0.4, dt_max=5e-3)
+    xs = g.meshgrid()
+    rho = ScalarField(g, 1.0 + 0.3 * np.cos(xs[0]) + 0.1 * np.sin(xs[-1]))
+    v = VectorField.from_arrays(g, [0.4 * np.sin(xs[a] + xs[0]) for a in range(dim)])
+    rho, led = account_steps(rho, v, cfl_dt(v, p), p, 40, DiagNu((1.0,) * dim))
+    assert led.identity_defect() <= 1e-12 * led.mass_initial * 40
+    assert rho.min() >= 0.0
+    assert led.drag2g_cum > 0.0 and led.drag3_cum > 0.0
+    assert led.grad_rho_gamma_half_cum > 0.0
+
+
 # ------------------------------------------------------------ march
 
 def test_march_constant_data_follows_drag_ode():
@@ -357,7 +413,8 @@ def test_march_does_each_slab_computation_once(monkeypatch):
 
     monkeypatch.setattr(StokesOperator, "build", classmethod(build))
     solves = counting(monkeypatch, _Momentum, "pair", lambda args: None)
-    ledgers = counting(monkeypatch, marching, "continuity_step", lambda args: args[4])
+    steps_taken = counting(monkeypatch, marching, "continuity_step", lambda args: None)
+    accounted = counting(monkeypatch, marching, "_account", lambda args: None)
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
 
     assert traj.slab_halvings == 0
@@ -368,9 +425,8 @@ def test_march_does_each_slab_computation_once(monkeypatch):
     # substep 0 of each slab reuses the velocity stored at the end of the
     # previous one; only the very first state is solved up front
     assert len(solves) == 1 + sum(k * (s - 1) + s for k, s in zip(iters, steps))
-    with_ledger = [led for led in ledgers if led is not None]
-    assert len(with_ledger) == sum(steps)
-    assert len(ledgers) - len(with_ledger) == sum(k * s for k, s in zip(iters, steps))
+    assert len(accounted) == sum(steps)
+    assert len(steps_taken) - len(accounted) == sum(k * s for k, s in zip(iters, steps))
 
 
 def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
@@ -394,26 +450,24 @@ def test_march_matches_chained_picard_solves():
     tensor, rho0, p = multi_slab_scenario()
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
     chain = Trajectory(grid=rho0.grid, params=p, tensor=tensor)
-    account = _Account.fresh(rho0)
+    ledger = None
     rho = rho0
     for report, steps in zip(traj.fixed_point_reports, slab_steps(traj)):
         piece, _ = picard_solve(
-            tensor, rho, None, p, Slab(report[0], report[1], steps), account=account
+            tensor, rho, None, p, Slab(report[0], report[1], steps), ledger=ledger
         )
         # each piece opens with the state the previous one closed on
         skip = 1 if chain.times else 0
-        for name in ("times", "densities", "velocities", "ledgers") + CUMULATIVES:
+        for name in ("times", "densities", "velocities", "ledgers"):
             getattr(chain, name).extend(getattr(piece, name)[skip:])
-        chain.min_rho_ever = piece.min_rho_ever
-        chain.max_principle_margin = piece.max_principle_margin
         rho = piece.final_density
+        ledger = piece.ledgers[-1]
     assert chain.times == traj.times
     for a, b in zip(chain.densities, traj.densities):
         assert np.array_equal(a.data, b.data)
     for a, b in zip(chain.velocities, traj.velocities):
         assert np.array_equal(a.stacked(), b.stacked())
-    for name in ("ledgers", "work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum",
-                 "divu_l1_cum", "min_rho_ever", "max_principle_margin"):
+    for name in ("ledgers", "min_rho_ever", "max_principle_margin"):
         assert getattr(chain, name) == getattr(traj, name), name
 
 
@@ -533,9 +587,9 @@ def accounting_cases():
 
 
 def accounting_record(traj):
-    out = {name: list(getattr(traj, name)) for name in CUMULATIVES}
+    out = {name: [getattr(led, name) for led in traj.ledgers] for name in CUMULATIVES}
     out["times"] = list(traj.times)
-    out["ledgers"] = [dataclasses.astuple(led) for led in traj.ledgers]
+    out["ledgers"] = [[getattr(led, name) for name in MASS_FIELDS] for led in traj.ledgers]
     out["min_rho_ever"] = traj.min_rho_ever
     out["max_principle_margin"] = traj.max_principle_margin
     return out
