@@ -4,8 +4,8 @@ Every subcommand reads one config file, writes its artifacts (snapshots,
 CSV tables) to the output directory and prints one PASS/FAIL line per
 audit.  With ``--strict`` the exit code is 0 only when every audit passed;
 without it the audits are informational and the exit code is 0 unless an
-error is raised.  A config that cannot be opened or parsed, or a snapshot
-it names that cannot be read, prints one ``FAIL config`` line and exits 2.
+error is raised.  A config that cannot be parsed, or a snapshot it names
+that cannot be read, prints one ``FAIL config`` line and exits 2.
 """
 
 from __future__ import annotations
@@ -323,7 +323,7 @@ def main(argv=None):
 
     try:
         cfg = parse_config(args.config)
-    except (ParseError, OSError) as exc:
+    except ParseError as exc:
         return _config_failure(args.config, exc)
     out_dir = args.out if args.out is not None else cfg.out
     try:

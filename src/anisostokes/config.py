@@ -187,11 +187,11 @@ KEYS = {
 }
 
 
-# kind key, kind, the keys of which that kind needs one, and the kinds needing none
+# kind key, kind, and the keys of which that kind needs one
 _KIND_NEEDS = (
-    ("viscosity.kind", "constant", ("viscosity.a",), "diag or varying"),
-    ("viscosity.kind", "varying", ("viscosity.files",), "diag or constant"),
-    ("forcing.kind", "file", ("forcing.path", "forcing.breakpoints"), "zero or cosine"),
+    ("viscosity.kind", "constant", ("viscosity.a",)),
+    ("viscosity.kind", "varying", ("viscosity.files",)),
+    ("forcing.kind", "file", ("forcing.path", "forcing.breakpoints")),
 )
 
 
@@ -344,11 +344,10 @@ def parse_config(path):
             f"initial.wavelength: must be at least 4 cells ({4.0 * grid.h:.4g}) "
             f"for initial.kind = oscillatory, got {value['initial.wavelength']!r}",
         )
-    for key, kind, needs, others in _KIND_NEEDS:
+    for key, kind, needs in _KIND_NEEDS:
         if value[key] == kind and not any(value[k] for k in needs):
             raise ParseError(
-                lines[key],
-                f"{key}: must be {others} without {' or '.join(needs)}, got {kind!r}",
+                lines[key], f"{key}: must be {kind!r} only with {' or '.join(needs)}"
             )
     try:
         params = SolverParams(**held["params"])

@@ -216,15 +216,6 @@ def test_unknown_key_fails_the_config_with_exit_code_2(tmp_path, capsys):
     assert not (tmp_path / "art").exists()
 
 
-def test_missing_config_file_fails_with_exit_code_2(tmp_path, capsys):
-    cfg = str(tmp_path / "absent.cfg")
-    assert main(["sweep-eps", cfg, "--strict"]) == 2
-    lines = capsys.readouterr().out.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"FAIL config: {cfg}: ")
-    assert "No such file" in lines[0]
-
-
 def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
     # the snapshot is read when the study builds its forcing, after parsing
     cfg = write_cfg(tmp_path, SMALL_RUN + "forcing.kind = file\nforcing.path = gone.asf\n")
