@@ -5,7 +5,10 @@ CSV tables) to the output directory and prints one PASS/FAIL line per
 audit.  With ``--strict`` the exit code is 0 only when every audit passed;
 without it the audits are informational and the exit code is 0 unless an
 error is raised.  A config that cannot be parsed, or a snapshot it names
-that cannot be read, prints one ``FAIL config`` line and exits 2.
+that cannot be read, prints one ``FAIL config`` line and exits 2; a solver
+breakdown (a stress law that is not coercive or has a singular symbol, a
+Krylov or drag Newton solve that fails, a slab that does not contract)
+prints one ``FAIL solver`` line and exits 3.
 """
 
 from __future__ import annotations
@@ -33,8 +36,20 @@ from anisostokes.diagnostics import (
     write_rows_csv,
 )
 from anisostokes.fields import write_snapshot
-from anisostokes.marching import direct_march, march
+from anisostokes.marching import NoContraction, SlabCollapse, direct_march, march
+from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
+from anisostokes.transport import NegativeInput, NewtonFail
 from anisostokes.viscosity import DiagNu, audit_hypotheses
+
+_SOLVER_FAILURES = (
+    NotCoercive,
+    SingularSymbol,
+    KrylovNoConvergence,
+    NewtonFail,
+    NegativeInput,
+    NoContraction,
+    SlabCollapse,
+)
 
 
 def _audit(results, name, ok, detail):
@@ -330,6 +345,9 @@ def main(argv=None):
         results = _COMMANDS[args.command](cfg, out_dir)
     except ParseError as exc:
         return _config_failure(args.config, exc)
+    except _SOLVER_FAILURES as exc:
+        print(f"FAIL solver: {type(exc).__name__}: {exc}")
+        return 3
 
     failed = [name for name, ok in results if not ok]
     if failed:

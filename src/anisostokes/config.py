@@ -204,12 +204,15 @@ def default_of(key, dim=1):
     return spec.default(dim) if callable(spec.default) else spec.default
 
 
-def _read_keyed_snapshot(path, key, line):
-    """The field of a snapshot named by ``key``; read failures name its line."""
+def _read_keyed_snapshot(path, key, line, grid):
+    """The field of a snapshot named by ``key`` on ``grid``; read failures
+    and a snapshot on another grid name its line."""
     try:
         field, _t = read_snapshot(path)
     except (OSError, ValueError) as exc:
         raise ParseError(line, f"{key}: cannot read snapshot {path}: {exc}") from exc
+    if field.grid != grid:
+        raise ParseError(line, f"{key}: {path} grid does not match the run grid")
     return field
 
 
@@ -294,21 +297,19 @@ def _build_tensor(value, lines, grid, base_dir):
     text = value["viscosity.files"]
     lineno = lines["viscosity.files"]
     values = np.zeros((dim,) * 4 + grid.shape)
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
+    chunks = [chunk for chunk in map(str.strip, text.split(";")) if chunk]
+    if not chunks:
+        raise ParseError(
+            lineno, f"viscosity.files: must be one or more ijkl:path groups, got {text!r}"
+        )
+    for chunk in chunks:
         idx, _, path = chunk.partition(":")
         idx = idx.strip()
         path = path.strip()
         if len(idx) != 4 or not idx.isdigit() or any(int(c) >= dim for c in idx):
             raise ParseError(lineno, f"viscosity.files: bad index group {idx!r} for dim {dim}")
         path = os.path.join(base_dir, path)
-        coeff = _read_keyed_snapshot(path, "viscosity.files", lineno)
-        if coeff.grid != grid:
-            raise ParseError(
-                lineno, f"viscosity.files: {path} grid does not match the run grid"
-            )
+        coeff = _read_keyed_snapshot(path, "viscosity.files", lineno, grid)
         i, j, k, l = (int(c) for c in idx)
         values[i, j, k, l] = coeff.data
     return VaryingFull(grid, values)
@@ -420,10 +421,9 @@ def make_forcing(spec, grid):
         if spec.breakpoints:
             pieces = []
             for t_start, path in spec.breakpoints:
-                f = _read_keyed_snapshot(path, "forcing.breakpoints", spec.line)
-                if f.grid != grid:
-                    raise ValueError(f"{path}: snapshot grid does not match the run grid")
-                pieces.append((t_start, f))
+                pieces.append(
+                    (t_start, _read_keyed_snapshot(path, "forcing.breakpoints", spec.line, grid))
+                )
 
             def lookup(t):
                 current = pieces[0][1]
@@ -433,8 +433,5 @@ def make_forcing(spec, grid):
                 return current
 
             return lookup
-        f = _read_keyed_snapshot(spec.path, "forcing.path", spec.line)
-        if f.grid != grid:
-            raise ValueError(f"{spec.path}: snapshot grid does not match the run grid")
-        return f
+        return _read_keyed_snapshot(spec.path, "forcing.path", spec.line, grid)
     raise ValueError(f"unknown forcing kind {spec.kind!r}")

@@ -34,6 +34,17 @@ accountant and the trajectory.  The zero start is the pair (0, 0), and
 each slab solves its start pair once (a march carries the pair solved at
 the end of the previous slab).
 
+The discrete map is causal: the density at substep j depends only on the
+input w at substeps 0 ... j-1.  Pass k takes the output of pass k-1 as its
+input, so by induction, for k >= 2, substeps j <= k-2 of pass k reproduce
+pass k-1 bit for bit (the density, the solved pair, and a distance term of
+exactly 0.0).  Pass k >= 3 therefore starts at substep k-2 from the
+density pass k-1 reached after its own first step, reuses its input pair
+there and solves only later substeps; the skipped distance terms are +0.0,
+so the distance, the iterates and every output are bitwise those of full
+passes.  The recording pass of a slab that took K passes is pass K+1 and
+solves only substeps j >= K.
+
 Both drivers advance the density through one accountant, ``_account``,
 which takes a frozen :class:`Ledger` (the mass identity and the cumulative
 integrals that diagnostics consume) and returns the next one, and store
@@ -346,54 +357,76 @@ class _Momentum:
         return [(v.grid.rfft(v.stacked()), self._smooth(v)) for v in samples]
 
 
-def _iterate(mom, pairs, rho0, start, t0, dt):
+def _iterate(mom, pairs, rho, start, t0, dt, settled=0):
     """One Picard pass: advance rho under the input samples, re-solving as we go.
 
     ``pairs`` holds one (v_hat, w = omega_delta * v) input sample per
     substep; rho is advected by w without accounting, and each list entry is
     released (set to None) as soon as its substep is done, so the input and
     the solved pairs together never hold more than one slab's worth.
-    ``start`` is the pair solved from ``rho0`` at ``t0``; it is the first
-    solved pair, so the slab start is never solved again.  Returns the
-    solved pairs, one per substep, and the slab distance
+    ``start`` is the pair solved from the slab-start density at ``t0``; it
+    is the first solved pair, so the slab start is never solved again.
+
+    ``settled`` is the number s of leading substeps whose solved pairs equal
+    their inputs, and ``rho`` is the density at substep s.  Because the map
+    is causal, pass k >= 2 given the output of pass k-1 has s = k-2 such
+    substeps: the pass keeps the inputs before s, reuses the input pair at s
+    without a solve and takes one continuity step from there; every later
+    substep is solved and stepped.  The distance terms of substeps 1 ... s
+    are exactly 0.0 and are not summed.  s = 0 with ``rho`` the slab-start
+    density is a full pass.
+
+    Returns the solved pairs, one per substep, the slab distance
     ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)``, a Parseval sum over
-    u_hat_j - v_hat_j.
+    u_hat_j - v_hat_j, and the density after the pass's first step, which
+    is the density at the start of the next pass's unsettled part.
     """
-    rho = rho0
-    out = []
+    out = pairs[:settled]
+    pairs[:settled] = [None] * len(out)
     total = 0.0
-    for j in range(len(pairs)):
-        vhat, w = pairs[j]
+    ahead = None
+    for j in range(settled, len(pairs)):
+        vhat, w = given = pairs[j]
         pairs[j] = None
-        pair = start if j == 0 else mom.pair(rho, t0 + j * dt)
-        out.append(pair)
-        total += grad_norm_sq_hat(rho0.grid, pair[0] - vhat)
+        if j > settled:
+            solved = mom.pair(rho, t0 + j * dt)
+        else:
+            solved = start if j == 0 else given
+        out.append(solved)
+        if j == 0 or j > settled:
+            total += grad_norm_sq_hat(mom.grid, solved[0] - vhat)
         rho, _ = continuity_step(rho, w, dt, mom.params)
-    return out, math.sqrt(dt * total)
+        if ahead is None:
+            ahead = rho
+    return out, math.sqrt(dt * total), ahead
 
 
-def _record(mom, pairs, rho, start, t0, dt, sink, store_every):
+def _record(mom, pairs, rho, t0, dt, sink, store_every, settled):
     """The recording pass of a converged slab.
 
     Advances rho from the slab start under the converged ``pairs``
-    (released as in :func:`_iterate`) through :func:`_account`; ``start``
-    serves substep 0 and every later velocity is a fresh solve from the
-    advected density (one extra half-iteration, within fp_tol of the
-    converged samples).  ``sink``, a Trajectory whose last entry is the
-    state at ``t0``, supplies the running ledger and records the later
-    states at the ``store_every`` cadence plus the final time.  Returns the
-    pair solved at the slab end.
+    (released as in :func:`_iterate`) through :func:`_account`.  It is the
+    next Picard pass with accounting: on its first ``settled`` + 1 substeps
+    (the slab's pass count) the solved pair is the converged pair itself,
+    and the start pair serves substep 0; every later velocity is a fresh
+    solve from the advected density (within fp_tol of the converged
+    samples).  ``sink``, a Trajectory whose last entry is the state at
+    ``t0``, supplies the running ledger and records the later states at the
+    ``store_every`` cadence plus the final time.  Returns the pair solved at
+    the slab end.
     """
     ledger = sink.ledgers[-1]
     for j in range(len(pairs)):
-        vhat, w = pairs[j]
+        given = pairs[j]
         pairs[j] = None
         tj = t0 + j * dt
-        pair = start if j == 0 else mom.pair(rho, tj)
+        pair = given if j <= settled else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
             sink.record(tj, rho, mom.velocity(pair), ledger)
-        what = mom.advecting_hat((vhat, w), tj)
-        rho, ledger = _account(ledger, rho, w, what, pair[0], tj, dt, mom.tensor, mom.params)
+        what = mom.advecting_hat(given, tj)
+        rho, ledger = _account(
+            ledger, rho, given[1], what, pair[0], tj, dt, mom.tensor, mom.params
+        )
     t1 = t0 + len(pairs) * dt
     end = mom.pair(rho, t1)
     sink.record(t1, rho, mom.velocity(end), ledger)
@@ -409,7 +442,7 @@ def apply_B(tensor, v_samples, rho0, f, params, slab):
     """
     mom = _Momentum(tensor, rho0.grid, f, params)
     start = mom.pair(rho0, slab.t0)
-    out, _ = _iterate(mom, mom.pairs(v_samples), rho0, start, slab.t0, slab.dt)
+    out, _, _ = _iterate(mom, mom.pairs(v_samples), rho0, start, slab.t0, slab.dt)
     return [mom.velocity(pair) for pair in out]
 
 
@@ -473,9 +506,13 @@ def _picard_slab(mom, rho0, start, slab, v0, traj, store_every):
         history = []
         diff_prev = None
         bad_streak = 0
+        settled, rho = 0, rho0
         try:
-            for _k in range(params.fp_max_iter):
-                v, diff = _iterate(mom, v, rho0, start, slab.t0, dt)
+            for k in range(1, params.fp_max_iter + 1):
+                v, diff, ahead = _iterate(mom, v, rho, start, slab.t0, dt, settled)
+                if k >= 2:
+                    # pass k + 1 reproduces substeps 0 ... k - 1 of pass k
+                    settled, rho = settled + 1, ahead
                 if diff_prev is not None and diff_prev > 0.0:
                     ratio = diff / diff_prev
                     history.append(ratio)
@@ -511,7 +548,7 @@ def _picard_slab(mom, rho0, start, slab, v0, traj, store_every):
     else:
         raise NoContraction("iterates kept outrunning the CFL budget")
 
-    end = _record(mom, v, rho0, start, slab.t0, dt, traj, store_every)
+    end = _record(mom, v, rho0, slab.t0, dt, traj, store_every, settled)
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
     return history, end
 

@@ -4,10 +4,15 @@ import re
 from operator import attrgetter
 
 import numpy as np
+import pytest
 
+from anisostokes import cli
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, parse_config
 from anisostokes.fields import read_snapshot
+from anisostokes.marching import NoContraction, SlabCollapse
+from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
+from anisostokes.transport import NegativeInput, NewtonFail
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -223,3 +228,29 @@ def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"FAIL config: {cfg}: line 13: forcing.path: cannot read ")
+
+
+def test_singular_stress_law_fails_the_solver_with_exit_code_3(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN + "viscosity.kind = constant\nviscosity.a = 0\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("FAIL solver: SingularSymbol: singular momentum symbol ")
+
+
+@pytest.mark.parametrize("error", [
+    NotCoercive("coercivity estimate 0.000e+00 is not positive"),
+    SingularSymbol("singular momentum symbol on 7 modes"),
+    KrylovNoConvergence(40, 1e-3, 1e-9),
+    NewtonFail("drag solve did not converge"),
+    NegativeInput("negative density"),
+    NoContraction("update ratios [1.2, 1.3, 1.4] on slab [0.0, 0.05]"),
+    SlabCollapse("slab shrank 6 times without contraction"),
+], ids=lambda error: type(error).__name__)
+def test_each_solver_failure_prints_one_line_and_exits_3(tmp_path, capsys, monkeypatch, error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "march", fail)
+    assert main(["run", write_cfg(tmp_path, SMALL_RUN), "--out", str(tmp_path / "art")]) == 3
+    assert capsys.readouterr().out == f"FAIL solver: {type(error).__name__}: {error}\n"

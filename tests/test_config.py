@@ -127,6 +127,7 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("forcing.kind = file", "forcing.kind"),
         ("viscosity.kind = constant", "viscosity.kind"),
         ("viscosity.kind = varying", "viscosity.kind"),
+        ("viscosity.files = ;\nviscosity.kind = varying", "viscosity.files"),
     ],
 )
 def test_out_of_range_run_and_study_keys_name_their_line(tmp_path, text, key):
@@ -387,10 +388,12 @@ def test_relative_snapshot_paths_resolve_against_the_config(tmp_path, monkeypatc
     ("forcing.breakpoints",
      "forcing.kind = file\n# two pieces\nforcing.breakpoints = 0:data/f.asf;1:data/{name}\n", 4),
 ], ids=["viscosity.files", "forcing.path", "forcing.breakpoints"])
-@pytest.mark.parametrize("name", ["missing.asf", "garbage.asf"])
+@pytest.mark.parametrize("name", ["missing.asf", "garbage.asf", "coarse.asf"])
 def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, line, name):
     g, cfg_dir, elsewhere, _coeff, _force = snapshot_dir(tmp_path)
     (cfg_dir / "data" / "garbage.asf").write_bytes(b"not a snapshot")
+    coarse = GridSpec(g.dim, g.n[0] // 2)
+    write_snapshot(str(cfg_dir / "data" / "coarse.asf"), make_initial(InitialSpec(), coarse), 0.0)
     # the same names relative to the cwd must not be picked up instead
     (elsewhere / "data").mkdir()
     (elsewhere / "data" / "missing.asf").write_bytes((cfg_dir / "data" / "f.asf").read_bytes())
@@ -399,7 +402,8 @@ def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, li
     with pytest.raises(ParseError) as err:
         make_forcing(parse_config(path).forcing, g)
     assert err.value.line == line
-    assert key in err.value.reason and name in err.value.reason
+    assert err.value.reason.startswith(f"{key}: ") and name in err.value.reason
+    assert ("grid does not match" in err.value.reason) == (name == "coarse.asf")
 
 
 def test_unknown_kinds_are_rejected(tmp_path):
@@ -534,8 +538,15 @@ def test_file_forcing_grid_mismatch(tmp_path):
     field = make_initial(InitialSpec(), g)
     snap = tmp_path / "f.asf"
     write_snapshot(str(snap), field, 0.0)
-    with pytest.raises(ValueError):
-        make_forcing(ForcingSpec(kind="file", path=str(snap)), GridSpec(1, 64))
+    with pytest.raises(ParseError) as err:
+        make_forcing(ForcingSpec(kind="file", path=str(snap), line=5), GridSpec(1, 64))
+    assert err.value.line == 5
+    assert err.value.reason.startswith("forcing.path: ")
+    spec = ForcingSpec(kind="file", breakpoints=((0.0, str(snap)),), line=6)
+    with pytest.raises(ParseError) as err:
+        make_forcing(spec, GridSpec(1, 64))
+    assert err.value.line == 6
+    assert err.value.reason.startswith("forcing.breakpoints: ")
 
 
 def test_unsorted_breakpoints_rejected(tmp_path):

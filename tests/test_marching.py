@@ -235,9 +235,10 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
     start = mom.pair(rho0, 0.0)
     dt = 0.005
     pairs = [start] * 4
-    out, dist = marching._iterate(mom, pairs, rho0, start, 0.0, dt)
+    out, dist, ahead = marching._iterate(mom, pairs, rho0, start, 0.0, dt)
     assert pairs == [None] * 4
     assert len(out) == 4 and out[0] is start
+    assert np.array_equal(ahead.data, continuity_step(rho0, start[1], dt, p)[0].data)
     total = sum(grad_norm_sq_hat(g, uhat - start[0]) for uhat, _w in out)
     assert dist == np.sqrt(dt * total)
     u0 = mom.velocity(start)
@@ -420,13 +421,81 @@ def test_march_does_each_slab_computation_once(monkeypatch):
     assert traj.slab_halvings == 0
     iters = [report[2] for report in traj.fixed_point_reports]
     steps = slab_steps(traj)
-    assert len(steps) >= 3 and min(iters) >= 2
+    assert len(steps) >= 3 and min(iters) >= 2 and max(iters) >= 3
     assert len(builds) == 1
-    # substep 0 of each slab reuses the velocity stored at the end of the
-    # previous one; only the very first state is solved up front
-    assert len(solves) == 1 + sum(k * (s - 1) + s for k, s in zip(iters, steps))
+    # pass k >= 3 of an s-substep slab skips the k - 2 substeps pass k - 1
+    # settled: s - k + 2 steps and s - k + 1 solves; passes 1 and 2 do s
+    # steps and s - 1 solves each
+    settled = [[max(k - 2, 0) for k in range(1, n + 1)] for n in iters]
+    solved = sum(s - 1 - m for skips, s in zip(settled, steps) for m in skips)
+    stepped = sum(s - m for skips, s in zip(settled, steps) for m in skips)
+    # the recording pass solves substeps j >= K of a slab that took K
+    # passes, plus the slab end; substep 0 of each slab reuses the velocity
+    # stored at the end of the previous one, and only the very first state
+    # is solved up front
+    recorded = sum(max(0, s - k) + 1 for k, s in zip(iters, steps))
+    assert len(solves) == 1 + solved + recorded
     assert len(accounted) == sum(steps)
-    assert len(steps_taken) - len(accounted) == sum(k * s for k, s in zip(iters, steps))
+    assert len(steps_taken) - len(accounted) == stepped
+
+
+def test_picard_passes_skip_only_what_the_previous_pass_settled():
+    tensor, rho0, p = multi_slab_scenario()
+    mom = _Momentum(tensor, rho0.grid, None, p)
+    start = mom.pair(rho0, 0.0)
+    steps, dt = 6, 0.005
+    zero = [(0.0, VectorField.zeros(rho0.grid))] * steps
+    full, skip = list(zero), list(zero)
+    settled, rho = 0, rho0
+    for k in range(1, steps + 2):
+        full, full_dist, _ = marching._iterate(mom, full, rho0, start, 0.0, dt)
+        skip, skip_dist, ahead = marching._iterate(mom, skip, rho, start, 0.0, dt, settled)
+        assert skip_dist == full_dist
+        assert (full_dist > 0.0) == (k <= steps)
+        for (a_hat, a), (b_hat, b) in zip(full, skip, strict=True):
+            assert np.array_equal(a_hat, b_hat) and np.array_equal(a.stacked(), b.stacked())
+        if k >= 2:
+            settled, rho = settled + 1, ahead
+
+
+def full_passes(monkeypatch):
+    """Make every Picard pass of a march, and its recording pass, solve every substep."""
+    iterate, record = marching._iterate, marching._record
+    slab_start = {}
+
+    def every_substep(mom, pairs, rho, start, t0, dt, settled=0):
+        if settled == 0:  # passes 1 and 2 start from the slab start
+            slab_start[t0] = rho
+        return iterate(mom, pairs, slab_start[t0], start, t0, dt)
+
+    monkeypatch.setattr(marching, "_iterate", every_substep)
+    monkeypatch.setattr(marching, "_record", lambda *args: record(*args[:-1], 0))
+
+
+def assert_same_trajectory(a, b):
+    assert a.times == b.times
+    for x, y in zip(a.densities, b.densities, strict=True):
+        assert np.array_equal(x.data, y.data)
+    for x, y in zip(a.velocities, b.velocities, strict=True):
+        assert np.array_equal(x.stacked(), y.stacked())
+    assert a.ledgers == b.ledgers
+    assert a.fixed_point_reports == b.fixed_point_reports
+
+
+def test_skipping_the_settled_prefix_changes_no_bit(monkeypatch):
+    tensor, rho0, p = multi_slab_scenario()
+    slab = Slab(0.0, 0.05, 10)
+    traj = march(tensor, rho0, None, p, 0.09, 0.03)
+    piece, history = picard_solve(tensor, rho0, None, p, slab)
+    assert max(report[2] for report in traj.fixed_point_reports) >= 3
+    assert len(history) + 1 >= 3
+    with monkeypatch.context() as patch:
+        full_passes(patch)
+        full = march(tensor, rho0, None, p, 0.09, 0.03)
+        full_piece, full_history = picard_solve(tensor, rho0, None, p, slab)
+    assert_same_trajectory(traj, full)
+    assert_same_trajectory(piece, full_piece)
+    assert history == full_history
 
 
 def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
