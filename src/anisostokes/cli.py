@@ -8,7 +8,15 @@ error is raised.  A config that cannot be parsed, or a snapshot it names
 that cannot be read, prints one ``FAIL config`` line and exits 2; a solver
 breakdown (a stress law that is not coercive or has a singular symbol, a
 Krylov or drag Newton solve that fails, a slab that does not contract)
-prints one ``FAIL solver`` line and exits 3.
+prints one ``FAIL solver`` line and exits 3.  That line names the config
+line of the stress law when the law is not coercive or has a singular
+symbol, and the slab (or step) when a solve fails inside a march.
+
+``run`` keeps every stored state of its march for the snapshots and the
+diagnostics table.  The studies stream: their marches hand each stored
+state to an observer that keeps only the scalars (or the final density)
+the study reports, so their memory does not grow with the number of
+stored states.
 """
 
 from __future__ import annotations
@@ -28,17 +36,21 @@ from anisostokes.config import (
     parse_config,
 )
 from anisostokes.diagnostics import (
+    defect_inequality,
     defect_inequality_audit,
+    defect_proxy,
+    energy_slacks,
     energy_violation,
     pressure_l2_audit,
     rows_for_trajectory,
+    worst_violation,
     write_csv,
     write_rows_csv,
 )
 from anisostokes.fields import write_snapshot
 from anisostokes.marching import NoContraction, SlabCollapse, direct_march, march
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
-from anisostokes.transport import NegativeInput, NewtonFail
+from anisostokes.transport import NegativeInput, NewtonFail, pressure_integral
 from anisostokes.viscosity import DiagNu, audit_hypotheses
 
 _SOLVER_FAILURES = (
@@ -58,7 +70,7 @@ def _audit(results, name, ok, detail):
     return bool(ok)
 
 
-def _march_config(cfg, params=None, tensor=None):
+def _march_config(cfg, params=None, tensor=None, observe=None):
     rho0 = make_initial(cfg.initial, cfg.grid)
     f = make_forcing(cfg.forcing, cfg.grid)
     return march(
@@ -69,7 +81,26 @@ def _march_config(cfg, params=None, tensor=None):
         cfg.t_end,
         cfg.slab,
         store_every=cfg.store_every,
+        observe=observe,
     )
+
+
+class _Series:
+    """An observer for ``march(..., observe=...)`` that keeps no fields but
+    the first and the last stored density, and ``each(rho)`` of every stored
+    state in time order."""
+
+    def __init__(self, each=None):
+        self.each = each
+        self.values = []
+        self.first = self.last = None
+
+    def __call__(self, _t, rho, _velocity, _ledger):
+        if self.first is None:
+            self.first = rho
+        self.last = rho
+        if self.each is not None:
+            self.values.append(self.each(rho))
 
 
 def _write_trajectory(traj, out_dir):
@@ -93,10 +124,8 @@ def _mass_identity(results, traj, name="mass-identity"):
     return worst
 
 
-def _energy_slack(results, traj, name="energy-slack"):
-    """Audit the energy budget against its initial pressure; return the violation."""
-    e0 = traj.initial_pressure_integral()
-    violation = energy_violation(traj)
+def _energy_slack(results, e0, violation, name="energy-slack"):
+    """Audit an energy violation against the initial pressure ``e0``; return it."""
     _audit(
         results,
         name,
@@ -125,7 +154,7 @@ def _standard_audits(traj, cfg, results):
             f"worst margin {traj.max_principle_margin:.3e}",
         )
 
-    _energy_slack(results, traj)
+    _energy_slack(results, traj.initial_pressure_integral(), energy_violation(traj))
 
     lhs, rhs, ok = defect_inequality_audit(traj, cfg.params.gamma, cfg.defect_params)
     _audit(
@@ -155,15 +184,18 @@ def cmd_sweep_delta(cfg, out_dir):
 
     finals = []
     for d in deltas:
-        traj = _march_config(cfg, params=replace(cfg.params, delta=d))
-        finals.append(traj.final_density)
+        final = _Series()
+        _march_config(cfg, params=replace(cfg.params, delta=d), observe=final)
+        finals.append(final.last)
 
     rho0 = make_initial(cfg.initial, cfg.grid)
     f = make_forcing(cfg.forcing, cfg.grid)
-    direct = direct_march(
+    final = _Series()
+    direct_march(
         cfg.tensor, rho0, f, replace(cfg.params, delta=0.0), cfg.t_end,
-        store_every=cfg.store_every,
-    ).final_density
+        store_every=cfg.store_every, observe=final,
+    )
+    direct = final.last
 
     gaps = [
         (finals[i + 1] - finals[i]).l2_norm() for i in range(len(finals) - 1)
@@ -198,10 +230,18 @@ def cmd_sweep_eps(cfg, out_dir):
     results = []
     rows = []
     pressures = []
+    gamma = cfg.params.gamma
     for level in cfg.sweep_eps_levels:
-        traj = _march_config(cfg, params=replace(cfg.params, eps=level, eta=level))
+        integrals = _Series(lambda rho: pressure_integral(rho, gamma))
+        traj = _march_config(
+            cfg, params=replace(cfg.params, eps=level, eta=level), observe=integrals
+        )
         defect = _mass_identity(results, traj, f"mass-identity[{level:g}]")
-        violation = _energy_slack(results, traj, f"energy-slack[{level:g}]")
+        e0 = integrals.values[0]
+        slacks = energy_slacks(e0, integrals.values, traj.ledgers, gamma)
+        violation = _energy_slack(
+            results, e0, worst_violation(slacks), f"energy-slack[{level:g}]"
+        )
         pl2 = pressure_l2_audit(traj)
         pressures.append(pl2)
         rows.append((level, defect, violation, pl2))
@@ -229,17 +269,22 @@ def cmd_defect_study(cfg, out_dir):
     if not isinstance(cfg.tensor, DiagNu):
         raise ValueError("the defect study scales a per-axis viscosity; use viscosity.kind = diag")
     base = cfg.tensor.nu
+    gamma = cfg.params.gamma
+    dps = [replace(cfg.defect_params, window=window) for window in cfg.defect_windows]
 
     rows = []
     all_ok = True
     for ratio in cfg.defect_ratios:
         nu = base[:-1] + (base[-1] * ratio,)
-        traj = _march_config(cfg, tensor=DiagNu(nu))
-        for window in cfg.defect_windows:
-            dp = replace(cfg.defect_params, window=window)
-            lhs, rhs, ok = defect_inequality_audit(traj, cfg.params.gamma, dp)
+        proxies = _Series(lambda rho: [defect_proxy(rho, gamma, dp) for dp in dps])
+        traj = _march_config(cfg, tensor=DiagNu(nu), observe=proxies)
+        for k, dp in enumerate(dps):
+            series = [row[k] for row in proxies.values]
+            lhs, rhs, ok = defect_inequality(
+                traj.times, series, proxies.first.max(), traj.ledgers[-1], traj.grid, gamma, dp
+            )
             all_ok = all_ok and ok
-            rows.append((ratio, window, lhs, rhs, "true" if ok else "false"))
+            rows.append((ratio, dp.window, lhs, rhs, "true" if ok else "false"))
     os.makedirs(out_dir, exist_ok=True)
     write_csv(os.path.join(out_dir, "defect_study.csv"), "ratio,window,lhs,rhs,passed", rows)
 
@@ -346,7 +391,10 @@ def main(argv=None):
     except ParseError as exc:
         return _config_failure(args.config, exc)
     except _SOLVER_FAILURES as exc:
-        print(f"FAIL solver: {type(exc).__name__}: {exc}")
+        where = ""
+        if isinstance(exc, (NotCoercive, SingularSymbol)) and cfg.tensor_line:
+            where = f" (stress law: line {cfg.tensor_line})"
+        print(f"FAIL solver: {type(exc).__name__}: {exc}{where}")
         return 3
 
     failed = [name for name, ok in results if not ok]

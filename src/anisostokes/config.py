@@ -74,12 +74,16 @@ class ForcingSpec:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A parsed configuration; ``tensor_line`` is the config line of the key
+    that sets the stress law (0 when the file leaves it to the default)."""
+
     grid: GridSpec
     params: SolverParams
     tensor: object
     initial: InitialSpec
     forcing: ForcingSpec
     defect_params: DefectParams
+    tensor_line: int = 0
     commutator_delta: float = 0.0
     t_end: float = 0.1
     slab: float = 0.05
@@ -186,6 +190,9 @@ KEYS = {
     "defect.windows": _Key("integers", "defect_windows", _WINDOWS),
 }
 
+
+# the key holding the stress law of each viscosity.kind
+_LAW_KEY = {"diag": "viscosity.nu", "constant": "viscosity.a", "varying": "viscosity.files"}
 
 # kind key, kind, and the keys of which that kind needs one
 _KIND_NEEDS = (
@@ -357,6 +364,7 @@ def parse_config(path):
         raise ParseError(lines.get(key, 0), str(exc)) from exc
 
     forcing_key = "forcing.breakpoints" if value["forcing.breakpoints"] else "forcing.path"
+    law_key = _LAW_KEY[value["viscosity.kind"]]
     return RunConfig(
         grid=grid,
         params=params,
@@ -364,6 +372,7 @@ def parse_config(path):
         initial=InitialSpec(**held["initial"]),
         forcing=ForcingSpec(**held["forcing"], line=lines.get(forcing_key, 0)),
         defect_params=DefectParams(**held["defect_params"]),
+        tensor_line=lines.get(law_key) or lines.get("viscosity.kind", 0),
         **held[""],
     )
 

@@ -5,6 +5,12 @@ energy budget with its slack, the running pressure L2 norm, the windowed
 oscillation-defect proxy with its time-integrated inequality, the mollifier
 transport commutator, and the per-time CSV rows.  Nothing feeds back into
 the solver.
+
+The energy and defect audits also have a streamed form for marches that
+hand their states to an observer instead of storing them: the per-state
+inputs (``pressure_integral``, :func:`defect_proxy`) are taken one
+state at a time, and :func:`energy_slacks` and :func:`defect_inequality`
+do the arithmetic that the Trajectory forms do through them.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from anisostokes.fields import ScalarField, commutator_residual, div
-from anisostokes.transport import pressure_field
+from anisostokes.transport import pressure_field, pressure_integral
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -58,33 +64,44 @@ class DefectParams:
             raise ValueError("slack_tolerance must be nonnegative")
 
 
-def energy_audit(traj, gamma=None):
-    """Energy-budget slack at every stored time.
+def energy_slacks(e0, pressures, ledgers, gamma):
+    """Energy-budget slack of each state from its int rho^gamma and ledger.
 
     slack(t) = E0 - [ int rho^gamma(t) + (gamma-1) * work_cum(t)
                       + drag energy terms + density-gradient dissipation ],
-    where E0 is the initial pressure integral.  Nonnegative slack means the
-    discrete run dissipates at least as much as the budget requires; small
-    negative values are splitting error and must shrink under dt refinement.
+    where ``e0`` is the initial pressure integral.  Nonnegative slack means
+    the discrete run dissipates at least as much as the budget requires;
+    small negative values are splitting error and must shrink under dt
+    refinement.
     """
-    g = traj.params.gamma if gamma is None else gamma
-    e0 = traj.initial_pressure_integral()
-    slacks = []
-    for rho, led in zip(traj.densities, traj.ledgers):
-        spent = (
-            pressure_field(rho, g).integral()
-            + (g - 1.0) * led.work_cum
+    return [
+        e0
+        - (
+            p
+            + (gamma - 1.0) * led.work_cum
             + led.drag_hi_cum
             + led.drag_lo_cum
             + led.grad_rho_gamma_half_cum
         )
-        slacks.append(e0 - spent)
-    return slacks
+        for p, led in zip(pressures, ledgers)
+    ]
+
+
+def worst_violation(slacks):
+    """Magnitude of the worst negative energy slack (0 when none)."""
+    return max(0.0, -min(slacks))
+
+
+def energy_audit(traj, gamma=None):
+    """Energy-budget slack at every stored time (see :func:`energy_slacks`)."""
+    g = traj.params.gamma if gamma is None else gamma
+    pressures = (pressure_integral(rho, g) for rho in traj.densities)
+    return energy_slacks(traj.initial_pressure_integral(), pressures, traj.ledgers, g)
 
 
 def energy_violation(traj, gamma=None):
     """Magnitude of the worst negative energy slack (0 when none)."""
-    return max(0.0, -min(energy_audit(traj, gamma)))
+    return worst_violation(energy_audit(traj, gamma))
 
 
 def pressure_l2_audit(traj):
@@ -131,25 +148,33 @@ def defect_proxy(rho, gamma, dp):
     return total - grid.volume * dp.h_reg ** (1.0 / gamma)
 
 
-def defect_inequality_audit(traj, gamma, dp):
-    """Time-integrated defect inequality: returns (lhs, rhs, passed).
+def defect_inequality(times, series, rho0_max, ledger, grid, gamma, dp):
+    """Time-integrated defect inequality from the proxy series: (lhs, rhs, passed).
 
-    lhs integrates the windowed proxy over the trajectory (trapezoid on
-    stored samples); rhs is the initial proxy carried flat over the horizon,
-    plus the h-regularization correction h^(1/gamma) * int int |div w|, plus
-    a slack proportional to the horizon, volume and density scale.
+    ``series`` holds :func:`defect_proxy` at each of ``times``,
+    ``rho0_max`` is the initial density's maximum and ``ledger`` the final
+    one.  lhs integrates the proxy (trapezoid on the samples); rhs is the
+    initial proxy carried flat over the horizon, plus the h-regularization
+    correction h^(1/gamma) * int int |div w|, plus a slack proportional to
+    the horizon, volume and density scale.
     """
-    series = [defect_proxy(r, gamma, dp) for r in traj.densities]
-    times = traj.times
     horizon = times[-1] - times[0]
     lhs = float(np.trapezoid(series, times)) if len(times) > 1 else 0.0
-    scale = horizon * traj.grid.volume * (1.0 + traj.densities[0].max())
+    scale = horizon * grid.volume * (1.0 + rho0_max)
     rhs = (
         horizon * series[0]
-        + dp.h_reg ** (1.0 / gamma) * traj.ledgers[-1].divu_l1_cum
+        + dp.h_reg ** (1.0 / gamma) * ledger.divu_l1_cum
         + dp.slack_tolerance * scale
     )
     return lhs, rhs, lhs <= rhs
+
+
+def defect_inequality_audit(traj, gamma, dp):
+    """:func:`defect_inequality` over a stored trajectory."""
+    series = [defect_proxy(r, gamma, dp) for r in traj.densities]
+    return defect_inequality(
+        traj.times, series, traj.densities[0].max(), traj.ledgers[-1], traj.grid, gamma, dp
+    )
 
 
 def commutator_audit(traj, deltas):
@@ -183,7 +208,7 @@ def rows_for_trajectory(traj, dp=None, commutator_delta=0.0):
                 mass=led.mass_now,
                 drag2g_cum=led.drag2g_cum,
                 drag3_cum=led.drag3_cum,
-                pgamma_integral=pressure_field(rho, g).integral(),
+                pgamma_integral=pressure_integral(rho, g),
                 dissipation_cum=(g - 1.0) * led.work_cum,
                 grad_rho_gamma_half_cum=led.grad_rho_gamma_half_cum,
                 energy_slack=slacks[i],

@@ -52,12 +52,28 @@ each state with its ledger through ``Trajectory.record``.  Velocities inside
 a slab are piecewise constant per substep; each stored (rho, u) pair has u
 freshly solved from rho, so the momentum residual contract holds sample by
 sample.
+
+A stored state reaches ``Trajectory.record`` with its velocity as a
+zero-argument callable that synthesizes u once, on first call.  By default
+the trajectory keeps every (rho, u).  ``march`` and ``direct_march`` also
+take an ``observe(t, rho, velocity, ledger)`` callback instead: each stored
+state goes to it once, in time order, the trajectory keeps only the times,
+the ledgers and the slab reports, and u is made only if the observer or the
+march asks for it (the march does at slab starts, to size the substeps).
+The march itself carries the state each slab starts from (:class:`_Stored`),
+so it never reads a field back from the trajectory.
+
+A solve failure inside a march (:class:`KrylovNoConvergence`,
+:class:`NewtonFail`, :class:`NegativeInput`) keeps its class and gets the
+slab interval, or for ``direct_march`` the step time, added to its message.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,15 +88,18 @@ from anisostokes.fields import (
     jacobian_hat,
     mollify,
 )
-from anisostokes.stokes import StokesOperator, solve
+from anisostokes.stokes import KrylovNoConvergence, StokesOperator, solve
 from anisostokes.transport import (
     _TINY_SPEED,
     CFLBreach,
+    NegativeInput,
+    NewtonFail,
     SolverParams,
     cfl_dt,
     check_cfl,
     continuity_step,
     pressure_field,
+    pressure_integral,
 )
 from anisostokes.viscosity import apply_tau
 
@@ -89,6 +108,7 @@ logger = logging.getLogger("anisostokes")
 _CFL_GROWTH_MARGIN = 1.25
 _MAX_CFL_RETRIES = 8
 _MAX_SLAB_HALVINGS = 6
+_SOLVE_FAILURES = (KrylovNoConvergence, NewtonFail, NegativeInput)
 
 
 class NoContraction(Exception):
@@ -215,7 +235,9 @@ class Trajectory:
     """Stored time samples of the coupled run, each with its ledger.
 
     Lists are parallel: entry i holds the state at ``times[i]`` and the
-    :class:`Ledger` of the march up to that time.
+    :class:`Ledger` of the march up to that time.  With an ``observe``
+    callback the states go to it instead, and ``densities`` and
+    ``velocities`` stay empty.
     """
 
     grid: object
@@ -227,6 +249,7 @@ class Trajectory:
     ledgers: list = field(default_factory=list)
     slab_halvings: int = 0
     fixed_point_reports: list = field(default_factory=list)
+    observe: object = None
 
     def __len__(self):
         return len(self.times)
@@ -248,14 +271,55 @@ class Trajectory:
         return self.ledgers[-1].max_principle_margin
 
     def initial_pressure_integral(self):
-        return pressure_field(self.densities[0], self.params.gamma).integral()
+        return pressure_integral(self.densities[0], self.params.gamma)
 
-    def record(self, t, rho, u, ledger):
-        """Store the state at ``t`` with the ledger of the march up to ``t``."""
+    def record(self, t, rho, velocity, ledger):
+        """Store the state at ``t`` with the ledger of the march up to ``t``.
+
+        ``velocity`` is a zero-argument callable making u.  Without an
+        observer it is called and u stored; with one, the state goes to
+        ``observe(t, rho, velocity, ledger)`` and only t and the ledger stay.
+        """
         self.times.append(t)
-        self.densities.append(rho)
-        self.velocities.append(u)
         self.ledgers.append(ledger)
+        if self.observe is None:
+            self.densities.append(rho)
+            self.velocities.append(velocity())
+        else:
+            self.observe(t, rho, velocity, ledger)
+
+
+@dataclass(frozen=True)
+class _Stored:
+    """A stored state as a march carries it to the next slab.
+
+    ``pair`` is the (u_hat, w) pair solved from ``rho`` at ``t``,
+    ``velocity`` the memoized callable of its real u that the trajectory
+    was given, and ``ledger`` the accounts up to ``t``.
+    """
+
+    t: float
+    rho: ScalarField
+    pair: tuple
+    velocity: object
+    ledger: Ledger
+
+
+def _store(traj, mom, t, rho, pair, ledger):
+    """Record the state at ``t`` into ``traj`` and return it as a :class:`_Stored`."""
+    state = _Stored(t, rho, pair, mom.lazy_velocity(pair), ledger)
+    traj.record(t, rho, state.velocity, ledger)
+    return state
+
+
+@contextmanager
+def _located(where):
+    """Add ``where`` to the message of a solve failure raised inside."""
+    try:
+        yield
+    except _SOLVE_FAILURES as exc:
+        exc.args = (f"{exc} {where}",)
+        raise
 
 
 class _Momentum:
@@ -342,6 +406,10 @@ class _Momentum:
             return w
         return VectorField.from_arrays(w.grid, w.grid.irfft(uhat))
 
+    def lazy_velocity(self, pair):
+        """:meth:`velocity` of ``pair`` as a callable that makes it once, on first call."""
+        return functools.cache(functools.partial(self.velocity, pair))
+
     def advecting_hat(self, pair, t):
         """The half spectrum of the pair's w: u_hat without a kernel, K u_hat
         in symbol mode, the transform of w otherwise."""
@@ -401,36 +469,33 @@ def _iterate(mom, pairs, rho, start, t0, dt, settled=0):
     return out, math.sqrt(dt * total), ahead
 
 
-def _record(mom, pairs, rho, t0, dt, sink, store_every, settled):
+def _record(mom, pairs, start, dt, traj, store_every, settled):
     """The recording pass of a converged slab.
 
-    Advances rho from the slab start under the converged ``pairs``
-    (released as in :func:`_iterate`) through :func:`_account`.  It is the
-    next Picard pass with accounting: on its first ``settled`` + 1 substeps
-    (the slab's pass count) the solved pair is the converged pair itself,
-    and the start pair serves substep 0; every later velocity is a fresh
-    solve from the advected density (within fp_tol of the converged
-    samples).  ``sink``, a Trajectory whose last entry is the state at
-    ``t0``, supplies the running ledger and records the later states at the
-    ``store_every`` cadence plus the final time.  Returns the pair solved at
-    the slab end.
+    Advances rho from the slab-start state ``start`` (a :class:`_Stored`)
+    under the converged ``pairs`` (released as in :func:`_iterate`) through
+    :func:`_account`.  It is the next Picard pass with accounting: on its
+    first ``settled`` + 1 substeps (the slab's pass count) the solved pair
+    is the converged pair itself, and the start pair serves substep 0;
+    every later velocity is a fresh solve from the advected density (within
+    fp_tol of the converged samples).  The later states go to ``traj`` at
+    the ``store_every`` cadence plus the final time.  Returns the stored
+    state at the slab end.
     """
-    ledger = sink.ledgers[-1]
+    t0, rho, ledger = start.t, start.rho, start.ledger
     for j in range(len(pairs)):
         given = pairs[j]
         pairs[j] = None
         tj = t0 + j * dt
         pair = given if j <= settled else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
-            sink.record(tj, rho, mom.velocity(pair), ledger)
+            traj.record(tj, rho, mom.lazy_velocity(pair), ledger)
         what = mom.advecting_hat(given, tj)
         rho, ledger = _account(
             ledger, rho, given[1], what, pair[0], tj, dt, mom.tensor, mom.params
         )
     t1 = t0 + len(pairs) * dt
-    end = mom.pair(rho, t1)
-    sink.record(t1, rho, mom.velocity(end), ledger)
-    return end
+    return _store(traj, mom, t1, rho, mom.pair(rho, t1), ledger)
 
 
 def apply_B(tensor, v_samples, rho0, f, params, slab):
@@ -472,29 +537,28 @@ def picard_solve(
     given the last ledger of the one before, gives bit-identical results.
     """
     mom = _Momentum(tensor, rho0.grid, f, params)
-    start = mom.pair(rho0, slab.t0)
     traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
     if ledger is None:
         ledger = Ledger.fresh(rho0)
-    traj.record(slab.t0, rho0, mom.velocity(start), ledger)
+    start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0, slab.t0), ledger)
     v0 = None if v0 is None else mom.pairs(v0)
-    history, _end = _picard_slab(mom, rho0, start, slab, v0, traj, store_every)
+    history, _end = _picard_slab(mom, start, slab, v0, traj, store_every)
     return traj, history
 
 
-def _picard_slab(mom, rho0, start, slab, v0, traj, store_every):
+def _picard_slab(mom, start, slab, v0, traj, store_every):
     """The fixed-point solve behind :func:`picard_solve` on a shared momentum object.
 
-    ``start`` is the (u_hat, w) pair solved from ``rho0`` at ``slab.t0``;
-    it serves substep 0 of every pass.  ``v0`` is a list of (v_hat, w)
-    pairs or None for the zero start.  The converged iterates must pass the
-    CFL check too, since the recording pass advects with them.  Once they
-    do, the slab is recorded into ``traj``, which ends at the slab start and
-    supplies the running ledger; a NoContraction leaves it untouched.
-    Returns the contraction history and the pair solved at the slab end.
+    ``start`` is the stored state at ``slab.t0``; its pair serves substep 0
+    of every pass.  ``v0`` is a list of (v_hat, w) pairs or None for the
+    zero start.  The converged iterates must pass the CFL check too, since
+    the recording pass advects with them.  Once they do, the slab is
+    recorded into ``traj``; a NoContraction leaves it untouched.  Returns
+    the contraction history and the stored state at the slab end.
     """
     params = mom.params
     steps = slab.steps
+    rho0 = start.rho
     if v0 is None:
         v0 = [(0.0, VectorField.zeros(mom.grid))]
 
@@ -509,7 +573,7 @@ def _picard_slab(mom, rho0, start, slab, v0, traj, store_every):
         settled, rho = 0, rho0
         try:
             for k in range(1, params.fp_max_iter + 1):
-                v, diff, ahead = _iterate(mom, v, rho, start, slab.t0, dt, settled)
+                v, diff, ahead = _iterate(mom, v, rho, start.pair, slab.t0, dt, settled)
                 if k >= 2:
                     # pass k + 1 reproduces substeps 0 ... k - 1 of pass k
                     settled, rho = settled + 1, ahead
@@ -548,7 +612,7 @@ def _picard_slab(mom, rho0, start, slab, v0, traj, store_every):
     else:
         raise NoContraction("iterates kept outrunning the CFL budget")
 
-    end = _record(mom, v, rho0, slab.t0, dt, traj, store_every, settled)
+    end = _record(mom, v, start, dt, traj, store_every, settled)
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
     return history, end
 
@@ -562,31 +626,32 @@ def _estimate_steps(duration, u, params):
     return max(1, math.ceil(duration / limit))
 
 
-def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
+def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, observe=None):
     """Chain fixed-point slabs to t_end, halving the slab length on failure.
 
     One momentum object and one trajectory serve every slab; the initial
     state is recorded once, and each slab starts from the last stored state
     (whose velocity was solved from that same density at that same time)
     and its ledger.  For time-dependent tensors the momentum object keeps
-    only the operators of the current slab's substep times.
+    only the operators of the current slab's substep times.  ``observe``,
+    if given, receives each stored state instead of the trajectory (see
+    :meth:`Trajectory.record`).
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     mom = _Momentum(tensor, rho0.grid, f, params)
-    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
-    pair = mom.pair(rho0, 0.0)
-    traj.record(0.0, rho0, mom.velocity(pair), Ledger.fresh(rho0))
+    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor, observe=observe)
+    with _located("at t = 0.0"):
+        state = _store(traj, mom, 0.0, rho0, mom.pair(rho0, 0.0), Ledger.fresh(rho0))
     length = slab_len
     halvings = 0
-    while traj.final_time < t_end - 1e-12 * max(1.0, t_end):
-        t = traj.final_time
-        duration = min(length, t_end - t)
-        slab = Slab(t, t + duration, _estimate_steps(duration, traj.velocities[-1], params))
+    while state.t < t_end - 1e-12 * max(1.0, t_end):
+        duration = min(length, t_end - state.t)
+        steps = _estimate_steps(duration, state.velocity(), params)
+        slab = Slab(state.t, state.t + duration, steps)
         try:
-            _history, pair = _picard_slab(
-                mom, traj.final_density, pair, slab, None, traj, store_every
-            )
+            with _located(f"on slab [{slab.t0}, {slab.t1}]"):
+                _history, state = _picard_slab(mom, state, slab, None, traj, store_every)
         except NoContraction as fail:
             halvings += 1
             if halvings > _MAX_SLAB_HALVINGS:
@@ -599,26 +664,31 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1):
     return traj
 
 
-def direct_march(tensor, rho0, f, params, t_end, store_every=1):
-    """Semi-implicit coupled stepping without mollification (delta = 0)."""
+def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
+    """Semi-implicit coupled stepping without mollification (delta = 0).
+
+    ``observe`` is as for :func:`march`.
+    """
     if params.delta != 0.0:
         raise ValueError("direct_march requires params.delta = 0")
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     mom = _Momentum(tensor, rho0.grid, f, params)
-    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
+    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor, observe=observe)
     ledger = Ledger.fresh(rho0)
     rho = rho0
     t = 0.0
     step_index = 0
-    uhat, u = mom.pair(rho, t)
-    traj.record(t, rho, u, ledger)
+    with _located("at t = 0.0"):
+        uhat, u = pair = mom.pair(rho, t)
+    traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
-        rho, ledger = _account(ledger, rho, u, uhat, uhat, t, dt, tensor, params)
+        with _located(f"in the step from t = {t}"):
+            rho, ledger = _account(ledger, rho, u, uhat, uhat, t, dt, tensor, params)
+            uhat, u = pair = mom.pair(rho, t + dt)
         t += dt
         step_index += 1
-        uhat, u = mom.pair(rho, t)
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
-            traj.record(t, rho, u, ledger)
+            traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     return traj

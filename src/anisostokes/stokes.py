@@ -60,13 +60,24 @@ def _wavevectors(grid):
 
 
 def _div_tensor(grid, tau):
-    """Row divergence (div tau)_i = sum_j d_j tau_ij, spectrally."""
+    """Row divergence (div tau)_i = sum_j d_j tau_ij, spectrally.
+
+    The stress of a minor-symmetric law is symmetric bit for bit, so only
+    tau_ij with j >= i is transformed; row j takes tau_ji from the transform
+    of tau_ij, kept until then.
+    """
     d = grid.dim
+    upper = {}
     comps = []
     for i in range(d):
         acc = np.zeros(grid.shape, dtype=complex)
         for j in range(d):
-            that = np.fft.fftn(tau[i, j])
+            if j < i:
+                that = upper.pop((j, i))
+            else:
+                that = np.fft.fftn(tau[i, j])
+                if j > i:
+                    upper[i, j] = that
             acc += 1j * grid.deriv_wavenumbers[j] * that
         comps.append(np.fft.ifftn(acc).real)
     return VectorField.from_arrays(grid, comps)

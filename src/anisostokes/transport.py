@@ -114,6 +114,11 @@ def pressure_field(rho, gamma):
     return ScalarField(rho.grid, rho.data**gamma)
 
 
+def pressure_integral(rho, gamma):
+    """int rho^gamma of one state, the pressure term of the energy budget."""
+    return pressure_field(rho, gamma).integral()
+
+
 # ----------------------------------------------------------------------
 # substeps
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from anisostokes import cli
+from anisostokes import cli, marching
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, parse_config
 from anisostokes.fields import read_snapshot
@@ -184,10 +184,7 @@ def test_sweep_eps_writes_table(tmp_path, capsys):
     assert len(lines) == 3
 
 
-def test_defect_study_writes_ratio_window_grid(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        """
+DEFECT_STUDY = """
 grid.dim = 2
 grid.n = 32
 params.gamma = 2.0
@@ -202,8 +199,11 @@ run.slab = 0.04
 run.dt_max = 0.005
 defect.ratios = 1,4
 defect.windows = 4,8
-""",
-    )
+"""
+
+
+def test_defect_study_writes_ratio_window_grid(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, DEFECT_STUDY)
     out = tmp_path / "art"
     code = main(["defect-study", cfg, "--strict", "--out", str(out)])
     assert code == 0
@@ -236,6 +236,99 @@ def test_singular_stress_law_fails_the_solver_with_exit_code_3(tmp_path, capsys)
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith("FAIL solver: SingularSymbol: singular momentum symbol ")
+    assert lines[0].endswith(" (stress law: line 13)")
+
+
+def test_non_coercive_stress_law_names_its_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN + "viscosity.a = -1\nviscosity.kind = constant\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
+    assert capsys.readouterr().out == (
+        "FAIL solver: NotCoercive: coercivity estimate -1.000e+00 is not positive"
+        " (stress law: line 12)\n"
+    )
+
+
+def failing_pair(monkeypatch, error, after, kernel=True):
+    """Make each momentum solve after time ``after`` raise ``error``; with
+    ``kernel`` False only those of unmollified marches."""
+    pair = marching._Momentum.pair
+
+    def failing(self, rho, t):
+        if t > after and (kernel or self.kernel is None):
+            raise error
+        return pair(self, rho, t)
+
+    monkeypatch.setattr(marching._Momentum, "pair", failing)
+
+
+@pytest.mark.parametrize("error", [
+    KrylovNoConvergence(40, 1e-3, 1e-9),
+    NewtonFail("drag solve stalled at residual 1.000e-03"),
+    NegativeInput("density has negative samples (min -1.000e-03)"),
+], ids=lambda error: type(error).__name__)
+def test_solve_failure_in_a_march_names_its_slab(tmp_path, capsys, monkeypatch, error):
+    text = str(error)
+    failing_pair(monkeypatch, error, after=0.03)
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.slab = 0.05", "run.slab = 0.025"))
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    found = re.fullmatch(
+        rf"FAIL solver: {type(error).__name__}: (.*) on slab \[(\S+), (\S+)\]", lines[0]
+    )
+    assert found and found[1] == text
+    assert float(found[2]) == pytest.approx(0.025) and float(found[3]) == pytest.approx(0.05)
+
+
+def test_solve_failure_in_a_direct_march_names_its_step(tmp_path, capsys, monkeypatch):
+    failing_pair(monkeypatch, NewtonFail("drag solve stalled"), after=0.01, kernel=False)
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03")
+                    + "sweep.deltas = 0.4,0.2,0.1\n")
+    assert main(["sweep-delta", cfg, "--out", str(tmp_path / "art")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    found = re.fullmatch(r"FAIL solver: NewtonFail: drag solve stalled in the step from t = (\S+)",
+                         lines[0])
+    assert found and 0.0 < float(found[1]) <= 0.01
+
+
+def replayed(driver):
+    """``driver`` run without its observer, which then gets the stored states."""
+
+    def run(*args, observe, **kwargs):
+        traj = driver(*args, **kwargs)
+        assert len(traj.densities) == len(traj)
+        for t, rho, u, ledger in zip(traj.times, traj.densities, traj.velocities, traj.ledgers):
+            observe(t, rho, lambda u=u: u, ledger)
+        return traj
+
+    return run
+
+
+@pytest.mark.parametrize("study, extra", [
+    ("defect-study", None),
+    ("sweep-delta", "sweep.deltas = 0.4,0.2,0.1\n"),
+    ("sweep-eps", "sweep.eps_levels = 0.1,0.01\n"),
+])
+def test_studies_write_the_same_bytes_as_stored_marches(tmp_path, capsys, monkeypatch,
+                                                         study, extra):
+    if extra is None:
+        text = DEFECT_STUDY
+    else:
+        text = SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03") + extra
+    cfg = write_cfg(tmp_path, text)
+    runs = []
+    for replay in (False, True):
+        with monkeypatch.context() as patch:
+            if replay:
+                patch.setattr(cli, "march", replayed(cli.march))
+                patch.setattr(cli, "direct_march", replayed(cli.direct_march))
+            out = tmp_path / f"art{replay}"
+            assert main([study, cfg, "--strict", "--out", str(out)]) == 0
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
+    assert runs[0] == runs[1]
+    assert len(runs[0][0]) == 1 and "PASS" in runs[0][1]
 
 
 @pytest.mark.parametrize("error", [

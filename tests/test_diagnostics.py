@@ -8,18 +8,21 @@ from anisostokes.diagnostics import (
     CSV_HEADER,
     DefectParams,
     commutator_audit,
+    defect_inequality,
     defect_inequality_audit,
     defect_proxy,
     effective_flux,
     energy_audit,
+    energy_slacks,
     energy_violation,
     pressure_l2_audit,
     rows_for_trajectory,
+    worst_violation,
     write_rows_csv,
 )
 from anisostokes.fields import GridSpec, ScalarField, VectorField
 from anisostokes.marching import march
-from anisostokes.transport import SolverParams
+from anisostokes.transport import SolverParams, pressure_integral
 from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor, viscous_work
 
 
@@ -210,6 +213,34 @@ def test_defect_inequality_zero_horizon():
     lhs, rhs, ok = defect_inequality_audit(traj, 2.0, DefectParams(window=8))
     assert lhs == 0.0
     assert ok
+
+
+def test_streamed_audits_match_the_trajectory_forms():
+    # an observed march keeps no fields; the studies feed the audits the
+    # per-state scalars instead, and must get the same bits
+    g = GridSpec(2, 16)
+    x, y = g.meshgrid()
+    rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.cos(2 * y))
+    p = SolverParams(gamma=2.0, eps=0.01, delta=0.3, eta=0.05, dt_max=5e-3)
+    tensor = DiagNu((1.0, 2.0))
+    traj = march(tensor, rho0, None, p, 0.03, 0.015)
+    dp = DefectParams(window=4)
+    pressures, proxies, maxima = [], [], []
+
+    def observe(t, rho, velocity, ledger):
+        maxima.append(rho.max())
+        pressures.append(pressure_integral(rho, 2.0))
+        proxies.append(defect_proxy(rho, 2.0, dp))
+
+    streamed = march(tensor, rho0, None, p, 0.03, 0.015, observe=observe)
+    assert streamed.densities == [] and streamed.velocities == []
+    assert len(pressures) == len(streamed) == len(traj)
+    assert energy_slacks(pressures[0], pressures, streamed.ledgers, 2.0) == energy_audit(traj)
+    assert traj.initial_pressure_integral() == pressures[0]
+    assert worst_violation(energy_audit(traj)) == energy_violation(traj)
+    assert defect_inequality(
+        streamed.times, proxies, maxima[0], streamed.ledgers[-1], g, 2.0, dp
+    ) == defect_inequality_audit(traj, 2.0, dp)
 
 
 # ------------------------------------------------------------ commutator

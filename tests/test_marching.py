@@ -1,9 +1,11 @@
 """Fixed-point slab tests: contraction, chaining, halving, direct stepping."""
 
+import gc
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -581,6 +583,113 @@ def test_symbol_march_never_loads_the_stencil_or_krylov_modules():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------ observers
+
+def observing(seen, call_velocity=True):
+    """An observer appending (t, rho, u or None, ledger) to ``seen``."""
+
+    def observe(t, rho, velocity, ledger):
+        seen.append((t, rho, velocity() if call_velocity else None, ledger))
+
+    return observe
+
+
+def observer_cases():
+    """(driver, args, kwargs) for a symbol march stored every other substep,
+    a Krylov march and a direct march."""
+    tensor, rho0, p = multi_slab_scenario()
+    g = GridSpec(2, 16)
+    return [
+        (march, (tensor, rho0, None, p, 0.09, 0.03), {"store_every": 2}),
+        (march, (krylov_case_tensor(g), cosine_density(g), None, p, 0.02, 0.01), {}),
+        (direct_march, (tensor, rho0, None, canonical_params(delta=0.0), 0.03), {}),
+    ]
+
+
+@pytest.mark.parametrize("case", range(3), ids=["symbol", "krylov", "direct"])
+def test_observer_sees_the_stored_states_and_the_trajectory_keeps_no_fields(case):
+    driver, args, kwargs = observer_cases()[case]
+    traj = driver(*args, **kwargs)
+    seen = []
+    observed = driver(*args, observe=observing(seen), **kwargs)
+    assert observed.densities == [] and observed.velocities == []
+    assert observed.times == traj.times and [s[0] for s in seen] == traj.times
+    assert observed.ledgers == traj.ledgers and [s[3] for s in seen] == traj.ledgers
+    assert observed.fixed_point_reports == traj.fixed_point_reports
+    assert observed.slab_halvings == traj.slab_halvings
+    assert len(observed) == len(traj) >= 3
+    for (_t, rho, u, _ledger), rho_kept, u_kept in zip(seen, traj.densities, traj.velocities):
+        assert np.array_equal(rho.data, rho_kept.data)
+        assert np.array_equal(u.stacked(), u_kept.stacked())
+
+
+def test_observed_march_makes_velocities_only_at_slab_ends(monkeypatch):
+    tensor, rho0, p = multi_slab_scenario()
+    made = counting(monkeypatch, _Momentum, "velocity", lambda args: None)
+    traj = march(tensor, rho0, None, p, 0.09, 0.03)
+    assert len(made) == len(traj)
+    made.clear()
+    # the march sizes each slab from the velocity of the state it starts
+    # from: the initial state and every slab end but the last
+    quiet = march(tensor, rho0, None, p, 0.09, 0.03, observe=observing([], False))
+    assert len(made) == len(quiet.fixed_point_reports) >= 3
+    assert len(made) < len(quiet) - 1
+    made.clear()
+    # an observer that asks twice still gets each velocity made once
+    seen = []
+
+    def twice(t, rho, velocity, ledger):
+        assert velocity() is velocity()
+        seen.append(t)
+
+    march(tensor, rho0, None, p, 0.09, 0.03, observe=twice)
+    assert len(made) == len(seen) == len(traj)
+
+
+def retained(run):
+    """``run()`` and the bytes still allocated when it returns, its result held."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = run()
+        gc.collect()
+        return kept, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_observed_march_memory_does_not_grow_with_stored_states():
+    # tracemalloc sees numpy buffers: a stored march keeps a density and a
+    # velocity per state, an observed one (keeping a scalar per state, as
+    # the studies do) less than one density field per state
+    g = GridSpec(2, 32)
+    x, y = g.meshgrid()
+    rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.cos(y))
+    p = canonical_params(delta=0.3, dt_max=0.005)
+    field_bytes = rho0.data.nbytes
+
+    def stored(t_end):
+        return march(DiagNu((1.0, 2.0)), rho0, None, p, t_end, t_end), None
+
+    def observed(t_end):
+        maxima = []
+        traj = march(DiagNu((1.0, 2.0)), rho0, None, p, t_end, t_end,
+                     observe=lambda t, rho, velocity, ledger: maxima.append(rho.max()))
+        return traj, maxima
+
+    for run in (stored, observed):
+        run(0.05)  # warm every cache a march fills once
+        (short, _), short_bytes = retained(lambda: run(0.05))
+        (long, _), long_bytes = retained(lambda: run(0.1))
+        assert (len(short), len(long)) == (11, 21)
+        grown = long_bytes - short_bytes
+        if run is stored:
+            assert grown >= 10 * field_bytes
+        else:
+            assert grown < 10 * field_bytes
 
 
 # ------------------------------------------------------------ direct march

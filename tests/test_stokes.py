@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from anisostokes.fields import GridSpec, ScalarField, VectorField, grad
+from anisostokes.fields import GridSpec, ScalarField, VectorField, grad, sym_grad
 from anisostokes.stokes import (
     KrylovNoConvergence,
     NotCoercive,
     SingularSymbol,
     StokesOperator,
+    _div_tensor,
     residual,
     residual_rhs,
     solve,
@@ -18,6 +19,7 @@ from anisostokes.viscosity import (
     ConstantFull,
     DiagNu,
     VaryingFull,
+    apply_tau,
     isotropic_strain_tensor,
 )
 
@@ -258,3 +260,50 @@ def test_solve_zero_rhs_returns_zero():
     q = ScalarField.constant(g, 4.2)  # gradient-free
     u = solve(op, q)
     assert u.l2_norm() == 0.0
+
+
+# ------------------------------------------------ stress symmetry, tau reuse
+
+def stress_laws(grid):
+    """One law of each kind on ``grid``; the varying ones drawn cell by cell."""
+    d = grid.dim
+    rng = np.random.default_rng(d)
+    cells = (d, d, d, d) + grid.shape
+    return {
+        "diag": DiagNu(tuple(1.0 + np.arange(d))),
+        "constant": ConstantFull(rng.standard_normal((d,) * 4)),
+        "varying": VaryingFull(grid, rng.standard_normal(cells)),
+        "breakpoints": VaryingFull(
+            grid, rng.standard_normal((2,) + cells), times=[0.0, 1.0]
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", ["diag", "constant", "varying", "breakpoints"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_stress_is_symmetric_bit_for_bit(dim, kind):
+    # _div_tensor transforms tau_ij once for tau_ji, which needs bit equality
+    g = GridSpec(dim, 8)
+    rng = np.random.default_rng(10 + dim)
+    u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
+    tau = apply_tau(stress_laws(g)[kind], sym_grad(u), 0.3)
+    for i in range(dim):
+        for j in range(dim):
+            assert np.array_equal(tau[i, j], tau[j, i]), (i, j)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_div_tensor_matches_one_transform_per_entry(dim):
+    g = GridSpec(dim, 8)
+    rng = np.random.default_rng(dim)
+    u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
+    tau = apply_tau(stress_laws(g)["varying"], sym_grad(u))
+    expected = [
+        np.fft.ifftn(
+            sum(1j * g.deriv_wavenumbers[j] * np.fft.fftn(tau[i, j]) for j in range(dim))
+        ).real
+        for i in range(dim)
+    ]
+    got = _div_tensor(g, tau)
+    for i in range(dim):
+        assert np.array_equal(got[i].data, expected[i])
