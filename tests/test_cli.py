@@ -1,7 +1,12 @@
 """Command-line surface: artifacts, audit lines, exit codes."""
 
+import contextlib
+import hashlib
+import io
+import json
 import re
 from operator import attrgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +122,52 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     assert main(["run", cfg, "--out", str(a)]) == 0
     assert main(["run", cfg, "--out", str(b)]) == 0
     assert (a / "diagnostics.csv").read_bytes() == (b / "diagnostics.csv").read_bytes()
+
+
+RUN_TREE_GOLDEN = Path(__file__).resolve().parent / "data" / "run_tree_golden.json"
+
+# two slabs stored every other substep, drag-free so the max-principle audit
+# runs, with the commutator column filled in
+PINNED_RUN = """
+grid.dim = 2
+grid.n = 16
+params.gamma = 2.0
+params.eps = 0.01
+params.delta = 0.8
+params.eta = 0.0
+viscosity.nu = 1,2
+initial.kind = oscillatory
+initial.base = cosine
+initial.amplitude = 0.3
+initial.wavelength = 1.5707963267948966
+run.t_end = 0.04
+run.slab = 0.02
+run.dt_max = 0.005
+run.store_every = 2
+diagnostics.window = 4
+diagnostics.commutator_delta = 0.8
+"""
+
+
+def run_tree(tmp_path):
+    """Exit code, sha256 of every file and stdout lines of ``run`` on PINNED_RUN."""
+    out = tmp_path / "pinned"
+    cfg = write_cfg(tmp_path, PINNED_RUN, "pinned.cfg")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        code = main(["run", cfg, "--strict", "--out", str(out)])
+    files = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    lines = stdout.getvalue().replace(str(out), "OUT").splitlines()
+    return {"code": code, "files": files, "stdout": lines}
+
+
+def test_run_writes_the_pinned_bytes(tmp_path):
+    # bit-for-bit, like the defect-study golden: regenerate only for an
+    # intended numerics change
+    got = run_tree(tmp_path)
+    golden = json.loads(RUN_TREE_GOLDEN.read_text())
+    assert got["code"] == 0 and "PASS max-principle" in "\n".join(got["stdout"])
+    assert sorted(got["files"]) == sorted(golden["files"])
+    assert got == golden
 
 
 def test_strict_exit_code_on_failed_audit(tmp_path, capsys):
@@ -347,3 +398,13 @@ def test_each_solver_failure_prints_one_line_and_exits_3(tmp_path, capsys, monke
     monkeypatch.setattr(cli, "march", fail)
     assert main(["run", write_cfg(tmp_path, SMALL_RUN), "--out", str(tmp_path / "art")]) == 3
     assert capsys.readouterr().out == f"FAIL solver: {type(error).__name__}: {error}\n"
+
+
+
+if __name__ == "__main__":
+    # python tests/test_cli.py writes the pinned run tree
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        record = run_tree(Path(tmp))
+    RUN_TREE_GOLDEN.write_text(json.dumps(record, indent=1) + "\n")
