@@ -12,11 +12,13 @@ prints one ``FAIL solver`` line and exits 3.  That line names the config
 line of the stress law when the law is not coercive or has a singular
 symbol, and the slab (or step) when a solve fails inside a march.
 
-``run`` keeps every stored state of its march for the snapshots and the
-diagnostics table.  The studies stream: their marches hand each stored
-state to an observer that keeps only the scalars (or the final density)
-the study reports, so their memory does not grow with the number of
-stored states.
+Every command that marches streams: its marches hand each stored state to
+an observer that keeps only the scalars (or the final density) it reports,
+so memory does not grow with the number of stored states.  ``run``'s
+observer writes each state's snapshots as it arrives and keeps its
+diagnostics row; the CSV and the audits follow the march.  A solver
+failure in a ``run`` therefore leaves the snapshots of the states stored
+before it, and no ``diagnostics.csv``.
 """
 
 from __future__ import annotations
@@ -37,12 +39,10 @@ from anisostokes.config import (
 )
 from anisostokes.diagnostics import (
     defect_inequality,
-    defect_inequality_audit,
     defect_proxy,
     energy_slacks,
-    energy_violation,
     pressure_l2_audit,
-    rows_for_trajectory,
+    state_row,
     worst_violation,
     write_csv,
     write_rows_csv,
@@ -70,7 +70,7 @@ def _audit(results, name, ok, detail):
     return bool(ok)
 
 
-def _march_config(cfg, params=None, tensor=None, observe=None):
+def _march_config(cfg, observe, params=None, tensor=None):
     rho0 = make_initial(cfg.initial, cfg.grid)
     f = make_forcing(cfg.forcing, cfg.grid)
     return march(
@@ -103,14 +103,6 @@ class _Series:
             self.values.append(self.each(rho))
 
 
-def _write_trajectory(traj, out_dir):
-    os.makedirs(out_dir, exist_ok=True)
-    for i, t in enumerate(traj.times):
-        write_snapshot(os.path.join(out_dir, f"rho_{i:06d}.asf"), traj.densities[i], t)
-        for a, comp in enumerate(traj.velocities[i].components):
-            write_snapshot(os.path.join(out_dir, f"u{a}_{i:06d}.asf"), comp, t)
-
-
 def _mass_identity(results, traj, name="mass-identity"):
     """Audit the mass identity of every ledger; return the worst defect."""
     mass0 = traj.ledgers[0].mass_initial
@@ -135,45 +127,53 @@ def _energy_slack(results, e0, violation, name="energy-slack"):
     return violation
 
 
-def _standard_audits(traj, cfg, results):
-    _mass_identity(results, traj)
+def cmd_run(cfg, out_dir):
+    results = []
+    gamma, dp = cfg.params.gamma, cfg.defect_params
+    rows = []
+    os.makedirs(out_dir, exist_ok=True)
 
+    def observe(t, rho, velocity, ledger):
+        """Write the state's snapshots and keep its diagnostics row."""
+        i = len(rows)
+        u = velocity()
+        write_snapshot(os.path.join(out_dir, f"rho_{i:06d}.asf"), rho, t)
+        for a, comp in enumerate(u.components):
+            write_snapshot(os.path.join(out_dir, f"u{a}_{i:06d}.asf"), comp, t)
+        e0 = rows[0].pgamma_integral if rows else None
+        rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, cfg.commutator_delta))
+
+    traj = _march_config(cfg, observe=observe)
+    write_rows_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
+
+    _mass_identity(results, traj)
     _audit(
         results,
         "positivity",
         traj.min_rho_ever >= 0.0,
         f"min density {traj.min_rho_ever:.6g}",
     )
-
     if cfg.params.eta == 0.0:
-        scale = max(1.0, max(r.max() for r in traj.densities))
+        scale = max(1.0, max(row.rho_max for row in rows))
         _audit(
             results,
             "max-principle",
             traj.max_principle_margin >= -1e-12 * scale,
             f"worst margin {traj.max_principle_margin:.3e}",
         )
-
-    _energy_slack(results, traj.initial_pressure_integral(), energy_violation(traj))
-
-    lhs, rhs, ok = defect_inequality_audit(traj, cfg.params.gamma, cfg.defect_params)
+    _energy_slack(
+        results, rows[0].pgamma_integral, worst_violation([row.energy_slack for row in rows])
+    )
+    series = [row.defect_proxy for row in rows]
+    lhs, rhs, ok = defect_inequality(
+        traj.times, series, rows[0].rho_max, traj.ledgers[-1], cfg.grid, gamma, dp
+    )
     _audit(
         results,
         "defect-inequality",
         ok,
-        f"lhs {lhs:.6g} against rhs {rhs:.6g} (window {cfg.defect_params.window})",
+        f"lhs {lhs:.6g} against rhs {rhs:.6g} (window {dp.window})",
     )
-
-
-def cmd_run(cfg, out_dir):
-    results = []
-    traj = _march_config(cfg)
-    _write_trajectory(traj, out_dir)
-    rows = rows_for_trajectory(
-        traj, dp=cfg.defect_params, commutator_delta=cfg.commutator_delta
-    )
-    write_rows_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
-    _standard_audits(traj, cfg, results)
     print(f"wrote {len(traj)} snapshots and diagnostics.csv to {out_dir}")
     return results
 
@@ -281,7 +281,7 @@ def cmd_defect_study(cfg, out_dir):
         for k, dp in enumerate(dps):
             series = [row[k] for row in proxies.values]
             lhs, rhs, ok = defect_inequality(
-                traj.times, series, proxies.first.max(), traj.ledgers[-1], traj.grid, gamma, dp
+                traj.times, series, proxies.first.max(), traj.ledgers[-1], cfg.grid, gamma, dp
             )
             all_ok = all_ok and ok
             rows.append((ratio, dp.window, lhs, rhs, "true" if ok else "false"))

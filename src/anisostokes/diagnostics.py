@@ -1,16 +1,13 @@
-"""Audited functionals of stored trajectories and their CSV emission.
+"""Audited functionals of a march's stored states and their CSV emission.
 
-Everything here is a pure function of a Trajectory (plus parameters): the
-energy budget with its slack, the running pressure L2 norm, the windowed
-oscillation-defect proxy with its time-integrated inequality, the mollifier
-transport commutator, and the per-time CSV rows.  Nothing feeds back into
-the solver.
-
-The energy and defect audits also have a streamed form for marches that
-hand their states to an observer instead of storing them: the per-state
-inputs (``pressure_integral``, :func:`defect_proxy`) are taken one
-state at a time, and :func:`energy_slacks` and :func:`defect_inequality`
-do the arithmetic that the Trajectory forms do through them.
+A march hands each stored state to an observer and keeps only its ledgers,
+so every audit here takes per-state inputs, one state at a time
+(``pressure_integral``, :func:`defect_proxy`, :func:`state_row`), plus the
+final ledger, and does its arithmetic on those scalars afterwards: the
+energy budget with its slack (:func:`energy_slacks`), the running pressure
+L2 norm, the time-integrated oscillation-defect inequality
+(:func:`defect_inequality`), the mollifier transport commutator and the
+per-time CSV rows.  Nothing feeds back into the solver.
 """
 
 from __future__ import annotations
@@ -92,18 +89,6 @@ def worst_violation(slacks):
     return max(0.0, -min(slacks))
 
 
-def energy_audit(traj, gamma=None):
-    """Energy-budget slack at every stored time (see :func:`energy_slacks`)."""
-    g = traj.params.gamma if gamma is None else gamma
-    pressures = (pressure_integral(rho, g) for rho in traj.densities)
-    return energy_slacks(traj.initial_pressure_integral(), pressures, traj.ledgers, g)
-
-
-def energy_violation(traj, gamma=None):
-    """Magnitude of the worst negative energy slack (0 when none)."""
-    return worst_violation(energy_audit(traj, gamma))
-
-
 def pressure_l2_audit(traj):
     """Running L2((0,T) x domain) norm of rho^gamma at the final time."""
     return float(np.sqrt(traj.ledgers[-1].pgamma_l2_sq_cum))
@@ -169,57 +154,46 @@ def defect_inequality(times, series, rho0_max, ledger, grid, gamma, dp):
     return lhs, rhs, lhs <= rhs
 
 
-def defect_inequality_audit(traj, gamma, dp):
-    """:func:`defect_inequality` over a stored trajectory."""
-    series = [defect_proxy(r, gamma, dp) for r in traj.densities]
-    return defect_inequality(
-        traj.times, series, traj.densities[0].max(), traj.ledgers[-1], traj.grid, gamma, dp
-    )
-
-
-def commutator_audit(traj, deltas):
+def commutator_audit(states, deltas):
     """Transport-commutator residuals per stored state and mollifier radius.
 
-    Returns a list of (t, residuals) with residuals aligned to ``deltas``.
-    For smooth states the residual decays as the radius shrinks; callers
-    check the rows decrease along a radius list sorted largest first.
+    ``states`` yields (t, rho, u) triples.  Returns a list of (t, residuals)
+    with residuals aligned to ``deltas``.  For smooth states the residual
+    decays as the radius shrinks; callers check the rows decrease along a
+    radius list sorted largest first.
     """
-    rows = []
-    for t, rho, u in zip(traj.times, traj.densities, traj.velocities):
-        rows.append((t, [commutator_residual(rho, u, d) for d in deltas]))
-    return rows
+    return [(t, [commutator_residual(rho, u, d) for d in deltas]) for t, rho, u in states]
 
 
-def rows_for_trajectory(traj, dp=None, commutator_delta=0.0):
-    """Assemble the full diagnostics row for every stored time."""
-    dp = dp if dp is not None else DefectParams()
-    g = traj.params.gamma
-    slacks = energy_audit(traj)
-    rows = []
-    for i, t in enumerate(traj.times):
-        rho = traj.densities[i]
-        led = traj.ledgers[i]
-        commutator = 0.0
-        if commutator_delta > 0.0:
-            commutator = commutator_residual(rho, traj.velocities[i], commutator_delta)
-        rows.append(
-            DiagnosticsRow(
-                t=t,
-                mass=led.mass_now,
-                drag2g_cum=led.drag2g_cum,
-                drag3_cum=led.drag3_cum,
-                pgamma_integral=pressure_integral(rho, g),
-                dissipation_cum=(g - 1.0) * led.work_cum,
-                grad_rho_gamma_half_cum=led.grad_rho_gamma_half_cum,
-                energy_slack=slacks[i],
-                rho_min=rho.min(),
-                rho_max=rho.max(),
-                pgamma_l2_running=float(np.sqrt(led.pgamma_l2_sq_cum)),
-                defect_proxy=defect_proxy(rho, g, dp),
-                commutator_l1=commutator,
-            )
-        )
-    return rows
+def state_row(t, rho, u, ledger, e0, gamma, dp, commutator_delta=0.0):
+    """The diagnostics row of one stored state (rho, u) with its ledger.
+
+    ``e0`` is the initial int rho^gamma, or None when this is the initial
+    state.  The row's ``pgamma_integral``, ``energy_slack``, ``rho_max`` and
+    ``defect_proxy`` are the per-state inputs of the energy, maximum
+    principle and defect audits, so a caller keeping the rows needs no
+    field to run them.
+    """
+    p = pressure_integral(rho, gamma)
+    (slack,) = energy_slacks(p if e0 is None else e0, [p], [ledger], gamma)
+    commutator = 0.0
+    if commutator_delta > 0.0:
+        commutator = commutator_residual(rho, u, commutator_delta)
+    return DiagnosticsRow(
+        t=t,
+        mass=ledger.mass_now,
+        drag2g_cum=ledger.drag2g_cum,
+        drag3_cum=ledger.drag3_cum,
+        pgamma_integral=p,
+        dissipation_cum=(gamma - 1.0) * ledger.work_cum,
+        grad_rho_gamma_half_cum=ledger.grad_rho_gamma_half_cum,
+        energy_slack=slack,
+        rho_min=rho.min(),
+        rho_max=rho.max(),
+        pgamma_l2_running=float(np.sqrt(ledger.pgamma_l2_sq_cum)),
+        defect_proxy=defect_proxy(rho, gamma, dp),
+        commutator_l1=commutator,
+    )
 
 
 def _csv_line(cells):

@@ -21,8 +21,8 @@ laws one forward transform of rho^gamma yields u_hat = G q_hat and w is the
 inverse transform of K u_hat (the mollifier is a Fourier multiplier there);
 for varying laws the stencil mollifier makes q and w, and u_hat is the
 transform of the Krylov solution.  Real u is synthesized (one inverse
-transform) only where a state is stored: the trajectory, the slab starts
-and ``apply_B``'s result.
+transform) only where one is asked for: by an observer of the stored
+states, at the slab starts and in ``apply_B``'s result.
 
 A slab runs in two passes over one list of input pairs, one per substep.
 ``_iterate`` is one Picard pass: it advects rho by each input w without
@@ -54,14 +54,13 @@ freshly solved from rho, so the momentum residual contract holds sample by
 sample.
 
 A stored state reaches ``Trajectory.record`` with its velocity as a
-zero-argument callable that synthesizes u once, on first call.  By default
-the trajectory keeps every (rho, u).  ``march`` and ``direct_march`` also
-take an ``observe(t, rho, velocity, ledger)`` callback instead: each stored
-state goes to it once, in time order, the trajectory keeps only the times,
-the ledgers and the slab reports, and u is made only if the observer or the
-march asks for it (the march does at slab starts, to size the substeps).
-The march itself carries the state each slab starts from (:class:`_Stored`),
-so it never reads a field back from the trajectory.
+zero-argument callable that synthesizes u once, on first call.  The
+trajectory keeps only the times, the ledgers and the slab reports; each
+state goes once, in time order, to the ``observe(t, rho, velocity, ledger)``
+callback that ``march``, ``direct_march`` and ``picard_solve`` take, and u
+is made only if the observer or the march asks for it (the march does at
+slab starts, to size the substeps).  The march itself carries the state
+each slab starts from (:class:`_Stored`).
 
 A solve failure inside a march (:class:`KrylovNoConvergence`,
 :class:`NewtonFail`, :class:`NegativeInput`) keeps its class and gets the
@@ -94,12 +93,10 @@ from anisostokes.transport import (
     CFLBreach,
     NegativeInput,
     NewtonFail,
-    SolverParams,
     cfl_dt,
     check_cfl,
     continuity_step,
     pressure_field,
-    pressure_integral,
 )
 from anisostokes.viscosity import apply_tau
 
@@ -230,26 +227,24 @@ def _account(ledger, rho, w, what, uhat, t, dt, tensor, params):
     )
 
 
+def _unobserved(_t, _rho, _velocity, _ledger):
+    """The observer of a march whose states nobody reads."""
+
+
 @dataclass
 class Trajectory:
-    """Stored time samples of the coupled run, each with its ledger.
+    """The times of a march's stored states, each with its ledger.
 
-    Lists are parallel: entry i holds the state at ``times[i]`` and the
-    :class:`Ledger` of the march up to that time.  With an ``observe``
-    callback the states go to it instead, and ``densities`` and
-    ``velocities`` stay empty.
+    Lists are parallel: entry i is the time of the i-th stored state and
+    the :class:`Ledger` of the march up to that time.  The states themselves
+    go to ``observe``; the trajectory keeps no field.
     """
 
-    grid: object
-    params: SolverParams
-    tensor: object
     times: list = field(default_factory=list)
-    densities: list = field(default_factory=list)
-    velocities: list = field(default_factory=list)
     ledgers: list = field(default_factory=list)
     slab_halvings: int = 0
     fixed_point_reports: list = field(default_factory=list)
-    observe: object = None
+    observe: object = _unobserved
 
     def __len__(self):
         return len(self.times)
@@ -259,10 +254,6 @@ class Trajectory:
         return self.times[-1]
 
     @property
-    def final_density(self):
-        return self.densities[-1]
-
-    @property
     def min_rho_ever(self):
         return self.ledgers[-1].min_rho
 
@@ -270,23 +261,17 @@ class Trajectory:
     def max_principle_margin(self):
         return self.ledgers[-1].max_principle_margin
 
-    def initial_pressure_integral(self):
-        return pressure_integral(self.densities[0], self.params.gamma)
-
     def record(self, t, rho, velocity, ledger):
-        """Store the state at ``t`` with the ledger of the march up to ``t``.
-
-        ``velocity`` is a zero-argument callable making u.  Without an
-        observer it is called and u stored; with one, the state goes to
-        ``observe(t, rho, velocity, ledger)`` and only t and the ledger stay.
-        """
+        """Keep ``t`` and the ledger of the march up to ``t``, and hand the
+        state to ``observe(t, rho, velocity, ledger)``; ``velocity`` is a
+        zero-argument callable making u."""
         self.times.append(t)
         self.ledgers.append(ledger)
-        if self.observe is None:
-            self.densities.append(rho)
-            self.velocities.append(velocity())
-        else:
-            self.observe(t, rho, velocity, ledger)
+        self.observe(t, rho, velocity, ledger)
+
+
+def _trajectory(observe):
+    return Trajectory(observe=_unobserved if observe is None else observe)
 
 
 @dataclass(frozen=True)
@@ -294,7 +279,7 @@ class _Stored:
     """A stored state as a march carries it to the next slab.
 
     ``pair`` is the (u_hat, w) pair solved from ``rho`` at ``t``,
-    ``velocity`` the memoized callable of its real u that the trajectory
+    ``velocity`` the memoized callable of its real u that the observer
     was given, and ``ledger`` the accounts up to ``t``.
     """
 
@@ -520,6 +505,7 @@ def picard_solve(
     v0=None,
     ledger=None,
     store_every=1,
+    observe=None,
 ):
     """Fixed-point solve on one slab; returns (Trajectory, contraction history).
 
@@ -535,9 +521,10 @@ def picard_solve(
     (a fresh ledger by default).  ``march`` shares its momentum object and
     trajectory across its slabs, so a chain of ``picard_solve`` calls, each
     given the last ledger of the one before, gives bit-identical results.
+    ``observe`` is as for :func:`march`.
     """
     mom = _Momentum(tensor, rho0.grid, f, params)
-    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor)
+    traj = _trajectory(observe)
     if ledger is None:
         ledger = Ledger.fresh(rho0)
     start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0, slab.t0), ledger)
@@ -633,14 +620,15 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, observe=None)
     state is recorded once, and each slab starts from the last stored state
     (whose velocity was solved from that same density at that same time)
     and its ledger.  For time-dependent tensors the momentum object keeps
-    only the operators of the current slab's substep times.  ``observe``,
-    if given, receives each stored state instead of the trajectory (see
+    only the operators of the current slab's substep times.  Each stored
+    state goes to ``observe(t, rho, velocity, ledger)``, if given, in time
+    order; the returned trajectory keeps its time and ledger (see
     :meth:`Trajectory.record`).
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     mom = _Momentum(tensor, rho0.grid, f, params)
-    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor, observe=observe)
+    traj = _trajectory(observe)
     with _located("at t = 0.0"):
         state = _store(traj, mom, 0.0, rho0, mom.pair(rho0, 0.0), Ledger.fresh(rho0))
     length = slab_len
@@ -674,7 +662,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
     mom = _Momentum(tensor, rho0.grid, f, params)
-    traj = Trajectory(grid=rho0.grid, params=params, tensor=tensor, observe=observe)
+    traj = _trajectory(observe)
     ledger = Ledger.fresh(rho0)
     rho = rho0
     t = 0.0

@@ -13,7 +13,7 @@ import pytest
 
 from anisostokes.cli import cmd_defect_study, cmd_run, cmd_sweep_delta, cmd_sweep_eps
 from anisostokes.config import make_initial, parse_config
-from anisostokes.diagnostics import commutator_audit, energy_violation
+from anisostokes.diagnostics import commutator_audit, worst_violation
 from anisostokes.fields import (
     GridSpec,
     ScalarField,
@@ -23,6 +23,7 @@ from anisostokes.fields import (
 )
 from anisostokes.marching import Slab, march, picard_solve
 from anisostokes.stokes import StokesOperator, solve, solve_rhs
+from anisostokes.transport import pressure_integral
 from anisostokes.viscosity import (
     ConstantFull,
     DiagNu,
@@ -31,6 +32,7 @@ from anisostokes.viscosity import (
     coercivity_estimate,
     isotropic_strain_tensor,
 )
+from keepall import kept
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 GOLDEN = Path(__file__).resolve().parent / "data" / "defect_study_golden.csv"
@@ -67,29 +69,31 @@ def canonical_traj(canonical_cfg):
 
 
 @pytest.fixture(scope="session")
-def sweep_traj(sweep_cfg):
+def sweep_run(sweep_cfg):
+    """The sweep scenario's trajectory and every stored state."""
     cfg = sweep_cfg
     rho0 = make_initial(cfg.initial, cfg.grid)
-    return march(
-        cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=8
+    return kept(
+        march, cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=8
     )
 
 
 @pytest.fixture(scope="session")
-def oscillatory_traj(defect_cfg):
+def oscillatory_run(defect_cfg):
+    """The defect scenario's trajectory and every stored state."""
     cfg = defect_cfg
     rho0 = make_initial(cfg.initial, cfg.grid)
-    return march(
-        cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=5
+    return kept(
+        march, cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=5
     )
 
 
 @pytest.fixture(scope="session")
-def shipped_trajectories(canonical_traj, sweep_traj, oscillatory_traj):
+def shipped_trajectories(canonical_traj, sweep_run, oscillatory_run):
     return {
         "canonical3d": canonical_traj,
-        "sweep1d": sweep_traj,
-        "defect2d": oscillatory_traj,
+        "sweep1d": sweep_run[0],
+        "defect2d": oscillatory_run[0],
     }
 
 
@@ -113,9 +117,10 @@ def test_01_mass_identity(shipped_trajectories):
     report(1, "mass-identity", ok, "; ".join(details))
 
 
-def test_02_positivity_and_max_principle(shipped_trajectories, oscillatory_traj):
+def test_02_positivity_and_max_principle(shipped_trajectories, oscillatory_run):
+    oscillatory_traj, states = oscillatory_run
     min_rho = min(t.min_rho_ever for t in shipped_trajectories.values())
-    scale = max(r.max() for r in oscillatory_traj.densities)
+    scale = max(r.max() for r in states.densities)
     margin = oscillatory_traj.max_principle_margin
     ok = min_rho >= 0.0 and margin >= -1e-12 * scale
     report(
@@ -126,12 +131,15 @@ def test_02_positivity_and_max_principle(shipped_trajectories, oscillatory_traj)
     )
 
 
-def test_03_energy_slack_and_dt_refinement(sweep_cfg, sweep_traj):
+def test_03_energy_slack_and_dt_refinement(sweep_cfg, sweep_run):
     cfg = sweep_cfg
-    e0 = sweep_traj.initial_pressure_integral()
-    v_base = energy_violation(sweep_traj)
+    gamma = cfg.params.gamma
+    states = sweep_run[1]
+    e0 = pressure_integral(states.densities[0], gamma)
+    v_base = worst_violation(states.energy_slacks(gamma))
     rho0 = make_initial(cfg.initial, cfg.grid)
-    half = march(
+    _, half = kept(
+        march,
         cfg.tensor,
         rho0,
         None,
@@ -140,7 +148,7 @@ def test_03_energy_slack_and_dt_refinement(sweep_cfg, sweep_traj):
         cfg.slab,
         store_every=8,
     )
-    v_half = energy_violation(half)
+    v_half = worst_violation(half.energy_slacks(gamma))
     ok = v_base <= 1e-2 * e0 and v_half <= v_base / 1.5 + 1e-12 * e0
     report(
         3,
@@ -239,7 +247,7 @@ def test_06_picard_contraction(canonical_cfg):
     rho0 = make_initial(cfg.initial, cfg.grid)
     steps = int(round(cfg.t_end / cfg.params.dt_max))
     slab = Slab(0.0, cfg.t_end, steps)
-    traj_full, full = picard_solve(cfg.tensor, rho0, None, cfg.params, slab)
+    (traj_full, full), kept_full = kept(picard_solve, cfg.tensor, rho0, None, cfg.params, slab)
     iters = traj_full.fixed_point_reports[0][2]
     _, half = picard_solve(
         cfg.tensor, rho0, None, cfg.params, Slab(0.0, cfg.t_end / 2.0, steps // 2)
@@ -253,14 +261,14 @@ def test_06_picard_contraction(canonical_cfg):
         for _ in range(3)
     ]
     start = VectorField.from_arrays(cfg.grid, comps)
-    traj_rand, _ = picard_solve(
-        cfg.tensor, rho0, None, cfg.params, slab, v0=[start] * steps
+    _, kept_rand = kept(
+        picard_solve, cfg.tensor, rho0, None, cfg.params, slab, v0=[start] * steps
     )
     gap = np.sqrt(
         slab.dt
         * sum(
             grad_l2_norm(a - b) ** 2
-            for a, b in zip(traj_full.velocities[:steps], traj_rand.velocities[:steps])
+            for a, b in zip(kept_full.velocities[:steps], kept_rand.velocities[:steps])
         )
     )
 
@@ -334,8 +342,8 @@ def test_09_defect_inequality_study(defect_study_dir):
     )
 
 
-def test_10_commutator_decay(sweep_traj):
-    rows = commutator_audit(sweep_traj, (0.4, 0.2, 0.1))
+def test_10_commutator_decay(sweep_run):
+    rows = commutator_audit(sweep_run[1].states(), (0.4, 0.2, 0.1))
     worst = 0.0
     for _t, (r4, r2, r1) in rows:
         worst = max(worst, r2 / r4, r1 / r2)

@@ -5,19 +5,21 @@ import hashlib
 import io
 import json
 import re
+import sys
 from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from anisostokes import cli, marching
+from anisostokes import cli, diagnostics, marching
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, parse_config
 from anisostokes.fields import read_snapshot
 from anisostokes.marching import NoContraction, SlabCollapse
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
 from anisostokes.transport import NegativeInput, NewtonFail
+from keepall import kept
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -168,6 +170,64 @@ def test_run_writes_the_pinned_bytes(tmp_path):
     assert got["code"] == 0 and "PASS max-principle" in "\n".join(got["stdout"])
     assert sorted(got["files"]) == sorted(golden["files"])
     assert got == golden
+
+
+def counted_everywhere(monkeypatch, original):
+    """Count the calls of ``original`` through every binding in the package."""
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("anisostokes"):
+            for name, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_run_takes_each_audit_input_once_per_stored_state(tmp_path, monkeypatch):
+    # the CSV row and the energy, maximum-principle and defect audits all
+    # read int rho^gamma and the defect proxy of a state from its one row
+    pressures = counted_everywhere(monkeypatch, diagnostics.pressure_integral)
+    proxies = counted_everywhere(monkeypatch, diagnostics.defect_proxy)
+    out = tmp_path / "art"
+    assert main(["run", write_cfg(tmp_path, SMALL_RUN), "--strict", "--out", str(out)]) == 0
+    stored = len((out / "diagnostics.csv").read_text().splitlines()) - 1
+    assert stored == 11
+    assert (len(pressures), len(proxies)) == (stored, stored)
+
+
+def test_solver_failure_in_a_run_keeps_the_snapshots_stored_before_it(tmp_path, capsys,
+                                                                      monkeypatch):
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    whole = tmp_path / "whole"
+    assert main(["run", cfg, "--out", str(whole)]) == 0
+    capsys.readouterr()
+    march = cli.march
+
+    def failing_after_two_states(*args, observe, **kwargs):
+        seen = []
+
+        def observe_then_fail(*state):
+            observe(*state)
+            seen.append(state)
+            if len(seen) == 2:
+                raise NewtonFail("drag solve stalled")
+
+        return march(*args, observe=observe_then_fail, **kwargs)
+
+    monkeypatch.setattr(cli, "march", failing_after_two_states)
+    out = tmp_path / "art"
+    assert main(["run", cfg, "--out", str(out)]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("FAIL solver: NewtonFail: drag solve stalled")
+    written = sorted(p.name for p in out.iterdir())
+    assert written == ["rho_000000.asf", "rho_000001.asf", "u0_000000.asf", "u0_000001.asf"]
+    for name in written:
+        assert (out / name).read_bytes() == (whole / name).read_bytes()
 
 
 def test_strict_exit_code_on_failed_audit(tmp_path, capsys):
@@ -344,12 +404,14 @@ def test_solve_failure_in_a_direct_march_names_its_step(tmp_path, capsys, monkey
 
 
 def replayed(driver):
-    """``driver`` run without its observer, which then gets the stored states."""
+    """``driver`` with every state kept by a keep-all observer, handed to its
+    own observer only after the march has returned."""
 
     def run(*args, observe, **kwargs):
-        traj = driver(*args, **kwargs)
-        assert len(traj.densities) == len(traj)
-        for t, rho, u, ledger in zip(traj.times, traj.densities, traj.velocities, traj.ledgers):
+        traj, states = kept(driver, *args, **kwargs)
+        assert len(states.densities) == len(traj)
+        for t, rho, u, ledger in zip(states.times, states.densities, states.velocities,
+                                     states.ledgers):
             observe(t, rho, lambda u=u: u, ledger)
         return traj
 
@@ -360,6 +422,7 @@ def replayed(driver):
     ("defect-study", None),
     ("sweep-delta", "sweep.deltas = 0.4,0.2,0.1\n"),
     ("sweep-eps", "sweep.eps_levels = 0.1,0.01\n"),
+    ("run", "diagnostics.commutator_delta = 0.4\n"),
 ])
 def test_studies_write_the_same_bytes_as_stored_marches(tmp_path, capsys, monkeypatch,
                                                          study, extra):
@@ -379,7 +442,9 @@ def test_studies_write_the_same_bytes_as_stored_marches(tmp_path, capsys, monkey
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         runs.append((files, capsys.readouterr().out.replace(str(out), "OUT")))
     assert runs[0] == runs[1]
-    assert len(runs[0][0]) == 1 and "PASS" in runs[0][1]
+    assert "PASS" in runs[0][1]
+    if study != "run":
+        assert len(runs[0][0]) == 1
 
 
 @pytest.mark.parametrize("error", [

@@ -9,14 +9,10 @@ from anisostokes.diagnostics import (
     DefectParams,
     commutator_audit,
     defect_inequality,
-    defect_inequality_audit,
     defect_proxy,
     effective_flux,
-    energy_audit,
-    energy_slacks,
-    energy_violation,
     pressure_l2_audit,
-    rows_for_trajectory,
+    state_row,
     worst_violation,
     write_rows_csv,
 )
@@ -24,6 +20,7 @@ from anisostokes.fields import GridSpec, ScalarField, VectorField
 from anisostokes.marching import march
 from anisostokes.transport import SolverParams, pressure_integral
 from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor, viscous_work
+from keepall import kept
 
 
 def quiet_params(**overrides):
@@ -71,18 +68,19 @@ def test_viscous_work_symmetric_stress_has_tiny_h1_gap():
 
 def test_energy_slack_zero_when_nothing_moves():
     g = GridSpec(1, 32)
-    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.3), None, quiet_params(), 0.1, 0.05)
-    slacks = energy_audit(traj)
-    e0 = traj.initial_pressure_integral()
+    _, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.3), None, quiet_params(),
+                     0.1, 0.05)
+    slacks = states.energy_slacks(2.0)
+    e0 = pressure_integral(states.densities[0], 2.0)
     assert max(abs(s) for s in slacks) <= 1e-10 * e0
-    assert energy_violation(traj) <= 1e-10 * e0
+    assert worst_violation(slacks) <= 1e-10 * e0
 
 
 def test_energy_slack_nonnegative_for_drag_only_run():
     g = GridSpec(1, 32)
     p = quiet_params(eta=0.2)
-    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.2, 0.1)
-    slacks = energy_audit(traj)
+    traj, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.2, 0.1)
+    slacks = states.energy_slacks(2.0)
     assert min(slacks) >= 0.0
     # cross-check the budget against the scalar drag ODE: the spent terms
     # must track gamma * the pressure drop of the exact solution
@@ -92,7 +90,7 @@ def test_energy_slack_nonnegative_for_drag_only_run():
     exact_drop = (1.0 - sol.y[0, -1] ** 2) * g.volume
     audited_drop = traj.ledgers[-1].drag_hi_cum + traj.ledgers[-1].drag_lo_cum
     assert audited_drop == pytest.approx(exact_drop, rel=2e-2)
-    assert slacks[-1] <= 5e-3 * traj.initial_pressure_integral()
+    assert slacks[-1] <= 5e-3 * pressure_integral(states.densities[0], 2.0)
 
 
 def test_energy_slack_violation_shrinks_with_dt():
@@ -103,8 +101,8 @@ def test_energy_slack_violation_shrinks_with_dt():
     results = {}
     for dt in (4e-3, 2e-3):
         p = SolverParams(gamma=2.0, eps=0.01, delta=0.0, eta=0.01, dt_max=dt)
-        traj = march(tensor, rho0, None, p, 0.1, 0.05)
-        results[dt] = (energy_violation(traj), min(energy_audit(traj)))
+        slacks = kept(march, tensor, rho0, None, p, 0.1, 0.05)[1].energy_slacks(2.0)
+        results[dt] = (worst_violation(slacks), min(slacks))
     e0 = 2 * np.pi * (1.0 + 0.08)
     assert results[4e-3][0] <= 1e-2 * e0
     assert results[2e-3][0] <= results[4e-3][0] / 1.5 + 1e-12 * e0
@@ -196,9 +194,9 @@ def test_defect_inequality_smooth_data_passes():
     x = g.meshgrid()[0]
     rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x))
     p = SolverParams(gamma=2.0, eps=0.01, delta=0.0, eta=0.01, dt_max=5e-3)
-    traj = march(DiagNu((1.0,)), rho0, None, p, 0.1, 0.05)
+    _, states = kept(march, DiagNu((1.0,)), rho0, None, p, 0.1, 0.05)
     dp = DefectParams(window=8, h_reg=1e-8)
-    lhs, rhs, ok = defect_inequality_audit(traj, 2.0, dp)
+    lhs, rhs, ok = states.defect_inequality(2.0, dp)
     assert ok
     # resolved data carries far less window defect than a subgrid-oscillatory
     # field of the same amplitude
@@ -209,38 +207,44 @@ def test_defect_inequality_smooth_data_passes():
 def test_defect_inequality_zero_horizon():
     g = GridSpec(1, 64)
     p = SolverParams(gamma=2.0, dt_max=5e-3)
-    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.0, 0.05)
-    lhs, rhs, ok = defect_inequality_audit(traj, 2.0, DefectParams(window=8))
+    _, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.0, 0.05)
+    lhs, rhs, ok = states.defect_inequality(2.0, DefectParams(window=8))
     assert lhs == 0.0
     assert ok
 
 
-def test_streamed_audits_match_the_trajectory_forms():
-    # an observed march keeps no fields; the studies feed the audits the
-    # per-state scalars instead, and must get the same bits
+def state_rows(states, gamma, dp, commutator_delta=0.0):
+    """:func:`state_row` of every kept state, in order, as ``run`` builds them."""
+    rows = []
+    for t, rho, u, ledger in zip(states.times, states.densities, states.velocities,
+                                 states.ledgers):
+        e0 = rows[0].pgamma_integral if rows else None
+        rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, commutator_delta))
+    return rows
+
+
+def test_state_rows_carry_the_audit_inputs():
+    # run keeps no field: its audits read int rho^gamma, the slack, the
+    # maximum and the defect proxy back from the rows, and must get the
+    # bits the audits over every kept field give
     g = GridSpec(2, 16)
     x, y = g.meshgrid()
     rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.cos(2 * y))
     p = SolverParams(gamma=2.0, eps=0.01, delta=0.3, eta=0.05, dt_max=5e-3)
-    tensor = DiagNu((1.0, 2.0))
-    traj = march(tensor, rho0, None, p, 0.03, 0.015)
+    traj, states = kept(march, DiagNu((1.0, 2.0)), rho0, None, p, 0.03, 0.015)
     dp = DefectParams(window=4)
-    pressures, proxies, maxima = [], [], []
-
-    def observe(t, rho, velocity, ledger):
-        maxima.append(rho.max())
-        pressures.append(pressure_integral(rho, 2.0))
-        proxies.append(defect_proxy(rho, 2.0, dp))
-
-    streamed = march(tensor, rho0, None, p, 0.03, 0.015, observe=observe)
-    assert streamed.densities == [] and streamed.velocities == []
-    assert len(pressures) == len(streamed) == len(traj)
-    assert energy_slacks(pressures[0], pressures, streamed.ledgers, 2.0) == energy_audit(traj)
-    assert traj.initial_pressure_integral() == pressures[0]
-    assert worst_violation(energy_audit(traj)) == energy_violation(traj)
+    rows = state_rows(states, 2.0, dp)
+    assert len(rows) == len(traj) >= 3
+    for row, rho in zip(rows, states.densities):
+        assert row.pgamma_integral == pressure_integral(rho, 2.0)
+        assert row.defect_proxy == defect_proxy(rho, 2.0, dp)
+        assert (row.rho_min, row.rho_max) == (rho.min(), rho.max())
+    slacks = [row.energy_slack for row in rows]
+    assert slacks == states.energy_slacks(2.0) and rows[0].energy_slack == 0.0
     assert defect_inequality(
-        streamed.times, proxies, maxima[0], streamed.ledgers[-1], g, 2.0, dp
-    ) == defect_inequality_audit(traj, 2.0, dp)
+        traj.times, [row.defect_proxy for row in rows], rows[0].rho_max, traj.ledgers[-1],
+        g, 2.0, dp,
+    ) == states.defect_inequality(2.0, dp)
 
 
 # ------------------------------------------------------------ commutator
@@ -250,9 +254,9 @@ def test_commutator_audit_rows_decay_in_radius():
     x = g.meshgrid()[0]
     rho0 = ScalarField(g, 1.0 + 0.4 * np.cos(x) + 0.1 * np.sin(2 * x))
     p = SolverParams(gamma=2.0, eps=0.01, delta=0.0, eta=0.01, dt_max=5e-3)
-    traj = march(DiagNu((1.0,)), rho0, None, p, 0.02, 0.02, store_every=2)
+    traj, states = kept(march, DiagNu((1.0,)), rho0, None, p, 0.02, 0.02, store_every=2)
     deltas = [0.4, 0.2, 0.1]
-    table = commutator_audit(traj, deltas)
+    table = commutator_audit(states.states(), deltas)
     assert len(table) == len(traj.times)
     for _t, residuals in table:
         for a, b in zip(residuals, residuals[1:]):
@@ -266,8 +270,8 @@ def test_rows_and_csv_roundtrip(tmp_path):
     x = g.meshgrid()[0]
     rho0 = ScalarField(g, 1.0 + 0.2 * np.cos(x))
     p = SolverParams(gamma=2.0, eps=0.01, delta=0.2, eta=0.05, dt_max=5e-3)
-    traj = march(DiagNu((1.0,)), rho0, None, p, 0.05, 0.05)
-    rows = rows_for_trajectory(traj, DefectParams(window=8), commutator_delta=0.3)
+    traj, states = kept(march, DiagNu((1.0,)), rho0, None, p, 0.05, 0.05)
+    rows = state_rows(states, 2.0, DefectParams(window=8), commutator_delta=0.3)
     assert len(rows) == len(traj.times)
     assert rows[0].t == 0.0
     assert rows[0].dissipation_cum == 0.0
@@ -296,8 +300,9 @@ def test_rows_and_csv_roundtrip(tmp_path):
 def test_csv_full_precision():
     g = GridSpec(1, 16)
     p = SolverParams(gamma=2.0, dt_max=0.01)
-    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.0 / 3.0), None, p, 0.0, 0.05)
-    row = rows_for_trajectory(traj)[0]
+    _, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0 / 3.0), None, p, 0.0,
+                     0.05)
+    row = state_rows(states, 2.0, DefectParams())[0]
     line = row.as_csv_line()
     mass_text = line.split(",")[1]
     assert float(mass_text) == row.mass

@@ -1,5 +1,6 @@
 """Fixed-point slab tests: contraction, chaining, halving, direct stepping."""
 
+import dataclasses
 import gc
 import json
 import os
@@ -39,6 +40,7 @@ from anisostokes.marching import (
 from anisostokes.stokes import StokesOperator, residual
 from anisostokes.transport import SolverParams, cfl_dt, continuity_step, pressure_field
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull, isotropic_strain_tensor
+from keepall import KeepAll, kept
 
 
 CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
@@ -110,12 +112,12 @@ def test_picard_constant_data_converges_in_one_iteration():
     g = GridSpec(1, 32)
     p = canonical_params()
     rho0 = ScalarField.constant(g, 1.0)
-    traj, history = picard_solve(DiagNu((1.0,)), rho0, None, p, Slab(0.0, 0.05, 5))
+    (_, history), states = kept(picard_solve, DiagNu((1.0,)), rho0, None, p, Slab(0.0, 0.05, 5))
     assert history == []
-    for u in traj.velocities:
+    for u in states.velocities:
         assert u.linf_norm() == 0.0
     # drag still burns mass
-    assert traj.densities[-1].max() < 1.0
+    assert states.final_density.max() < 1.0
 
 
 def strong_coupling_scenario():
@@ -149,7 +151,7 @@ def test_picard_two_starts_reach_same_fixed_point():
     rho0 = cosine_density(g)
     tensor = DiagNu((1.0, 1.0, 4.0))
     slab = Slab(0.0, 0.05, 5)
-    traj_zero, _ = picard_solve(tensor, rho0, None, p, slab)
+    _, zero = kept(picard_solve, tensor, rho0, None, p, slab)
     rng = np.random.default_rng(7)
     xs = g.meshgrid()
     comps = [
@@ -158,11 +160,10 @@ def test_picard_two_starts_reach_same_fixed_point():
         for _ in range(3)
     ]
     start = VectorField.from_arrays(g, comps)
-    traj_rand, _ = picard_solve(tensor, rho0, None, p, slab, v0=[start] * 5)
+    _, rand = kept(picard_solve, tensor, rho0, None, p, slab, v0=[start] * 5)
     dt = slab.dt
     total = sum(
-        grad_l2_norm(a - b) ** 2
-        for a, b in zip(traj_zero.velocities[:5], traj_rand.velocities[:5])
+        grad_l2_norm(a - b) ** 2 for a, b in zip(zero.velocities[:5], rand.velocities[:5])
     )
     assert np.sqrt(dt * total) <= 10 * p.fp_tol
 
@@ -172,10 +173,10 @@ def test_picard_trajectory_contracts_stokes_residual():
     p = canonical_params(delta=0.3)
     rho0 = cosine_density(g)
     tensor = DiagNu((1.0, 4.0))
-    traj, _ = picard_solve(tensor, rho0, None, p, Slab(0.0, 0.04, 4))
+    (traj, _), states = kept(picard_solve, tensor, rho0, None, p, Slab(0.0, 0.04, 4))
     op = StokesOperator.build(tensor, g, rtol=p.stokes_rtol)
     kernel = MollifierKernel(g, p.delta)
-    for rho, u in zip(traj.densities, traj.velocities):
+    for rho, u in zip(states.densities, states.velocities):
         q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
         assert residual(op, u, q) <= p.stokes_rtol * max(grad(q).l2_norm(), 1e-30)
         for c in u.components:
@@ -306,13 +307,13 @@ def test_account_keeps_the_mass_identity_full_physics(dim, n):
 def test_march_constant_data_follows_drag_ode():
     g = GridSpec(1, 16)
     p = canonical_params(eta=0.1, dt_max=1e-3)
-    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.1, 0.05)
+    traj, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.1, 0.05)
     assert traj.final_time == pytest.approx(0.1, abs=1e-12)
     sol = solve_ivp(
         lambda t, y: -0.1 * (y**4 + y**3), (0.0, 0.1), [1.0], rtol=1e-11, atol=1e-13
     )
-    assert np.allclose(traj.final_density.data, sol.y[0, -1], atol=1e-4)
-    for u in traj.velocities:
+    assert np.allclose(states.final_density.data, sol.y[0, -1], atol=1e-4)
+    for u in states.velocities:
         assert u.linf_norm() == 0.0
     for led in traj.ledgers:
         assert led.identity_defect() <= 1e-10 * led.mass_initial
@@ -322,10 +323,10 @@ def test_march_t_end_zero_returns_initial_state():
     g = GridSpec(2, 16)
     p = canonical_params()
     rho0 = cosine_density(g)
-    traj = march(DiagNu((1.0, 1.0)), rho0, None, p, 0.0, 0.05)
+    traj, states = kept(march, DiagNu((1.0, 1.0)), rho0, None, p, 0.0, 0.05)
     assert len(traj.times) == 1
     assert traj.times[0] == 0.0
-    assert np.array_equal(traj.densities[0].data, rho0.data)
+    assert np.array_equal(states.densities[0].data, rho0.data)
 
 
 def test_single_slab_equals_chained_half_slabs():
@@ -333,11 +334,9 @@ def test_single_slab_equals_chained_half_slabs():
     p = canonical_params()
     rho0 = cosine_density(g)
     tensor = DiagNu((1.0, 4.0))
-    whole, _ = picard_solve(tensor, rho0, None, p, Slab(0.0, 0.08, 16))
-    first, _ = picard_solve(tensor, rho0, None, p, Slab(0.0, 0.04, 8))
-    second, _ = picard_solve(
-        tensor, first.final_density, None, p, Slab(0.04, 0.08, 8)
-    )
+    _, whole = kept(picard_solve, tensor, rho0, None, p, Slab(0.0, 0.08, 16))
+    _, first = kept(picard_solve, tensor, rho0, None, p, Slab(0.0, 0.04, 8))
+    _, second = kept(picard_solve, tensor, first.final_density, None, p, Slab(0.04, 0.08, 8))
     gap = whole.final_density - second.final_density
     assert gap.l2_norm() <= 1e-6
 
@@ -475,28 +474,30 @@ def full_passes(monkeypatch):
 
 
 def assert_same_trajectory(a, b):
-    assert a.times == b.times
-    for x, y in zip(a.densities, b.densities, strict=True):
+    """Two (trajectory, kept states) runs agree bit for bit."""
+    (traj_a, kept_a), (traj_b, kept_b) = a, b
+    assert traj_a.times == traj_b.times == kept_a.times
+    for x, y in zip(kept_a.densities, kept_b.densities, strict=True):
         assert np.array_equal(x.data, y.data)
-    for x, y in zip(a.velocities, b.velocities, strict=True):
+    for x, y in zip(kept_a.velocities, kept_b.velocities, strict=True):
         assert np.array_equal(x.stacked(), y.stacked())
-    assert a.ledgers == b.ledgers
-    assert a.fixed_point_reports == b.fixed_point_reports
+    assert traj_a.ledgers == traj_b.ledgers
+    assert traj_a.fixed_point_reports == traj_b.fixed_point_reports
 
 
 def test_skipping_the_settled_prefix_changes_no_bit(monkeypatch):
     tensor, rho0, p = multi_slab_scenario()
     slab = Slab(0.0, 0.05, 10)
-    traj = march(tensor, rho0, None, p, 0.09, 0.03)
-    piece, history = picard_solve(tensor, rho0, None, p, slab)
-    assert max(report[2] for report in traj.fixed_point_reports) >= 3
+    run = kept(march, tensor, rho0, None, p, 0.09, 0.03)
+    (piece, history), piece_states = kept(picard_solve, tensor, rho0, None, p, slab)
+    assert max(report[2] for report in run[0].fixed_point_reports) >= 3
     assert len(history) + 1 >= 3
     with monkeypatch.context() as patch:
         full_passes(patch)
-        full = march(tensor, rho0, None, p, 0.09, 0.03)
-        full_piece, full_history = picard_solve(tensor, rho0, None, p, slab)
-    assert_same_trajectory(traj, full)
-    assert_same_trajectory(piece, full_piece)
+        full = kept(march, tensor, rho0, None, p, 0.09, 0.03)
+        (full_piece, full_history), full_states = kept(picard_solve, tensor, rho0, None, p, slab)
+    assert_same_trajectory(run, full)
+    assert_same_trajectory((piece, piece_states), (full_piece, full_states))
     assert history == full_history
 
 
@@ -519,27 +520,27 @@ def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
 
 def test_march_matches_chained_picard_solves():
     tensor, rho0, p = multi_slab_scenario()
-    traj = march(tensor, rho0, None, p, 0.09, 0.03)
-    chain = Trajectory(grid=rho0.grid, params=p, tensor=tensor)
+    traj, states = kept(march, tensor, rho0, None, p, 0.09, 0.03)
+    chain = KeepAll()
     ledger = None
     rho = rho0
     for report, steps in zip(traj.fixed_point_reports, slab_steps(traj)):
-        piece, _ = picard_solve(
-            tensor, rho, None, p, Slab(report[0], report[1], steps), ledger=ledger
+        (piece, _), piece_states = kept(
+            picard_solve, tensor, rho, None, p, Slab(report[0], report[1], steps), ledger=ledger
         )
+        assert piece.ledgers == piece_states.ledgers
         # each piece opens with the state the previous one closed on
         skip = 1 if chain.times else 0
         for name in ("times", "densities", "velocities", "ledgers"):
-            getattr(chain, name).extend(getattr(piece, name)[skip:])
-        rho = piece.final_density
+            getattr(chain, name).extend(getattr(piece_states, name)[skip:])
+        rho = piece_states.final_density
         ledger = piece.ledgers[-1]
     assert chain.times == traj.times
-    for a, b in zip(chain.densities, traj.densities):
+    for a, b in zip(chain.densities, states.densities, strict=True):
         assert np.array_equal(a.data, b.data)
-    for a, b in zip(chain.velocities, traj.velocities):
+    for a, b in zip(chain.velocities, states.velocities, strict=True):
         assert np.array_equal(a.stacked(), b.stacked())
-    for name in ("ledgers", "min_rho_ever", "max_principle_margin"):
-        assert getattr(chain, name) == getattr(traj, name), name
+    assert chain.ledgers == traj.ledgers
 
 
 def test_march_keeps_one_slab_of_time_dependent_operators(monkeypatch):
@@ -587,15 +588,6 @@ def test_symbol_march_never_loads_the_stencil_or_krylov_modules():
 
 # ------------------------------------------------------------ observers
 
-def observing(seen, call_velocity=True):
-    """An observer appending (t, rho, u or None, ledger) to ``seen``."""
-
-    def observe(t, rho, velocity, ledger):
-        seen.append((t, rho, velocity() if call_velocity else None, ledger))
-
-    return observe
-
-
 def observer_cases():
     """(driver, args, kwargs) for a symbol march stored every other substep,
     a Krylov march and a direct march."""
@@ -612,31 +604,34 @@ def observer_cases():
 def test_observer_sees_the_stored_states_and_the_trajectory_keeps_no_fields(case):
     driver, args, kwargs = observer_cases()[case]
     traj = driver(*args, **kwargs)
-    seen = []
-    observed = driver(*args, observe=observing(seen), **kwargs)
-    assert observed.densities == [] and observed.velocities == []
-    assert observed.times == traj.times and [s[0] for s in seen] == traj.times
-    assert observed.ledgers == traj.ledgers and [s[3] for s in seen] == traj.ledgers
+    observed, seen = kept(driver, *args, **kwargs)
+    assert {f.name for f in dataclasses.fields(Trajectory)} == {
+        "times", "ledgers", "slab_halvings", "fixed_point_reports", "observe"
+    }
+    assert observed.times == traj.times == seen.times
+    assert observed.ledgers == traj.ledgers == seen.ledgers
     assert observed.fixed_point_reports == traj.fixed_point_reports
     assert observed.slab_halvings == traj.slab_halvings
     assert len(observed) == len(traj) >= 3
-    for (_t, rho, u, _ledger), rho_kept, u_kept in zip(seen, traj.densities, traj.velocities):
-        assert np.array_equal(rho.data, rho_kept.data)
-        assert np.array_equal(u.stacked(), u_kept.stacked())
+    # each state reaches the observer with the ledger that accounts for it
+    for rho, ledger in zip(seen.densities, seen.ledgers, strict=True):
+        assert rho.integral() == ledger.mass_now
+        assert rho.min() >= ledger.min_rho
 
 
 def test_observed_march_makes_velocities_only_at_slab_ends(monkeypatch):
     tensor, rho0, p = multi_slab_scenario()
     made = counting(monkeypatch, _Momentum, "velocity", lambda args: None)
-    traj = march(tensor, rho0, None, p, 0.09, 0.03)
+    traj, _ = kept(march, tensor, rho0, None, p, 0.09, 0.03)
     assert len(made) == len(traj)
     made.clear()
     # the march sizes each slab from the velocity of the state it starts
     # from: the initial state and every slab end but the last
-    quiet = march(tensor, rho0, None, p, 0.09, 0.03, observe=observing([], False))
-    assert len(made) == len(quiet.fixed_point_reports) >= 3
-    assert len(made) < len(quiet) - 1
-    made.clear()
+    for observe in (lambda t, rho, velocity, ledger: None, None):
+        quiet = march(tensor, rho0, None, p, 0.09, 0.03, observe=observe)
+        assert len(made) == len(quiet.fixed_point_reports) >= 3
+        assert len(made) < len(quiet) - 1
+        made.clear()
     # an observer that asks twice still gets each velocity made once
     seen = []
 
@@ -662,9 +657,10 @@ def retained(run):
 
 
 def test_observed_march_memory_does_not_grow_with_stored_states():
-    # tracemalloc sees numpy buffers: a stored march keeps a density and a
-    # velocity per state, an observed one (keeping a scalar per state, as
-    # the studies do) less than one density field per state
+    # tracemalloc sees numpy buffers: a march observed by a keep-all
+    # observer holds a density and a velocity per state, one whose observer
+    # keeps a scalar per state (as the commands do) less than one density
+    # field per state
     g = GridSpec(2, 32)
     x, y = g.meshgrid()
     rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.cos(y))
@@ -672,7 +668,7 @@ def test_observed_march_memory_does_not_grow_with_stored_states():
     field_bytes = rho0.data.nbytes
 
     def stored(t_end):
-        return march(DiagNu((1.0, 2.0)), rho0, None, p, t_end, t_end), None
+        return kept(march, DiagNu((1.0, 2.0)), rho0, None, p, t_end, t_end)
 
     def observed(t_end):
         maxima = []
@@ -709,11 +705,11 @@ def test_direct_march_requires_zero_delta():
 def test_direct_march_matches_constant_drag_ode():
     g = GridSpec(1, 16)
     p = canonical_params(delta=0.0, eta=0.1, dt_max=1e-3)
-    traj = direct_march(DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.1)
+    _, states = kept(direct_march, DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.1)
     sol = solve_ivp(
         lambda t, y: -0.1 * (y**4 + y**3), (0.0, 0.1), [1.0], rtol=1e-11, atol=1e-13
     )
-    assert np.allclose(traj.final_density.data, sol.y[0, -1], atol=1e-4)
+    assert np.allclose(states.final_density.data, sol.y[0, -1], atol=1e-4)
 
 
 def test_march_approaches_direct_as_delta_shrinks():
@@ -723,11 +719,12 @@ def test_march_approaches_direct_as_delta_shrinks():
     rho0 = ScalarField(g, 1.0 + 0.25 * np.cos(x) + 0.1 * np.sin(2 * x))
     tensor = DiagNu((1.0,))
     t_end = 0.2
-    direct = direct_march(tensor, rho0, None, SolverParams(delta=0.0, **base), t_end)
+    _, direct = kept(direct_march, tensor, rho0, None, SolverParams(delta=0.0, **base), t_end)
     gaps = []
     for delta in (0.4, 0.2):
-        traj = march(tensor, rho0, None, SolverParams(delta=delta, **base), t_end, 0.05)
-        gaps.append((traj.final_density - direct.final_density).l2_norm())
+        _, states = kept(march, tensor, rho0, None, SolverParams(delta=delta, **base), t_end,
+                         0.05)
+        gaps.append((states.final_density - direct.final_density).l2_norm())
     assert gaps[1] < gaps[0]
 
 
