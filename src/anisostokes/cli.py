@@ -267,7 +267,10 @@ def cmd_sweep_eps(cfg, out_dir):
 def cmd_defect_study(cfg, out_dir):
     results = []
     if not isinstance(cfg.tensor, DiagNu):
-        raise ValueError("the defect study scales a per-axis viscosity; use viscosity.kind = diag")
+        raise ParseError(
+            cfg.tensor_line,
+            "the defect study scales a per-axis viscosity; use viscosity.kind = diag",
+        )
     base = cfg.tensor.nu
     gamma = cfg.params.gamma
     dps = [replace(cfg.defect_params, window=window) for window in cfg.defect_windows]

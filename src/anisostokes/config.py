@@ -174,7 +174,7 @@ KEYS = {
     "initial.value": _Key("real", "initial.value"),
     "initial.amplitude": _Key("real", "initial.amplitude"),
     "initial.wavelength": _Key("real", "initial.wavelength"),
-    "initial.width": _Key("real", "initial.width"),
+    "initial.width": _Key("real", "initial.width", _POSITIVE),
     "initial.base": _Key("text", "initial.base", _kind("constant", "cosine", "bump")),
     "forcing.kind": _Key("text", "forcing.kind", _kind("zero", "cosine", "file")),
     "forcing.amplitude": _Key("real", "forcing.amplitude"),
@@ -183,7 +183,7 @@ KEYS = {
                                 note="time:path pairs, semicolon-separated"),
     "diagnostics.window": _Key("integer", "defect_params.window", (_divides, _WINDOW)),
     "diagnostics.h_reg": _Key("real", "defect_params.h_reg", _AT_LEAST_0),
-    "diagnostics.commutator_delta": _Key("real", "commutator_delta"),
+    "diagnostics.commutator_delta": _Key("real", "commutator_delta", _AT_LEAST_0),
     "sweep.deltas": _Key("reals", "sweep_deltas", _DELTAS),
     "sweep.eps_levels": _Key("reals", "sweep_eps_levels", _EPS_LEVELS),
     "defect.ratios": _Key("reals", "defect_ratios", _RATIOS),
@@ -404,12 +404,7 @@ def make_initial(spec, grid):
         base = _base_field(spec.base, spec, grid)
         xs = grid.meshgrid()
         factor = 1.0 + spec.amplitude * np.sin(2.0 * np.pi * xs[0] / spec.wavelength)
-        data = base.data * factor
-        clipped = int((data < 0.0).sum())
-        if clipped:
-            logger.info("initial data clipped %d negative cells to zero", clipped)
-            data = np.maximum(data, 0.0)
-        out = ScalarField(grid, data)
+        out = ScalarField(grid, base.data * factor)
     else:
         raise ValueError(f"unknown initial kind {spec.kind!r}")
     if out.min() < 0.0:

@@ -50,15 +50,12 @@ class DefectParams:
 
     window: int = 8
     h_reg: float = 1e-8
-    slack_tolerance: float = 1e-2
 
     def __post_init__(self):
         if self.window < 1:
             raise ValueError("window must be at least one cell")
         if self.h_reg < 0:
             raise ValueError("h_reg must be nonnegative")
-        if self.slack_tolerance < 0:
-            raise ValueError("slack_tolerance must be nonnegative")
 
 
 def energy_slacks(e0, pressures, ledgers, gamma):
@@ -133,6 +130,9 @@ def defect_proxy(rho, gamma, dp):
     return total - grid.volume * dp.h_reg ** (1.0 / gamma)
 
 
+_DEFECT_SLACK = 1e-2
+
+
 def defect_inequality(times, series, rho0_max, ledger, grid, gamma, dp):
     """Time-integrated defect inequality from the proxy series: (lhs, rhs, passed).
 
@@ -140,7 +140,7 @@ def defect_inequality(times, series, rho0_max, ledger, grid, gamma, dp):
     ``rho0_max`` is the initial density's maximum and ``ledger`` the final
     one.  lhs integrates the proxy (trapezoid on the samples); rhs is the
     initial proxy carried flat over the horizon, plus the h-regularization
-    correction h^(1/gamma) * int int |div w|, plus a slack proportional to
+    correction h^(1/gamma) * int int |div w|, plus a slack of 1e-2 times
     the horizon, volume and density scale.
     """
     horizon = times[-1] - times[0]
@@ -149,7 +149,7 @@ def defect_inequality(times, series, rho0_max, ledger, grid, gamma, dp):
     rhs = (
         horizon * series[0]
         + dp.h_reg ** (1.0 / gamma) * ledger.divu_l1_cum
-        + dp.slack_tolerance * scale
+        + _DEFECT_SLACK * scale
     )
     return lhs, rhs, lhs <= rhs
 

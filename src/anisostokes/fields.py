@@ -1,6 +1,6 @@
 """Periodic grids, scalar/vector fields, spectral calculus and mollification.
 
-Everything lives on a uniform tensor grid over the periodic box [0, L)^d,
+Everything lives on a uniform tensor grid over the periodic box [0, 2*pi)^d,
 d in {1, 2, 3}, with the same cell width on every axis.  Derivatives are
 spectral (FFT).  Callers that already hold a field's ``rfftn`` half
 spectrum take its divergence, Jacobian and gradient norm from it directly
@@ -37,13 +37,11 @@ class GridSpec:
     dim : int
         Spatial dimension, 1, 2 or 3.
     n : int or sequence of int
-        Cells per axis.  A bare int is replicated across axes.
-    length : float or sequence of float, optional
-        Physical period per axis (default 2*pi on every axis).  All axes
-        must share the same cell width length/n.
+        Cells per axis, the same on every axis since each spans 2*pi.  A
+        bare int is replicated across axes.
     """
 
-    def __init__(self, dim, n, length=None):
+    def __init__(self, dim, n):
         if dim not in (1, 2, 3):
             raise ValueError(f"dim must be 1, 2 or 3, got {dim}")
         if np.isscalar(n):
@@ -53,27 +51,16 @@ class GridSpec:
             raise ValueError(f"need {dim} extents, got {n}")
         if any(m < 4 for m in n):
             raise ValueError(f"every axis needs at least 4 cells, got {n}")
-        if length is None:
-            length = (TWO_PI,) * dim
-        elif np.isscalar(length):
-            length = (float(length),) * dim
-        length = tuple(float(v) for v in length)
-        if len(length) != dim:
-            raise ValueError(f"need {dim} lengths, got {length}")
-        if any(v <= 0 for v in length):
-            raise ValueError(f"lengths must be positive, got {length}")
-        widths = [v / m for v, m in zip(length, n)]
-        if max(widths) - min(widths) > 1e-12 * max(widths):
-            raise ValueError(f"axes must share one cell width, got {widths}")
+        if len(set(n)) > 1:
+            raise ValueError(f"axes must share one cell width, got {n} cells")
 
         self.dim = dim
         self.n = n
-        self.length = length
-        self.h = widths[0]
+        self.h = TWO_PI / n[0]
         self.shape = n
         self.ncells = int(np.prod(n))
         self.cell_volume = self.h**dim
-        self.volume = float(np.prod(length))
+        self.volume = float(np.prod((TWO_PI,) * dim))
         self.half_shape = n[:-1] + (n[-1] // 2 + 1,)
         self._axes = tuple(range(-dim, 0))
         self._kd = None
@@ -82,18 +69,13 @@ class GridSpec:
         self._grad_norm_weight = None
 
     def __eq__(self, other):
-        return (
-            isinstance(other, GridSpec)
-            and self.dim == other.dim
-            and self.n == other.n
-            and self.length == other.length
-        )
+        return isinstance(other, GridSpec) and self.dim == other.dim and self.n == other.n
 
     def __hash__(self):
-        return hash((self.dim, self.n, self.length))
+        return hash((self.dim, self.n))
 
     def __repr__(self):
-        return f"GridSpec(dim={self.dim}, n={self.n}, length={self.length})"
+        return f"GridSpec(dim={self.dim}, n={self.n})"
 
     def axis_coords(self, axis):
         """Cell-center coordinates along one axis (left-closed convention)."""
@@ -619,14 +601,13 @@ def write_snapshot(path, field, t):
         fh.write(payload)
 
 
-def read_snapshot(path, length=None):
+def read_snapshot(path):
     """Read a snapshot file written by :func:`write_snapshot`.
 
     Returns
     -------
     (ScalarField, float)
-        The field and its time stamp.  ``length`` optionally overrides the
-        default 2*pi period per axis.
+        The field and its time stamp, on the [0, 2*pi)^d box.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -649,5 +630,5 @@ def read_snapshot(path, length=None):
         if len(raw) != count * 8:
             raise ValueError(f"{path}: truncated payload")
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n)
-    grid = GridSpec(dim, n, length)
+    grid = GridSpec(dim, n)
     return ScalarField(grid, data), t

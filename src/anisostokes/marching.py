@@ -310,10 +310,11 @@ def _located(where):
 class _Momentum:
     """The momentum solve of one march and how it carries a solved velocity.
 
-    Operators are built lazily, once per distinct time.  A time-dependent
-    tensor gets one operator per substep time; ``retain`` drops those a
-    slab no longer needs, so a march holds at most one slab's worth.  The
-    mollifier ``kernel`` is None at delta = 0, where w is u itself.
+    Operators are built lazily: one for a tensor without breakpoints, and
+    one per substep time for a time-dependent tensor; ``retain`` drops the
+    per-time ones a slab no longer needs, so a march holds at most one
+    slab's worth.  The mollifier ``kernel`` is None at delta = 0, where w
+    is u itself.
     """
 
     def __init__(self, tensor, grid, f, params):
@@ -322,25 +323,16 @@ class _Momentum:
         self.f = f
         self.params = params
         self.kernel = None if params.delta <= 0.0 else MollifierKernel(grid, params.delta)
-        self._static = None
-        self._by_time = {}
+        self._ops = {}
 
     def retain(self, times):
         """Drop the per-time operators built for times not in ``times``."""
-        keep = set(times)
-        self._by_time = {t: op for t, op in self._by_time.items() if t in keep}
+        keep = set(times) | {None}
+        self._ops = {t: op for t, op in self._ops.items() if t in keep}
 
     def at(self, t):
-        if not getattr(self.tensor, "time_dependent", False):
-            if self._static is None:
-                self._static = StokesOperator.build(
-                    self.tensor,
-                    self.grid,
-                    rtol=self.params.stokes_rtol,
-                    max_iter=self.params.stokes_max_iter,
-                )
-            return self._static
-        op = self._by_time.get(t)
+        key = t if self.tensor.time_dependent else None
+        op = self._ops.get(key)
         if op is None:
             op = StokesOperator.build(
                 self.tensor,
@@ -349,7 +341,7 @@ class _Momentum:
                 rtol=self.params.stokes_rtol,
                 max_iter=self.params.stokes_max_iter,
             )
-            self._by_time[t] = op
+            self._ops[key] = op
         return op
 
     def _smooth(self, fieldlike):

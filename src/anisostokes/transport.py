@@ -164,7 +164,11 @@ def _diffuse(data, grid, eps, dt):
     return out
 
 
-def _drag_solve(s, a, gamma, max_iter=100, tol=1e-13):
+_DRAG_MAX_ITER = 100
+_DRAG_RTOL = 1e-13
+
+
+def _drag_solve(s, a, gamma):
     """Solve r + a (r^{2 gamma} + r^3) = s cellwise, r >= 0.
 
     The map is convex and increasing for r >= 0, so Newton started at
@@ -173,16 +177,16 @@ def _drag_solve(s, a, gamma, max_iter=100, tol=1e-13):
     x = s.copy()
     scale = max(float(s.max()), 1.0)
     two_g = 2.0 * gamma
-    for _ in range(max_iter):
+    for _ in range(_DRAG_MAX_ITER):
         f = x + a * (x**two_g + x**3) - s
-        if float(np.abs(f).max()) <= tol * scale:
+        if float(np.abs(f).max()) <= _DRAG_RTOL * scale:
             return np.maximum(x, 0.0)
         fp = 1.0 + a * (two_g * x ** (two_g - 1.0) + 3.0 * x**2)
         x = x - f / fp
         x = np.maximum(x, 0.0)
     f = x + a * (x**two_g + x**3) - s
     worst = float(np.abs(f).max())
-    if worst > tol * scale:
+    if worst > _DRAG_RTOL * scale:
         raise NewtonFail(f"drag solve stalled at residual {worst:.3e}")
     return np.maximum(x, 0.0)
 

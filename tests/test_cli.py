@@ -341,6 +341,16 @@ def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
     assert lines[0].startswith(f"FAIL config: {cfg}: line 13: forcing.path: cannot read ")
 
 
+def test_defect_study_of_a_non_diag_law_fails_the_config_on_its_line(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN + "viscosity.kind = constant\nviscosity.a = 1\n")
+    assert main(["defect-study", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL config: {cfg}: line 13: the defect study scales a per-axis viscosity;"
+        " use viscosity.kind = diag\n"
+    )
+    assert not (tmp_path / "art").exists()
+
+
 def test_singular_stress_law_fails_the_solver_with_exit_code_3(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN + "viscosity.kind = constant\nviscosity.a = 0\n")
     assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
@@ -447,7 +457,7 @@ def test_studies_write_the_same_bytes_as_stored_marches(tmp_path, capsys, monkey
         assert len(runs[0][0]) == 1
 
 
-@pytest.mark.parametrize("error", [
+SOLVER_FAILURES = (
     NotCoercive("coercivity estimate 0.000e+00 is not positive"),
     SingularSymbol("singular momentum symbol on 7 modes"),
     KrylovNoConvergence(40, 1e-3, 1e-9),
@@ -455,13 +465,25 @@ def test_studies_write_the_same_bytes_as_stored_marches(tmp_path, capsys, monkey
     NegativeInput("negative density"),
     NoContraction("update ratios [1.2, 1.3, 1.4] on slab [0.0, 0.05]"),
     SlabCollapse("slab shrank 6 times without contraction"),
-], ids=lambda error: type(error).__name__)
-def test_each_solver_failure_prints_one_line_and_exits_3(tmp_path, capsys, monkeypatch, error):
+)
+
+
+# Every marching study must reach ``march`` through the name in ``cli``, looked
+# up at call time: the benchmark's set-up probe replaces it to stop the clock.
+# The ``run`` cases keep the bare error name as their id.
+@pytest.mark.parametrize("study, error", [
+    pytest.param(study, error, id="-".join(
+        ([] if study == "run" else [study]) + [type(error).__name__]))
+    for study in ("run", "defect-study", "sweep-delta", "sweep-eps")
+    for error in SOLVER_FAILURES
+])
+def test_each_solver_failure_prints_one_line_and_exits_3(tmp_path, capsys, monkeypatch, study,
+                                                        error):
     def fail(*args, **kwargs):
         raise error
 
     monkeypatch.setattr(cli, "march", fail)
-    assert main(["run", write_cfg(tmp_path, SMALL_RUN), "--out", str(tmp_path / "art")]) == 3
+    assert main([study, write_cfg(tmp_path, SMALL_RUN), "--out", str(tmp_path / "art")]) == 3
     assert capsys.readouterr().out == f"FAIL solver: {type(error).__name__}: {error}\n"
 
 

@@ -115,6 +115,7 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("diagnostics.window = 0", "diagnostics.window"),
         ("diagnostics.window = 3", "diagnostics.window"),
         ("diagnostics.h_reg = -1e-9", "diagnostics.h_reg"),
+        ("diagnostics.commutator_delta = -0.1", "diagnostics.commutator_delta"),
         ("defect.windows = 4,0", "defect.windows"),
         ("defect.windows = 4,6", "defect.windows"),
         ("defect.ratios = 1,0", "defect.ratios"),
@@ -124,6 +125,7 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("sweep.deltas = 0.4,0.2,0.2,0.1", "sweep.deltas"),
         ("sweep.deltas = 0.4,0.2,0", "sweep.deltas"),
         ("initial.wavelength = 0.39\ninitial.kind = oscillatory", "initial.wavelength"),
+        ("initial.width = 0\ninitial.kind = bump", "initial.width"),
         ("forcing.kind = file", "forcing.kind"),
         ("viscosity.kind = constant", "viscosity.kind"),
         ("viscosity.kind = varying", "viscosity.kind"),

@@ -552,7 +552,7 @@ def test_march_keeps_one_slab_of_time_dependent_operators(monkeypatch):
 
     def at(self, t):
         op = original_at(self, t)
-        held.append((t, len(self._by_time)))
+        held.append((t, len(self._ops)))
         return op
 
     monkeypatch.setattr(_Momentum, "at", at)
