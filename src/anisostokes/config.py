@@ -136,6 +136,8 @@ _WINDOW = "a cell count >= 1 dividing every grid extent"
 _AT_LEAST_0 = (lambda v, _grid: v >= 0), ">= 0"
 _POSITIVE = (lambda v, _grid: v > 0), "> 0"
 _AT_LEAST_1 = (lambda v, _grid: v >= 1), ">= 1"
+# the bump profile divides by width**2, which underflows to 0 below ~1e-154
+_POSITIVE_SQUARE = (lambda v, _grid: v > 0 and v**2 > 0), "> 0 with width**2 > 0"
 _DELTAS = (
     lambda v, _grid: len(set(v)) == len(v) >= 3 and min(v) > 0
 ), "at least three distinct levels, each > 0"
@@ -174,7 +176,7 @@ KEYS = {
     "initial.value": _Key("real", "initial.value"),
     "initial.amplitude": _Key("real", "initial.amplitude"),
     "initial.wavelength": _Key("real", "initial.wavelength"),
-    "initial.width": _Key("real", "initial.width", _POSITIVE),
+    "initial.width": _Key("real", "initial.width", _POSITIVE_SQUARE),
     "initial.base": _Key("text", "initial.base", _kind("constant", "cosine", "bump")),
     "forcing.kind": _Key("text", "forcing.kind", _kind("zero", "cosine", "file")),
     "forcing.amplitude": _Key("real", "forcing.amplitude"),

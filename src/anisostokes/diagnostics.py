@@ -16,8 +16,8 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from anisostokes.fields import ScalarField, commutator_residual, div
-from anisostokes.transport import pressure_field, pressure_integral
+from anisostokes.fields import commutator_residual
+from anisostokes.transport import pressure_integral
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -89,12 +89,6 @@ def worst_violation(slacks):
 def pressure_l2_audit(traj):
     """Running L2((0,T) x domain) norm of rho^gamma at the final time."""
     return float(np.sqrt(traj.ledgers[-1].pgamma_l2_sq_cum))
-
-
-def effective_flux(rho, u, nu, gamma):
-    """F = rho^gamma - nu div u, the scalar flux of isotropic runs."""
-    p = pressure_field(rho, gamma)
-    return ScalarField(rho.grid, p.data - nu * div(u).data)
 
 
 def _window_means(data, window):

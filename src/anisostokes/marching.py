@@ -12,15 +12,14 @@ problem.  Two drivers are provided.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
 
-Each entry builds one ``_Momentum``: the momentum operators (built lazily,
-once per distinct time), the mollifier kernel, the forcing and the
-parameters of a march.  It carries a solved velocity as a (u_hat, w) pair:
-u_hat is the ``rfftn`` half spectrum of the velocity u solved from rho and
-w = omega_delta * u the real advecting velocity.  For diagonal and constant
-laws one forward transform of rho^gamma yields u_hat = G q_hat and w is the
-inverse transform of K u_hat (the mollifier is a Fourier multiplier there);
-for varying laws the stencil mollifier makes q and w, and u_hat is the
-transform of the Krylov solution.  Real u is synthesized (one inverse
+Each entry builds one ``_Momentum``: the momentum operator, the mollifier
+kernel, the forcing and the parameters of a march.  It carries a solved
+velocity as a (u_hat, w) pair: u_hat is the ``rfftn`` half spectrum of the
+velocity u solved from rho and w = omega_delta * u the real advecting
+velocity.  For diagonal and constant laws one forward transform of
+rho^gamma yields u_hat = G q_hat and w is the inverse transform of K u_hat
+(the mollifier is a Fourier multiplier there); for varying laws the stencil
+mollifier makes q and w, and u_hat is the transform of the Krylov solution.  Real u is synthesized (one inverse
 transform) only where one is asked for: by an observer of the stored
 states, at the slab starts and in ``apply_B``'s result.
 
@@ -98,7 +97,6 @@ from anisostokes.transport import (
     continuity_step,
     pressure_field,
 )
-from anisostokes.viscosity import apply_tau
 
 logger = logging.getLogger("anisostokes")
 
@@ -135,9 +133,9 @@ class Slab:
         return (self.t1 - self.t0) / self.steps
 
 
-def _viscous_work_integral(tensor, uhat, t, grid):
+def _viscous_work_integral(tensor, uhat, grid):
     J = jacobian_hat(grid, uhat)
-    tau = apply_tau(tensor, 0.5 * (J + np.swapaxes(J, 0, 1)), t)
+    tau = tensor.apply(0.5 * (J + np.swapaxes(J, 0, 1)))
     return float(np.sum(tau * J)) * grid.cell_volume
 
 
@@ -176,13 +174,14 @@ class Ledger:
         return abs(self.mass_now + self.drag2g_cum + self.drag3_cum - self.mass_initial)
 
 
-def _account(ledger, rho, w, what, uhat, t, dt, tensor, params):
+def _account(ledger, rho, w, what, uhat, dt, tensor, params):
     """One continuity step of ``rho`` under ``w`` and the ledger after it.
 
     ``what`` is the half spectrum of w, whose divergence enters the defect
-    budget; ``uhat`` is that of the velocity solved at ``t``, whose stress
-    power enters the viscous work.  The drag removal is split between the
-    two channels in proportion to r^{2 gamma} and r^3 of the new density r.
+    budget; ``uhat`` is that of the velocity solved at the step start, whose
+    stress power enters the viscous work.  The drag removal is split between
+    the two channels in proportion to r^{2 gamma} and r^3 of the new density
+    r.
     Returns the advanced density and the new ledger.
     """
     grid = rho.grid
@@ -192,7 +191,7 @@ def _account(ledger, rho, w, what, uhat, t, dt, tensor, params):
     max_before = rho.max()
     bound = 1.0 + 1.1 * dt * divw.linf_norm()
     divu_l1 = dt * float(np.abs(divw.data).sum()) * vol
-    work = dt * _viscous_work_integral(tensor, uhat, t, grid)
+    work = dt * _viscous_work_integral(tensor, uhat, grid)
     rho, removed = continuity_step(rho, w, dt, params)
     r = rho.data
     drag2g = drag3 = drag_hi = drag_lo = grad_term = 0.0
@@ -310,11 +309,8 @@ def _located(where):
 class _Momentum:
     """The momentum solve of one march and how it carries a solved velocity.
 
-    Operators are built lazily: one for a tensor without breakpoints, and
-    one per substep time for a time-dependent tensor; ``retain`` drops the
-    per-time ones a slab no longer needs, so a march holds at most one
-    slab's worth.  The mollifier ``kernel`` is None at delta = 0, where w
-    is u itself.
+    ``op`` is the one momentum operator of the march.  The mollifier
+    ``kernel`` is None at delta = 0, where w is u itself.
     """
 
     def __init__(self, tensor, grid, f, params):
@@ -323,33 +319,17 @@ class _Momentum:
         self.f = f
         self.params = params
         self.kernel = None if params.delta <= 0.0 else MollifierKernel(grid, params.delta)
-        self._ops = {}
-
-    def retain(self, times):
-        """Drop the per-time operators built for times not in ``times``."""
-        keep = set(times) | {None}
-        self._ops = {t: op for t, op in self._ops.items() if t in keep}
-
-    def at(self, t):
-        key = t if self.tensor.time_dependent else None
-        op = self._ops.get(key)
-        if op is None:
-            op = StokesOperator.build(
-                self.tensor,
-                self.grid,
-                t=t,
-                rtol=self.params.stokes_rtol,
-                max_iter=self.params.stokes_max_iter,
-            )
-            self._ops[key] = op
-        return op
+        self.op = StokesOperator.build(
+            tensor, grid, rtol=params.stokes_rtol, max_iter=params.stokes_max_iter
+        )
 
     def _smooth(self, fieldlike):
         return fieldlike if self.kernel is None else mollify(fieldlike, self.kernel)
 
     def pair(self, rho, t):
         """(u_hat, w): the velocity solved from ``rho`` at ``t``, as its half
-        spectrum, and the real advecting field w = omega_delta * u.
+        spectrum, and the real advecting field w = omega_delta * u; ``t`` is
+        the time of the forcing.
 
         The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
         mollifications are the multiplier ``kernel.symbol``, so one forward
@@ -357,7 +337,7 @@ class _Momentum:
         inverse transform of K u_hat.  In Krylov mode q and w come from the
         stencil :func:`mollify` and u_hat is the transform of the solved u.
         """
-        op = self.at(t)
+        op = self.op
         grid = rho.grid
         p = pressure_field(rho, self.params.gamma)
         ft = self.f(t) if callable(self.f) else self.f
@@ -387,13 +367,13 @@ class _Momentum:
         """:meth:`velocity` of ``pair`` as a callable that makes it once, on first call."""
         return functools.cache(functools.partial(self.velocity, pair))
 
-    def advecting_hat(self, pair, t):
+    def advecting_hat(self, pair):
         """The half spectrum of the pair's w: u_hat without a kernel, K u_hat
         in symbol mode, the transform of w otherwise."""
         uhat, w = pair
         if self.kernel is None:
             return uhat
-        if self.at(t).mode == "symbol":
+        if self.op.mode == "symbol":
             return self.kernel.symbol * uhat
         return w.grid.rfft(w.stacked())
 
@@ -467,10 +447,8 @@ def _record(mom, pairs, start, dt, traj, store_every, settled):
         pair = given if j <= settled else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
             traj.record(tj, rho, mom.lazy_velocity(pair), ledger)
-        what = mom.advecting_hat(given, tj)
-        rho, ledger = _account(
-            ledger, rho, given[1], what, pair[0], tj, dt, mom.tensor, mom.params
-        )
+        what = mom.advecting_hat(given)
+        rho, ledger = _account(ledger, rho, given[1], what, pair[0], dt, mom.tensor, mom.params)
     t1 = t0 + len(pairs) * dt
     return _store(traj, mom, t1, rho, mom.pair(rho, t1), ledger)
 
@@ -496,7 +474,6 @@ def picard_solve(
     slab,
     v0=None,
     ledger=None,
-    store_every=1,
     observe=None,
 ):
     """Fixed-point solve on one slab; returns (Trajectory, contraction history).
@@ -521,7 +498,7 @@ def picard_solve(
         ledger = Ledger.fresh(rho0)
     start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0, slab.t0), ledger)
     v0 = None if v0 is None else mom.pairs(v0)
-    history, _end = _picard_slab(mom, start, slab, v0, traj, store_every)
+    history, _end = _picard_slab(mom, start, slab, v0, traj, 1)
     return traj, history
 
 
@@ -543,7 +520,6 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
 
     for _attempt in range(_MAX_CFL_RETRIES):
         dt = (slab.t1 - slab.t0) / steps
-        mom.retain(slab.t0 + j * dt for j in range(steps + 1))
         # piecewise-constant resample of the start onto the substep grid
         v = [v0[min(int(j * len(v0) / steps), len(v0) - 1)] for j in range(steps)]
         history = []
@@ -611,11 +587,9 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, observe=None)
     One momentum object and one trajectory serve every slab; the initial
     state is recorded once, and each slab starts from the last stored state
     (whose velocity was solved from that same density at that same time)
-    and its ledger.  For time-dependent tensors the momentum object keeps
-    only the operators of the current slab's substep times.  Each stored
-    state goes to ``observe(t, rho, velocity, ledger)``, if given, in time
-    order; the returned trajectory keeps its time and ledger (see
-    :meth:`Trajectory.record`).
+    and its ledger.  Each stored state goes to ``observe(t, rho, velocity,
+    ledger)``, if given, in time order; the returned trajectory keeps its
+    time and ledger (see :meth:`Trajectory.record`).
     """
     if t_end < 0.0:
         raise ValueError("t_end must be nonnegative")
@@ -665,7 +639,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
         with _located(f"in the step from t = {t}"):
-            rho, ledger = _account(ledger, rho, u, uhat, uhat, t, dt, tensor, params)
+            rho, ledger = _account(ledger, rho, u, uhat, uhat, dt, tensor, params)
             uhat, u = pair = mom.pair(rho, t + dt)
         t += dt
         step_index += 1

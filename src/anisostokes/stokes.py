@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from anisostokes.fields import VectorField, grad, sym_grad
-from anisostokes.viscosity import apply_tau, coercivity_estimate, major_symmetric
+from anisostokes.viscosity import coercivity_estimate, major_symmetric
 
 
 class SingularSymbol(Exception):
@@ -84,15 +84,14 @@ def _div_tensor(grid, tau):
 
 
 class StokesOperator:
-    """A momentum operator bound to a tensor, a grid and a time.
+    """A momentum operator bound to a tensor and a grid.
 
     Build with :meth:`build`; solve right sides with :func:`solve`.
     """
 
-    def __init__(self, tensor, grid, t, mode, rtol, max_iter):
+    def __init__(self, tensor, grid, mode, rtol, max_iter):
         self.tensor = tensor
         self.grid = grid
-        self.t = t
         self.mode = mode
         self.rtol = rtol
         self.max_iter = max_iter
@@ -104,7 +103,7 @@ class StokesOperator:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, tensor, grid, t=0.0, rtol=1e-8, max_iter=400):
+    def build(cls, tensor, grid, rtol=1e-8, max_iter=400):
         """Bind a viscosity tensor to a grid, validating its symbols.
 
         Raises
@@ -120,7 +119,7 @@ class StokesOperator:
                 f"tensor dimension {tensor.dim} != grid dimension {grid.dim}"
             )
         mode = "krylov" if tensor.kind == "varying" else "symbol"
-        op = cls(tensor, grid, t, mode, rtol, max_iter)
+        op = cls(tensor, grid, mode, rtol, max_iter)
         kvec, active = _wavevectors(grid)
         half = grid.half_shape[-1]
         ik, ahalf = grid.ik, active[..., :half]
@@ -134,21 +133,21 @@ class StokesOperator:
             op._gain = np.zeros((grid.dim,) + grid.half_shape, dtype=complex)
             np.divide(ik, sym[..., :half], out=op._gain, where=ahalf)
         elif tensor.kind == "constant":
-            a = tensor.tensor_at(t)
+            a = tensor.tensor_at()
             khalf = ik.imag
             sym = np.einsum("ijkl,j...,l...->ik...", a, khalf, khalf)
             inv = _invert_symbol(sym, ahalf)
             op._gain = np.einsum("ik...,k...->i...", inv, ik)
         else:
-            avg = tensor.averaged_constant(t)
-            asym = np.einsum("ijkl,j...,l...->ik...", avg.tensor_at(t), kvec, kvec)
+            avg = tensor.averaged_constant()
+            asym = np.einsum("ijkl,j...,l...->ik...", avg.tensor_at(), kvec, kvec)
             try:
                 op._precond_inv = _invert_symbol(asym, active)
             except SingularSymbol:
                 op._precond_inv = None
-            op._use_cg = major_symmetric(avg.tensor_at(t)) and major_symmetric(tensor.tensor_at(t))
+            op._use_cg = major_symmetric(avg.tensor_at()) and major_symmetric(tensor.tensor_at())
 
-        report = coercivity_estimate(tensor, t=None if tensor.time_dependent else t)
+        report = coercivity_estimate(tensor)
         if not report.passed:
             raise NotCoercive(
                 f"coercivity estimate {report.c_est:.3e} is not positive"
@@ -168,7 +167,7 @@ class StokesOperator:
                 comps.append(np.fft.ifftn(self._scalar_symbol * chat).real)
             return VectorField.from_arrays(grid, comps)
         du = sym_grad(v)
-        tau = apply_tau(self.tensor, du, self.t)
+        tau = self.tensor.apply(du)
         return -1.0 * _div_tensor(grid, tau)
 
     def solve_hat(self, qhat):

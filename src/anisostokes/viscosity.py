@@ -2,7 +2,7 @@
 
 Three tensor variants share one interface: a diagonal per-axis law (the
 weighted-Laplacian fast path), a constant rank-4 tensor, and a cellwise
-varying rank-4 tensor with optional piecewise-linear time breakpoints.
+varying rank-4 tensor.  Every law is constant in time.
 Minor symmetries A_ijkl = A_jikl = A_ijlk are enforced by symmetrization at
 construction so the stress is always a symmetric matrix; major symmetry is
 not assumed anywhere (``major_symmetric`` tests for it).
@@ -51,12 +51,15 @@ class ViscosityTensor:
     """Base class; concrete variants implement tensor_at / apply."""
 
     kind = "abstract"
-    time_dependent = False
 
-    def tensor_at(self, t):
+    def tensor_at(self):
         raise NotImplementedError
 
-    def apply(self, du, t=0.0):
+    def apply(self, du):
+        """Stress tau_ij = A_ijkl [du]_kl as a (d, d, *shape) array.
+
+        ``du`` is the symmetric gradient from :func:`anisostokes.fields.sym_grad`.
+        """
         raise NotImplementedError
 
 
@@ -85,7 +88,7 @@ class DiagNu(ViscosityTensor):
         arr = np.asarray(nu)
         self.weights = 0.5 * (arr[:, None] + arr[None, :])
 
-    def tensor_at(self, t=0.0):
+    def tensor_at(self):
         d = self.dim
         eye = np.eye(d)
         pair = 0.5 * (
@@ -93,7 +96,7 @@ class DiagNu(ViscosityTensor):
         )
         return self.weights[:, :, None, None] * pair
 
-    def apply(self, du, t=0.0):
+    def apply(self, du):
         d = self.dim
         w = self.weights.reshape((d, d) + (1,) * (du.ndim - 2))
         return w * du
@@ -114,10 +117,10 @@ class ConstantFull(ViscosityTensor):
         self.a = minor_symmetrize(a)
         self.dim = a.shape[0]
 
-    def tensor_at(self, t=0.0):
+    def tensor_at(self):
         return self.a
 
-    def apply(self, du, t=0.0):
+    def apply(self, du):
         return np.einsum("ijkl,kl...->ij...", self.a, du)
 
     def __repr__(self):
@@ -125,75 +128,40 @@ class ConstantFull(ViscosityTensor):
 
 
 class VaryingFull(ViscosityTensor):
-    """A cellwise rank-4 tensor, optionally with time breakpoints.
+    """A cellwise rank-4 tensor, constant in time.
 
     Parameters
     ----------
     grid : GridSpec
     values : ndarray
-        Shape (d,d,d,d,*grid.shape), or (nt,d,d,d,d,*grid.shape) together
-        with ``times``.
-    times : sequence of float, optional
-        Strictly increasing breakpoint times; the tensor is interpolated
-        linearly between them and clamped outside the range.
+        Shape (d,d,d,d,*grid.shape).
     """
 
     kind = "varying"
 
-    def __init__(self, grid, values, times=None):
+    def __init__(self, grid, values):
         values = np.asarray(values, dtype=np.float64)
         d = grid.dim
         per_cell = (d, d, d, d) + grid.shape
-        if times is None:
-            if values.shape != per_cell:
-                raise ValueError(
-                    f"expected shape {per_cell}, got {values.shape}"
-                )
-            self.values = minor_symmetrize(values)[None]
-            self.times = np.array([0.0])
-            self.time_dependent = False
-        else:
-            times = np.asarray(times, dtype=np.float64)
-            if values.shape != (len(times),) + per_cell:
-                raise ValueError(
-                    f"expected shape {(len(times),) + per_cell}, got {values.shape}"
-                )
-            if len(times) < 1 or np.any(np.diff(times) <= 0):
-                raise ValueError("breakpoint times must be strictly increasing")
-            self.values = np.stack([minor_symmetrize(v) for v in values])
-            self.times = times
-            self.time_dependent = len(times) > 1
+        if values.shape != per_cell:
+            raise ValueError(f"expected shape {per_cell}, got {values.shape}")
+        self.values = minor_symmetrize(values)
         self.grid = grid
         self.dim = d
 
-    def tensor_at(self, t=0.0):
-        ts = self.times
-        if len(ts) == 1 or t <= ts[0]:
-            return self.values[0]
-        if t >= ts[-1]:
-            return self.values[-1]
-        j = int(np.searchsorted(ts, t, side="right")) - 1
-        w = (t - ts[j]) / (ts[j + 1] - ts[j])
-        return (1.0 - w) * self.values[j] + w * self.values[j + 1]
+    def tensor_at(self):
+        return self.values
 
-    def apply(self, du, t=0.0):
-        return np.einsum("ijkl...,kl...->ij...", self.tensor_at(t), du)
+    def apply(self, du):
+        return np.einsum("ijkl...,kl...->ij...", self.values, du)
 
-    def averaged_constant(self, t=0.0):
+    def averaged_constant(self):
         """Cell-averaged tensor, used as the Krylov preconditioner."""
-        a = self.tensor_at(t)
+        a = self.values
         return ConstantFull(a.reshape(self.dim**4, -1).mean(axis=1).reshape((self.dim,) * 4))
 
     def __repr__(self):
-        return f"VaryingFull(dim={self.dim}, breakpoints={len(self.times)})"
-
-
-def apply_tau(tensor, du, t=0.0):
-    """Stress tau_ij = A_ijkl [du]_kl as a (d, d, *shape) array.
-
-    ``du`` is the symmetric gradient from :func:`anisostokes.fields.sym_grad`.
-    """
-    return tensor.apply(du, t)
+        return f"VaryingFull(dim={self.dim})"
 
 
 @dataclass(frozen=True)
@@ -203,7 +171,7 @@ class ViscousWork:
     h1_residual: float
 
 
-def viscous_work(tensor, t, u):
+def viscous_work(tensor, u):
     """Pointwise stress power tau : grad u, its integral, and the H1 gap.
 
     The gap max|tau : grad u - tau : D(u)| vanishes (to rounding) whenever
@@ -212,7 +180,7 @@ def viscous_work(tensor, t, u):
     grid = u.grid
     J = jacobian(u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    tau = apply_tau(tensor, D, t)
+    tau = tensor.apply(D)
     work_grad = np.einsum("ij...,ij...->...", tau, J)
     work_sym = np.einsum("ij...,ij...->...", tau, D)
     pointwise = ScalarField(grid, work_grad)
@@ -265,18 +233,15 @@ def _min_strain_eigenvalue(a):
     return float(np.linalg.eigvalsh(qcells)[:, 0].min())
 
 
-def coercivity_estimate(tensor, t=None):
+def coercivity_estimate(tensor):
     """The pointwise coercivity constant of the stress law, computed exactly.
 
     ``c_est`` is the smallest eigenvalue of the symmetrized strain form, not
     a sampled Rayleigh minimum.  Returns a :class:`CoercivityReport`;
     ``passed`` is ``c_est > 0``.  For a varying tensor the constant is the
-    minimum over cells (and, when time breakpoints are present and ``t`` is
-    None, over breakpoints; the minimum eigenvalue is concave along linear
-    interpolation, so checking the breakpoints covers the whole time range).
+    minimum over cells.
     """
-    times = getattr(tensor, "times", [0.0]) if t is None else [t]
-    c = min(_min_strain_eigenvalue(tensor.tensor_at(tt)) for tt in times)
+    c = _min_strain_eigenvalue(tensor.tensor_at())
     return CoercivityReport(c_est=c, passed=c > 0)
 
 
@@ -307,7 +272,7 @@ _H1_RTOL = 1e-12
 
 
 def audit_hypotheses(tensor, grid, seed=0):
-    """Audit the structural hypotheses of the stress law on a grid at t = 0.
+    """Audit the structural hypotheses of the stress law on a grid.
 
     * symmetric-stress identity: max over sampled velocity fields of
       ``|tau : grad u - tau : D(u)|`` (must sit at machine level because the
@@ -326,7 +291,7 @@ def audit_hypotheses(tensor, grid, seed=0):
     h1_max = 0.0
     work_scale = 1e-300
     for _ in range(_AUDIT_SAMPLES):
-        work = viscous_work(tensor, 0.0, _random_velocity(grid, rng))
+        work = viscous_work(tensor, _random_velocity(grid, rng))
         h1_max = max(h1_max, work.h1_residual)
         work_scale = max(work_scale, float(np.abs(work.pointwise.data).max()))
     h1_passed = h1_max <= _H1_RTOL * max(work_scale, 1.0)

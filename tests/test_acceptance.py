@@ -5,6 +5,7 @@ the shipped configuration files under configs/.  Session fixtures share the
 expensive marches.
 """
 
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,13 +29,13 @@ from anisostokes.viscosity import (
     ConstantFull,
     DiagNu,
     VaryingFull,
-    apply_tau,
     coercivity_estimate,
     isotropic_strain_tensor,
 )
 from keepall import kept
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 GOLDEN = Path(__file__).resolve().parent / "data" / "defect_study_golden.csv"
 
 
@@ -42,6 +43,16 @@ def report(number, name, ok, detail):
     line = f"{'PASS' if ok else 'FAIL'} acceptance-{number:02d} {name}: {detail}"
     print(line)
     assert ok, line
+
+
+def sweep1d_reference_gap(path):
+    """The benchmark's own check of a sweep1d CSV: None, or the first mismatch
+    with its stored reference (1e-12 relative plus 1e-12 absolute)."""
+    if str(BENCH) not in sys.path:
+        sys.path.insert(0, str(BENCH))
+    import workloads
+
+    return workloads.compare_csv(path, workloads.REFERENCE_DIR / "sweep1d" / path.name, 1e-12, 1e-12)
 
 
 # ------------------------------------------------------------ shared runs
@@ -176,7 +187,7 @@ def test_04_stress_symmetry_and_coercivity(canonical_cfg, sweep_cfg, defect_cfg)
             )
             J = jacobian(u)
             D = 0.5 * (J + np.swapaxes(J, 0, 1))
-            tau = apply_tau(tensor, D, 0.0)
+            tau = tensor.apply(D)
             full = np.einsum("ij...,ij...->...", tau, J)
             symm = np.einsum("ij...,ij...->...", tau, D)
             scale = max(float(np.abs(full).max()), 1.0)
@@ -293,17 +304,20 @@ def test_07_delta_convergence(sweep_cfg, tmp_path):
     gaps = [float(line.split(",")[1]) for line in lines[1:]]
     dist_direct = float(lines[-1].split(",")[2])
     ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1)]
+    reference_gap = sweep1d_reference_gap(tmp_path / "sweep_delta.csv")
     ok = (
         all(passed for _name, passed in results)
         and all(r <= 0.7 for r in ratios)
         and dist_direct <= 2.0 * gaps[-1]
+        and reference_gap is None
     )
     report(
         7,
         "delta-convergence",
         ok,
         "gap ratios " + ", ".join(f"{r:.3f}" for r in ratios)
-        + f"; finest-to-direct {dist_direct:.2e} vs 2x last gap {2 * gaps[-1]:.2e}",
+        + f"; finest-to-direct {dist_direct:.2e} vs 2x last gap {2 * gaps[-1]:.2e}"
+        + f"; bench reference: {reference_gap or 'matches'}",
     )
 
 
@@ -312,12 +326,14 @@ def test_08_pressure_l2_uniform(sweep_cfg, tmp_path):
     lines = (tmp_path / "sweep_eps.csv").read_text().splitlines()[1:]
     pl2 = [float(line.split(",")[3]) for line in lines]
     factor = max(pl2) / min(pl2)
-    ok = all(passed for _name, passed in results) and factor <= 2.0
+    reference_gap = sweep1d_reference_gap(tmp_path / "sweep_eps.csv")
+    ok = all(passed for _name, passed in results) and factor <= 2.0 and reference_gap is None
     report(
         8,
         "pressure-l2-uniform",
         ok,
-        f"levels {sweep_cfg.sweep_eps_levels}; spread factor {factor:.3f}",
+        f"levels {sweep_cfg.sweep_eps_levels}; spread factor {factor:.3f}"
+        f"; bench reference: {reference_gap or 'matches'}",
     )
 
 

@@ -10,7 +10,6 @@ from anisostokes.diagnostics import (
     commutator_audit,
     defect_inequality,
     defect_proxy,
-    effective_flux,
     pressure_l2_audit,
     state_row,
     worst_violation,
@@ -33,7 +32,7 @@ def quiet_params(**overrides):
 
 def test_viscous_work_zero_velocity():
     g = GridSpec(2, 16)
-    w = viscous_work(DiagNu((1.0, 2.0)), 0.0, VectorField.zeros(g))
+    w = viscous_work(DiagNu((1.0, 2.0)), VectorField.zeros(g))
     assert w.total == 0.0
     assert w.pointwise.linf_norm() == 0.0
     assert w.h1_residual == 0.0
@@ -46,7 +45,7 @@ def test_viscous_work_isotropic_hand_integral():
     tensor = ConstantFull(isotropic_strain_tensor(3, 2.0 * nu))
     _, y, _ = g.meshgrid()
     u = VectorField.from_arrays(g, [np.sin(y), np.zeros(g.shape), np.zeros(g.shape)])
-    w = viscous_work(tensor, 0.0, u)
+    w = viscous_work(tensor, u)
     assert w.total == pytest.approx(nu * g.volume / 2.0, rel=1e-12)
     assert w.h1_residual <= 1e-12
 
@@ -59,7 +58,7 @@ def test_viscous_work_symmetric_stress_has_tiny_h1_gap():
     u = VectorField.from_arrays(
         g, [rng.standard_normal(g.shape) for _ in range(2)]
     )
-    w = viscous_work(tensor, 0.0, u)
+    w = viscous_work(tensor, u)
     scale = max(abs(w.pointwise.data).max(), 1.0)
     assert w.h1_residual <= 1e-12 * scale
 
@@ -121,24 +120,6 @@ def test_pressure_l2_constant_two_worked_example():
     traj = march(DiagNu((1.0, 1.0, 1.0)), ScalarField.constant(g, 2.0), None, quiet_params(dt_max=0.01), 0.5, 0.25)
     expected = 4.0 * np.sqrt(0.5 * (2 * np.pi) ** 3)
     assert pressure_l2_audit(traj) == pytest.approx(expected, rel=1e-12)
-
-
-# ------------------------------------------------------------ effective flux
-
-def test_effective_flux_zero_velocity_is_pressure():
-    g = GridSpec(2, 16)
-    rho = ScalarField(g, 1.0 + 0.3 * np.cos(g.meshgrid()[0]))
-    F = effective_flux(rho, VectorField.zeros(g), 2.0, 2.0)
-    assert np.allclose(F.data, rho.data**2, atol=1e-15)
-
-
-def test_effective_flux_worked_example():
-    g = GridSpec(2, 32)
-    x, _ = g.meshgrid()
-    rho = ScalarField.constant(g, 1.0)
-    u = VectorField.from_arrays(g, [-np.cos(x), np.zeros(g.shape)])
-    F = effective_flux(rho, u, 2.0, 2.0)
-    assert np.allclose(F.data, 1.0 - 2.0 * np.sin(x), atol=1e-12)
 
 
 # ------------------------------------------------------------ defect proxy

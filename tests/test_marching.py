@@ -213,7 +213,7 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
     q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
     if forced:
         q = q + f
-    op = mom.at(0.0)
+    op = mom.op
     assert op.mode == "symbol"
     assert residual(op, u, q) <= p.stokes_rtol * grad(q).l2_norm()
     for c in u.components:
@@ -255,8 +255,8 @@ def account_steps(rho, v, dt, p, steps, tensor):
     """``steps`` accounted continuity steps under a fixed v from a fresh ledger."""
     vhat = rho.grid.rfft(v.stacked())
     ledger = Ledger.fresh(rho)
-    for j in range(steps):
-        rho, ledger = _account(ledger, rho, v, vhat, vhat, j * dt, dt, tensor, p)
+    for _ in range(steps):
+        rho, ledger = _account(ledger, rho, v, vhat, vhat, dt, tensor, p)
     return rho, ledger
 
 
@@ -541,27 +541,6 @@ def test_march_matches_chained_picard_solves():
     for a, b in zip(chain.velocities, states.velocities, strict=True):
         assert np.array_equal(a.stacked(), b.stacked())
     assert chain.ledgers == traj.ledgers
-
-
-def test_march_keeps_one_slab_of_time_dependent_operators(monkeypatch):
-    g = GridSpec(1, 16)
-    base = np.ones((1, 1, 1, 1) + g.shape)
-    tensor = VaryingFull(g, np.stack([base, 2.0 * base]), times=[0.0, 1.0])
-    held = []
-    original_at = _Momentum.at
-
-    def at(self, t):
-        op = original_at(self, t)
-        held.append((t, len(self._ops)))
-        return op
-
-    monkeypatch.setattr(_Momentum, "at", at)
-    p = canonical_params(delta=0.5)
-    traj = march(tensor, cosine_density(g, amp=0.3), None, p, 0.09, 0.03)
-    steps = slab_steps(traj)
-    assert len(steps) >= 3
-    assert len({t for t, _ in held}) > max(steps) + 1
-    assert max(size for _, size in held) <= max(steps) + 1
 
 
 SYMBOL_MARCH_SCRIPT = """

@@ -8,7 +8,6 @@ from anisostokes.viscosity import (
     ConstantFull,
     DiagNu,
     VaryingFull,
-    apply_tau,
     audit_hypotheses,
     coercivity_estimate,
     isotropic_strain_tensor,
@@ -54,7 +53,7 @@ def test_constantfull_minor_symmetrized():
     assert np.array_equal(a, np.swapaxes(a, 0, 1))
     assert np.array_equal(a, np.swapaxes(a, 2, 3))
     du = random_symmetric_gradient(GridSpec(3, 4), seed=1)
-    tau = apply_tau(t, du)
+    tau = t.apply(du)
     assert np.allclose(tau, np.swapaxes(tau, 0, 1), atol=1e-13)
 
 
@@ -65,21 +64,10 @@ def test_varyingfull_shape_checks():
     with pytest.raises(ValueError):
         VaryingFull(g, np.zeros((2, 2, 2) + g.shape))
     with pytest.raises(ValueError):
-        VaryingFull(g, np.stack([good, good]), times=[0.0, 0.0])
+        VaryingFull(g, np.stack([good, good]))
 
 
-def test_varyingfull_time_interpolation():
-    g = GridSpec(1, 8)
-    a0 = np.full((1, 1, 1, 1) + g.shape, 1.0)
-    a1 = np.full((1, 1, 1, 1) + g.shape, 3.0)
-    t = VaryingFull(g, np.stack([a0, a1]), times=[0.0, 1.0])
-    assert t.time_dependent
-    assert np.allclose(t.tensor_at(0.5), 2.0)
-    assert np.allclose(t.tensor_at(-1.0), 1.0)
-    assert np.allclose(t.tensor_at(9.0), 3.0)
-
-
-# ---------------------------------------------------------------- apply_tau
+# ------------------------------------------------------------- tensor.apply
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_apply_tau_matches_naive_loop(dim):
@@ -87,7 +75,7 @@ def test_apply_tau_matches_naive_loop(dim):
     rng = np.random.default_rng(42)
     t = ConstantFull(rng.standard_normal((dim,) * 4))
     du = random_symmetric_gradient(g, seed=3)
-    tau = apply_tau(t, du)
+    tau = t.apply(du)
     ref = naive_contraction(t.a, du)
     assert np.allclose(tau, ref, atol=1e-13)
 
@@ -98,8 +86,8 @@ def test_apply_tau_linear_in_du():
     t = ConstantFull(rng.standard_normal((2,) * 4))
     du1 = random_symmetric_gradient(g, seed=4)
     du2 = random_symmetric_gradient(g, seed=5)
-    lhs = apply_tau(t, 2.0 * du1 + du2)
-    rhs = 2.0 * apply_tau(t, du1) + apply_tau(t, du2)
+    lhs = t.apply(2.0 * du1 + du2)
+    rhs = 2.0 * t.apply(du1) + t.apply(du2)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -107,14 +95,14 @@ def test_diagnu_isotropic_stress_is_nu_d():
     g = GridSpec(3, 4)
     du = random_symmetric_gradient(g, seed=6)
     t = DiagNu((1.7, 1.7, 1.7))
-    assert np.allclose(apply_tau(t, du), 1.7 * du, atol=1e-14)
+    assert np.allclose(t.apply(du), 1.7 * du, atol=1e-14)
 
 
 def test_diagnu_stress_matches_equivalent_tensor():
     du = random_symmetric_gradient(GridSpec(3, 4), seed=8)
     t = DiagNu((2.0, 1.0, 0.5))
     full = ConstantFull(t.tensor_at())
-    assert np.allclose(apply_tau(t, du), apply_tau(full, du), atol=1e-13)
+    assert np.allclose(t.apply(du), full.apply(du), atol=1e-13)
 
 
 def test_varying_apply_tau_matches_cellwise_loop():
@@ -123,7 +111,7 @@ def test_varying_apply_tau_matches_cellwise_loop():
     vals = rng.standard_normal((1, 1, 1, 1) + g.shape)
     t = VaryingFull(g, vals)
     du = random_symmetric_gradient(g, seed=10)
-    tau = apply_tau(t, du)
+    tau = t.apply(du)
     for c in range(8):
         assert tau[0, 0, c] == pytest.approx(vals[0, 0, 0, 0, c] * du[0, 0, c])
 
@@ -170,16 +158,6 @@ def test_coercivity_varying_minimum_over_cells():
     t = VaryingFull(g, vals)
     rep = coercivity_estimate(t)
     assert rep.c_est == pytest.approx(0.5, abs=1e-12)
-
-
-def test_coercivity_varying_checks_breakpoints():
-    g = GridSpec(1, 8)
-    a0 = np.full((1, 1, 1, 1) + g.shape, 1.0)
-    a1 = np.full((1, 1, 1, 1) + g.shape, -0.5)
-    t = VaryingFull(g, np.stack([a0, a1]), times=[0.0, 1.0])
-    rep = coercivity_estimate(t)
-    assert not rep.passed
-    assert rep.c_est == pytest.approx(-0.5, abs=1e-12)
 
 
 def sampled_unit_strains(d, rng, count):
@@ -244,7 +222,7 @@ def test_audit_h1_against_jacobian_contraction():
     u = VectorField.from_arrays(g, rng.standard_normal((2,) + g.shape))
     J = jacobian(u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    tau = apply_tau(t, D)
+    tau = t.apply(D)
     gap = np.einsum("ij...,ij...->...", tau, J - D)
     assert np.abs(gap).max() <= 1e-12
 
