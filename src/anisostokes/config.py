@@ -132,6 +132,8 @@ def _kind(*names):
     return (lambda v, _grid: v in names), "one of " + ", ".join(names)
 
 
+# run.t_end / run.slab above this is a runaway slab count, not a march
+_MAX_SLABS = 10_000
 _WINDOW = "a cell count >= 1 dividing every grid extent"
 _AT_LEAST_0 = (lambda v, _grid: v >= 0), ">= 0"
 _POSITIVE = (lambda v, _grid: v > 0), "> 0"
@@ -348,6 +350,12 @@ def parse_config(path):
         if spec.field:
             holder, _, name = spec.field.rpartition(".")
             held[holder][name] = value[key]
+    if value["run.t_end"] > _MAX_SLABS * value["run.slab"]:
+        raise ParseError(
+            line_of("run.slab"),
+            f"run.slab: must be at least run.t_end / {_MAX_SLABS} "
+            f"({value['run.t_end'] / _MAX_SLABS:.4g}), got {value['run.slab']!r}",
+        )
     if value["initial.kind"] == "oscillatory" and value["initial.wavelength"] < 4.0 * grid.h:
         raise ParseError(
             line_of("initial.wavelength"),

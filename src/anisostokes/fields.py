@@ -66,6 +66,7 @@ class GridSpec:
         self._kd = None
         self._ik = None
         self._k2_full = None
+        self._parseval_weight = None
         self._grad_norm_weight = None
 
     def __eq__(self, other):
@@ -151,26 +152,36 @@ class GridSpec:
         return self._ik
 
     @property
+    def parseval_weight(self):
+        """Parseval weights c(k) h^d / N on the ``rfftn`` half spectrum.
+
+        Broadcast over :attr:`half_shape`, so that sum(weight * Re(conj(f_hat)
+        * g_hat)) equals the discrete h^d sum_x f g of two real fields f, g.
+        c(k) = 2 counts the mirrored partner of a mode on the halved last
+        axis; c(k) = 1 on the zero mode and, for even n, on the Nyquist
+        plane, which have no partner.
+        """
+        if self._parseval_weight is None:
+            mult = np.full(self.half_shape[-1], 2.0)
+            mult[0] = 1.0
+            if self.n[-1] % 2 == 0:
+                mult[-1] = 1.0
+            self._parseval_weight = mult * (self.cell_volume / self.ncells)
+        return self._parseval_weight
+
+    @property
     def grad_norm_weight(self):
         """Parseval weights for ||grad f||^2 on the ``rfftn`` half spectrum.
 
-        Entry k is c(k) |k|^2 h^d / N with the Nyquist-zeroed derivative
-        wavenumbers of :attr:`ik`, so sum(weight * |rfftn(f)|^2) equals the
-        discrete h^d sum_x |grad f|^2.  c(k) = 2 counts the mirrored partner
-        of a mode on the halved last axis; c(k) = 1 on the zero mode and,
-        for even n, on the Nyquist plane, which have no partner.
+        Entry k is :attr:`parseval_weight` times |k|^2 with the
+        Nyquist-zeroed derivative wavenumbers of :attr:`ik`, so
+        sum(weight * |rfftn(f)|^2) equals the discrete h^d sum_x |grad f|^2.
         """
         if self._grad_norm_weight is None:
-            m = self.n[-1]
-            half = self.half_shape[-1]
             k2 = np.zeros(self.half_shape)
             for ika in self.ik:
                 k2 = k2 + ika.imag**2
-            mult = np.full(half, 2.0)
-            mult[0] = 1.0
-            if m % 2 == 0:
-                mult[-1] = 1.0
-            self._grad_norm_weight = k2 * mult * (self.cell_volume / self.ncells)
+            self._grad_norm_weight = k2 * self.parseval_weight
         return self._grad_norm_weight
 
 

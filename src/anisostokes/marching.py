@@ -13,13 +13,15 @@ problem.  Two drivers are provided.
   object that the mollification sweep converges to.
 
 Each entry builds one ``_Momentum``: the momentum operator, the mollifier
-kernel, the forcing and the parameters of a march.  It carries a solved
-velocity as a (u_hat, w) pair: u_hat is the ``rfftn`` half spectrum of the
-velocity u solved from rho and w = omega_delta * u the real advecting
-velocity.  For diagonal and constant laws one forward transform of
-rho^gamma yields u_hat = G q_hat and w is the inverse transform of K u_hat
-(the mollifier is a Fourier multiplier there); for varying laws the stencil
-mollifier makes q and w, and u_hat is the transform of the Krylov solution.  Real u is synthesized (one inverse
+kernel, the forcing, the parameters of a march and, for diagonal and
+constant laws, the half-spectrum weights of the stress power.  It carries
+a solved velocity as a (u_hat, w) pair: u_hat is the ``rfftn`` half
+spectrum of the velocity u solved from rho and w = omega_delta * u the
+real advecting velocity.  For diagonal and constant laws one forward
+transform of rho^gamma yields u_hat = G q_hat and w is the inverse
+transform of K u_hat (the mollifier is a Fourier multiplier there); for
+varying laws the stencil mollifier makes q and w, and u_hat is the
+transform of the Krylov solution.  Real u is synthesized (one inverse
 transform) only where one is asked for: by an observer of the stored
 states, at the slab starts and in ``apply_B``'s result.
 
@@ -46,8 +48,9 @@ solves only substeps j >= K.
 
 Both drivers advance the density through one accountant, ``_account``,
 which takes a frozen :class:`Ledger` (the mass identity and the cumulative
-integrals that diagnostics consume) and returns the next one, and store
-each state with its ledger through ``Trajectory.record``.  Velocities inside
+integrals that diagnostics consume) and returns the next one; it takes
+the stress power and int |grad rho^{gamma/2}|^2 from half spectra.  They
+store each state with its ledger through ``Trajectory.record``.  Velocities inside
 a slab are piecewise constant per substep; each stored (rho, u) pair has u
 freshly solved from rho, so the momentum residual contract holds sample by
 sample.
@@ -64,6 +67,8 @@ each slab starts from (:class:`_Stored`).
 A solve failure inside a march (:class:`KrylovNoConvergence`,
 :class:`NewtonFail`, :class:`NegativeInput`) keeps its class and gets the
 slab interval, or for ``direct_march`` the step time, added to its message.
+A slab whose CFL budget needs more than ``_MAX_SUBSTEPS`` substeps raises
+:class:`SubstepOverflow`, naming the slab, before any substep is laid out.
 """
 
 from __future__ import annotations
@@ -81,7 +86,6 @@ from anisostokes.fields import (
     ScalarField,
     VectorField,
     div_hat,
-    grad,
     grad_norm_sq_hat,
     jacobian_hat,
     mollify,
@@ -103,6 +107,8 @@ logger = logging.getLogger("anisostokes")
 _CFL_GROWTH_MARGIN = 1.25
 _MAX_CFL_RETRIES = 8
 _MAX_SLAB_HALVINGS = 6
+# a slab needing more substeps than this is a runaway velocity, not a march
+_MAX_SUBSTEPS = 10_000
 _SOLVE_FAILURES = (KrylovNoConvergence, NewtonFail, NegativeInput)
 
 
@@ -112,6 +118,10 @@ class NoContraction(Exception):
 
 class SlabCollapse(Exception):
     """Slab halving hit its limit without restoring contraction."""
+
+
+class SubstepOverflow(Exception):
+    """A slab's CFL budget needs more than ``_MAX_SUBSTEPS`` substeps."""
 
 
 @dataclass(frozen=True)
@@ -134,9 +144,38 @@ class Slab:
 
 
 def _viscous_work_integral(tensor, uhat, grid):
+    """int tau(D(u)) : grad u of a varying law, in real space.
+
+    tau is applied cell by cell to the Jacobian made from the half spectrum
+    ``uhat``; the order of ``np.sum(tau * J)`` fixes the bits of ``work_cum``.
+    """
     J = jacobian_hat(grid, uhat)
     tau = tensor.apply(0.5 * (J + np.swapaxes(J, 0, 1)))
     return float(np.sum(tau * J)) * grid.cell_volume
+
+
+def _power_weights(tensor, grid):
+    """The stress power of a law constant in space, as half-spectrum weights.
+
+    Such a law has tau(D)_hat = A D_hat.  With J_hat_ij = i k_j u_hat_i and
+    the minor symmetry of A, conj(J_hat) : tau_hat = conj(u_hat) . M u_hat
+    for M_ik(k) = sum_jl A_ijkl k_j k_l (k the Nyquist-zeroed derivative
+    wavenumbers), so by Parseval int tau(D(u)) : grad u is the sum over the
+    half spectrum of c(k) h^d / N Re(conj(u_hat) . M u_hat).  Returns
+    (i, j, weight) for i <= j, the weight being
+    :attr:`GridSpec.parseval_weight` times M_ii on the diagonal and times
+    M_ij + M_ji off it; the integral is then
+    sum Re(vdot(u_hat_i, weight * u_hat_j)).
+    """
+    k = grid.ik.imag
+    m = np.einsum("ijkl,j...,l...->ik...", tensor.tensor_at(), k, k)
+    pw = grid.parseval_weight
+    d = grid.dim
+    return [
+        (i, j, (m[i, i] if i == j else m[i, j] + m[j, i]) * pw)
+        for i in range(d)
+        for j in range(i, d)
+    ]
 
 
 @dataclass(frozen=True)
@@ -174,16 +213,21 @@ class Ledger:
         return abs(self.mass_now + self.drag2g_cum + self.drag3_cum - self.mass_initial)
 
 
-def _account(ledger, rho, w, what, uhat, dt, tensor, params):
+def _account(ledger, rho, w, what, uhat, dt, mom):
     """One continuity step of ``rho`` under ``w`` and the ledger after it.
 
     ``what`` is the half spectrum of w, whose divergence enters the defect
     budget; ``uhat`` is that of the velocity solved at the step start, whose
-    stress power enters the viscous work.  The drag removal is split between
-    the two channels in proportion to r^{2 gamma} and r^3 of the new density
-    r.
+    stress power (:meth:`_Momentum.stress_power`) enters the viscous work.
+    The drag removal is split between the two channels in proportion to
+    r^{2 gamma} and r^3 of the new density r, and int |grad r^{gamma/2}|^2
+    is the Parseval sum over the half spectrum of r^{gamma/2}.  For a
+    diagonal or constant law the ledger takes two real transforms per step:
+    the inverse one of div w and the forward one of r^{gamma/2}.
+    The march's parameters are ``mom.params``.
     Returns the advanced density and the new ledger.
     """
+    params = mom.params
     grid = rho.grid
     gamma = params.gamma
     vol = grid.cell_volume
@@ -191,12 +235,15 @@ def _account(ledger, rho, w, what, uhat, dt, tensor, params):
     max_before = rho.max()
     bound = 1.0 + 1.1 * dt * divw.linf_norm()
     divu_l1 = dt * float(np.abs(divw.data).sum()) * vol
-    work = dt * _viscous_work_integral(tensor, uhat, grid)
+    work = dt * mom.stress_power(uhat)
     rho, removed = continuity_step(rho, w, dt, params)
     r = rho.data
     drag2g = drag3 = drag_hi = drag_lo = grad_term = 0.0
+    if params.eps > 0.0:
+        g2 = grad_norm_sq_hat(grid, [grid.rfft(r ** (0.5 * gamma))])
+        grad_term = 4.0 * params.eps * (1.0 - 1.0 / gamma) * g2 * dt
+    r2g = r ** (2.0 * gamma)
     if removed is not None:
-        r2g = r ** (2.0 * gamma)
         channels = r2g + r**3
         positive = channels > 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -207,9 +254,6 @@ def _account(ledger, rho, w, what, uhat, dt, tensor, params):
         egam = params.eta * gamma
         drag_hi = dt * egam * float(np.sum(r ** (3.0 * gamma - 1.0))) * vol
         drag_lo = dt * egam * float(np.sum(r ** (gamma + 2.0))) * vol
-    if params.eps > 0.0:
-        g2 = sum(c.data**2 for c in grad(ScalarField(grid, r ** (0.5 * gamma))).components)
-        grad_term = 4.0 * params.eps * (1.0 - 1.0 / gamma) * float(g2.sum()) * vol * dt
     return rho, Ledger(
         mass_now=rho.integral(),
         mass_initial=ledger.mass_initial,
@@ -219,7 +263,7 @@ def _account(ledger, rho, w, what, uhat, dt, tensor, params):
         work_cum=ledger.work_cum + work,
         drag_hi_cum=ledger.drag_hi_cum + drag_hi,
         drag_lo_cum=ledger.drag_lo_cum + drag_lo,
-        pgamma_l2_sq_cum=ledger.pgamma_l2_sq_cum + dt * float(np.sum(r ** (2.0 * gamma))) * vol,
+        pgamma_l2_sq_cum=ledger.pgamma_l2_sq_cum + dt * float(np.sum(r2g)) * vol,
         divu_l1_cum=ledger.divu_l1_cum + divu_l1,
         min_rho=min(ledger.min_rho, rho.min()),
         max_principle_margin=min(ledger.max_principle_margin, bound * max_before - rho.max()),
@@ -310,7 +354,9 @@ class _Momentum:
     """The momentum solve of one march and how it carries a solved velocity.
 
     ``op`` is the one momentum operator of the march.  The mollifier
-    ``kernel`` is None at delta = 0, where w is u itself.
+    ``kernel`` is None at delta = 0, where w is u itself.  In symbol mode
+    ``power_weights`` holds the :func:`_power_weights` of the law; it is
+    None in Krylov mode.
     """
 
     def __init__(self, tensor, grid, f, params):
@@ -322,6 +368,7 @@ class _Momentum:
         self.op = StokesOperator.build(
             tensor, grid, rtol=params.stokes_rtol, max_iter=params.stokes_max_iter
         )
+        self.power_weights = _power_weights(tensor, grid) if self.op.mode == "symbol" else None
 
     def _smooth(self, fieldlike):
         return fieldlike if self.kernel is None else mollify(fieldlike, self.kernel)
@@ -376,6 +423,16 @@ class _Momentum:
         if self.op.mode == "symbol":
             return self.kernel.symbol * uhat
         return w.grid.rfft(w.stacked())
+
+    def stress_power(self, uhat):
+        """int tau(D(u)) : grad u of the velocity u whose half spectrum is ``uhat``.
+
+        A sum over the :attr:`power_weights` with no transform in symbol
+        mode; the real-space :func:`_viscous_work_integral` in Krylov mode.
+        """
+        if self.power_weights is None:
+            return _viscous_work_integral(self.tensor, uhat, self.grid)
+        return sum(float(np.vdot(uhat[i], w * uhat[j]).real) for i, j, w in self.power_weights)
 
     def pairs(self, samples):
         """Caller-given velocity samples as (v_hat, omega_delta * v) pairs."""
@@ -448,7 +505,7 @@ def _record(mom, pairs, start, dt, traj, store_every, settled):
         if j > 0 and j % store_every == 0:
             traj.record(tj, rho, mom.lazy_velocity(pair), ledger)
         what = mom.advecting_hat(given)
-        rho, ledger = _account(ledger, rho, given[1], what, pair[0], dt, mom.tensor, mom.params)
+        rho, ledger = _account(ledger, rho, given[1], what, pair[0], dt, mom)
     t1 = t0 + len(pairs) * dt
     return _store(traj, mom, t1, rho, mom.pair(rho, t1), ledger)
 
@@ -519,6 +576,11 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
         v0 = [(0.0, VectorField.zeros(mom.grid))]
 
     for _attempt in range(_MAX_CFL_RETRIES):
+        if steps > _MAX_SUBSTEPS:
+            raise SubstepOverflow(
+                f"slab [{slab.t0}, {slab.t1}] needs {steps:.3g} substeps, "
+                f"more than {_MAX_SUBSTEPS}"
+            )
         dt = (slab.t1 - slab.t0) / steps
         # piecewise-constant resample of the start onto the substep grid
         v = [v0[min(int(j * len(v0) / steps), len(v0) - 1)] for j in range(steps)]
@@ -639,7 +701,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(u, params), t_end - t)
         with _located(f"in the step from t = {t}"):
-            rho, ledger = _account(ledger, rho, u, uhat, uhat, dt, tensor, params)
+            rho, ledger = _account(ledger, rho, u, uhat, uhat, dt, mom)
             uhat, u = pair = mom.pair(rho, t + dt)
         t += dt
         step_index += 1

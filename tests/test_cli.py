@@ -6,6 +6,7 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 from operator import attrgetter
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from anisostokes import cli, diagnostics, marching
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, parse_config
 from anisostokes.fields import read_snapshot
-from anisostokes.marching import NoContraction, SlabCollapse
+from anisostokes.marching import NoContraction, SlabCollapse, SubstepOverflow
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
 from anisostokes.transport import NegativeInput, NewtonFail
 from keepall import kept
@@ -465,6 +466,7 @@ SOLVER_FAILURES = (
     NegativeInput("negative density"),
     NoContraction("update ratios [1.2, 1.3, 1.4] on slab [0.0, 0.05]"),
     SlabCollapse("slab shrank 6 times without contraction"),
+    SubstepOverflow("slab [0.0, 0.05] needs 1e+299 substeps, more than 10000"),
 )
 
 
@@ -486,6 +488,40 @@ def test_each_solver_failure_prints_one_line_and_exits_3(tmp_path, capsys, monke
     assert main([study, write_cfg(tmp_path, SMALL_RUN), "--out", str(tmp_path / "art")]) == 3
     assert capsys.readouterr().out == f"FAIL solver: {type(error).__name__}: {error}\n"
 
+
+
+def test_a_runaway_velocity_fails_on_its_slab_before_any_substep(tmp_path, capsys, monkeypatch):
+    # u ~ 1e300 asks for about 1e300 substeps of the first slab; the march
+    # refuses the slab before it lays out a single one
+    steps = counted_everywhere(monkeypatch, marching.continuity_step)
+    cfg = write_cfg(tmp_path, SMALL_RUN + "forcing.kind = cosine\nforcing.amplitude = 1e300\n")
+    tracemalloc.start()
+    try:
+        code = main(["run", cfg, "--out", str(tmp_path / "art")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "FAIL solver: SubstepOverflow: slab [0.0, 0.05] needs 1.7e+300 substeps, more than 10000"
+    )
+    assert steps == []
+    assert peak < 16 * 2**20
+
+
+def test_a_runaway_slab_count_fails_the_config_on_its_line(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("march reached")
+
+    monkeypatch.setattr(cli, "march", fail)
+    text = SMALL_RUN.replace("run.slab = 0.05", "run.slab = 1e-300")
+    cfg = write_cfg(tmp_path, text)
+    line = text.splitlines().index("run.slab = 1e-300") + 1
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL config: {cfg}: line {line}: run.slab: must be at least "
+        "run.t_end / 10000 (5e-06), got 1e-300\n"
+    )
 
 
 if __name__ == "__main__":

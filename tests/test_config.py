@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisostokes.config import (
+    _MAX_SLABS,
     KEYS,
     InitialSpec,
     ParseError,
@@ -111,6 +112,7 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
     [
         ("run.t_end = -0.1", "run.t_end"),
         ("run.slab = 0", "run.slab"),
+        ("run.slab = 1e-300", "run.slab"),
         ("run.store_every = 0", "run.store_every"),
         ("diagnostics.window = 0", "diagnostics.window"),
         ("diagnostics.window = 3", "diagnostics.window"),
@@ -222,12 +224,17 @@ def _read_back(cfg, key):
 
 
 def _rejected_across_keys(values):
-    """An oscillatory wavelength below four cells, or a file forcing without a path."""
+    """An oscillatory wavelength below four cells, a file forcing without a
+    path, or more than ``_MAX_SLABS`` slabs to t_end."""
     dim = values.get("grid.dim", 1)
     grid = GridSpec(dim, values.get("grid.n", default_of("grid.n", dim)))
     wavelength = values.get("initial.wavelength", default_of("initial.wavelength"))
-    return (values.get("initial.kind") == "oscillatory" and wavelength < 4.0 * grid.h) or (
-        values.get("forcing.kind") == "file" and "forcing.path" not in values
+    t_end = values.get("run.t_end", default_of("run.t_end"))
+    slab = values.get("run.slab", default_of("run.slab"))
+    return (
+        (values.get("initial.kind") == "oscillatory" and wavelength < 4.0 * grid.h)
+        or (values.get("forcing.kind") == "file" and "forcing.path" not in values)
+        or t_end > _MAX_SLABS * slab
     )
 
 

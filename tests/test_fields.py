@@ -399,6 +399,19 @@ def test_parseval_distance_matches_grad_l2_norm(dim, n):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 @pytest.mark.parametrize("n", [7, 8])
+def test_parseval_weight_gives_the_discrete_inner_product(dim, n):
+    g = GridSpec(dim, n)
+    rng = np.random.default_rng(11 * n + dim)
+    f, h = rng.standard_normal((2,) + g.shape)
+    fhat, hhat = g.rfft(f), g.rfft(h)
+    got = np.sum(g.parseval_weight * (fhat.real * hhat.real + fhat.imag * hhat.imag))
+    assert got == pytest.approx(l2_inner(ScalarField(g, f), ScalarField(g, h)), rel=1e-12)
+    k2 = sum(ika.imag**2 for ika in g.ik)
+    assert np.array_equal(g.grad_norm_weight, k2 * g.parseval_weight)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 8])
 def test_half_spectrum_jacobian_and_div_match_real_ones(dim, n):
     g = GridSpec(dim, n)
     uhat = rough_vector_hat(g, 7 * n + dim)

@@ -39,7 +39,13 @@ from anisostokes.marching import (
 )
 from anisostokes.stokes import StokesOperator, residual
 from anisostokes.transport import SolverParams, cfl_dt, continuity_step, pressure_field
-from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull, isotropic_strain_tensor
+from anisostokes.viscosity import (
+    ConstantFull,
+    DiagNu,
+    VaryingFull,
+    isotropic_strain_tensor,
+    viscous_work,
+)
 from keepall import KeepAll, kept
 
 
@@ -254,9 +260,10 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
 def account_steps(rho, v, dt, p, steps, tensor):
     """``steps`` accounted continuity steps under a fixed v from a fresh ledger."""
     vhat = rho.grid.rfft(v.stacked())
+    mom = _Momentum(tensor, rho.grid, None, p)
     ledger = Ledger.fresh(rho)
     for _ in range(steps):
-        rho, ledger = _account(ledger, rho, v, vhat, vhat, dt, tensor, p)
+        rho, ledger = _account(ledger, rho, v, vhat, vhat, dt, mom)
     return rho, ledger
 
 
@@ -286,6 +293,42 @@ def test_account_splits_the_drag_removal_over_the_channels():
     removed = (1.0 - root) * g.volume
     assert led.drag2g_cum + led.drag3_cum == pytest.approx(removed, rel=1e-12)
     assert led.drag2g_cum / led.drag3_cum == pytest.approx(root**4 / root**3, rel=1e-12)
+
+
+def symbol_law(kind, dim, rng):
+    """A diagonal law, or a coercive constant one with no major symmetry."""
+    if kind == "diag":
+        return DiagNu(tuple(rng.uniform(0.5, 3.0, dim)))
+    return ConstantFull(isotropic_strain_tensor(dim, 1.0) + 0.1 * rng.uniform(size=(dim,) * 4))
+
+
+@pytest.mark.parametrize("kind", ["diag", "constant"])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 8])
+def test_half_spectrum_stress_power_matches_the_real_space_one(kind, dim, n):
+    # rough random data exercises every mode, the Nyquist planes included
+    g = GridSpec(dim, n)
+    rng = np.random.default_rng(100 * dim + n)
+    tensor = symbol_law(kind, dim, rng)
+    u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
+    expected = viscous_work(tensor, u).total
+    got = _Momentum(tensor, g, None, SolverParams()).stress_power(g.rfft(u.stacked()))
+    assert got == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("n", [7, 8])
+def test_account_takes_the_gradient_energy_from_the_half_spectrum(dim, n):
+    g = GridSpec(dim, n)
+    rng = np.random.default_rng(7 * dim + n)
+    rho = ScalarField(g, rng.uniform(0.5, 1.5, g.shape))
+    p = SolverParams(gamma=1.4, eps=0.05, eta=0.0, dt_max=5e-3)
+    v = VectorField.zeros(g)
+    dt = 1e-3
+    rho1, led = account_steps(rho, v, dt, p, 1, DiagNu((1.0,) * dim))
+    g2 = sum(c.data**2 for c in grad(ScalarField(g, rho1.data ** (0.5 * p.gamma))).components)
+    expected = 4.0 * p.eps * (1.0 - 1.0 / p.gamma) * float(g2.sum()) * g.cell_volume * dt
+    assert led.grad_rho_gamma_half_cum == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,n", [(1, 128), (2, 32), (3, 12)])
@@ -506,16 +549,44 @@ def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
     # spectra; every binding of the real-space helpers in the package counts
     tensor, rho0, p = multi_slab_scenario()
     logs = []
-    for name in ("grad_l2_norm", "jacobian", "div"):
+    for name in ("grad_l2_norm", "jacobian", "div", "grad", "jacobian_hat"):
         original = getattr(fields, name)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("anisostokes")
                     and vars(module).get(name) is original):
                 logs.append(counting(monkeypatch, module, name, lambda args: args))
-    assert len(logs) >= 3
+    assert len(logs) >= 5
     traj = march(tensor, rho0, None, p, 0.09, 0.03)
     assert len(traj.fixed_point_reports) >= 3
     assert [log for log in logs if log] == []
+
+
+def test_symbol_account_takes_two_real_transforms_per_substep(monkeypatch):
+    # the inverse one of div w and the forward one of rho^{gamma/2}; the
+    # continuity step inside it does its own complex transforms
+    tensor, rho0, p = multi_slab_scenario()
+    calls = []
+    for name in ("rfftn", "irfftn", "fftn", "ifftn"):
+        counting(monkeypatch, np.fft, name, lambda args, name=name: calls.append(name))
+    spans = []
+
+    def spanned(fn):
+        def wrapper(*args, **kwargs):
+            start = len(calls)
+            out = fn(*args, **kwargs)
+            spans.append((fn.__name__, calls[start:]))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(marching, "continuity_step", spanned(marching.continuity_step))
+    monkeypatch.setattr(marching, "_account", spanned(marching._account))
+    traj = march(tensor, rho0, None, p, 0.06, 0.03)
+    accounted = [(spans[i - 1], span) for i, span in enumerate(spans) if span[0] == "_account"]
+    assert len(accounted) == len(traj) - 1
+    for (inner, step_calls), (_name, account_calls) in accounted:
+        assert inner == "continuity_step"
+        assert [c for c in account_calls if c in ("rfftn", "irfftn")] == ["irfftn", "rfftn"]
+        assert [c for c in account_calls if c in ("fftn", "ifftn")] == step_calls
 
 
 def test_march_matches_chained_picard_solves():
