@@ -7,11 +7,11 @@ without it the audits are informational and the exit code is 0 unless an
 error is raised.  A config that cannot be parsed, or a snapshot it names
 that cannot be read, prints one ``FAIL config`` line and exits 2; a solver
 breakdown (a stress law that is not coercive or has a singular symbol, a
-Krylov or drag Newton solve that fails, a slab that does not contract or
-would need a runaway number of substeps) prints one ``FAIL solver`` line
-and exits 3.  That line names the config line of the stress law when the
-law is not coercive or has a singular symbol, and the slab (or step) when a
-solve fails inside a march.
+Krylov or drag Newton solve that fails, a field that overflows to inf or
+nan, a slab that does not contract or would need a runaway number of
+substeps) prints one ``FAIL solver`` line and exits 3.  That line names the
+config line of the stress law when the law is not coercive or has a
+singular symbol, and the slab (or step) when a solve fails inside a march.
 
 Every command that marches streams: its marches hand each stored state to
 an observer that keeps only the scalars (or the final density) it reports,
@@ -48,7 +48,7 @@ from anisostokes.diagnostics import (
     write_csv,
     write_rows_csv,
 )
-from anisostokes.fields import write_snapshot
+from anisostokes.fields import NonFiniteField, write_snapshot
 from anisostokes.marching import (
     NoContraction,
     SlabCollapse,
@@ -69,6 +69,7 @@ _SOLVER_FAILURES = (
     NoContraction,
     SlabCollapse,
     SubstepOverflow,
+    NonFiniteField,
 )
 
 

@@ -11,15 +11,16 @@ directory of the config file, and a snapshot that cannot be read is a
 
 :data:`KEYS` is the one description of every key: its reader, the field
 of :class:`RunConfig` it fills (whose dataclass default is the key's
-default) and its accepted range.  A value out of range is a
-:class:`ParseError` on its key's line, and so is an oscillatory
-``initial.wavelength`` below four cells; a tensor or forcing kind given
-without the data it needs is one on the kind's line.
+default) and its accepted range.  A value out of range, or a real that
+reads as inf or nan, is a :class:`ParseError` on its key's line, and so is
+an oscillatory ``initial.wavelength`` below four cells; a tensor or forcing
+kind given without the data it needs is one on the kind's line.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import NamedTuple
@@ -240,16 +241,27 @@ def _parse_breakpoints(text, base_dir):
     return tuple(pairs)
 
 
+class _NotFinite(ValueError):
+    """A real that reads as inf or nan."""
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise _NotFinite(text)
+    return value
+
+
 def _listed(convert):
     return lambda v, _dir: tuple(convert(x) for x in v.split(",") if x.strip())
 
 
 # each _Key.reader: its converter (text, config directory) -> value, and what it expects
 _READERS = {
-    "real": (lambda v, _dir: float(v), "a real number"),
+    "real": (lambda v, _dir: _finite(v), "a real number"),
     "integer": (lambda v, _dir: int(v), "an integer"),
     "text": (lambda v, _dir: v, "text"),
-    "reals": (_listed(float), "comma-separated reals"),
+    "reals": (_listed(_finite), "comma-separated reals"),
     "integers": (_listed(int), "comma-separated integers"),
     "path": (lambda v, base_dir: os.path.join(base_dir, v) if v else "", "a path"),
     "breakpoints": (_parse_breakpoints, "time:path pairs in increasing time"),
@@ -283,6 +295,8 @@ def _read(key, text, line, base_dir):
     convert, what = _READERS[KEYS[key].reader]
     try:
         return convert(text, base_dir)
+    except _NotFinite as exc:
+        raise ParseError(line, f"{key}: must be finite, got {text!r}") from exc
     except (ValueError, TypeError) as exc:
         raise ParseError(line, f"{key}: expected {what}, got {text!r}") from exc
 

@@ -3,20 +3,20 @@
 Everything lives on a uniform tensor grid over the periodic box [0, 2*pi)^d,
 d in {1, 2, 3}, with the same cell width on every axis.  Derivatives are
 spectral (FFT).  Callers that already hold a field's ``rfftn`` half
-spectrum take its divergence, Jacobian and gradient norm from it directly
-(:func:`div_hat`, :func:`jacobian_hat`, :func:`grad_norm_sq_hat`), with
-the same Nyquist-zeroed wavenumbers as :func:`div`, :func:`jacobian` and
-:func:`grad_l2_norm`.  The mollifier is a nonnegative physical-space stencil,
-applied in one of two equivalent ways: :func:`mollify` convolves with the
-stencil (the Krylov momentum path and the commutator diagnostic), while
-the symbol-mode momentum path multiplies half spectra by
-:attr:`MollifierKernel.symbol`, the DFT of the same stencil wrapped onto
-the grid.  All operations allocate fresh arrays and never mutate their
-inputs.
+spectrum take its divergence and gradient norm from it directly
+(:func:`div_hat`, :func:`grad_norm_sq_hat`), with the same Nyquist-zeroed
+wavenumbers as :func:`div` and :func:`grad_l2_norm`.  The mollifier is a
+nonnegative physical-space stencil, applied in one of two equivalent ways:
+:func:`mollify` convolves with the stencil (the Krylov momentum path and
+the commutator diagnostic), while the symbol-mode momentum path multiplies
+half spectra by :attr:`MollifierKernel.symbol`, the DFT of the same stencil
+wrapped onto the grid.  All operations allocate fresh arrays and never
+mutate their inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 
@@ -63,11 +63,6 @@ class GridSpec:
         self.volume = float(np.prod((TWO_PI,) * dim))
         self.half_shape = n[:-1] + (n[-1] // 2 + 1,)
         self._axes = tuple(range(-dim, 0))
-        self._kd = None
-        self._ik = None
-        self._k2_full = None
-        self._parseval_weight = None
-        self._grad_norm_weight = None
 
     def __eq__(self, other):
         return isinstance(other, GridSpec) and self.dim == other.dim and self.n == other.n
@@ -99,7 +94,7 @@ class GridSpec:
         m = self.n[axis]
         return TWO_PI * np.fft.fftfreq(m, d=self.h)
 
-    @property
+    @functools.cached_property
     def deriv_wavenumbers(self):
         """Broadcastable angular wavenumber arrays for first derivatives.
 
@@ -107,33 +102,29 @@ class GridSpec:
         real; consequently div(grad f) equals the Laplacian built from these
         same wavenumbers.
         """
-        if self._kd is None:
-            out = []
-            for a in range(self.dim):
-                k = self._axis_wavenumbers(a).copy()
-                m = self.n[a]
-                if m % 2 == 0:
-                    k[m // 2] = 0.0
-                shape = [1] * self.dim
-                shape[a] = m
-                out.append(k.reshape(shape))
-            self._kd = tuple(out)
-        return self._kd
+        out = []
+        for a in range(self.dim):
+            k = self._axis_wavenumbers(a).copy()
+            m = self.n[a]
+            if m % 2 == 0:
+                k[m // 2] = 0.0
+            shape = [1] * self.dim
+            shape[a] = m
+            out.append(k.reshape(shape))
+        return tuple(out)
 
-    @property
+    @functools.cached_property
     def k2_full(self):
         """|k|^2 with the Nyquist mode kept (used by the diffusion symbol)."""
-        if self._k2_full is None:
-            k2 = np.zeros(self.shape)
-            for a in range(self.dim):
-                k = self._axis_wavenumbers(a)
-                shape = [1] * self.dim
-                shape[a] = self.n[a]
-                k2 = k2 + (k.reshape(shape)) ** 2
-            self._k2_full = k2
-        return self._k2_full
+        k2 = np.zeros(self.shape)
+        for a in range(self.dim):
+            k = self._axis_wavenumbers(a)
+            shape = [1] * self.dim
+            shape[a] = self.n[a]
+            k2 = k2 + (k.reshape(shape)) ** 2
+        return k2
 
-    @property
+    @functools.cached_property
     def ik(self):
         """i k_a on the ``rfftn`` half spectrum, a (d, *half_shape) complex array.
 
@@ -141,17 +132,15 @@ class GridSpec:
         the half spectrum, so ``irfft(ik[a] * rfft(f))`` is the spectral
         d f / d x_a.  Built once per grid.
         """
-        if self._ik is None:
-            half = self.half_shape[-1]
-            ik = np.empty((self.dim,) + self.half_shape, dtype=complex)
-            for a, k in enumerate(self.deriv_wavenumbers):
-                if a == self.dim - 1:
-                    k = k[..., :half]
-                ik[a] = 1j * k
-            self._ik = ik
-        return self._ik
+        half = self.half_shape[-1]
+        ik = np.empty((self.dim,) + self.half_shape, dtype=complex)
+        for a, k in enumerate(self.deriv_wavenumbers):
+            if a == self.dim - 1:
+                k = k[..., :half]
+            ik[a] = 1j * k
+        return ik
 
-    @property
+    @functools.cached_property
     def parseval_weight(self):
         """Parseval weights c(k) h^d / N on the ``rfftn`` half spectrum.
 
@@ -161,15 +150,13 @@ class GridSpec:
         axis; c(k) = 1 on the zero mode and, for even n, on the Nyquist
         plane, which have no partner.
         """
-        if self._parseval_weight is None:
-            mult = np.full(self.half_shape[-1], 2.0)
-            mult[0] = 1.0
-            if self.n[-1] % 2 == 0:
-                mult[-1] = 1.0
-            self._parseval_weight = mult * (self.cell_volume / self.ncells)
-        return self._parseval_weight
+        mult = np.full(self.half_shape[-1], 2.0)
+        mult[0] = 1.0
+        if self.n[-1] % 2 == 0:
+            mult[-1] = 1.0
+        return mult * (self.cell_volume / self.ncells)
 
-    @property
+    @functools.cached_property
     def grad_norm_weight(self):
         """Parseval weights for ||grad f||^2 on the ``rfftn`` half spectrum.
 
@@ -177,12 +164,14 @@ class GridSpec:
         Nyquist-zeroed derivative wavenumbers of :attr:`ik`, so
         sum(weight * |rfftn(f)|^2) equals the discrete h^d sum_x |grad f|^2.
         """
-        if self._grad_norm_weight is None:
-            k2 = np.zeros(self.half_shape)
-            for ika in self.ik:
-                k2 = k2 + ika.imag**2
-            self._grad_norm_weight = k2 * self.parseval_weight
-        return self._grad_norm_weight
+        k2 = np.zeros(self.half_shape)
+        for ika in self.ik:
+            k2 = k2 + ika.imag**2
+        return k2 * self.parseval_weight
+
+
+class NonFiniteField(ValueError):
+    """Field data holding an inf or a nan, such as an overflowed solve."""
 
 
 class ScalarField:
@@ -198,7 +187,7 @@ class ScalarField:
                     f"data shape {data.shape} does not match grid {grid.shape}"
                 )
         if not np.all(np.isfinite(data)):
-            raise ValueError("field data must be finite")
+            raise NonFiniteField("field data must be finite")
         self.grid = grid
         self.data = np.ascontiguousarray(data)
 
@@ -367,21 +356,6 @@ def div_hat(grid, vhat):
     return ScalarField(grid, grid.irfft(acc))
 
 
-def jacobian_hat(grid, uhat):
-    """J[i, j] = d u_i / d x_j from the half spectrum ``uhat`` of u.
-
-    Row i is irfft(i k_j uhat_i) over j, built one row at a time so no
-    (d, d, *half_shape) complex stack is held.  Returns the same
-    (d, d, *shape) array as :func:`jacobian` of the real field, up to
-    rounding.
-    """
-    d = grid.dim
-    J = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        J[i] = grid.irfft(grid.ik * uhat[i])
-    return J
-
-
 def jacobian(v):
     """Full velocity gradient J[i, j] = d u_i / d x_j as a (d, d, *shape) array."""
     grid = v.grid
@@ -480,7 +454,6 @@ class MollifierKernel:
             raise ValueError(f"delta must be positive, got {delta}")
         self.grid = grid
         self.delta = float(delta)
-        self._symbol = None
         h = grid.h
         self.is_identity = self.delta < h
         if self.is_identity:
@@ -503,7 +476,7 @@ class MollifierKernel:
         self.weights = w / total
         self.radius_cells = m
 
-    @property
+    @functools.cached_property
     def symbol(self):
         """The Fourier multiplier K of the kernel on the ``rfftn`` half spectrum.
 
@@ -513,16 +486,12 @@ class MollifierKernel:
         so K is real; ``grid.irfft(K * grid.rfft(f))`` equals
         ``mollify(f, kernel)`` up to rounding.
         """
-        if self._symbol is None:
-            grid = self.grid
-            m = self.radius_cells
-            offsets = np.meshgrid(
-                *[np.arange(-m, m + 1) % n for n in grid.n], indexing="ij"
-            )
-            wrapped = np.zeros(grid.shape)
-            np.add.at(wrapped, tuple(offsets), self.weights)
-            self._symbol = grid.rfft(wrapped).real
-        return self._symbol
+        grid = self.grid
+        m = self.radius_cells
+        offsets = np.meshgrid(*[np.arange(-m, m + 1) % n for n in grid.n], indexing="ij")
+        wrapped = np.zeros(grid.shape)
+        np.add.at(wrapped, tuple(offsets), self.weights)
+        return grid.rfft(wrapped).real
 
 
 def mollify(field, kernel):

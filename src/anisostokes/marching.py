@@ -48,12 +48,13 @@ solves only substeps j >= K.
 
 Both drivers advance the density through one accountant, ``_account``,
 which takes a frozen :class:`Ledger` (the mass identity and the cumulative
-integrals that diagnostics consume) and returns the next one; it takes
-the stress power and int |grad rho^{gamma/2}|^2 from half spectra.  They
-store each state with its ledger through ``Trajectory.record``.  Velocities inside
-a slab are piecewise constant per substep; each stored (rho, u) pair has u
-freshly solved from rho, so the momentum residual contract holds sample by
-sample.
+integrals that diagnostics consume) and returns the next one.  It takes
+int |grad rho^{gamma/2}|^2 from a half spectrum, and the stress power from
+half spectra for diagonal and constant laws and from ``viscous_work`` of
+the stored u for varying ones.  They store each state with its ledger
+through ``Trajectory.record``.  Velocities inside a slab are piecewise
+constant per substep; each stored (rho, u) pair has u freshly solved from
+rho, so the momentum residual contract holds sample by sample.
 
 A stored state reaches ``Trajectory.record`` with its velocity as a
 zero-argument callable that synthesizes u once, on first call.  The
@@ -65,8 +66,9 @@ slab starts, to size the substeps).  The march itself carries the state
 each slab starts from (:class:`_Stored`).
 
 A solve failure inside a march (:class:`KrylovNoConvergence`,
-:class:`NewtonFail`, :class:`NegativeInput`) keeps its class and gets the
-slab interval, or for ``direct_march`` the step time, added to its message.
+:class:`NewtonFail`, :class:`NegativeInput`, :class:`NonFiniteField`) keeps
+its class and gets the slab interval, or for ``direct_march`` the step time,
+added to its message.
 A slab whose CFL budget needs more than ``_MAX_SUBSTEPS`` substeps raises
 :class:`SubstepOverflow`, naming the slab, before any substep is laid out.
 """
@@ -83,11 +85,11 @@ import numpy as np
 
 from anisostokes.fields import (
     MollifierKernel,
+    NonFiniteField,
     ScalarField,
     VectorField,
     div_hat,
     grad_norm_sq_hat,
-    jacobian_hat,
     mollify,
 )
 from anisostokes.stokes import KrylovNoConvergence, StokesOperator, solve
@@ -101,6 +103,7 @@ from anisostokes.transport import (
     continuity_step,
     pressure_field,
 )
+from anisostokes.viscosity import viscous_work
 
 logger = logging.getLogger("anisostokes")
 
@@ -109,7 +112,7 @@ _MAX_CFL_RETRIES = 8
 _MAX_SLAB_HALVINGS = 6
 # a slab needing more substeps than this is a runaway velocity, not a march
 _MAX_SUBSTEPS = 10_000
-_SOLVE_FAILURES = (KrylovNoConvergence, NewtonFail, NegativeInput)
+_SOLVE_FAILURES = (KrylovNoConvergence, NewtonFail, NegativeInput, NonFiniteField)
 
 
 class NoContraction(Exception):
@@ -141,17 +144,6 @@ class Slab:
     @property
     def dt(self):
         return (self.t1 - self.t0) / self.steps
-
-
-def _viscous_work_integral(tensor, uhat, grid):
-    """int tau(D(u)) : grad u of a varying law, in real space.
-
-    tau is applied cell by cell to the Jacobian made from the half spectrum
-    ``uhat``; the order of ``np.sum(tau * J)`` fixes the bits of ``work_cum``.
-    """
-    J = jacobian_hat(grid, uhat)
-    tau = tensor.apply(0.5 * (J + np.swapaxes(J, 0, 1)))
-    return float(np.sum(tau * J)) * grid.cell_volume
 
 
 def _power_weights(tensor, grid):
@@ -213,12 +205,13 @@ class Ledger:
         return abs(self.mass_now + self.drag2g_cum + self.drag3_cum - self.mass_initial)
 
 
-def _account(ledger, rho, w, what, uhat, dt, mom):
-    """One continuity step of ``rho`` under ``w`` and the ledger after it.
+def _account(ledger, rho, given, solved, dt, mom):
+    """One continuity step of ``rho`` under the pair ``given`` and the ledger after it.
 
-    ``what`` is the half spectrum of w, whose divergence enters the defect
-    budget; ``uhat`` is that of the velocity solved at the step start, whose
-    stress power (:meth:`_Momentum.stress_power`) enters the viscous work.
+    ``given`` is the (u_hat, w) pair whose w advects rho; the divergence of
+    w, taken from :meth:`_Momentum.advecting_hat`, enters the defect budget.
+    ``solved`` is the pair solved at the step start, whose stress power
+    (:meth:`_Momentum.stress_power`) enters the viscous work.
     The drag removal is split between the two channels in proportion to
     r^{2 gamma} and r^3 of the new density r, and int |grad r^{gamma/2}|^2
     is the Parseval sum over the half spectrum of r^{gamma/2}.  For a
@@ -231,12 +224,12 @@ def _account(ledger, rho, w, what, uhat, dt, mom):
     grid = rho.grid
     gamma = params.gamma
     vol = grid.cell_volume
-    divw = div_hat(grid, what)
+    divw = div_hat(grid, mom.advecting_hat(given))
     max_before = rho.max()
     bound = 1.0 + 1.1 * dt * divw.linf_norm()
     divu_l1 = dt * float(np.abs(divw.data).sum()) * vol
-    work = dt * mom.stress_power(uhat)
-    rho, removed = continuity_step(rho, w, dt, params)
+    work = dt * mom.stress_power(solved)
+    rho, removed = continuity_step(rho, given[1], dt, params)
     r = rho.data
     drag2g = drag3 = drag_hi = drag_lo = grad_term = 0.0
     if params.eps > 0.0:
@@ -424,14 +417,16 @@ class _Momentum:
             return self.kernel.symbol * uhat
         return w.grid.rfft(w.stacked())
 
-    def stress_power(self, uhat):
-        """int tau(D(u)) : grad u of the velocity u whose half spectrum is ``uhat``.
+    def stress_power(self, pair):
+        """int tau(D(u)) : grad u of the pair's velocity u.
 
-        A sum over the :attr:`power_weights` with no transform in symbol
-        mode; the real-space :func:`_viscous_work_integral` in Krylov mode.
+        A sum of u_hat over the :attr:`power_weights`, with no transform, in
+        symbol mode; in Krylov mode :func:`viscous_work` of :meth:`velocity`,
+        the u an observer of the pair is given.
         """
         if self.power_weights is None:
-            return _viscous_work_integral(self.tensor, uhat, self.grid)
+            return viscous_work(self.tensor, self.velocity(pair)).total
+        uhat = pair[0]
         return sum(float(np.vdot(uhat[i], w * uhat[j]).real) for i, j, w in self.power_weights)
 
     def pairs(self, samples):
@@ -504,8 +499,7 @@ def _record(mom, pairs, start, dt, traj, store_every, settled):
         pair = given if j <= settled else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
             traj.record(tj, rho, mom.lazy_velocity(pair), ledger)
-        what = mom.advecting_hat(given)
-        rho, ledger = _account(ledger, rho, given[1], what, pair[0], dt, mom)
+        rho, ledger = _account(ledger, rho, given, pair, dt, mom)
     t1 = t0 + len(pairs) * dt
     return _store(traj, mom, t1, rho, mom.pair(rho, t1), ledger)
 
@@ -553,9 +547,10 @@ def picard_solve(
     traj = _trajectory(observe)
     if ledger is None:
         ledger = Ledger.fresh(rho0)
-    start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0, slab.t0), ledger)
-    v0 = None if v0 is None else mom.pairs(v0)
-    history, _end = _picard_slab(mom, start, slab, v0, traj, 1)
+    with _located(f"on slab [{slab.t0}, {slab.t1}]"):
+        start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0, slab.t0), ledger)
+        v0 = None if v0 is None else mom.pairs(v0)
+        history, _end = _picard_slab(mom, start, slab, v0, traj, 1)
     return traj, history
 
 
@@ -696,13 +691,13 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     t = 0.0
     step_index = 0
     with _located("at t = 0.0"):
-        uhat, u = pair = mom.pair(rho, t)
+        pair = mom.pair(rho, t)
     traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     while t < t_end - 1e-12 * max(1.0, t_end):
-        dt = min(cfl_dt(u, params), t_end - t)
+        dt = min(cfl_dt(pair[1], params), t_end - t)
         with _located(f"in the step from t = {t}"):
-            rho, ledger = _account(ledger, rho, u, uhat, uhat, dt, mom)
-            uhat, u = pair = mom.pair(rho, t + dt)
+            rho, ledger = _account(ledger, rho, pair, pair, dt, mom)
+            pair = mom.pair(rho, t + dt)
         t += dt
         step_index += 1
         if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):

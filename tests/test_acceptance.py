@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anisostokes.cli import cmd_defect_study, cmd_run, cmd_sweep_delta, cmd_sweep_eps
+from anisostokes.cli import cmd_defect_study, cmd_run, cmd_sweep_delta, cmd_sweep_eps, main
 from anisostokes.config import make_initial, parse_config
 from anisostokes.diagnostics import commutator_audit, worst_violation
 from anisostokes.fields import (
@@ -45,13 +45,19 @@ def report(number, name, ok, detail):
     assert ok, line
 
 
-def sweep1d_reference_gap(path):
-    """The benchmark's own check of a sweep1d CSV: None, or the first mismatch
-    with its stored reference (1e-12 relative plus 1e-12 absolute)."""
+def bench_workloads():
+    """The benchmark's workload module, imported read-only from bench/."""
     if str(BENCH) not in sys.path:
         sys.path.insert(0, str(BENCH))
     import workloads
 
+    return workloads
+
+
+def sweep1d_reference_gap(path):
+    """The benchmark's own check of a sweep1d CSV: None, or the first mismatch
+    with its stored reference (1e-12 relative plus 1e-12 absolute)."""
+    workloads = bench_workloads()
     return workloads.compare_csv(path, workloads.REFERENCE_DIR / "sweep1d" / path.name, 1e-12, 1e-12)
 
 
@@ -390,4 +396,23 @@ def test_11_determinism(defect_study_dir, tmp_path):
         ok,
         f"defect study matches pinned golden bytes: {golden_ok}; "
         f"repeated run CSVs identical: {rerun_ok}",
+    )
+
+
+def test_12_krylov_reference(tmp_path, capsys):
+    # the varying-law (Krylov) path against the benchmark's stored krylov2d
+    # outputs, through the benchmark's own set-up and check
+    workloads = bench_workloads()
+    seed = workloads.DEFAULT_SEED
+    workload = workloads.prepare("krylov2d", tmp_path, seed)
+    ((sub, cfg),) = workload.round
+    out = tmp_path / "out"
+    code = main([sub, cfg, "--strict", "--out", str(out)])
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    gap = workloads.check_outputs(workload, seed, str(out))
+    report(
+        12,
+        "krylov-reference",
+        code == 0 and not fails and gap is None,
+        f"exit {code}; audit failures {fails or 'none'}; bench reference: {gap or 'matches'}",
     )

@@ -16,7 +16,7 @@ import pytest
 from anisostokes import cli, diagnostics, marching
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, parse_config
-from anisostokes.fields import read_snapshot
+from anisostokes.fields import NonFiniteField, read_snapshot
 from anisostokes.marching import NoContraction, SlabCollapse, SubstepOverflow
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
 from anisostokes.transport import NegativeInput, NewtonFail
@@ -467,6 +467,7 @@ SOLVER_FAILURES = (
     NoContraction("update ratios [1.2, 1.3, 1.4] on slab [0.0, 0.05]"),
     SlabCollapse("slab shrank 6 times without contraction"),
     SubstepOverflow("slab [0.0, 0.05] needs 1e+299 substeps, more than 10000"),
+    NonFiniteField("field data must be finite"),
 )
 
 
@@ -507,6 +508,19 @@ def test_a_runaway_velocity_fails_on_its_slab_before_any_substep(tmp_path, capsy
     )
     assert steps == []
     assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("extra", [
+    "forcing.kind = cosine\nforcing.amplitude = 1e308\n",  # the forcing's spectrum overflows
+    "initial.value = 1e200\n",  # rho^gamma overflows
+], ids=["forcing", "pressure"])
+def test_an_overflow_in_the_first_solve_fails_the_solver_at_its_time(tmp_path, capsys, extra):
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("grid.n = 64", "grid.n = 32") + extra)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
+    assert capsys.readouterr().out == (
+        "FAIL solver: NonFiniteField: field data must be finite at t = 0.0\n"
+    )
 
 
 def test_a_runaway_slab_count_fails_the_config_on_its_line(tmp_path, capsys, monkeypatch):

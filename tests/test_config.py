@@ -133,6 +133,10 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("viscosity.kind = constant", "viscosity.kind"),
         ("viscosity.kind = varying", "viscosity.kind"),
         ("viscosity.files = ;\nviscosity.kind = varying", "viscosity.files"),
+        ("initial.value = nan", "initial.value"),
+        ("initial.amplitude = inf\ninitial.kind = cosine", "initial.amplitude"),
+        ("forcing.amplitude = nan\nforcing.kind = cosine", "forcing.amplitude"),
+        ("params.delta = inf", "params.delta"),
     ],
 )
 def test_out_of_range_run_and_study_keys_name_their_line(tmp_path, text, key):

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 from anisostokes.fields import (
     GridSpec,
     MollifierKernel,
+    NonFiniteField,
     ScalarField,
     VectorField,
     commutator_residual,
@@ -23,7 +24,6 @@ from anisostokes.fields import (
     grad_l2_norm,
     grad_norm_sq_hat,
     jacobian,
-    jacobian_hat,
     l2_inner,
     laplacian,
     mollify,
@@ -71,10 +71,11 @@ def test_gridspec_equality_and_volume():
 
 def test_scalarfield_rejects_nonfinite():
     g = GridSpec(1, 8)
-    bad = np.zeros(8)
-    bad[3] = np.inf
-    with pytest.raises(ValueError):
-        ScalarField(g, bad)
+    for value in (np.inf, -np.inf, np.nan):
+        bad = np.zeros(8)
+        bad[3] = value
+        with pytest.raises(NonFiniteField):
+            ScalarField(g, bad)
 
 
 # ---------------------------------------------------------- spectral calculus
@@ -416,8 +417,6 @@ def test_half_spectrum_jacobian_and_div_match_real_ones(dim, n):
     g = GridSpec(dim, n)
     uhat = rough_vector_hat(g, 7 * n + dim)
     u = from_hat(g, uhat)
-    J = jacobian(u)
-    assert np.max(np.abs(jacobian_hat(g, uhat) - J)) <= 1e-13 * np.max(np.abs(J))
     d = div(u)
     assert np.max(np.abs(div_hat(g, uhat).data - d.data)) <= 1e-13 * d.linf_norm()
 

@@ -38,7 +38,13 @@ from anisostokes.marching import (
     picard_solve,
 )
 from anisostokes.stokes import StokesOperator, residual
-from anisostokes.transport import SolverParams, cfl_dt, continuity_step, pressure_field
+from anisostokes.transport import (
+    NewtonFail,
+    SolverParams,
+    cfl_dt,
+    continuity_step,
+    pressure_field,
+)
 from anisostokes.viscosity import (
     ConstantFull,
     DiagNu,
@@ -190,6 +196,19 @@ def test_picard_trajectory_contracts_stokes_residual():
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
 
 
+@pytest.mark.parametrize("where", ["pressure_field", "continuity_step"])
+def test_a_solve_failure_in_picard_solve_names_its_slab(monkeypatch, where):
+    # the start solve builds the pressure first; the passes step the density
+    def fail(*args, **kwargs):
+        raise NewtonFail("drag solve stalled")
+
+    monkeypatch.setattr(marching, where, fail)
+    with pytest.raises(NewtonFail) as err:
+        picard_solve(DiagNu((1.0,)), cosine_density(GridSpec(1, 16)), None,
+                     canonical_params(), Slab(0.0, 0.05, 5))
+    assert str(err.value) == "drag solve stalled on slab [0.0, 0.05]"
+
+
 # ------------------------------------------------------------ velocity pairs
 
 def anisotropic_constant_tensor():
@@ -259,11 +278,11 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
 
 def account_steps(rho, v, dt, p, steps, tensor):
     """``steps`` accounted continuity steps under a fixed v from a fresh ledger."""
-    vhat = rho.grid.rfft(v.stacked())
+    pair = (rho.grid.rfft(v.stacked()), v)
     mom = _Momentum(tensor, rho.grid, None, p)
     ledger = Ledger.fresh(rho)
     for _ in range(steps):
-        rho, ledger = _account(ledger, rho, v, vhat, vhat, dt, mom)
+        rho, ledger = _account(ledger, rho, pair, pair, dt, mom)
     return rho, ledger
 
 
@@ -312,7 +331,7 @@ def test_half_spectrum_stress_power_matches_the_real_space_one(kind, dim, n):
     tensor = symbol_law(kind, dim, rng)
     u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
     expected = viscous_work(tensor, u).total
-    got = _Momentum(tensor, g, None, SolverParams()).stress_power(g.rfft(u.stacked()))
+    got = _Momentum(tensor, g, None, SolverParams()).stress_power((g.rfft(u.stacked()), u))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -549,7 +568,7 @@ def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
     # spectra; every binding of the real-space helpers in the package counts
     tensor, rho0, p = multi_slab_scenario()
     logs = []
-    for name in ("grad_l2_norm", "jacobian", "div", "grad", "jacobian_hat"):
+    for name in ("grad_l2_norm", "jacobian", "div", "grad"):
         original = getattr(fields, name)
         for module in list(sys.modules.values()):
             if (getattr(module, "__name__", "").startswith("anisostokes")
@@ -818,6 +837,25 @@ def accounting_record(traj):
     out["min_rho_ever"] = traj.min_rho_ever
     out["max_principle_margin"] = traj.max_principle_margin
     return out
+
+
+def test_krylov_ledger_takes_its_work_from_viscous_work_of_the_stored_velocity():
+    # a varying law's stress power is the audit's own viscous_work, applied
+    # to the very u each stored state hands its observer
+    g = GridSpec(2, 16)
+    x, y = g.meshgrid()
+    rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) + 0.1 * np.sin(y))
+    tensor = krylov_case_tensor(g)
+    traj, states = kept(march, tensor, rho0, None, canonical_params(delta=0.5), 0.04, 0.02)
+    assert len(traj.fixed_point_reports) == 2
+    i = 0
+    for (t0, t1, *_), steps in zip(traj.fixed_point_reports, slab_steps(traj)):
+        dt = (t1 - t0) / steps
+        for _ in range(steps):
+            work = dt * viscous_work(tensor, states.velocities[i]).total
+            assert states.ledgers[i + 1].work_cum == states.ledgers[i].work_cum + work, i
+            i += 1
+    assert i == len(traj) - 1 >= 4
 
 
 def test_accounting_matches_pinned_values():
