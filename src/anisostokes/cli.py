@@ -20,6 +20,11 @@ observer writes each state's snapshots as it arrives and keeps its
 diagnostics row; the CSV and the audits follow the march.  A solver
 failure in a ``run`` therefore leaves the snapshots of the states stored
 before it, and no ``diagnostics.csv``.
+
+``defect-study`` marches its first ratio in the calling process and the
+others in forked workers, up to one per CPU; its output, audit lines and
+exit code are those of a serial study.  Nothing is forked, and
+``multiprocessing`` is not imported, before the first march.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 from anisostokes.config import (
     KEYS,
@@ -40,7 +46,7 @@ from anisostokes.config import (
 )
 from anisostokes.diagnostics import (
     defect_inequality,
-    defect_proxy,
+    defect_proxies,
     energy_slacks,
     pressure_l2_audit,
     state_row,
@@ -273,28 +279,68 @@ def cmd_sweep_eps(cfg, out_dir):
     return results
 
 
+def _defect_series(cfg, dps, ratio):
+    """March the defect study at one anisotropy ``ratio``.
+
+    Returns what its audits read: the stored times, each state's proxies
+    (one per window of ``dps``), the initial density's maximum and the
+    final ledger.
+    """
+    base = cfg.tensor.nu
+    nu = base[:-1] + (base[-1] * ratio,)
+    gamma = cfg.params.gamma
+    proxies = _Series(lambda rho: defect_proxies(rho, gamma, dps))
+    traj = _march_config(cfg, tensor=DiagNu(nu), observe=proxies)
+    return traj.times, proxies.values, proxies.first.max(), traj.ledgers[-1]
+
+
+def _forked_map(fn, items):
+    """``[fn(x) for x in items]``, spread over forked workers, one per CPU.
+
+    Serial when fewer than two workers would run or the platform cannot
+    fork.  A worker's exception is raised here, the first in item order.
+    Every worker has exited when this returns or raises.  Workers are
+    forked, not spawned: a spawned worker imports numpy and the package
+    again, and on ``defect2d`` that took as long as the march it saved.
+    """
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(len(items), cpus)
+    # imported here, not at module load: a study forks and imports nothing
+    # new before its first march
+    import multiprocessing
+
+    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    try:
+        return list(pool.map(fn, items))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def cmd_defect_study(cfg, out_dir):
+    """One march per anisotropy ratio: the first in this process, the rest
+    in forked workers (see :func:`_forked_map`)."""
     results = []
     if not isinstance(cfg.tensor, DiagNu):
         raise ParseError(
             cfg.tensor_line,
             "the defect study scales a per-axis viscosity; use viscosity.kind = diag",
         )
-    base = cfg.tensor.nu
     gamma = cfg.params.gamma
     dps = [replace(cfg.defect_params, window=window) for window in cfg.defect_windows]
+    ratios = cfg.defect_ratios
+    marches = [_defect_series(cfg, dps, ratio) for ratio in ratios[:1]]
+    marches += _forked_map(partial(_defect_series, cfg, dps), ratios[1:])
 
     rows = []
     all_ok = True
-    for ratio in cfg.defect_ratios:
-        nu = base[:-1] + (base[-1] * ratio,)
-        proxies = _Series(lambda rho: [defect_proxy(rho, gamma, dp) for dp in dps])
-        traj = _march_config(cfg, tensor=DiagNu(nu), observe=proxies)
+    for ratio, (times, proxies, rho0_max, ledger) in zip(ratios, marches):
         for k, dp in enumerate(dps):
-            series = [row[k] for row in proxies.values]
-            lhs, rhs, ok = defect_inequality(
-                traj.times, series, proxies.first.max(), traj.ledgers[-1], cfg.grid, gamma, dp
-            )
+            series = [row[k] for row in proxies]
+            lhs, rhs, ok = defect_inequality(times, series, rho0_max, ledger, cfg.grid, gamma, dp)
             all_ok = all_ok and ok
             rows.append((ratio, dp.window, lhs, rhs, "true" if ok else "false"))
     os.makedirs(out_dir, exist_ok=True)

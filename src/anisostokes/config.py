@@ -28,14 +28,14 @@ from typing import NamedTuple
 import numpy as np
 
 from anisostokes.diagnostics import DefectParams
-from anisostokes.fields import GridSpec, ScalarField, read_snapshot
+from anisostokes.fields import GridSpec, PicklableError, ScalarField, read_snapshot
 from anisostokes.transport import InvalidParameter, SolverParams
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull
 
 logger = logging.getLogger("anisostokes")
 
 
-class ParseError(Exception):
+class ParseError(PicklableError, Exception):
     def __init__(self, line, reason):
         super().__init__(f"line {line}: {reason}")
         self.line = line

@@ -115,13 +115,23 @@ def defect_proxy(rho, gamma, dp):
     makes every window gap nonnegative; rounding can produce -1e-18 on
     constant windows, so gaps are floored at zero before the root.
     """
+    return defect_proxies(rho, gamma, (dp,))[0]
+
+
+def defect_proxies(rho, gamma, dps):
+    """:func:`defect_proxy` of one state for each of ``dps``, raising rho
+    to gamma once for all of them."""
     grid = rho.grid
-    mean_r = _window_means(rho.data, dp.window)
-    mean_p = _window_means(rho.data**gamma, dp.window)
-    gap = np.maximum(mean_p - mean_r**gamma, 0.0)
-    vol_w = (dp.window * grid.h) ** grid.dim
-    total = vol_w * float(np.sum((dp.h_reg + gap) ** (1.0 / gamma)))
-    return total - grid.volume * dp.h_reg ** (1.0 / gamma)
+    power = rho.data**gamma
+    proxies = []
+    for dp in dps:
+        mean_r = _window_means(rho.data, dp.window)
+        mean_p = _window_means(power, dp.window)
+        gap = np.maximum(mean_p - mean_r**gamma, 0.0)
+        vol_w = (dp.window * grid.h) ** grid.dim
+        total = vol_w * float(np.sum((dp.h_reg + gap) ** (1.0 / gamma)))
+        proxies.append(total - grid.volume * dp.h_reg ** (1.0 / gamma))
+    return proxies
 
 
 _DEFECT_SLACK = 1e-2

@@ -16,6 +16,7 @@ mutate their inputs.
 
 from __future__ import annotations
 
+import copyreg
 import functools
 import logging
 import math
@@ -168,6 +169,16 @@ class GridSpec:
         for ika in self.ik:
             k2 = k2 + ika.imag**2
         return k2 * self.parseval_weight
+
+
+class PicklableError:
+    """Mixin for an exception whose ``__init__`` takes other arguments than
+    its ``args``.  A copy is rebuilt from ``args`` and the attributes, not
+    through ``__init__``, so the message (with any context added to it) and
+    the attributes cross a process boundary unchanged."""
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class NonFiniteField(ValueError):

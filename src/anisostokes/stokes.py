@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from anisostokes.fields import VectorField, grad, sym_grad
+from anisostokes.fields import PicklableError, VectorField, grad, sym_grad
 from anisostokes.viscosity import coercivity_estimate, major_symmetric
 
 
@@ -36,7 +36,7 @@ class NotCoercive(Exception):
     """The stress law fails the coercivity audit."""
 
 
-class KrylovNoConvergence(Exception):
+class KrylovNoConvergence(PicklableError, Exception):
     """The iterative solve missed the residual target."""
 
     def __init__(self, iterations, residual, target):

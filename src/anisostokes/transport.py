@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import ScalarField
+from anisostokes.fields import PicklableError, ScalarField
 
 logger = logging.getLogger("anisostokes")
 
@@ -41,7 +41,7 @@ class NewtonFail(Exception):
     """The per-cell drag solve missed its tolerance."""
 
 
-class CFLBreach(ValueError):
+class CFLBreach(PicklableError, ValueError):
     """A step longer than the CFL limit; ``speed`` is the velocity's max component sum."""
 
     def __init__(self, dt, limit, speed):
@@ -49,7 +49,7 @@ class CFLBreach(ValueError):
         self.speed = speed
 
 
-class InvalidParameter(ValueError):
+class InvalidParameter(PicklableError, ValueError):
     """A :class:`SolverParams` field is out of range; ``field`` names it."""
 
     def __init__(self, field, message):

@@ -4,6 +4,8 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import re
 import sys
 import tracemalloc
@@ -15,7 +17,7 @@ import pytest
 
 from anisostokes import cli, diagnostics, marching
 from anisostokes.cli import build_parser, main
-from anisostokes.config import KEYS, parse_config
+from anisostokes.config import KEYS, ParseError, parse_config
 from anisostokes.fields import NonFiniteField, read_snapshot
 from anisostokes.marching import NoContraction, SlabCollapse, SubstepOverflow
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
@@ -323,6 +325,113 @@ def test_defect_study_writes_ratio_window_grid(tmp_path, capsys):
     assert lines[0] == "ratio,window,lhs,rhs,passed"
     assert len(lines) == 5
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+# three ratios: the first marches in the calling process, the other two in
+# forked workers when two CPUs are available
+THREE_RATIOS = DEFECT_STUDY.replace("defect.ratios = 1,4", "defect.ratios = 1,4,16")
+
+
+def affinity(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
+
+
+def logged_marches(monkeypatch, log):
+    """Append the last viscosity, the pid and the live child count of every
+    ``march`` call of a study to ``log``, in whichever process it runs."""
+    march = cli.march
+
+    def logged(tensor, *args, **kwargs):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{tensor.nu[-1]} {os.getpid()} {len(multiprocessing.active_children())}\n")
+        return march(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "march", logged)
+
+
+def test_defect_study_marches_its_first_ratio_here_before_it_forks(tmp_path, monkeypatch):
+    # the benchmark's set-up probe stops the clock at the first march call
+    # by ending the process, so nothing may have forked by then
+    affinity(monkeypatch, 2)
+    log = tmp_path / "marches.txt"
+    logged_marches(monkeypatch, log)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    assert main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
+    first, *rest = (line.split() for line in log.read_text().splitlines())
+    assert first == ["1.0", str(os.getpid()), "0"]
+    assert sorted(nu for nu, _pid, _children in rest) == ["16.0", "4.0"]
+    assert all(pid != str(os.getpid()) for _nu, pid, _children in rest)
+    assert multiprocessing.active_children() == []
+
+
+def test_defect_study_writes_the_same_bytes_serial_and_forked(tmp_path, capsys, monkeypatch):
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    runs = []
+    for cpus in (1, 2):
+        log = tmp_path / f"marches{cpus}.txt"
+        with monkeypatch.context() as patch:
+            affinity(patch, cpus)
+            logged_marches(patch, log)
+            out = tmp_path / f"art{cpus}"
+            assert main(["defect-study", cfg, "--strict", "--out", str(out)]) == 0
+        assert multiprocessing.active_children() == []
+        pids = {line.split()[1] for line in log.read_text().splitlines()}
+        files = {p.name: p.read_bytes() for p in out.iterdir()}
+        runs.append((files, capsys.readouterr().out.replace(str(out), "OUT"), len(pids)))
+    serial, forked = runs
+    assert serial[:2] == forked[:2]
+    assert len(serial[0]["defect_study.csv"].splitlines()) == 7
+    assert serial[2] == 1 and forked[2] > 1
+
+
+@pytest.mark.parametrize("error", [
+    NewtonFail("drag solve did not converge"),
+    KrylovNoConvergence(40, 1e-3, 1e-9),
+    ParseError(9, "forcing.path: cannot read gone.asf"),
+], ids=lambda error: type(error).__name__)
+def test_a_failure_in_a_worker_prints_the_serial_line(tmp_path, capsys, monkeypatch, error):
+    march = cli.march
+
+    def fail_last(tensor, *args, **kwargs):
+        if tensor.nu[-1] == 16.0:
+            raise error
+        return march(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "march", fail_last)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    runs = []
+    for cpus in (1, 2):
+        affinity(monkeypatch, cpus)
+        code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
+        runs.append((code, capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1]
+    if isinstance(error, ParseError):
+        assert runs[0] == (2, f"FAIL config: {cfg}: {error}\n")
+    else:
+        assert runs[0] == (3, f"FAIL solver: {type(error).__name__}: {error}\n")
+    assert not (tmp_path / "art").exists()
+
+
+def test_defect_study_raises_each_state_to_gamma_once_for_all_windows(tmp_path, monkeypatch):
+    # the observer takes every window's proxy of a state in one call
+    whole = counted_everywhere(monkeypatch, diagnostics.defect_proxies)
+    single = counted_everywhere(monkeypatch, diagnostics.defect_proxy)
+    march = cli.march
+    states = []
+
+    def counting(*args, observe, **kwargs):
+        def counted(*state):
+            states.append(None)
+            observe(*state)
+
+        return march(*args, observe=counted, **kwargs)
+
+    monkeypatch.setattr(cli, "march", counting)
+    cfg = write_cfg(tmp_path, DEFECT_STUDY)  # two ratios: both march here
+    assert main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
+    assert len(states) >= 4
+    assert (len(whole), len(single)) == (len(states), 0)
 
 
 def test_unknown_key_fails_the_config_with_exit_code_2(tmp_path, capsys):

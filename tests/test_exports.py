@@ -1,6 +1,13 @@
-"""The package surface: every exported name resolves."""
+"""The package surface: every exported name resolves, every exported
+exception crosses a process boundary whole."""
+
+import copy
+import pickle
+
+import pytest
 
 import anisostokes
+from anisostokes import marching
 
 
 def test_every_exported_name_resolves():
@@ -9,3 +16,47 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from anisostokes import *", namespace)
     assert set(anisostokes.__all__) <= set(namespace)
+
+
+# one instance of each exported exception, built as the package raises it
+EXCEPTIONS = [
+    anisostokes.CFLBreach(0.02, 0.01, 45.0),
+    anisostokes.InvalidParameter("gamma", "gamma must exceed 1"),
+    anisostokes.KrylovNoConvergence(40, 1e-3, 1e-9),
+    anisostokes.NegativeInput("density has negative samples (min -1.000e-03)"),
+    anisostokes.NewtonFail("drag solve stalled at residual 1.000e-03"),
+    anisostokes.NoContraction("update ratios [1.2, 1.3, 1.4] on slab [0.0, 0.05]"),
+    anisostokes.NonFiniteField("field data must be finite"),
+    anisostokes.NotCoercive("coercivity estimate -1.000e+00 is not positive"),
+    anisostokes.ParseError(3, "grid.n: expected an integer"),
+    anisostokes.SingularSymbol("singular momentum symbol on 7 modes"),
+    anisostokes.SlabCollapse("slab shrank 6 times without contraction"),
+    anisostokes.SubstepOverflow("slab [0.0, 0.05] needs 1e+299 substeps, more than 10000"),
+    anisostokes.UnknownKey(2, "params.gama"),
+    anisostokes.UnresolvedWavelength("wavelength 0.1 is below four cells"),
+]
+
+
+def test_each_exported_exception_has_a_case():
+    values = (getattr(anisostokes, name) for name in anisostokes.__all__)
+    exported = {v for v in values if isinstance(v, type) and issubclass(v, BaseException)}
+    assert {type(exc) for exc in EXCEPTIONS} == exported
+
+
+def located(exc):
+    """``exc`` as a march re-raises it, with its slab added to the message."""
+    with pytest.raises(type(exc)) as info:
+        with marching._located("on slab [0.0, 0.05]"):
+            raise exc
+    return info.value
+
+
+@pytest.mark.parametrize("exc", EXCEPTIONS, ids=lambda exc: type(exc).__name__)
+def test_every_exported_exception_survives_a_pickle_round_trip(exc):
+    # a worker process hands its failure back pickled
+    for original in (exc, located(copy.copy(exc))):
+        back = pickle.loads(pickle.dumps(original))
+        assert type(back) is type(original)
+        assert str(back) == str(original) and back.args == original.args
+        assert vars(back) == vars(original)
+
