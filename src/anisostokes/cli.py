@@ -22,9 +22,10 @@ failure in a ``run`` therefore leaves the snapshots of the states stored
 before it, and no ``diagnostics.csv``.
 
 ``defect-study`` marches its first ratio in the calling process and the
-others in forked workers, up to one per CPU; its output, audit lines and
-exit code are those of a serial study.  Nothing is forked, and
-``multiprocessing`` is not imported, before the first march.
+others in forked workers, up to one per CPU (serially on Python 3.12 or
+later); its output, audit lines and exit code are those of a serial
+study.  Nothing is forked, and ``multiprocessing`` is not imported, before
+the first march.
 """
 
 from __future__ import annotations
@@ -294,23 +295,28 @@ def _defect_series(cfg, dps, ratio):
     return traj.times, proxies.values, proxies.first.max(), traj.ledgers[-1]
 
 
+# Python 3.12 deprecates forking a process that runs threads, and numpy's
+# BLAS starts threads at import, so every fork would warn there
+_FORK_WARNS = sys.version_info >= (3, 12)
+
+
 def _forked_map(fn, items):
     """``[fn(x) for x in items]``, spread over forked workers, one per CPU.
 
-    Serial when fewer than two workers would run or the platform cannot
-    fork.  A worker's exception is raised here, the first in item order.
-    Every worker has exited when this returns or raises.  Workers are
-    forked, not spawned: a spawned worker imports numpy and the package
-    again, and on ``defect2d`` that took as long as the march it saved.
+    Serial when fewer than two workers would run (always so where
+    ``os.sched_getaffinity`` is missing) and on Python 3.12 or later.  A
+    worker's exception is raised here, the first in item order.  Every
+    worker has exited when this returns or raises.  Workers are forked, not
+    spawned: a spawned worker imports numpy and the package again, and on
+    ``defect2d`` that took as long as the march it saved.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
     workers = min(len(items), cpus)
+    if workers < 2 or _FORK_WARNS:
+        return [fn(x) for x in items]
     # imported here, not at module load: a study forks and imports nothing
     # new before its first march
     import multiprocessing
-
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [fn(x) for x in items]
     from concurrent.futures import ProcessPoolExecutor
 
     pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))

@@ -50,7 +50,7 @@ Both drivers advance the density through one accountant, ``_account``,
 which takes a frozen :class:`Ledger` (the mass identity and the cumulative
 integrals that diagnostics consume) and returns the next one.  It takes
 int |grad rho^{gamma/2}|^2 from a half spectrum, and the stress power from
-half spectra for diagonal and constant laws and from ``viscous_work_total`` of
+half spectra for diagonal and constant laws and from ``viscous_work`` of
 the stored u for varying ones.  They store each state with its ledger
 through ``Trajectory.record``.  Velocities inside a slab are piecewise
 constant per substep; each stored (rho, u) pair has u freshly solved from
@@ -103,7 +103,7 @@ from anisostokes.transport import (
     continuity_step,
     pressure_field,
 )
-from anisostokes.viscosity import viscous_work_total
+from anisostokes.viscosity import viscous_work
 
 logger = logging.getLogger("anisostokes")
 
@@ -421,12 +421,11 @@ class _Momentum:
         """int tau(D(u)) : grad u of the pair's velocity u.
 
         A sum of u_hat over the :attr:`power_weights`, with no transform, in
-        symbol mode; in Krylov mode :func:`viscous_work_total` (the total of
-        :func:`viscous_work`) of :meth:`velocity`, the u an observer of the
-        pair is given.
+        symbol mode; in Krylov mode :func:`viscous_work` of :meth:`velocity`,
+        the u an observer of the pair is given.
         """
         if self.power_weights is None:
-            return viscous_work_total(self.tensor, self.velocity(pair))
+            return viscous_work(self.tensor, self.velocity(pair)).total
         uhat = pair[0]
         return sum(float(np.vdot(uhat[i], w * uhat[j]).real) for i, j, w in self.power_weights)
 

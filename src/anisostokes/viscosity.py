@@ -10,19 +10,11 @@ not assumed anywhere (``major_symmetric`` tests for it).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import (
-    NonFiniteField,
-    ScalarField,
-    VectorField,
-    div,
-    jacobian,
-    vector_lp_norm,
-)
+from anisostokes.fields import ScalarField, VectorField, div, jacobian, vector_lp_norm
 
 
 def minor_symmetrize(a):
@@ -179,38 +171,24 @@ class ViscousWork:
     h1_residual: float
 
 
-def _work_density(tensor, u):
-    """D(u), tau(D(u)) and the stress power tau : grad u per cell."""
-    J = jacobian(u)
-    D = 0.5 * (J + np.swapaxes(J, 0, 1))
-    tau = tensor.apply(D)
-    return D, tau, np.einsum("ij...,ij...->...", tau, J)
-
-
 def viscous_work(tensor, u):
     """Pointwise stress power tau : grad u, its integral, and the H1 gap.
 
     The gap max|tau : grad u - tau : D(u)| vanishes (to rounding) whenever
     the stress is symmetric, which every shipped tensor guarantees.
     """
-    D, tau, work_grad = _work_density(tensor, u)
+    grid = u.grid
+    J = jacobian(u)
+    D = 0.5 * (J + np.swapaxes(J, 0, 1))
+    tau = tensor.apply(D)
+    work_grad = np.einsum("ij...,ij...->...", tau, J)
     work_sym = np.einsum("ij...,ij...->...", tau, D)
-    pointwise = ScalarField(u.grid, work_grad)
+    pointwise = ScalarField(grid, work_grad)
     return ViscousWork(
         total=pointwise.integral(),
         pointwise=pointwise,
         h1_residual=float(np.abs(work_grad - work_sym).max()),
     )
-
-
-def viscous_work_total(tensor, u):
-    """The ``total`` of :func:`viscous_work` alone, bit for bit, without its
-    pointwise field or H1 gap; NonFiniteField when it is not finite."""
-    _D, _tau, work = _work_density(tensor, u)
-    total = float(work.sum()) * u.grid.cell_volume
-    if not math.isfinite(total):
-        raise NonFiniteField("field data must be finite")
-    return total
 
 
 # ----------------------------------------------------------------------

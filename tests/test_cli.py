@@ -328,7 +328,7 @@ def test_defect_study_writes_ratio_window_grid(tmp_path, capsys):
 
 
 # three ratios: the first marches in the calling process, the other two in
-# forked workers when two CPUs are available
+# forked workers when two CPUs are available (on Python before 3.12)
 THREE_RATIOS = DEFECT_STUDY.replace("defect.ratios = 1,4", "defect.ratios = 1,4,16")
 
 
@@ -360,7 +360,21 @@ def test_defect_study_marches_its_first_ratio_here_before_it_forks(tmp_path, mon
     first, *rest = (line.split() for line in log.read_text().splitlines())
     assert first == ["1.0", str(os.getpid()), "0"]
     assert sorted(nu for nu, _pid, _children in rest) == ["16.0", "4.0"]
-    assert all(pid != str(os.getpid()) for _nu, pid, _children in rest)
+    forked = [pid != str(os.getpid()) for _nu, pid, _children in rest]
+    assert forked == [not cli._FORK_WARNS] * 2
+    assert multiprocessing.active_children() == []
+
+
+def test_defect_study_stays_serial_where_forking_warns(tmp_path, monkeypatch):
+    # Python 3.12 warns on forking a process with threads running
+    affinity(monkeypatch, 2)
+    monkeypatch.setattr(cli, "_FORK_WARNS", True)
+    log = tmp_path / "marches.txt"
+    logged_marches(monkeypatch, log)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    assert main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
+    marches = [line.split() for line in log.read_text().splitlines()]
+    assert marches == [[nu, str(os.getpid()), "0"] for nu in ("1.0", "4.0", "16.0")]
     assert multiprocessing.active_children() == []
 
 
@@ -381,7 +395,7 @@ def test_defect_study_writes_the_same_bytes_serial_and_forked(tmp_path, capsys, 
     serial, forked = runs
     assert serial[:2] == forked[:2]
     assert len(serial[0]["defect_study.csv"].splitlines()) == 7
-    assert serial[2] == 1 and forked[2] > 1
+    assert serial[2] == 1 and (forked[2] > 1) is not cli._FORK_WARNS
 
 
 @pytest.mark.parametrize("error", [

@@ -16,17 +16,10 @@ from anisostokes.diagnostics import (
     worst_violation,
     write_rows_csv,
 )
-from anisostokes.fields import GridSpec, NonFiniteField, ScalarField, VectorField
+from anisostokes.fields import GridSpec, ScalarField, VectorField
 from anisostokes.marching import march
 from anisostokes.transport import SolverParams, pressure_integral
-from anisostokes.viscosity import (
-    ConstantFull,
-    DiagNu,
-    VaryingFull,
-    isotropic_strain_tensor,
-    viscous_work,
-    viscous_work_total,
-)
+from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor, viscous_work
 from keepall import kept
 
 
@@ -69,27 +62,6 @@ def test_viscous_work_symmetric_stress_has_tiny_h1_gap():
     w = viscous_work(tensor, u)
     scale = max(abs(w.pointwise.data).max(), 1.0)
     assert w.h1_residual <= 1e-12 * scale
-
-
-def test_viscous_work_total_is_the_total_of_viscous_work_bit_for_bit():
-    g = GridSpec(2, 24)
-    rng = np.random.default_rng(3)
-    raw = rng.standard_normal((2, 2, 2, 2, 24, 24))
-    tensor = VaryingFull(g, raw + 3.0 * isotropic_strain_tensor(2, 1.0)[..., None, None])
-    u = VectorField.from_arrays(g, [rng.standard_normal(g.shape) for _ in range(2)])
-    assert viscous_work_total(tensor, u) == viscous_work(tensor, u).total
-
-
-def test_viscous_work_total_refuses_an_overflowed_power():
-    # each u is finite, but tau : grad u overflows to inf
-    g = GridSpec(1, 16)
-    (x,) = g.meshgrid()
-    u = VectorField.from_arrays(g, [1e200 * np.sin(x)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NonFiniteField, match="field data must be finite"):
-            viscous_work(DiagNu((1.0,)), u)
-        with pytest.raises(NonFiniteField, match="field data must be finite"):
-            viscous_work_total(DiagNu((1.0,)), u)
 
 
 # ------------------------------------------------------------ energy audit
