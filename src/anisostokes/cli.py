@@ -23,9 +23,15 @@ before it, and no ``diagnostics.csv``.
 
 ``defect-study`` marches its first ratio in the calling process and the
 others in forked workers, up to one per CPU (serially on Python 3.12 or
-later); its output, audit lines and exit code are those of a serial
-study.  Nothing is forked, and ``multiprocessing`` is not imported, before
-the first march.
+later); the workers start at the first ratio's first stored state, so all
+the marches run together.  Its output, audit lines and exit code are
+those of a serial study.  Nothing is forked, and ``multiprocessing`` is not
+imported, before the first march.
+
+Every study runs with numpy's floating-point errors raised, so an overflow
+or an invalid operation stops the study where it happens, as a
+``FAIL solver`` line, instead of printing a warning and carrying inf or nan
+on.  Forked workers inherit that.
 """
 
 from __future__ import annotations
@@ -36,6 +42,8 @@ import os
 import sys
 from dataclasses import replace
 from functools import partial
+
+import numpy as np
 
 from anisostokes.config import (
     KEYS,
@@ -77,6 +85,7 @@ _SOLVER_FAILURES = (
     SlabCollapse,
     SubstepOverflow,
     NonFiniteField,
+    FloatingPointError,
 )
 
 
@@ -104,15 +113,19 @@ def _march_config(cfg, observe, params=None, tensor=None):
 class _Series:
     """An observer for ``march(..., observe=...)`` that keeps no fields but
     the first and the last stored density, and ``each(rho)`` of every stored
-    state in time order."""
+    state in time order; ``at_first()``, if given, is called at the first
+    state, before anything else."""
 
-    def __init__(self, each=None):
+    def __init__(self, each=None, at_first=None):
         self.each = each
+        self.at_first = at_first
         self.values = []
         self.first = self.last = None
 
     def __call__(self, _t, rho, _velocity, _ledger):
         if self.first is None:
+            if self.at_first is not None:
+                self.at_first()
             self.first = rho
         self.last = rho
         if self.each is not None:
@@ -280,17 +293,18 @@ def cmd_sweep_eps(cfg, out_dir):
     return results
 
 
-def _defect_series(cfg, dps, ratio):
+def _defect_series(cfg, dps, ratio, at_first=None):
     """March the defect study at one anisotropy ``ratio``.
 
     Returns what its audits read: the stored times, each state's proxies
     (one per window of ``dps``), the initial density's maximum and the
-    final ledger.
+    final ledger.  ``at_first()``, if given, is called at the first stored
+    state.
     """
     base = cfg.tensor.nu
     nu = base[:-1] + (base[-1] * ratio,)
     gamma = cfg.params.gamma
-    proxies = _Series(lambda rho: defect_proxies(rho, gamma, dps))
+    proxies = _Series(lambda rho: defect_proxies(rho, gamma, dps), at_first)
     traj = _march_config(cfg, tensor=DiagNu(nu), observe=proxies)
     return traj.times, proxies.values, proxies.first.max(), traj.ledgers[-1]
 
@@ -300,35 +314,57 @@ def _defect_series(cfg, dps, ratio):
 _FORK_WARNS = sys.version_info >= (3, 12)
 
 
-def _forked_map(fn, items):
+class _ForkedMap:
     """``[fn(x) for x in items]``, spread over forked workers, one per CPU.
 
+    :meth:`start` forks the workers and hands them the items, and returns
+    at once, so the caller works alongside them; :meth:`results` returns
+    the values in item order, computing them here if no worker was started.
     Serial when fewer than two workers would run (always so where
     ``os.sched_getaffinity`` is missing) and on Python 3.12 or later.  A
-    worker's exception is raised here, the first in item order.  Every
-    worker has exited when this returns or raises.  Workers are forked, not
-    spawned: a spawned worker imports numpy and the package again, and on
+    worker's exception is raised by :meth:`results`, the first in item
+    order.  Every worker has exited when the ``with`` block around the map
+    is left, however it is left.  Workers are forked, not spawned: a
+    spawned worker imports numpy and the package again, and on
     ``defect2d`` that took as long as the march it saved.
     """
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    workers = min(len(items), cpus)
-    if workers < 2 or _FORK_WARNS:
-        return [fn(x) for x in items]
-    # imported here, not at module load: a study forks and imports nothing
-    # new before its first march
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        return list(pool.map(fn, items))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    def __init__(self, fn, items):
+        self.fn = fn
+        self.items = items
+        self.pool = None
+        self.futures = None
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *_exc):
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
+
+    def start(self):
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+        workers = min(len(self.items), cpus)
+        if workers < 2 or _FORK_WARNS:
+            return
+        # imported here, not at module load: a study forks and imports nothing
+        # new before its first march
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        self.pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        self.futures = [self.pool.submit(self.fn, x) for x in self.items]
+
+    def results(self):
+        if self.futures is None:
+            return [self.fn(x) for x in self.items]
+        return [future.result() for future in self.futures]
 
 
 def cmd_defect_study(cfg, out_dir):
     """One march per anisotropy ratio: the first in this process, the rest
-    in forked workers (see :func:`_forked_map`)."""
+    in forked workers started at its first stored state (see
+    :class:`_ForkedMap`)."""
     results = []
     if not isinstance(cfg.tensor, DiagNu):
         raise ParseError(
@@ -338,8 +374,9 @@ def cmd_defect_study(cfg, out_dir):
     gamma = cfg.params.gamma
     dps = [replace(cfg.defect_params, window=window) for window in cfg.defect_windows]
     ratios = cfg.defect_ratios
-    marches = [_defect_series(cfg, dps, ratio) for ratio in ratios[:1]]
-    marches += _forked_map(partial(_defect_series, cfg, dps), ratios[1:])
+    with _ForkedMap(partial(_defect_series, cfg, dps), ratios[1:]) as rest:
+        marches = [_defect_series(cfg, dps, ratios[0], rest.start)]
+        marches += rest.results()
 
     rows = []
     all_ok = True
@@ -451,7 +488,8 @@ def main(argv=None):
         return _config_failure(args.config, exc)
     out_dir = args.out if args.out is not None else cfg.out
     try:
-        results = _COMMANDS[args.command](cfg, out_dir)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            results = _COMMANDS[args.command](cfg, out_dir)
     except ParseError as exc:
         return _config_failure(args.config, exc)
     except _SOLVER_FAILURES as exc:

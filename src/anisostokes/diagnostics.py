@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from anisostokes.fields import commutator_residual
-from anisostokes.transport import pressure_integral
+from anisostokes.transport import pressure_field
 
 @dataclass(frozen=True)
 class DiagnosticsRow:
@@ -118,11 +118,13 @@ def defect_proxy(rho, gamma, dp):
     return defect_proxies(rho, gamma, (dp,))[0]
 
 
-def defect_proxies(rho, gamma, dps):
+def defect_proxies(rho, gamma, dps, power=None):
     """:func:`defect_proxy` of one state for each of ``dps``, raising rho
-    to gamma once for all of them."""
+    to gamma once for all of them; ``power`` is rho^gamma's data when the
+    caller has it already."""
     grid = rho.grid
-    power = rho.data**gamma
+    if power is None:
+        power = rho.data**gamma
     proxies = []
     for dp in dps:
         mean_r = _window_means(rho.data, dp.window)
@@ -178,7 +180,8 @@ def state_row(t, rho, u, ledger, e0, gamma, dp, commutator_delta=0.0):
     principle and defect audits, so a caller keeping the rows needs no
     field to run them.
     """
-    p = pressure_integral(rho, gamma)
+    pressure = pressure_field(rho, gamma)
+    p = pressure.integral()
     (slack,) = energy_slacks(p if e0 is None else e0, [p], [ledger], gamma)
     commutator = 0.0
     if commutator_delta > 0.0:
@@ -195,7 +198,7 @@ def state_row(t, rho, u, ledger, e0, gamma, dp, commutator_delta=0.0):
         rho_min=rho.min(),
         rho_max=rho.max(),
         pgamma_l2_running=float(np.sqrt(ledger.pgamma_l2_sq_cum)),
-        defect_proxy=defect_proxy(rho, gamma, dp),
+        defect_proxy=defect_proxies(rho, gamma, (dp,), pressure.data)[0],
         commutator_l1=commutator,
     )
 

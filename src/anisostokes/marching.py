@@ -44,11 +44,17 @@ density pass k-1 reached after its own first step, reuses its input pair
 there and solves only later substeps; the skipped distance terms are +0.0,
 so the distance, the iterates and every output are bitwise those of full
 passes.  The recording pass of a slab that took K passes is pass K+1 and
-solves only substeps j >= K.
+solves only substeps j >= K.  It steps only substeps j >= K-1 as well:
+the first step of pass k >= 2, at substep k-2, has the density and the
+input pair of the recording pass there, so each pass keeps that step
+(the density and its two drag-channel integrals) and the recording pass
+accounts for the K-1 kept steps instead of taking them again.
 
-Both drivers advance the density through one accountant, ``_account``,
-which takes a frozen :class:`Ledger` (the mass identity and the cumulative
-integrals that diagnostics consume) and returns the next one.  It takes
+Both drivers advance the density through ``_step`` (one continuity step
+with its drag removal split over the two channels) and one accountant,
+``_account``, which takes a frozen :class:`Ledger` (the mass identity and
+the cumulative integrals that diagnostics consume) and a step and returns
+the next ledger.  It takes
 int |grad rho^{gamma/2}|^2 from a half spectrum, and the stress power from
 half spectra for diagonal and constant laws and from ``viscous_work`` of
 the stored u for varying ones.  They store each state with its ledger
@@ -66,7 +72,8 @@ slab starts, to size the substeps).  The march itself carries the state
 each slab starts from (:class:`_Stored`).
 
 A solve failure inside a march (:class:`KrylovNoConvergence`,
-:class:`NewtonFail`, :class:`NegativeInput`, :class:`NonFiniteField`) keeps
+:class:`NewtonFail`, :class:`NegativeInput`, :class:`NonFiniteField`, and
+``FloatingPointError`` where numpy raises on floating-point errors) keeps
 its class and gets the slab interval, or for ``direct_march`` the step time,
 added to its message.
 A slab whose CFL budget needs more than ``_MAX_SUBSTEPS`` substeps raises
@@ -112,7 +119,9 @@ _MAX_CFL_RETRIES = 8
 _MAX_SLAB_HALVINGS = 6
 # a slab needing more substeps than this is a runaway velocity, not a march
 _MAX_SUBSTEPS = 10_000
-_SOLVE_FAILURES = (KrylovNoConvergence, NewtonFail, NegativeInput, NonFiniteField)
+_SOLVE_FAILURES = (
+    KrylovNoConvergence, NewtonFail, NegativeInput, NonFiniteField, FloatingPointError
+)
 
 
 class NoContraction(Exception):
@@ -205,20 +214,43 @@ class Ledger:
         return abs(self.mass_now + self.drag2g_cum + self.drag3_cum - self.mass_initial)
 
 
-def _account(ledger, rho, given, solved, dt, mom):
-    """One continuity step of ``rho`` under the pair ``given`` and the ledger after it.
+def _step(rho, w, dt, params):
+    """One continuity step of ``rho`` under ``w``, with its drag removal split.
 
-    ``given`` is the (u_hat, w) pair whose w advects rho; the divergence of
+    The removal is split between the two drag channels in proportion to
+    r^{2 gamma} and r^3 of the new density r.  Returns the advanced
+    density, the removal's integrals over the r^{2 gamma} and r^3
+    channels, and the sum of r^{2 gamma} over the cells (which the split
+    needs and the ledger's pressure term reads).
+    """
+    rho, removed = continuity_step(rho, w, dt, params)
+    r = rho.data
+    r2g = r ** (2.0 * params.gamma)
+    drag2g = drag3 = 0.0
+    if removed is not None:
+        vol = rho.grid.cell_volume
+        channels = r2g + r**3
+        positive = channels > 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w2 = np.where(positive, r2g / np.where(positive, channels, 1.0), 0.0)
+        d2g = removed * w2
+        drag2g = float(d2g.sum()) * vol
+        drag3 = float((removed - d2g).sum()) * vol
+    return rho, drag2g, drag3, float(np.sum(r2g))
+
+
+def _account(ledger, rho, step, given, solved, dt, mom):
+    """The ledger after ``step``, the :func:`_step` from ``rho`` under the pair ``given``.
+
+    ``given`` is the (u_hat, w) pair whose w advected rho; the divergence of
     w, taken from :meth:`_Momentum.advecting_hat`, enters the defect budget.
     ``solved`` is the pair solved at the step start, whose stress power
     (:meth:`_Momentum.stress_power`) enters the viscous work.
-    The drag removal is split between the two channels in proportion to
-    r^{2 gamma} and r^3 of the new density r, and int |grad r^{gamma/2}|^2
-    is the Parseval sum over the half spectrum of r^{gamma/2}.  For a
-    diagonal or constant law the ledger takes two real transforms per step:
-    the inverse one of div w and the forward one of r^{gamma/2}.
-    The march's parameters are ``mom.params``.
-    Returns the advanced density and the new ledger.
+    int |grad r^{gamma/2}|^2 of the new density r is the Parseval sum over
+    the half spectrum of r^{gamma/2}.  For a diagonal or constant law the
+    ledger takes two real transforms per step: the inverse one of div w
+    and the forward one of r^{gamma/2}.  The march's parameters are
+    ``mom.params``.
     """
     params = mom.params
     grid = rho.grid
@@ -229,25 +261,17 @@ def _account(ledger, rho, given, solved, dt, mom):
     bound = 1.0 + 1.1 * dt * divw.linf_norm()
     divu_l1 = dt * float(np.abs(divw.data).sum()) * vol
     work = dt * mom.stress_power(solved)
-    rho, removed = continuity_step(rho, given[1], dt, params)
+    rho, drag2g, drag3, r2g_sum = step
     r = rho.data
-    drag2g = drag3 = drag_hi = drag_lo = grad_term = 0.0
+    drag_hi = drag_lo = grad_term = 0.0
     if params.eps > 0.0:
         g2 = grad_norm_sq_hat(grid, [grid.rfft(r ** (0.5 * gamma))])
         grad_term = 4.0 * params.eps * (1.0 - 1.0 / gamma) * g2 * dt
-    r2g = r ** (2.0 * gamma)
-    if removed is not None:
-        channels = r2g + r**3
-        positive = channels > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            w2 = np.where(positive, r2g / np.where(positive, channels, 1.0), 0.0)
-        d2g = removed * w2
-        drag2g = float(d2g.sum()) * vol
-        drag3 = float((removed - d2g).sum()) * vol
+    if params.eta > 0.0:
         egam = params.eta * gamma
         drag_hi = dt * egam * float(np.sum(r ** (3.0 * gamma - 1.0))) * vol
         drag_lo = dt * egam * float(np.sum(r ** (gamma + 2.0))) * vol
-    return rho, Ledger(
+    return Ledger(
         mass_now=rho.integral(),
         mass_initial=ledger.mass_initial,
         drag2g_cum=ledger.drag2g_cum + drag2g,
@@ -256,7 +280,7 @@ def _account(ledger, rho, given, solved, dt, mom):
         work_cum=ledger.work_cum + work,
         drag_hi_cum=ledger.drag_hi_cum + drag_hi,
         drag_lo_cum=ledger.drag_lo_cum + drag_lo,
-        pgamma_l2_sq_cum=ledger.pgamma_l2_sq_cum + dt * float(np.sum(r2g)) * vol,
+        pgamma_l2_sq_cum=ledger.pgamma_l2_sq_cum + dt * r2g_sum * vol,
         divu_l1_cum=ledger.divu_l1_cum + divu_l1,
         min_rho=min(ledger.min_rho, rho.min()),
         max_principle_margin=min(ledger.max_principle_margin, bound * max_before - rho.max()),
@@ -455,13 +479,15 @@ def _iterate(mom, pairs, rho, start, t0, dt, settled=0):
 
     Returns the solved pairs, one per substep, the slab distance
     ``(dt sum_j ||grad(u_j - v_j)||^2)^(1/2)``, a Parseval sum over
-    u_hat_j - v_hat_j, and the density after the pass's first step, which
-    is the density at the start of the next pass's unsettled part.
+    u_hat_j - v_hat_j, and the pass's first step as :func:`_step` gives
+    it.  Its density is the density at the start of the next pass's
+    unsettled part; for pass k >= 2 the step is the recording pass's step
+    at substep s, bit for bit.
     """
     out = pairs[:settled]
     pairs[:settled] = [None] * len(out)
     total = 0.0
-    ahead = None
+    first = None
     for j in range(settled, len(pairs)):
         vhat, w = given = pairs[j]
         pairs[j] = None
@@ -472,34 +498,40 @@ def _iterate(mom, pairs, rho, start, t0, dt, settled=0):
         out.append(solved)
         if j == 0 or j > settled:
             total += grad_norm_sq_hat(mom.grid, solved[0] - vhat)
-        rho, _ = continuity_step(rho, w, dt, mom.params)
-        if ahead is None:
-            ahead = rho
-    return out, math.sqrt(dt * total), ahead
+        if first is None:
+            first = _step(rho, w, dt, mom.params)
+            rho = first[0]
+        else:
+            rho, _ = continuity_step(rho, w, dt, mom.params)
+    return out, math.sqrt(dt * total), first
 
 
-def _record(mom, pairs, start, dt, traj, store_every, settled):
+def _record(mom, pairs, start, dt, traj, store_every, kept):
     """The recording pass of a converged slab.
 
     Advances rho from the slab-start state ``start`` (a :class:`_Stored`)
     under the converged ``pairs`` (released as in :func:`_iterate`) through
-    :func:`_account`.  It is the next Picard pass with accounting: on its
-    first ``settled`` + 1 substeps (the slab's pass count) the solved pair
-    is the converged pair itself, and the start pair serves substep 0;
-    every later velocity is a fresh solve from the advected density (within
-    fp_tol of the converged samples).  The later states go to ``traj`` at
-    the ``store_every`` cadence plus the final time.  Returns the stored
-    state at the slab end.
+    :func:`_account`.  It is the next Picard pass with accounting.
+    ``kept`` holds the first steps of Picard passes 2 ... K of a slab that
+    took K passes, which are its own steps at substeps 0 ... K-2; it takes
+    only the later steps.  On its first len(kept) + 1 substeps
+    the solved pair is the converged pair itself, and the start pair serves
+    substep 0; every later velocity is a fresh solve from the advected
+    density (within fp_tol of the converged samples).  The later states go
+    to ``traj`` at the ``store_every`` cadence plus the final time.
+    Returns the stored state at the slab end.
     """
     t0, rho, ledger = start.t, start.rho, start.ledger
     for j in range(len(pairs)):
         given = pairs[j]
         pairs[j] = None
         tj = t0 + j * dt
-        pair = given if j <= settled else mom.pair(rho, tj)
+        pair = given if j <= len(kept) else mom.pair(rho, tj)
         if j > 0 and j % store_every == 0:
             traj.record(tj, rho, mom.lazy_velocity(pair), ledger)
-        rho, ledger = _account(ledger, rho, given, pair, dt, mom)
+        step = kept[j] if j < len(kept) else _step(rho, given[1], dt, mom.params)
+        ledger = _account(ledger, rho, step, given, pair, dt, mom)
+        rho = step[0]
     t1 = t0 + len(pairs) * dt
     return _store(traj, mom, t1, rho, mom.pair(rho, t1), ledger)
 
@@ -582,13 +614,16 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
         history = []
         diff_prev = None
         bad_streak = 0
-        settled, rho = 0, rho0
+        # the first steps of passes 2, 3, ...: the recording pass's steps
+        # at substeps 0, 1, ...
+        kept, rho = [], rho0
         try:
             for k in range(1, params.fp_max_iter + 1):
-                v, diff, ahead = _iterate(mom, v, rho, start.pair, slab.t0, dt, settled)
+                v, diff, first = _iterate(mom, v, rho, start.pair, slab.t0, dt, len(kept))
                 if k >= 2:
                     # pass k + 1 reproduces substeps 0 ... k - 1 of pass k
-                    settled, rho = settled + 1, ahead
+                    kept.append(first)
+                    rho = first[0]
                 if diff_prev is not None and diff_prev > 0.0:
                     ratio = diff / diff_prev
                     history.append(ratio)
@@ -624,7 +659,7 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
     else:
         raise NoContraction("iterates kept outrunning the CFL budget")
 
-    end = _record(mom, v, start, dt, traj, store_every, settled)
+    end = _record(mom, v, start, dt, traj, store_every, kept)
     traj.fixed_point_reports.append((slab.t0, slab.t1, len(history) + 1, tuple(history)))
     return history, end
 
@@ -696,7 +731,9 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(pair[1], params), t_end - t)
         with _located(f"in the step from t = {t}"):
-            rho, ledger = _account(ledger, rho, pair, pair, dt, mom)
+            step = _step(rho, pair[1], dt, params)
+            ledger = _account(ledger, rho, step, pair, pair, dt, mom)
+            rho = step[0]
             pair = mom.pair(rho, t + dt)
         t += dt
         step_index += 1

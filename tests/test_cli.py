@@ -7,6 +7,7 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
 import sys
 import tracemalloc
 from operator import attrgetter
@@ -15,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anisostokes import cli, diagnostics, marching
+from anisostokes import cli, diagnostics, marching, transport
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, ParseError, parse_config
 from anisostokes.fields import NonFiniteField, read_snapshot
@@ -193,14 +194,30 @@ def counted_everywhere(monkeypatch, original):
 
 def test_run_takes_each_audit_input_once_per_stored_state(tmp_path, monkeypatch):
     # the CSV row and the energy, maximum-principle and defect audits all
-    # read int rho^gamma and the defect proxy of a state from its one row
-    pressures = counted_everywhere(monkeypatch, diagnostics.pressure_integral)
-    proxies = counted_everywhere(monkeypatch, diagnostics.defect_proxy)
+    # read int rho^gamma and the defect proxy of a state from its one row,
+    # and the row raises rho to gamma once for both
+    integrals = counted_everywhere(monkeypatch, transport.pressure_integral)
+    single = counted_everywhere(monkeypatch, diagnostics.defect_proxy)
+    powers, proxies = [], []
+    pressure_field, defect_proxies = diagnostics.pressure_field, diagnostics.defect_proxies
+
+    def kept_power(rho, gamma):
+        powers.append(pressure_field(rho, gamma))
+        return powers[-1]
+
+    def given_power(rho, gamma, dps, power=None):
+        proxies.append(power is powers[-1].data)
+        return defect_proxies(rho, gamma, dps, power)
+
+    monkeypatch.setattr(diagnostics, "pressure_field", kept_power)
+    monkeypatch.setattr(diagnostics, "defect_proxies", given_power)
     out = tmp_path / "art"
     assert main(["run", write_cfg(tmp_path, SMALL_RUN), "--strict", "--out", str(out)]) == 0
     stored = len((out / "diagnostics.csv").read_text().splitlines()) - 1
     assert stored == 11
-    assert (len(pressures), len(proxies)) == (stored, stored)
+    assert (len(integrals), len(single)) == (0, 0)
+    assert len(powers) == stored
+    assert proxies == [True] * stored
 
 
 def test_solver_failure_in_a_run_keeps_the_snapshots_stored_before_it(tmp_path, capsys,
@@ -363,6 +380,60 @@ def test_defect_study_marches_its_first_ratio_here_before_it_forks(tmp_path, mon
     forked = [pid != str(os.getpid()) for _nu, pid, _children in rest]
     assert forked == [not cli._FORK_WARNS] * 2
     assert multiprocessing.active_children() == []
+
+
+def test_defect_study_workers_start_during_the_first_march(tmp_path, monkeypatch):
+    # they are forked at the first ratio's first stored state, so all three
+    # marches run together
+    affinity(monkeypatch, 2)
+    march = cli.march
+    alive = []
+
+    def counted(tensor, *args, **kwargs):
+        traj = march(tensor, *args, **kwargs)
+        if tensor.nu[-1] == 1.0:
+            alive.append(len(multiprocessing.active_children()))
+        return traj
+
+    monkeypatch.setattr(cli, "march", counted)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    assert main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
+    assert len(alive) == 1 and (alive[0] >= 1) is not cli._FORK_WARNS
+    assert multiprocessing.active_children() == []
+
+
+def test_a_late_failure_of_the_first_march_prints_the_serial_line(tmp_path, capsys,
+                                                                   monkeypatch):
+    march = cli.march
+    alive = []
+
+    def fail_late(tensor, *args, observe, **kwargs):
+        if tensor.nu[-1] != 1.0:
+            return march(tensor, *args, observe=observe, **kwargs)
+        seen = []
+
+        def observe_then_fail(*state):
+            observe(*state)
+            seen.append(state)
+            if len(seen) == 3:
+                alive.append(len(multiprocessing.active_children()))
+                raise NewtonFail("drag solve did not converge")
+
+        return march(tensor, *args, observe=observe_then_fail, **kwargs)
+
+    monkeypatch.setattr(cli, "march", fail_late)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    runs = []
+    for cpus in (1, 2):
+        affinity(monkeypatch, cpus)
+        code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
+        runs.append((code, capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1] == (
+        3, "FAIL solver: NewtonFail: drag solve did not converge on slab [0.0, 0.04]\n"
+    )
+    assert alive[0] == 0 and (alive[1] >= 1) is not cli._FORK_WARNS
+    assert not (tmp_path / "art").exists()
 
 
 def test_defect_study_stays_serial_where_forking_warns(tmp_path, monkeypatch):
@@ -591,6 +662,7 @@ SOLVER_FAILURES = (
     SlabCollapse("slab shrank 6 times without contraction"),
     SubstepOverflow("slab [0.0, 0.05] needs 1e+299 substeps, more than 10000"),
     NonFiniteField("field data must be finite"),
+    FloatingPointError("overflow encountered in power"),
 )
 
 
@@ -633,16 +705,48 @@ def test_a_runaway_velocity_fails_on_its_slab_before_any_substep(tmp_path, capsy
     assert peak < 16 * 2**20
 
 
-@pytest.mark.parametrize("extra", [
-    "forcing.kind = cosine\nforcing.amplitude = 1e308\n",  # the forcing's spectrum overflows
-    "initial.value = 1e200\n",  # rho^gamma overflows
+@pytest.mark.parametrize("extra, where", [
+    # the forcing's spectrum overflows in its forward transform
+    ("forcing.kind = cosine\nforcing.amplitude = 1e308\n", r"\w+"),
+    ("initial.value = 1e200\n", "power"),  # rho^gamma overflows
 ], ids=["forcing", "pressure"])
-def test_an_overflow_in_the_first_solve_fails_the_solver_at_its_time(tmp_path, capsys, extra):
+def test_an_overflow_in_the_first_solve_fails_the_solver_at_its_time(tmp_path, extra, where):
+    # in a fresh interpreter, so that numpy's own warning filters and stderr
+    # are what a user sees: the overflow stops the study where it happens
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("grid.n = 64", "grid.n = 32") + extra)
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
-    assert capsys.readouterr().out == (
-        "FAIL solver: NonFiniteField: field data must be finite at t = 0.0\n"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "anisostokes.cli", "run", cfg, "--out", str(tmp_path / "art")],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stderr) == (3, "")
+    assert re.fullmatch(
+        rf"FAIL solver: FloatingPointError: overflow encountered in {where} at t = 0\.0\n",
+        done.stdout,
+    )
+
+
+def test_an_overflow_in_a_worker_fails_the_solver_as_in_a_serial_study(tmp_path, capsys,
+                                                                       monkeypatch):
+    # the workers are forked inside the study's floating-point error state
+    march = cli.march
+
+    def overflow_last(tensor, *args, **kwargs):
+        if tensor.nu[-1] == 16.0:
+            np.full(4, 1e308) * 10.0
+        return march(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "march", overflow_last)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    runs = []
+    for cpus in (1, 2):
+        affinity(monkeypatch, cpus)
+        code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
+        runs.append((code, capsys.readouterr().out))
+        assert multiprocessing.active_children() == []
+    assert runs[0] == runs[1] == (
+        3, "FAIL solver: FloatingPointError: overflow encountered in multiply\n"
     )
 
 

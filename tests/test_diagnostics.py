@@ -17,8 +17,8 @@ from anisostokes.diagnostics import (
     write_rows_csv,
 )
 from anisostokes.fields import GridSpec, ScalarField, VectorField
-from anisostokes.marching import march
-from anisostokes.transport import SolverParams, pressure_integral
+from anisostokes.marching import Ledger, march
+from anisostokes.transport import NegativeInput, SolverParams, pressure_integral
 from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor, viscous_work
 from keepall import kept
 
@@ -236,6 +236,14 @@ def test_state_rows_carry_the_audit_inputs():
         traj.times, [row.defect_proxy for row in rows], rows[0].rho_max, traj.ledgers[-1],
         g, 2.0, dp,
     ) == states.defect_inequality(2.0, dp)
+
+
+def test_state_row_rejects_a_negative_density():
+    g = GridSpec(1, 8)
+    rho = ScalarField(g, np.linspace(-0.1, 1.0, 8))
+    with pytest.raises(NegativeInput):
+        state_row(0.0, rho, VectorField.zeros(g), Ledger.fresh(rho), None, 2.0,
+                  DefectParams(window=4))
 
 
 # ------------------------------------------------------------ commutator

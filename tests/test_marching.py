@@ -32,6 +32,7 @@ from anisostokes.marching import (
     Trajectory,
     _account,
     _Momentum,
+    _step,
     apply_B,
     direct_march,
     march,
@@ -263,10 +264,15 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
     start = mom.pair(rho0, 0.0)
     dt = 0.005
     pairs = [start] * 4
-    out, dist, ahead = marching._iterate(mom, pairs, rho0, start, 0.0, dt)
+    out, dist, first = marching._iterate(mom, pairs, rho0, start, 0.0, dt)
     assert pairs == [None] * 4
     assert len(out) == 4 and out[0] is start
-    assert np.array_equal(ahead.data, continuity_step(rho0, start[1], dt, p)[0].data)
+    # the first-step result: the advanced density and the drag integrals
+    rho1, removed = continuity_step(rho0, start[1], dt, p)
+    assert np.array_equal(first[0].data, rho1.data)
+    assert_same_step(first, _step(rho0, start[1], dt, p))
+    assert first[1] > 0.0 and first[2] > 0.0
+    assert first[1] + first[2] == pytest.approx(removed.sum() * g.cell_volume, rel=1e-12)
     total = sum(grad_norm_sq_hat(g, uhat - start[0]) for uhat, _w in out)
     assert dist == np.sqrt(dt * total)
     u0 = mom.velocity(start)
@@ -276,13 +282,21 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
 
 # ------------------------------------------------------------ accountant
 
+def assert_same_step(a, b):
+    """Two :func:`marching._step` results agree bit for bit."""
+    assert np.array_equal(a[0].data, b[0].data)
+    assert a[1:] == b[1:]
+
+
 def account_steps(rho, v, dt, p, steps, tensor):
     """``steps`` accounted continuity steps under a fixed v from a fresh ledger."""
     pair = (rho.grid.rfft(v.stacked()), v)
     mom = _Momentum(tensor, rho.grid, None, p)
     ledger = Ledger.fresh(rho)
     for _ in range(steps):
-        rho, ledger = _account(ledger, rho, pair, pair, dt, mom)
+        step = _step(rho, v, dt, p)
+        ledger = _account(ledger, rho, step, pair, pair, dt, mom)
+        rho = step[0]
     return rho, ledger
 
 
@@ -499,7 +513,31 @@ def test_march_does_each_slab_computation_once(monkeypatch):
     recorded = sum(max(0, s - k) + 1 for k, s in zip(iters, steps))
     assert len(solves) == 1 + solved + recorded
     assert len(accounted) == sum(steps)
-    assert len(steps_taken) - len(accounted) == stepped
+    # the first steps of passes 2 ... K are the recording pass's steps at
+    # substeps 0 ... K - 2, so it takes only the other s - K + 1
+    assert len(steps_taken) == stepped + sum(s - k + 1 for k, s in zip(iters, steps))
+
+
+@pytest.mark.parametrize("slab", [Slab(0.0, 0.05, 10), Slab(0.0, 0.005, 1)],
+                         ids=["ten-substeps", "one-substep"])
+def test_the_recording_pass_steps_only_what_no_pass_settled(monkeypatch, slab):
+    tensor, rho0, p = multi_slab_scenario()
+    recording = []
+    steps = counting(monkeypatch, marching, "continuity_step", lambda args: bool(recording))
+    record = marching._record
+
+    def flagged(*args):
+        recording.append(None)
+        try:
+            return record(*args)
+        finally:
+            recording.clear()
+
+    monkeypatch.setattr(marching, "_record", flagged)
+    traj, _history = picard_solve(tensor, rho0, None, p, slab)
+    passes = traj.fixed_point_reports[0][2]
+    assert passes >= 2
+    assert sum(steps) == slab.steps - passes + 1
 
 
 def test_picard_passes_skip_only_what_the_previous_pass_settled():
@@ -509,16 +547,24 @@ def test_picard_passes_skip_only_what_the_previous_pass_settled():
     steps, dt = 6, 0.005
     zero = [(0.0, VectorField.zeros(rho0.grid))] * steps
     full, skip = list(zero), list(zero)
-    settled, rho = 0, rho0
+    settled, rho = [], rho0
     for k in range(1, steps + 2):
         full, full_dist, _ = marching._iterate(mom, full, rho0, start, 0.0, dt)
-        skip, skip_dist, ahead = marching._iterate(mom, skip, rho, start, 0.0, dt, settled)
+        skip, skip_dist, first = marching._iterate(mom, skip, rho, start, 0.0, dt, len(settled))
         assert skip_dist == full_dist
         assert (full_dist > 0.0) == (k <= steps)
         for (a_hat, a), (b_hat, b) in zip(full, skip, strict=True):
             assert np.array_equal(a_hat, b_hat) and np.array_equal(a.stacked(), b.stacked())
         if k >= 2:
-            settled, rho = settled + 1, ahead
+            settled.append(first)
+            rho = first[0]
+    # every pair has settled, and the first step of pass k >= 2 is the
+    # recording pass's step at substep k - 2 along the converged pairs
+    assert len(settled) == steps
+    rho = rho0
+    for step, (_uhat, w) in zip(settled, full, strict=True):
+        assert_same_step(step, _step(rho, w, dt, p))
+        rho = step[0]
 
 
 def full_passes(monkeypatch):
@@ -532,7 +578,7 @@ def full_passes(monkeypatch):
         return iterate(mom, pairs, slab_start[t0], start, t0, dt)
 
     monkeypatch.setattr(marching, "_iterate", every_substep)
-    monkeypatch.setattr(marching, "_record", lambda *args: record(*args[:-1], 0))
+    monkeypatch.setattr(marching, "_record", lambda *args: record(*args[:-1], []))
 
 
 def assert_same_trajectory(a, b):
@@ -582,30 +628,25 @@ def test_symbol_march_takes_no_real_space_derivatives(monkeypatch):
 
 def test_symbol_account_takes_two_real_transforms_per_substep(monkeypatch):
     # the inverse one of div w and the forward one of rho^{gamma/2}; the
-    # continuity step inside it does its own complex transforms
+    # continuity step it accounts for, with the diffusion's complex
+    # transforms, is taken before it
     tensor, rho0, p = multi_slab_scenario()
     calls = []
     for name in ("rfftn", "irfftn", "fftn", "ifftn"):
         counting(monkeypatch, np.fft, name, lambda args, name=name: calls.append(name))
     spans = []
+    account = marching._account
 
-    def spanned(fn):
-        def wrapper(*args, **kwargs):
-            start = len(calls)
-            out = fn(*args, **kwargs)
-            spans.append((fn.__name__, calls[start:]))
-            return out
-        return wrapper
+    def spanned(*args, **kwargs):
+        start = len(calls)
+        out = account(*args, **kwargs)
+        spans.append(calls[start:])
+        return out
 
-    monkeypatch.setattr(marching, "continuity_step", spanned(marching.continuity_step))
-    monkeypatch.setattr(marching, "_account", spanned(marching._account))
+    monkeypatch.setattr(marching, "_account", spanned)
     traj = march(tensor, rho0, None, p, 0.06, 0.03)
-    accounted = [(spans[i - 1], span) for i, span in enumerate(spans) if span[0] == "_account"]
-    assert len(accounted) == len(traj) - 1
-    for (inner, step_calls), (_name, account_calls) in accounted:
-        assert inner == "continuity_step"
-        assert [c for c in account_calls if c in ("rfftn", "irfftn")] == ["irfftn", "rfftn"]
-        assert [c for c in account_calls if c in ("fftn", "ifftn")] == step_calls
+    assert p.eps > 0.0
+    assert spans == [["irfftn", "rfftn"]] * (len(traj) - 1)
 
 
 def test_march_matches_chained_picard_solves():
