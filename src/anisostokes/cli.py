@@ -6,12 +6,14 @@ audit.  With ``--strict`` the exit code is 0 only when every audit passed;
 without it the audits are informational and the exit code is 0 unless an
 error is raised.  A config that cannot be parsed, or a snapshot it names
 that cannot be read, prints one ``FAIL config`` line and exits 2; a solver
-breakdown (a stress law that is not coercive or has a singular symbol, a
-Krylov or drag Newton solve that fails, a field that overflows to inf or
-nan, a slab that does not contract or would need a runaway number of
-substeps) prints one ``FAIL solver`` line and exits 3.  That line names the
-config line of the stress law when the law is not coercive or has a
-singular symbol, and the slab (or step) when a solve fails inside a march.
+breakdown (any :class:`~anisostokes.fields.SolverFailure`: a stress law
+that is not coercive or has a singular symbol, a Krylov or drag Newton
+solve that fails, a field that overflows to inf or nan, a slab that does
+not contract or would need a runaway number of substeps; or a numpy
+``FloatingPointError``) prints one ``FAIL solver`` line and exits 3.  That
+line names the config line of the stress law when the law is not coercive
+or has a singular symbol, and the slab (or step) when the failure is
+raised inside a march.
 
 Every command that marches streams: its marches hand each stored state to
 an observer that keeps only the scalars (or the final density) it reports,
@@ -25,8 +27,9 @@ before it, and no ``diagnostics.csv``.
 others in forked workers, up to one per CPU (serially on Python 3.12 or
 later); the workers start at the first ratio's first stored state, so all
 the marches run together.  Its output, audit lines and exit code are
-those of a serial study.  Nothing is forked, and ``multiprocessing`` is not
-imported, before the first march.
+those of a serial study; a failing study terminates the workers still
+marching.  Nothing is forked, and ``multiprocessing`` is not imported,
+before the first march.
 
 Every study runs with numpy's floating-point errors raised, so an overflow
 or an invalid operation stops the study where it happens, as a
@@ -63,30 +66,11 @@ from anisostokes.diagnostics import (
     write_csv,
     write_rows_csv,
 )
-from anisostokes.fields import NonFiniteField, write_snapshot
-from anisostokes.marching import (
-    NoContraction,
-    SlabCollapse,
-    SubstepOverflow,
-    direct_march,
-    march,
-)
-from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
-from anisostokes.transport import NegativeInput, NewtonFail, pressure_integral
+from anisostokes.fields import SolverFailure, write_snapshot
+from anisostokes.marching import direct_march, march
+from anisostokes.stokes import NotCoercive, SingularSymbol
+from anisostokes.transport import pressure_integral
 from anisostokes.viscosity import DiagNu, audit_hypotheses
-
-_SOLVER_FAILURES = (
-    NotCoercive,
-    SingularSymbol,
-    KrylovNoConvergence,
-    NewtonFail,
-    NegativeInput,
-    NoContraction,
-    SlabCollapse,
-    SubstepOverflow,
-    NonFiniteField,
-    FloatingPointError,
-)
 
 
 def _audit(results, name, ok, detail):
@@ -324,8 +308,9 @@ class _ForkedMap:
     ``os.sched_getaffinity`` is missing) and on Python 3.12 or later.  A
     worker's exception is raised by :meth:`results`, the first in item
     order.  Every worker has exited when the ``with`` block around the map
-    is left, however it is left.  Workers are forked, not spawned: a
-    spawned worker imports numpy and the package again, and on
+    is left, however it is left: the workers are terminated, so a failure
+    here does not wait for their marches.  Workers are forked, not
+    spawned: a spawned worker imports numpy and the package again, and on
     ``defect2d`` that took as long as the march it saved.
     """
 
@@ -333,14 +318,15 @@ class _ForkedMap:
         self.fn = fn
         self.items = items
         self.pool = None
-        self.futures = None
+        self.pending = None
 
     def __enter__(self):
         return self
 
     def __exit__(self, *_exc):
         if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
+            self.pool.terminate()
+            self.pool.join()
 
     def start(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -350,15 +336,14 @@ class _ForkedMap:
         # imported here, not at module load: a study forks and imports nothing
         # new before its first march
         import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
 
-        self.pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        self.futures = [self.pool.submit(self.fn, x) for x in self.items]
+        self.pool = multiprocessing.get_context("fork").Pool(workers)
+        self.pending = [self.pool.apply_async(self.fn, (x,)) for x in self.items]
 
     def results(self):
-        if self.futures is None:
+        if self.pending is None:
             return [self.fn(x) for x in self.items]
-        return [future.result() for future in self.futures]
+        return [result.get() for result in self.pending]
 
 
 def cmd_defect_study(cfg, out_dir):
@@ -492,7 +477,7 @@ def main(argv=None):
             results = _COMMANDS[args.command](cfg, out_dir)
     except ParseError as exc:
         return _config_failure(args.config, exc)
-    except _SOLVER_FAILURES as exc:
+    except (SolverFailure, FloatingPointError) as exc:
         where = ""
         if isinstance(exc, (NotCoercive, SingularSymbol)) and cfg.tensor_line:
             where = f" (stress law: line {cfg.tensor_line})"

@@ -145,7 +145,7 @@ _DELTAS = (
     lambda v, _grid: len(set(v)) == len(v) >= 3 and min(v) > 0
 ), "at least three distinct levels, each > 0"
 _EPS_LEVELS = (lambda v, _grid: bool(v) and min(v) >= 0), "at least one level, each >= 0"
-_RATIOS = (lambda v, _grid: all(r > 0 for r in v)), "ratios > 0"
+_EACH_POSITIVE = (lambda v, _grid: all(x > 0 for x in v)), "each > 0"
 _WINDOWS = (lambda v, grid: all(_divides(w, grid) for w in v)), f"each {_WINDOW}"
 
 KEYS = {
@@ -169,7 +169,8 @@ KEYS = {
     "run.out": _Key("text", "out"),
     "run.seed": _Key("integer", "seed"),
     "viscosity.kind": _Key("text", check=_kind("diag", "constant", "varying"), default="diag"),
-    "viscosity.nu": _Key("reals", default=lambda dim: (1.0,) * dim, note="1.0 per axis"),
+    "viscosity.nu": _Key("reals", check=_EACH_POSITIVE, default=lambda dim: (1.0,) * dim,
+                         note="1.0 per axis"),
     "viscosity.a": _Key("reals", default=(),
                         note="constant-full entries, dim^4 comma-separated, row-major"),
     "viscosity.files": _Key("text", default="",
@@ -191,7 +192,7 @@ KEYS = {
     "diagnostics.commutator_delta": _Key("real", "commutator_delta", _AT_LEAST_0),
     "sweep.deltas": _Key("reals", "sweep_deltas", _DELTAS),
     "sweep.eps_levels": _Key("reals", "sweep_eps_levels", _EPS_LEVELS),
-    "defect.ratios": _Key("reals", "defect_ratios", _RATIOS),
+    "defect.ratios": _Key("reals", "defect_ratios", _EACH_POSITIVE),
     "defect.windows": _Key("integers", "defect_windows", _WINDOWS),
 }
 

@@ -181,7 +181,11 @@ class PicklableError:
         return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
-class NonFiniteField(ValueError):
+class SolverFailure(PicklableError, Exception):
+    """A solver breakdown: it ends a study with one ``FAIL solver`` line."""
+
+
+class NonFiniteField(SolverFailure, ValueError):
     """Field data holding an inf or a nan, such as an overflowed solve."""
 
 

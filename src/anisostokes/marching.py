@@ -71,13 +71,12 @@ is made only if the observer or the march asks for it (the march does at
 slab starts, to size the substeps).  The march itself carries the state
 each slab starts from (:class:`_Stored`).
 
-A solve failure inside a march (:class:`KrylovNoConvergence`,
-:class:`NewtonFail`, :class:`NegativeInput`, :class:`NonFiniteField`, and
-``FloatingPointError`` where numpy raises on floating-point errors) keeps
-its class and gets the slab interval, or for ``direct_march`` the step time,
-added to its message.
-A slab whose CFL budget needs more than ``_MAX_SUBSTEPS`` substeps raises
-:class:`SubstepOverflow`, naming the slab, before any substep is laid out.
+A failure inside a march (any :class:`~anisostokes.fields.SolverFailure`,
+and ``FloatingPointError`` where numpy raises on floating-point errors)
+keeps its class and gets the slab interval, or for ``direct_march`` the
+step time, added to its message by ``_located`` alone, so the message
+names it once.  A slab whose CFL budget needs more than ``_MAX_SUBSTEPS``
+substeps raises :class:`SubstepOverflow` before any substep is laid out.
 """
 
 from __future__ import annotations
@@ -92,19 +91,17 @@ import numpy as np
 
 from anisostokes.fields import (
     MollifierKernel,
-    NonFiniteField,
     ScalarField,
+    SolverFailure,
     VectorField,
     div_hat,
     grad_norm_sq_hat,
     mollify,
 )
-from anisostokes.stokes import KrylovNoConvergence, StokesOperator, solve
+from anisostokes.stokes import StokesOperator, solve
 from anisostokes.transport import (
     _TINY_SPEED,
     CFLBreach,
-    NegativeInput,
-    NewtonFail,
     cfl_dt,
     check_cfl,
     continuity_step,
@@ -119,20 +116,17 @@ _MAX_CFL_RETRIES = 8
 _MAX_SLAB_HALVINGS = 6
 # a slab needing more substeps than this is a runaway velocity, not a march
 _MAX_SUBSTEPS = 10_000
-_SOLVE_FAILURES = (
-    KrylovNoConvergence, NewtonFail, NegativeInput, NonFiniteField, FloatingPointError
-)
 
 
-class NoContraction(Exception):
+class NoContraction(SolverFailure):
     """Picard iteration failed to contract on the requested slab."""
 
 
-class SlabCollapse(Exception):
+class SlabCollapse(SolverFailure):
     """Slab halving hit its limit without restoring contraction."""
 
 
-class SubstepOverflow(Exception):
+class SubstepOverflow(SolverFailure):
     """A slab's CFL budget needs more than ``_MAX_SUBSTEPS`` substeps."""
 
 
@@ -359,10 +353,10 @@ def _store(traj, mom, t, rho, pair, ledger):
 
 @contextmanager
 def _located(where):
-    """Add ``where`` to the message of a solve failure raised inside."""
+    """Add ``where`` to the message of a solver failure raised inside."""
     try:
         yield
-    except _SOLVE_FAILURES as exc:
+    except (SolverFailure, FloatingPointError) as exc:
         exc.args = (f"{exc} {where}",)
         raise
 
@@ -604,10 +598,7 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
 
     for _attempt in range(_MAX_CFL_RETRIES):
         if steps > _MAX_SUBSTEPS:
-            raise SubstepOverflow(
-                f"slab [{slab.t0}, {slab.t1}] needs {steps:.3g} substeps, "
-                f"more than {_MAX_SUBSTEPS}"
-            )
+            raise SubstepOverflow(f"needs {steps:.3g} substeps, more than {_MAX_SUBSTEPS}")
         dt = (slab.t1 - slab.t0) / steps
         # piecewise-constant resample of the start onto the substep grid
         v = [v0[min(int(j * len(v0) / steps), len(v0) - 1)] for j in range(steps)]
@@ -629,9 +620,7 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
                     history.append(ratio)
                     bad_streak = bad_streak + 1 if ratio >= 1.0 else 0
                     if bad_streak >= 3:
-                        raise NoContraction(
-                            f"update ratios {history[-3:]} on slab [{slab.t0}, {slab.t1}]"
-                        )
+                        raise NoContraction(f"update ratios {history[-3:]}")
                 diff_prev = diff
                 if diff <= params.fp_tol:
                     break
@@ -727,7 +716,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     step_index = 0
     with _located("at t = 0.0"):
         pair = mom.pair(rho, t)
-    traj.record(t, rho, mom.lazy_velocity(pair), ledger)
+        traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(pair[1], params), t_end - t)
         with _located(f"in the step from t = {t}"):
@@ -735,8 +724,8 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
             ledger = _account(ledger, rho, step, pair, pair, dt, mom)
             rho = step[0]
             pair = mom.pair(rho, t + dt)
-        t += dt
-        step_index += 1
-        if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
-            traj.record(t, rho, mom.lazy_velocity(pair), ledger)
+            t += dt
+            step_index += 1
+            if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):
+                traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     return traj

@@ -24,19 +24,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from anisostokes.fields import PicklableError, VectorField, grad, sym_grad
+from anisostokes.fields import SolverFailure, VectorField, grad, sym_grad
 from anisostokes.viscosity import coercivity_estimate, major_symmetric
 
 
-class SingularSymbol(Exception):
+class SingularSymbol(SolverFailure):
     """Some nonzero wavevector has a non-invertible momentum symbol."""
 
 
-class NotCoercive(Exception):
+class NotCoercive(SolverFailure):
     """The stress law fails the coercivity audit."""
 
 
-class KrylovNoConvergence(PicklableError, Exception):
+class KrylovNoConvergence(SolverFailure):
     """The iterative solve missed the residual target."""
 
     def __init__(self, iterations, residual, target):

@@ -26,18 +26,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import PicklableError, ScalarField
+from anisostokes.fields import PicklableError, ScalarField, SolverFailure
 
 logger = logging.getLogger("anisostokes")
 
 _TINY_SPEED = 1e-30
 
 
-class NegativeInput(Exception):
+class NegativeInput(SolverFailure):
     """The incoming density has negative samples."""
 
 
-class NewtonFail(Exception):
+class NewtonFail(SolverFailure):
     """The per-cell drag solve missed its tolerance."""
 
 

@@ -4,11 +4,13 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import multiprocessing
 import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from operator import attrgetter
 from pathlib import Path
@@ -436,6 +438,37 @@ def test_a_late_failure_of_the_first_march_prints_the_serial_line(tmp_path, caps
     assert not (tmp_path / "art").exists()
 
 
+def test_a_failure_of_the_first_march_stops_the_workers_at_once(tmp_path, capsys, monkeypatch):
+    # each worker's march would first sleep for a minute; the first ratio
+    # fails at its second stored state, after the workers have started
+    affinity(monkeypatch, 2)
+    march = cli.march
+
+    def sleep_or_fail(tensor, *args, observe, **kwargs):
+        if tensor.nu[-1] != 1.0:
+            time.sleep(60.0)
+            return march(tensor, *args, observe=observe, **kwargs)
+        seen = []
+
+        def observe_then_fail(*state):
+            observe(*state)
+            seen.append(state)
+            if len(seen) == 2:
+                raise NewtonFail("drag solve did not converge")
+
+        return march(tensor, *args, observe=observe_then_fail, **kwargs)
+
+    monkeypatch.setattr(cli, "march", sleep_or_fail)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    began = time.perf_counter()
+    code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
+    assert time.perf_counter() - began < 20.0
+    assert (code, capsys.readouterr().out) == (
+        3, "FAIL solver: NewtonFail: drag solve did not converge on slab [0.0, 0.04]\n"
+    )
+    assert multiprocessing.active_children() == []
+
+
 def test_defect_study_stays_serial_where_forking_warns(tmp_path, monkeypatch):
     # Python 3.12 warns on forking a process with threads running
     affinity(monkeypatch, 2)
@@ -699,10 +732,34 @@ def test_a_runaway_velocity_fails_on_its_slab_before_any_substep(tmp_path, capsy
         tracemalloc.stop()
     assert code == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
-        "FAIL solver: SubstepOverflow: slab [0.0, 0.05] needs 1.7e+300 substeps, more than 10000"
+        "FAIL solver: SubstepOverflow: needs 1.7e+300 substeps, more than 10000"
+        " on slab [0.0, 0.05]"
     )
     assert steps == []
     assert peak < 16 * 2**20
+
+
+def test_a_slab_collapse_and_each_halving_name_their_slab_once(tmp_path, capsys, caplog):
+    # one Picard pass never reaches fp_tol = 0, so every slab fails to
+    # contract and the slab is halved until the halvings run out
+    cfg = write_cfg(tmp_path, SMALL_RUN + "run.fp_max_iter = 1\nrun.fp_tol = 0\n")
+    with caplog.at_level(logging.INFO, logger="anisostokes"):
+        assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
+    failure = r"no convergence in 1 iterations \(last update \S+\) on slab \[0\.0, (\S+)\]"
+    line = capsys.readouterr().out
+    assert re.fullmatch(
+        rf"FAIL solver: SlabCollapse: slab shrank 6 times without contraction: {failure}\n",
+        line,
+    )
+    halvings = [r.getMessage() for r in caplog.records
+                if r.getMessage().startswith("halving slab length")]
+    assert len(halvings) == 6
+    slab = 0.05
+    for message in halvings + [line]:
+        assert message.count("slab [") == 1
+        found = re.search(failure, message)
+        assert float(found[1]) == slab
+        slab *= 0.5
 
 
 @pytest.mark.parametrize("extra, where", [

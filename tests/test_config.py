@@ -137,6 +137,9 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("initial.amplitude = inf\ninitial.kind = cosine", "initial.amplitude"),
         ("forcing.amplitude = nan\nforcing.kind = cosine", "forcing.amplitude"),
         ("params.delta = inf", "params.delta"),
+        ("viscosity.nu = -1", "viscosity.nu"),
+        ("viscosity.nu = 0", "viscosity.nu"),
+        ("viscosity.nu = 1,-1\ngrid.dim = 2", "viscosity.nu"),
     ],
 )
 def test_out_of_range_run_and_study_keys_name_their_line(tmp_path, text, key):

@@ -3,11 +3,15 @@ exception crosses a process boundary whole."""
 
 import copy
 import pickle
+import re
+from pathlib import Path
 
 import pytest
 
 import anisostokes
 from anisostokes import marching
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_every_exported_name_resolves():
@@ -31,6 +35,7 @@ EXCEPTIONS = [
     anisostokes.ParseError(3, "grid.n: expected an integer"),
     anisostokes.SingularSymbol("singular momentum symbol on 7 modes"),
     anisostokes.SlabCollapse("slab shrank 6 times without contraction"),
+    anisostokes.SolverFailure("the solver broke down"),
     anisostokes.SubstepOverflow("slab [0.0, 0.05] needs 1e+299 substeps, more than 10000"),
     anisostokes.UnknownKey(2, "params.gama"),
     anisostokes.UnresolvedWavelength("wavelength 0.1 is below four cells"),
@@ -60,3 +65,15 @@ def test_every_exported_exception_survives_a_pickle_round_trip(exc):
         assert str(back) == str(original) and back.args == original.args
         assert vars(back) == vars(original)
 
+
+def test_the_readme_solver_failures_are_the_solver_failure_classes():
+    # a study ends in ``FAIL solver`` on exactly these, and on FloatingPointError
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    listed = re.search(r"any `SolverFailure` \(([^)]*)\)", text)[1]
+    values = {name: getattr(anisostokes, name) for name in anisostokes.__all__}
+    failures = {name for name, v in values.items()
+                if isinstance(v, type) and issubclass(v, anisostokes.SolverFailure)}
+    assert set(re.findall(r"`(\w+)`", listed)) == failures - {"SolverFailure"}
+    assert len(failures) == 10
+    for cls in (anisostokes.CFLBreach, anisostokes.ParseError, anisostokes.InvalidParameter):
+        assert not issubclass(cls, anisostokes.SolverFailure), cls

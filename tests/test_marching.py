@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -27,6 +28,7 @@ from anisostokes.fields import (
 from anisostokes import fields, marching
 from anisostokes.marching import (
     Ledger,
+    NoContraction,
     Slab,
     SlabCollapse,
     Trajectory,
@@ -40,6 +42,7 @@ from anisostokes.marching import (
 )
 from anisostokes.stokes import StokesOperator, residual
 from anisostokes.transport import (
+    CFLBreach,
     NewtonFail,
     SolverParams,
     cfl_dt,
@@ -208,6 +211,27 @@ def test_a_solve_failure_in_picard_solve_names_its_slab(monkeypatch, where):
         picard_solve(DiagNu((1.0,)), cosine_density(GridSpec(1, 16)), None,
                      canonical_params(), Slab(0.0, 0.05, 5))
     assert str(err.value) == "drag solve stalled on slab [0.0, 0.05]"
+
+
+def always_breached(w, dt, params):
+    raise CFLBreach(dt, 0.5 * dt, 1e-30)
+
+
+@pytest.mark.parametrize("overrides, patched, message", [
+    # one pass never reaches fp_tol = 0
+    (dict(fp_max_iter=1, fp_tol=0.0), None,
+     r"no convergence in 1 iterations \(last update \S+\)"),
+    # every converged iterate breaches the CFL check, so the retries run out
+    ({}, always_breached, "iterates kept outrunning the CFL budget"),
+], ids=["no-convergence", "cfl"])
+def test_a_contraction_failure_in_picard_solve_names_its_slab_once(monkeypatch, overrides,
+                                                                    patched, message):
+    if patched is not None:
+        monkeypatch.setattr(marching, "check_cfl", patched)
+    with pytest.raises(NoContraction) as err:
+        picard_solve(DiagNu((1.0,)), cosine_density(GridSpec(1, 16)), None,
+                     canonical_params(**overrides), Slab(0.0, 0.05, 5))
+    assert re.fullmatch(rf"{message} on slab \[0\.0, 0\.05\]", str(err.value))
 
 
 # ------------------------------------------------------------ velocity pairs
@@ -810,6 +834,25 @@ def test_direct_march_requires_zero_delta():
             canonical_params(delta=0.1),
             0.01,
         )
+
+
+@pytest.mark.parametrize("state, where", [(1, r"at t = 0\.0"), (3, r"in the step from t = \S+")],
+                         ids=["start", "step"])
+def test_an_observer_failure_in_direct_march_names_its_step(state, where):
+    # as a march's observer failure names its slab
+    seen = []
+
+    def observe(*args):
+        seen.append(args)
+        if len(seen) == state:
+            raise NewtonFail("observer failed")
+
+    with pytest.raises(NewtonFail) as err:
+        direct_march(DiagNu((1.0,)), cosine_density(GridSpec(1, 16)), None,
+                     canonical_params(delta=0.0), 0.05, observe=observe)
+    assert re.fullmatch(f"observer failed {where}", str(err.value))
+    if state == 3:
+        assert float(str(err.value).rpartition(" ")[2]) == seen[1][0]
 
 
 def test_direct_march_matches_constant_drag_ode():
