@@ -386,7 +386,7 @@ def cmd_defect_study(cfg, out_dir):
 
 def cmd_check_tensor(cfg, out_dir):
     results = []
-    report = audit_hypotheses(cfg.tensor, cfg.grid, seed=cfg.seed)
+    report = audit_hypotheses(cfg.tensor, cfg.grid)
     _audit(
         results,
         "symmetric-stress",

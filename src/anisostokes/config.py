@@ -90,7 +90,6 @@ class RunConfig:
     slab: float = 0.05
     store_every: int = 1
     out: str = "out"
-    seed: int = 0
     sweep_deltas: tuple = (0.4, 0.2, 0.1, 0.05)
     sweep_eps_levels: tuple = (0.1, 0.01, 0.001)
     defect_ratios: tuple = (1.0, 4.0, 16.0)
@@ -156,10 +155,6 @@ KEYS = {
     "params.eps": _Key("real", "params.eps"),
     "params.delta": _Key("real", "params.delta"),
     "params.eta": _Key("real", "params.eta"),
-    "transport.cfl": _Key("real", "params.cfl"),
-    "transport.order": _Key("integer", "params.order"),
-    "stokes.rtol": _Key("real", "params.stokes_rtol"),
-    "stokes.max_iter": _Key("integer", "params.stokes_max_iter"),
     "run.t_end": _Key("real", "t_end", _AT_LEAST_0),
     "run.slab": _Key("real", "slab", _POSITIVE),
     "run.fp_tol": _Key("real", "params.fp_tol"),
@@ -167,7 +162,6 @@ KEYS = {
     "run.dt_max": _Key("real", "params.dt_max"),
     "run.store_every": _Key("integer", "store_every", _AT_LEAST_1),
     "run.out": _Key("text", "out"),
-    "run.seed": _Key("integer", "seed"),
     "viscosity.kind": _Key("text", check=_kind("diag", "constant", "varying"), default="diag"),
     "viscosity.nu": _Key("reals", check=_EACH_POSITIVE, default=lambda dim: (1.0,) * dim,
                          note="1.0 per axis"),
@@ -236,7 +230,7 @@ def _parse_breakpoints(text, base_dir):
         if not chunk:
             continue
         t_text, _, path = chunk.partition(":")
-        pairs.append((float(t_text), os.path.join(base_dir, path.strip())))
+        pairs.append((_finite(t_text), os.path.join(base_dir, path.strip())))
     if pairs != sorted(pairs, key=lambda p: p[0]):
         raise ValueError("breakpoints must be sorted by time")
     return tuple(pairs)

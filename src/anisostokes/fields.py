@@ -20,6 +20,7 @@ import copyreg
 import functools
 import logging
 import math
+import os
 
 import numpy as np
 
@@ -59,7 +60,7 @@ class GridSpec:
         self.n = n
         self.h = TWO_PI / n[0]
         self.shape = n
-        self.ncells = int(np.prod(n))
+        self.ncells = math.prod(n)
         self.cell_volume = self.h**dim
         self.volume = float(np.prod((TWO_PI,) * dim))
         self.half_shape = n[:-1] + (n[-1] // 2 + 1,)
@@ -620,10 +621,15 @@ def read_snapshot(path):
             raise ValueError(f"{path}: malformed header {header!r}")
         n = tuple(int(p) for p in parts[1 : 1 + dim])
         t = float(parts[1 + dim])
-        count = int(np.prod(n))
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise ValueError(f"{path}: truncated payload")
+        grid = GridSpec(dim, n)
+        # a header that promises more cells than the file holds must not
+        # make the read below allocate them
+        size = grid.ncells * 8
+        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+        if remaining < size:
+            raise ValueError(
+                f"{path}: truncated payload: {n} cells need {size} bytes, {remaining} follow"
+            )
+        raw = fh.read(size)
     data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n)
-    grid = GridSpec(dim, n)
     return ScalarField(grid, data), t

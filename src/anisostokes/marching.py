@@ -101,6 +101,7 @@ from anisostokes.fields import (
 from anisostokes.stokes import StokesOperator, solve
 from anisostokes.transport import (
     _TINY_SPEED,
+    CFL,
     CFLBreach,
     cfl_dt,
     check_cfl,
@@ -376,9 +377,7 @@ class _Momentum:
         self.f = f
         self.params = params
         self.kernel = None if params.delta <= 0.0 else MollifierKernel(grid, params.delta)
-        self.op = StokesOperator.build(
-            tensor, grid, rtol=params.stokes_rtol, max_iter=params.stokes_max_iter
-        )
+        self.op = StokesOperator.build(tensor, grid)
         self.power_weights = _power_weights(tensor, grid) if self.op.mode == "symbol" else None
 
     def _smooth(self, fieldlike):
@@ -634,7 +633,7 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
         except CFLBreach as breach:
             dt_needed = min(
                 params.dt_max,
-                params.cfl * mom.grid.h / (_CFL_GROWTH_MARGIN * max(breach.speed, 1e-30)),
+                CFL * mom.grid.h / (_CFL_GROWTH_MARGIN * max(breach.speed, 1e-30)),
             )
             steps = max(steps + 1, math.ceil((slab.t1 - slab.t0) / dt_needed))
             logger.info(
@@ -657,7 +656,7 @@ def _estimate_steps(duration, u, params):
     # headroom of 1.5 below the advective limit only: velocities drift over
     # the slab, but dt_max is an unconditional cap and needs no margin
     speed = max(u.max_component_sum(), _TINY_SPEED)
-    advective = params.cfl * u.grid.h / speed
+    advective = CFL * u.grid.h / speed
     limit = min(params.dt_max, advective / 1.5)
     return max(1, math.ceil(duration / limit))
 

@@ -3,9 +3,10 @@
 One step advances d_t rho + div(rho v) = eps Lap(rho) - eta rho^{2 gamma}
 - eta rho^3 by Lie splitting in that order:
 
-(a) conservative first-order upwind finite-volume advection (a flux-limited
-    second-order variant sits behind ``order=2``; the positivity and
-    maximum-principle guarantees below are only claimed at order 1),
+(a) conservative first-order (donor-cell) upwind finite-volume advection;
+    within the CFL limit ``CFL * h / max_x sum_a |v_a|`` each new value is a
+    nonnegative combination of old ones, so the density stays nonnegative
+    and its maximum grows at most by the factor 1 + dt max(-div v),
 (b) implicit spectral diffusion (I - eps dt Lap)^{-1},
 (c) a per-cell implicit solve of r + dt eta (r^{2 gamma} + r^3) = rho,
     whose per-cell removal the step returns.
@@ -31,6 +32,8 @@ from anisostokes.fields import PicklableError, ScalarField, SolverFailure
 logger = logging.getLogger("anisostokes")
 
 _TINY_SPEED = 1e-30
+# the CFL number: the largest dt * max_x sum_a |v_a| / h of an advection step
+CFL = 0.45
 
 
 class NegativeInput(SolverFailure):
@@ -65,13 +68,9 @@ class SolverParams:
     eps: float = 0.0
     delta: float = 0.0
     eta: float = 0.0
-    cfl: float = 0.45
     dt_max: float = 1e-2
     fp_tol: float = 1e-7
     fp_max_iter: int = 40
-    stokes_rtol: float = 1e-8
-    stokes_max_iter: int = 400
-    order: int = 1
 
     def __post_init__(self):
         if not self.gamma > 1.0:
@@ -79,25 +78,18 @@ class SolverParams:
         for name in ("eps", "delta", "eta"):
             if getattr(self, name) < 0:
                 raise InvalidParameter(name, f"{name} must be nonnegative")
-        if not 0.0 < self.cfl <= 1.0:
-            raise InvalidParameter("cfl", f"cfl must lie in (0, 1], got {self.cfl}")
         if self.dt_max <= 0:
             raise InvalidParameter("dt_max", "dt_max must be positive")
         if self.fp_tol < 0:
             raise InvalidParameter("fp_tol", f"fp_tol must be nonnegative, got {self.fp_tol}")
-        for name in ("fp_max_iter", "stokes_max_iter"):
-            if getattr(self, name) < 1:
-                raise InvalidParameter(name, f"{name} must be at least 1")
-        if not self.stokes_rtol > 0:
-            raise InvalidParameter("stokes_rtol", "stokes_rtol must be positive")
-        if self.order not in (1, 2):
-            raise InvalidParameter("order", f"order must be 1 or 2, got {self.order}")
+        if self.fp_max_iter < 1:
+            raise InvalidParameter("fp_max_iter", "fp_max_iter must be at least 1")
 
 
 def cfl_dt(v, params):
     """Largest admissible step for the explicit advection of velocity v."""
     speed = max(v.max_component_sum(), _TINY_SPEED)
-    return min(params.dt_max, params.cfl * v.grid.h / speed)
+    return min(params.dt_max, CFL * v.grid.h / speed)
 
 
 def check_cfl(v, dt, params):
@@ -123,12 +115,7 @@ def pressure_integral(rho, gamma):
 # substeps
 # ----------------------------------------------------------------------
 
-def _minmod(a, b):
-    out = np.where(a * b > 0.0, np.sign(a) * np.minimum(np.abs(a), np.abs(b)), 0.0)
-    return out
-
-
-def _advect(rho, v, dt, order):
+def _advect(rho, v, dt):
     grid = rho.grid
     h = grid.h
     data = rho.data
@@ -136,15 +123,7 @@ def _advect(rho, v, dt, order):
     for a in range(grid.dim):
         va = v[a].data
         vface = 0.5 * (va + np.roll(va, -1, axis=a))
-        if order == 1:
-            up = np.where(vface > 0.0, data, np.roll(data, -1, axis=a))
-        else:
-            dminus = data - np.roll(data, 1, axis=a)
-            dplus = np.roll(data, -1, axis=a) - data
-            slope = _minmod(dminus, dplus)
-            left = data + 0.5 * slope
-            right = np.roll(data - 0.5 * slope, -1, axis=a)
-            up = np.where(vface > 0.0, left, right)
+        up = np.where(vface > 0.0, data, np.roll(data, -1, axis=a))
         flux = vface * up
         divflux += (flux - np.roll(flux, 1, axis=a)) / h
     return data - dt * divflux
@@ -220,7 +199,7 @@ def continuity_step(rho, v, dt, params):
     check_cfl(v, dt, params)
 
     grid = rho.grid
-    data = _advect(rho, v, dt, params.order)
+    data = _advect(rho, v, dt)
     if params.eps > 0.0:
         data = _diffuse(data, grid, params.eps, dt)
     removed = None

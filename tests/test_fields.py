@@ -312,6 +312,16 @@ def test_snapshot_detects_truncation(tmp_path):
         read_snapshot(path)
 
 
+@pytest.mark.parametrize("cells", ["100000", "10000000"])
+def test_snapshot_header_larger_than_its_file_is_rejected_before_reading(tmp_path, cells):
+    # the header's cell count is weighed against the file size, so a bogus
+    # header costs no allocation (8e21 bytes at 10^7 cells per axis)
+    path = tmp_path / "field.asf"
+    path.write_bytes(b"ASF1" + f"3 {cells} {cells} {cells} 0\n".encode() + bytes(64))
+    with pytest.raises(ValueError, match="truncated payload: .* 64 follow"):
+        read_snapshot(path)
+
+
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
 

@@ -190,11 +190,11 @@ def test_picard_trajectory_contracts_stokes_residual():
     rho0 = cosine_density(g)
     tensor = DiagNu((1.0, 4.0))
     (traj, _), states = kept(picard_solve, tensor, rho0, None, p, Slab(0.0, 0.04, 4))
-    op = StokesOperator.build(tensor, g, rtol=p.stokes_rtol)
+    op = StokesOperator.build(tensor, g)
     kernel = MollifierKernel(g, p.delta)
     for rho, u in zip(states.densities, states.velocities):
         q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
-        assert residual(op, u, q) <= p.stokes_rtol * max(grad(q).l2_norm(), 1e-30)
+        assert residual(op, u, q) <= op.rtol * max(grad(q).l2_norm(), 1e-30)
         for c in u.components:
             assert abs(c.mean()) <= 1e-13
     assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
@@ -265,7 +265,7 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
         q = q + f
     op = mom.op
     assert op.mode == "symbol"
-    assert residual(op, u, q) <= p.stokes_rtol * grad(q).l2_norm()
+    assert residual(op, u, q) <= op.rtol * grad(q).l2_norm()
     for c in u.components:
         assert abs(c.mean()) <= 1e-13
 

@@ -62,12 +62,6 @@ def test_params_validation():
         SolverParams(gamma=1.0)
     with pytest.raises(ValueError):
         SolverParams(gamma=2.0, eps=-1e-3)
-    with pytest.raises(ValueError):
-        SolverParams(gamma=2.0, cfl=0.0)
-    with pytest.raises(ValueError):
-        SolverParams(gamma=2.0, cfl=1.5)
-    with pytest.raises(ValueError):
-        SolverParams(gamma=2.0, order=3)
 
 
 def test_cfl_zero_velocity_gives_dt_max():
@@ -77,12 +71,12 @@ def test_cfl_zero_velocity_gives_dt_max():
 
 
 def test_cfl_worked_example():
-    # |v| = 1 on n=64: dt = 0.5 * (2 pi / 64) / 1
+    # |v| = 1 on n=64: dt = 0.45 * (2 pi / 64) / 1
     g = GridSpec(1, 64)
-    p = SolverParams(gamma=2.0, cfl=0.5, dt_max=10.0)
+    p = SolverParams(gamma=2.0, dt_max=10.0)
     v = VectorField.from_arrays(g, [np.ones(g.shape)])
-    assert cfl_dt(v, p) == pytest.approx(0.5 * 2 * np.pi / 64, rel=1e-14)
-    assert cfl_dt(v, p) == pytest.approx(0.0491, abs=5e-5)
+    assert cfl_dt(v, p) == pytest.approx(0.45 * 2 * np.pi / 64, rel=1e-14)
+    assert cfl_dt(v, p) == pytest.approx(0.04418, abs=5e-6)
 
 
 def test_cfl_halves_when_velocity_doubles():
@@ -115,7 +109,7 @@ def test_negative_input_rejected():
 
 def test_cfl_precondition_enforced():
     g = GridSpec(1, 64)
-    p = SolverParams(gamma=2.0, cfl=0.5, dt_max=10.0)
+    p = SolverParams(gamma=2.0, dt_max=10.0)
     v = VectorField.from_arrays(g, [np.ones(g.shape)])
     rho = ScalarField.constant(g, 1.0)
     with pytest.raises(ValueError) as err:
@@ -267,39 +261,6 @@ def test_l2_gronwall_bound(seed):
     bound = 1.0 + 1.1 * dt * div(v).linf_norm()
     out, _ = continuity_step(rho, v, dt, p)
     assert 0.5 * out.l2_norm() ** 2 <= 0.5 * rho.l2_norm() ** 2 * bound
-
-
-def test_second_order_advection_conserves_mass():
-    g = GridSpec(2, 32)
-    p = SolverParams(gamma=2.0, order=2, dt_max=1e-3)
-    rho = smooth_positive(g, 21)
-    v = smooth_velocity(g, 22)
-    mass0 = rho.integral()
-    dt = cfl_dt(v, p)
-    removed_mass = 0.0
-    for _ in range(20):
-        rho, removed = continuity_step(rho, v, dt, p)
-        removed_mass += drag_mass(removed, g)
-    assert abs(rho.integral() + removed_mass - mass0) <= 1e-12 * mass0 * 20
-
-
-def test_second_order_sharper_on_smooth_profile():
-    # one revolution of a smooth bump under uniform velocity: the limited
-    # scheme must lose less amplitude than plain donor-cell upwind
-    g = GridSpec(1, 64)
-    x = g.meshgrid()[0]
-    rho0 = ScalarField(g, 1.0 + np.exp(-4.0 * (np.cos(x / 2) ** 2)))
-    v = VectorField.from_arrays(g, [np.ones(g.shape)])
-    results = {}
-    for order in (1, 2):
-        p = SolverParams(gamma=2.0, order=order, cfl=0.5, dt_max=10.0)
-        dt = cfl_dt(v, p)
-        steps = int(round(2 * np.pi / dt))
-        rho = rho0
-        for _ in range(steps):
-            rho, _ = continuity_step(rho, v, dt, p)
-        results[order] = (rho.max() - rho.min())
-    assert results[2] > results[1]
 
 
 # ------------------------------------------------------------ properties
