@@ -222,7 +222,11 @@ def cmd_sweep_delta(cfg, out_dir):
         zip(deltas, [""] + gaps, to_direct),
     )
 
-    ratios = [gaps[i + 1] / gaps[i] for i in range(len(gaps) - 1)]
+    # two zero gaps leave nothing to contract; a gap after a zero one does not contract
+    ratios = [
+        b / a if a > 0.0 else (0.0 if b == 0.0 else float("inf"))
+        for a, b in zip(gaps, gaps[1:])
+    ]
     _audit(
         results,
         "delta-contraction",

@@ -4,10 +4,11 @@ The format is deliberately plain: one ``key = value`` per line, ``#``
 comments, UTF-8.  Every key has a default, so an empty file is a valid
 configuration; unknown keys are hard errors so typos cannot silently fall
 back to defaults, and so is a key given twice, so that no value silently
-overrides another.  Relative snapshot paths (``viscosity.files``,
-``forcing.path``, ``forcing.breakpoints``) are resolved against the
-directory of the config file, and a snapshot that cannot be read is a
-:class:`ParseError` naming the line of the key that points at it.
+overrides another.  Relative snapshot paths (``viscosity.files`` and
+``forcing.path``, the one snapshot of a forcing constant in time) are
+resolved against the directory of the config file, and a snapshot that
+cannot be read is a :class:`ParseError` naming the line of the key that
+points at it.
 
 :data:`KEYS` is the one description of every key: its reader, the field
 of :class:`RunConfig` it fills (whose dataclass default is the key's
@@ -69,7 +70,6 @@ class ForcingSpec:
     kind: str = "zero"
     amplitude: float = 0.0
     path: str = ""
-    breakpoints: tuple = ()
     line: int = 0
 
 
@@ -179,8 +179,6 @@ KEYS = {
     "forcing.kind": _Key("text", "forcing.kind", _kind("zero", "cosine", "file")),
     "forcing.amplitude": _Key("real", "forcing.amplitude"),
     "forcing.path": _Key("path", "forcing.path"),
-    "forcing.breakpoints": _Key("breakpoints", "forcing.breakpoints",
-                                note="time:path pairs, semicolon-separated"),
     "diagnostics.window": _Key("integer", "defect_params.window", (_divides, _WINDOW)),
     "diagnostics.h_reg": _Key("real", "defect_params.h_reg", _AT_LEAST_0),
     "diagnostics.commutator_delta": _Key("real", "commutator_delta", _AT_LEAST_0),
@@ -198,7 +196,7 @@ _LAW_KEY = {"diag": "viscosity.nu", "constant": "viscosity.a", "varying": "visco
 _KIND_NEEDS = (
     ("viscosity.kind", "constant", ("viscosity.a",)),
     ("viscosity.kind", "varying", ("viscosity.files",)),
-    ("forcing.kind", "file", ("forcing.path", "forcing.breakpoints")),
+    ("forcing.kind", "file", ("forcing.path",)),
 )
 
 
@@ -216,24 +214,13 @@ def _read_keyed_snapshot(path, key, line, grid):
     and a snapshot on another grid name its line."""
     try:
         field, _t = read_snapshot(path)
-    except (OSError, ValueError) as exc:
-        raise ParseError(line, f"{key}: cannot read snapshot {path}: {exc}") from exc
+    except OSError as exc:  # read_snapshot's own messages begin with the path
+        raise ParseError(line, f"{key}: cannot read snapshot {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ParseError(line, f"{key}: cannot read snapshot {exc}") from exc
     if field.grid != grid:
         raise ParseError(line, f"{key}: {path} grid does not match the run grid")
     return field
-
-
-def _parse_breakpoints(text, base_dir):
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        t_text, _, path = chunk.partition(":")
-        pairs.append((_finite(t_text), os.path.join(base_dir, path.strip())))
-    if pairs != sorted(pairs, key=lambda p: p[0]):
-        raise ValueError("breakpoints must be sorted by time")
-    return tuple(pairs)
 
 
 class _NotFinite(ValueError):
@@ -259,7 +246,6 @@ _READERS = {
     "reals": (_listed(_finite), "comma-separated reals"),
     "integers": (_listed(int), "comma-separated integers"),
     "path": (lambda v, base_dir: os.path.join(base_dir, v) if v else "", "a path"),
-    "breakpoints": (_parse_breakpoints, "time:path pairs in increasing time"),
 }
 
 
@@ -382,14 +368,13 @@ def parse_config(path):
         key = next(k for k, spec in KEYS.items() if spec.field == f"params.{exc.field}")
         raise ParseError(lines.get(key, 0), str(exc)) from exc
 
-    forcing_key = "forcing.breakpoints" if value["forcing.breakpoints"] else "forcing.path"
     law_key = _LAW_KEY[value["viscosity.kind"]]
     return RunConfig(
         grid=grid,
         params=params,
         tensor=_build_tensor(value, lines, grid, base_dir),
         initial=InitialSpec(**held["initial"]),
-        forcing=ForcingSpec(**held["forcing"], line=lines.get(forcing_key, 0)),
+        forcing=ForcingSpec(**held["forcing"], line=lines.get("forcing.path", 0)),
         defect_params=DefectParams(**held["defect_params"]),
         tensor_line=lines.get(law_key) or lines.get("viscosity.kind", 0),
         **held[""],
@@ -434,27 +419,12 @@ def make_initial(spec, grid):
 
 
 def make_forcing(spec, grid):
-    """Build the forcing potential: None, a static field, or time-dependent."""
+    """Build the forcing potential, constant in time: None or a static field."""
     if spec.kind == "zero":
         return None
     if spec.kind == "cosine":
         xs = grid.meshgrid()
         return ScalarField(grid, spec.amplitude * np.cos(xs[0]))
     if spec.kind == "file":
-        if spec.breakpoints:
-            pieces = []
-            for t_start, path in spec.breakpoints:
-                pieces.append(
-                    (t_start, _read_keyed_snapshot(path, "forcing.breakpoints", spec.line, grid))
-                )
-
-            def lookup(t):
-                current = pieces[0][1]
-                for t_start, f in pieces:
-                    if t >= t_start - 1e-15:
-                        current = f
-                return current
-
-            return lookup
         return _read_keyed_snapshot(spec.path, "forcing.path", spec.line, grid)
     raise ValueError(f"unknown forcing kind {spec.kind!r}")

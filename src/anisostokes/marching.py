@@ -305,10 +305,6 @@ class Trajectory:
         return len(self.times)
 
     @property
-    def final_time(self):
-        return self.times[-1]
-
-    @property
     def min_rho_ever(self):
         return self.ledgers[-1].min_rho
 
@@ -366,50 +362,62 @@ class _Momentum:
     """The momentum solve of one march and how it carries a solved velocity.
 
     ``op`` is the one momentum operator of the march.  The mollifier
-    ``kernel`` is None at delta = 0, where w is u itself.  In symbol mode
+    ``kernel`` is None at delta = 0, where w is u itself.  ``forcing`` is
+    None or a field on ``grid``, constant in time.  In symbol mode
     ``power_weights`` holds the :func:`_power_weights` of the law; it is
     None in Krylov mode.
     """
 
     def __init__(self, tensor, grid, f, params):
+        if f is not None and not isinstance(f, ScalarField):
+            raise TypeError(f"f must be None or a ScalarField, got {type(f).__name__}")
+        if f is not None and f.grid != grid:
+            raise ValueError(f"f is on grid {f.grid.shape}, the march on {grid.shape}")
         self.tensor = tensor
         self.grid = grid
-        self.f = f
+        self.forcing = f
         self.params = params
         self.kernel = None if params.delta <= 0.0 else MollifierKernel(grid, params.delta)
         self.op = StokesOperator.build(tensor, grid)
         self.power_weights = _power_weights(tensor, grid) if self.op.mode == "symbol" else None
 
+    @functools.cached_property
+    def f(self):
+        """The forcing as the solve adds it: None, the field in Krylov mode,
+        or in symbol mode its half spectrum, taken once, at the march's first
+        solve (so a failure there is located as the solve's own)."""
+        f = self.forcing
+        return self.grid.rfft(f.data) if f is not None and self.op.mode == "symbol" else f
+
     def _smooth(self, fieldlike):
         return fieldlike if self.kernel is None else mollify(fieldlike, self.kernel)
 
-    def pair(self, rho, t):
-        """(u_hat, w): the velocity solved from ``rho`` at ``t``, as its half
-        spectrum, and the real advecting field w = omega_delta * u; ``t`` is
-        the time of the forcing.
+    def pair(self, rho):
+        """(u_hat, w): the velocity solved from ``rho``, as its half
+        spectrum, and the real advecting field w = omega_delta * u.
 
         The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
         mollifications are the multiplier ``kernel.symbol``, so one forward
-        transform of rho^gamma (and of f) yields u_hat = G q_hat, and w is the
-        inverse transform of K u_hat.  In Krylov mode q and w come from the
-        stencil :func:`mollify` and u_hat is the transform of the solved u.
+        transform of rho^gamma, plus the forcing's half spectrum, yields
+        u_hat = G q_hat, and w is the inverse transform of K u_hat.  In Krylov
+        mode q and w come from the stencil :func:`mollify` and u_hat is the
+        transform of the solved u.
         """
         op = self.op
         grid = rho.grid
         p = pressure_field(rho, self.params.gamma)
-        ft = self.f(t) if callable(self.f) else self.f
         if op.mode == "symbol":
             qhat = -grid.rfft(p.data)
             if self.kernel is not None:
                 qhat *= self.kernel.symbol
-            if ft is not None:
-                qhat += grid.rfft(ft.data)
+            if self.f is not None:
+                qhat += self.f
             uhat = op.solve_hat(qhat)
             what = uhat if self.kernel is None else self.kernel.symbol * uhat
             return uhat, VectorField.from_arrays(grid, grid.irfft(what))
         q = self._smooth(p) * (-1.0)
-        if ft is not None:
-            q = q + ft
+        if self.f is not None:
+            q = q + self.f
         u = solve(op, q)
         return grid.rfft(u.stacked()), self._smooth(u)
 
@@ -451,14 +459,14 @@ class _Momentum:
         return [(v.grid.rfft(v.stacked()), self._smooth(v)) for v in samples]
 
 
-def _iterate(mom, pairs, rho, start, t0, dt, settled=0):
+def _iterate(mom, pairs, rho, start, dt, settled=0):
     """One Picard pass: advance rho under the input samples, re-solving as we go.
 
     ``pairs`` holds one (v_hat, w = omega_delta * v) input sample per
     substep; rho is advected by w without accounting, and each list entry is
     released (set to None) as soon as its substep is done, so the input and
     the solved pairs together never hold more than one slab's worth.
-    ``start`` is the pair solved from the slab-start density at ``t0``; it
+    ``start`` is the pair solved from the slab-start density; it
     is the first solved pair, so the slab start is never solved again.
 
     ``settled`` is the number s of leading substeps whose solved pairs equal
@@ -485,7 +493,7 @@ def _iterate(mom, pairs, rho, start, t0, dt, settled=0):
         vhat, w = given = pairs[j]
         pairs[j] = None
         if j > settled:
-            solved = mom.pair(rho, t0 + j * dt)
+            solved = mom.pair(rho)
         else:
             solved = start if j == 0 else given
         out.append(solved)
@@ -518,15 +526,14 @@ def _record(mom, pairs, start, dt, traj, store_every, kept):
     for j in range(len(pairs)):
         given = pairs[j]
         pairs[j] = None
-        tj = t0 + j * dt
-        pair = given if j <= len(kept) else mom.pair(rho, tj)
+        pair = given if j <= len(kept) else mom.pair(rho)
         if j > 0 and j % store_every == 0:
-            traj.record(tj, rho, mom.lazy_velocity(pair), ledger)
+            traj.record(t0 + j * dt, rho, mom.lazy_velocity(pair), ledger)
         step = kept[j] if j < len(kept) else _step(rho, given[1], dt, mom.params)
         ledger = _account(ledger, rho, step, given, pair, dt, mom)
         rho = step[0]
     t1 = t0 + len(pairs) * dt
-    return _store(traj, mom, t1, rho, mom.pair(rho, t1), ledger)
+    return _store(traj, mom, t1, rho, mom.pair(rho), ledger)
 
 
 def apply_B(tensor, v_samples, rho0, f, params, slab):
@@ -537,29 +544,21 @@ def apply_B(tensor, v_samples, rho0, f, params, slab):
     way, one velocity per substep.
     """
     mom = _Momentum(tensor, rho0.grid, f, params)
-    start = mom.pair(rho0, slab.t0)
-    out, _, _ = _iterate(mom, mom.pairs(v_samples), rho0, start, slab.t0, slab.dt)
+    out, _, _ = _iterate(mom, mom.pairs(v_samples), rho0, mom.pair(rho0), slab.dt)
     return [mom.velocity(pair) for pair in out]
 
 
-def picard_solve(
-    tensor,
-    rho0,
-    f,
-    params,
-    slab,
-    v0=None,
-    ledger=None,
-    observe=None,
-):
+def picard_solve(tensor, rho0, f, params, slab, v0=None, ledger=None, observe=None):
     """Fixed-point solve on one slab; returns (Trajectory, contraction history).
 
-    Iterates v <- B(v) from v0 (zero by default) until the slab-L2 norm of
-    the velocity-gradient update drops below ``params.fp_tol``.  Raises
-    NoContraction when the update ratios sit at or above one for three
-    consecutive iterations, or when ``fp_max_iter`` is exhausted.  If an
-    iterate outruns the substep CFL budget the slab is re-run with more
-    substeps (same interval), up to a retry cap.
+    ``f`` is the forcing, None or a :class:`ScalarField` on the grid of
+    ``rho0``, constant in time.  Iterates v <- B(v) from v0 (zero by
+    default) until the slab-L2 norm of the velocity-gradient update drops
+    below ``params.fp_tol``.  Raises NoContraction when the update ratios
+    sit at or above one for three consecutive iterations, or when
+    ``fp_max_iter`` is exhausted.  If an iterate outruns the substep CFL
+    budget the slab is re-run with more substeps (same interval), up to a
+    retry cap.
 
     This standalone entry builds its own momentum object and trajectory and
     records the slab start with ``ledger``, the accounts up to ``slab.t0``
@@ -573,7 +572,7 @@ def picard_solve(
     if ledger is None:
         ledger = Ledger.fresh(rho0)
     with _located(f"on slab [{slab.t0}, {slab.t1}]"):
-        start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0, slab.t0), ledger)
+        start = _store(traj, mom, slab.t0, rho0, mom.pair(rho0), ledger)
         v0 = None if v0 is None else mom.pairs(v0)
         history, _end = _picard_slab(mom, start, slab, v0, traj, 1)
     return traj, history
@@ -609,7 +608,7 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
         kept, rho = [], rho0
         try:
             for k in range(1, params.fp_max_iter + 1):
-                v, diff, first = _iterate(mom, v, rho, start.pair, slab.t0, dt, len(kept))
+                v, diff, first = _iterate(mom, v, rho, start.pair, dt, len(kept))
                 if k >= 2:
                     # pass k + 1 reproduces substeps 0 ... k - 1 of pass k
                     kept.append(first)
@@ -637,10 +636,7 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
             )
             steps = max(steps + 1, math.ceil((slab.t1 - slab.t0) / dt_needed))
             logger.info(
-                "slab [%g, %g]: CFL breach, retrying with %d substeps",
-                slab.t0,
-                slab.t1,
-                steps,
+                "slab [%g, %g]: CFL breach, retrying with %d substeps", slab.t0, slab.t1, steps
             )
             continue
         break
@@ -666,7 +662,7 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, observe=None)
 
     One momentum object and one trajectory serve every slab; the initial
     state is recorded once, and each slab starts from the last stored state
-    (whose velocity was solved from that same density at that same time)
+    (whose velocity was solved from that same density)
     and its ledger.  Each stored state goes to ``observe(t, rho, velocity,
     ledger)``, if given, in time order; the returned trajectory keeps its
     time and ledger (see :meth:`Trajectory.record`).
@@ -676,7 +672,7 @@ def march(tensor, rho0, f, params, t_end, slab_len, store_every=1, observe=None)
     mom = _Momentum(tensor, rho0.grid, f, params)
     traj = _trajectory(observe)
     with _located("at t = 0.0"):
-        state = _store(traj, mom, 0.0, rho0, mom.pair(rho0, 0.0), Ledger.fresh(rho0))
+        state = _store(traj, mom, 0.0, rho0, mom.pair(rho0), Ledger.fresh(rho0))
     length = slab_len
     halvings = 0
     while state.t < t_end - 1e-12 * max(1.0, t_end):
@@ -714,7 +710,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     t = 0.0
     step_index = 0
     with _located("at t = 0.0"):
-        pair = mom.pair(rho, t)
+        pair = mom.pair(rho)
         traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(pair[1], params), t_end - t)
@@ -722,7 +718,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
             step = _step(rho, pair[1], dt, params)
             ledger = _account(ledger, rho, step, pair, pair, dt, mom)
             rho = step[0]
-            pair = mom.pair(rho, t + dt)
+            pair = mom.pair(rho)
             t += dt
             step_index += 1
             if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):

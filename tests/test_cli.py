@@ -21,7 +21,7 @@ import pytest
 from anisostokes import cli, diagnostics, marching, transport
 from anisostokes.cli import build_parser, main
 from anisostokes.config import KEYS, ParseError, parse_config
-from anisostokes.fields import NonFiniteField, read_snapshot
+from anisostokes.fields import NonFiniteField, ScalarField, read_snapshot
 from anisostokes.marching import NoContraction, SlabCollapse, SubstepOverflow
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
 from anisostokes.transport import NegativeInput, NewtonFail
@@ -302,6 +302,33 @@ def test_sweep_delta_writes_table(tmp_path, capsys):
     assert all(float(line.split(",")[1]) > 0.0 for line in lines[2:])
 
 
+def test_sweep_delta_with_no_time_to_march_contracts_trivially(tmp_path, capsys):
+    # every level ends on the initial density, so every gap is zero
+    cfg = write_cfg(tmp_path, "grid.dim = 1\ngrid.n = 16\nrun.t_end = 0.0\n")
+    assert main(["sweep-delta", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
+    out, err = capsys.readouterr()
+    assert "PASS delta-contraction: successive gap ratios 0.000, 0.000\n" in out
+    assert err == ""
+
+
+def test_a_gap_after_a_zero_gap_fails_delta_contraction(tmp_path, capsys, monkeypatch):
+    # levels 0.4 and 0.2 end on one density, 0.1 and 0.05 on another
+    march = cli.march
+
+    def two_finals(tensor, rho0, f, params, *args, observe, **kwargs):
+        level = 1.0 if params.delta >= 0.2 else 2.0
+
+        def constant(t, rho, velocity, ledger):
+            observe(t, ScalarField.constant(rho.grid, level), velocity, ledger)
+
+        return march(tensor, rho0, f, params, *args, observe=constant, **kwargs)
+
+    monkeypatch.setattr(cli, "march", two_finals)
+    cfg = write_cfg(tmp_path, "grid.dim = 1\ngrid.n = 16\nrun.t_end = 0.0\n")
+    assert main(["sweep-delta", cfg, "--out", str(tmp_path / "art")]) == 0
+    assert "FAIL delta-contraction: successive gap ratios inf, 0.000\n" in capsys.readouterr().out
+
+
 def test_sweep_eps_writes_table(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,
@@ -569,6 +596,24 @@ def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
     assert lines[0].startswith(f"FAIL config: {cfg}: line 13: forcing.path: cannot read ")
 
 
+@pytest.mark.parametrize("name, error", [
+    ("bad.asf", "bad magic b'not ', expected ASF1"),
+    ("gone.asf", "No such file or directory"),
+])
+@pytest.mark.parametrize("lines", [
+    "forcing.kind = file\nforcing.path = {name}\n",
+    "viscosity.kind = varying\nviscosity.files = 0000:{name}\n",
+], ids=["forcing.path", "viscosity.files"])
+def test_a_snapshot_read_failure_names_its_path_once(tmp_path, capsys, lines, name, error):
+    (tmp_path / "bad.asf").write_bytes(b"not a snapshot")
+    cfg = write_cfg(tmp_path, SMALL_RUN + lines.format(name=name))
+    key = lines.splitlines()[1].partition(" = ")[0]
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 2
+    assert capsys.readouterr().out == (
+        f"FAIL config: {cfg}: line 13: {key}: cannot read snapshot {tmp_path / name}: {error}\n"
+    )
+
+
 def test_defect_study_of_a_non_diag_law_fails_the_config_on_its_line(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN + "viscosity.kind = constant\nviscosity.a = 1\n")
     assert main(["defect-study", cfg, "--out", str(tmp_path / "art")]) == 2
@@ -598,15 +643,28 @@ def test_non_coercive_stress_law_names_its_line(tmp_path, capsys):
 
 
 def failing_pair(monkeypatch, error, after, kernel=True):
-    """Make each momentum solve after time ``after`` raise ``error``; with
-    ``kernel`` False only those of unmollified marches."""
-    pair = marching._Momentum.pair
+    """Make each momentum solve of a slab or a direct step that starts after
+    time ``after`` raise ``error``; with ``kernel`` False only those of
+    unmollified marches.  The start is the first time in the place that
+    the march names for its failures."""
+    pair, located = marching._Momentum.pair, marching._located
+    starts = []
 
-    def failing(self, rho, t):
-        if t > after and (kernel or self.kernel is None):
+    @contextlib.contextmanager
+    def timed(where):
+        starts.append(float(re.search(r"\d[\d.e+-]*", where)[0]))
+        try:
+            with located(where):
+                yield
+        finally:
+            starts.pop()
+
+    def failing(self, rho):
+        if starts and starts[-1] > after and (kernel or self.kernel is None):
             raise error
-        return pair(self, rho, t)
+        return pair(self, rho)
 
+    monkeypatch.setattr(marching, "_located", timed)
     monkeypatch.setattr(marching._Momentum, "pair", failing)
 
 
@@ -617,7 +675,7 @@ def failing_pair(monkeypatch, error, after, kernel=True):
 ], ids=lambda error: type(error).__name__)
 def test_solve_failure_in_a_march_names_its_slab(tmp_path, capsys, monkeypatch, error):
     text = str(error)
-    failing_pair(monkeypatch, error, after=0.03)
+    failing_pair(monkeypatch, error, after=0.02)
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.slab = 0.05", "run.slab = 0.025"))
     assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
     lines = capsys.readouterr().out.splitlines()
@@ -630,7 +688,7 @@ def test_solve_failure_in_a_march_names_its_slab(tmp_path, capsys, monkeypatch, 
 
 
 def test_solve_failure_in_a_direct_march_names_its_step(tmp_path, capsys, monkeypatch):
-    failing_pair(monkeypatch, NewtonFail("drag solve stalled"), after=0.01, kernel=False)
+    failing_pair(monkeypatch, NewtonFail("drag solve stalled"), after=0.0, kernel=False)
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03")
                     + "sweep.deltas = 0.4,0.2,0.1\n")
     assert main(["sweep-delta", cfg, "--out", str(tmp_path / "art")]) == 3

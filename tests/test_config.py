@@ -135,8 +135,6 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("initial.value = nan", "initial.value"),
         ("initial.amplitude = inf\ninitial.kind = cosine", "initial.amplitude"),
         ("forcing.amplitude = nan\nforcing.kind = cosine", "forcing.amplitude"),
-        ("forcing.breakpoints = nan:a.asf;0.0:b.asf\nforcing.kind = file", "forcing.breakpoints"),
-        ("forcing.breakpoints = 0.0:a.asf;inf:b.asf\nforcing.kind = file", "forcing.breakpoints"),
         ("params.delta = inf", "params.delta"),
         ("viscosity.nu = -1", "viscosity.nu"),
         ("viscosity.nu = 0", "viscosity.nu"),
@@ -287,7 +285,8 @@ def test_duplicate_key_names_both_lines(tmp_path):
 @pytest.mark.parametrize(
     "line",
     ["params.gama = 2.0", "transport.order = 1", "transport.cfl = 0.45",
-     "stokes.rtol = 1e-8", "stokes.max_iter = 400", "run.seed = 0"],
+     "stokes.rtol = 1e-8", "stokes.max_iter = 400", "run.seed = 0",
+     "forcing.breakpoints = 0.0:f0.asf"],
     ids=lambda line: line.partition(" = ")[0],
 )
 def test_unknown_key_is_an_error(tmp_path, capsys, line):
@@ -396,22 +395,12 @@ def test_relative_snapshot_paths_resolve_against_the_config(tmp_path, monkeypatc
     ))
     np.testing.assert_array_equal(cfg.tensor.tensor_at()[0, 0, 0, 0], coeff.data)
     np.testing.assert_array_equal(make_forcing(cfg.forcing, g).data, force.data)
-    cfg = parse_config(write_cfg(
-        cfg_dir,
-        "grid.n = 16\nforcing.kind = file\nforcing.breakpoints = 0:data/a.asf;0.5:data/f.asf\n",
-        name="b.cfg",
-    ))
-    lookup = make_forcing(cfg.forcing, g)
-    np.testing.assert_array_equal(lookup(0.1).data, coeff.data)
-    np.testing.assert_array_equal(lookup(0.7).data, force.data)
 
 
 @pytest.mark.parametrize("key,text,line", [
     ("viscosity.files", "viscosity.kind = varying\nviscosity.files = 0000:data/{name}\n", 3),
     ("forcing.path", "forcing.kind = file\nforcing.path = data/{name}\n", 3),
-    ("forcing.breakpoints",
-     "forcing.kind = file\n# two pieces\nforcing.breakpoints = 0:data/f.asf;1:data/{name}\n", 4),
-], ids=["viscosity.files", "forcing.path", "forcing.breakpoints"])
+], ids=["viscosity.files", "forcing.path"])
 @pytest.mark.parametrize("name", ["missing.asf", "garbage.asf", "coarse.asf"])
 def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, line, name):
     g, cfg_dir, elsewhere, _coeff, _force = snapshot_dir(tmp_path)
@@ -539,22 +528,6 @@ def test_file_forcing_roundtrip(tmp_path):
     np.testing.assert_allclose(f.data, field.data)
 
 
-def test_file_forcing_with_breakpoints(tmp_path):
-    from anisostokes.config import ForcingSpec
-
-    g = GridSpec(1, 32)
-    f0 = make_initial(InitialSpec(kind="constant", value=1.0), g)
-    f1 = make_initial(InitialSpec(kind="constant", value=3.0), g)
-    p0, p1 = tmp_path / "f0.asf", tmp_path / "f1.asf"
-    write_snapshot(str(p0), f0, 0.0)
-    write_snapshot(str(p1), f1, 0.5)
-    lookup = make_forcing(
-        ForcingSpec(kind="file", breakpoints=((0.0, str(p0)), (0.5, str(p1)))), g
-    )
-    assert lookup(0.1).data[0] == 1.0
-    assert lookup(0.7).data[0] == 3.0
-
-
 def test_file_forcing_grid_mismatch(tmp_path):
     from anisostokes.config import ForcingSpec
 
@@ -566,17 +539,3 @@ def test_file_forcing_grid_mismatch(tmp_path):
         make_forcing(ForcingSpec(kind="file", path=str(snap), line=5), GridSpec(1, 64))
     assert err.value.line == 5
     assert err.value.reason.startswith("forcing.path: ")
-    spec = ForcingSpec(kind="file", breakpoints=((0.0, str(snap)),), line=6)
-    with pytest.raises(ParseError) as err:
-        make_forcing(spec, GridSpec(1, 64))
-    assert err.value.line == 6
-    assert err.value.reason.startswith("forcing.breakpoints: ")
-
-
-def test_unsorted_breakpoints_rejected(tmp_path):
-    path = write_cfg(
-        tmp_path, "forcing.kind = file\nforcing.breakpoints = 0.5:b.asf;0.0:a.asf\n"
-    )
-    with pytest.raises(ParseError) as err:
-        parse_config(path)
-    assert err.value.line == 2

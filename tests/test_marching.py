@@ -256,7 +256,7 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
     kernel = MollifierKernel(g, p.delta)
     assert 2 * kernel.radius_cells + 1 < n
 
-    uhat, w = mom.pair(rho, 0.0)
+    uhat, w = mom.pair(rho)
     u = VectorField.from_arrays(g, g.irfft(uhat))
     stencil_w = mollify(u, kernel)
     assert (w - stencil_w).linf_norm() <= 1e-13 * u.linf_norm()
@@ -275,20 +275,56 @@ def test_pair_without_mollifier_repeats_the_velocity():
     p = canonical_params(delta=0.0)
     mom = _Momentum(DiagNu((1.0, 4.0)), g, None, p)
     assert mom.kernel is None
-    pair = mom.pair(cosine_density(g), 0.0)
+    pair = mom.pair(cosine_density(g))
     uhat, w = pair
     assert np.array_equal(w.stacked(), g.irfft(uhat))
     assert mom.velocity(pair) is w
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.6])
+def test_forced_symbol_pair_takes_one_forward_transform(monkeypatch, delta):
+    # the first solve takes the forcing's half spectrum and the kernel's
+    # symbol, once each; the second is counted
+    g = GridSpec(2, 16)
+    x, y = g.meshgrid()
+    f = ScalarField(g, 0.4 * np.sin(2 * x - y))
+    mom = _Momentum(DiagNu((1.0, 4.0)), g, f, canonical_params(delta=delta))
+    assert mom.op.mode == "symbol"
+    rho = cosine_density(g)
+    first = mom.pair(rho)
+    transforms = counting(monkeypatch, GridSpec, "rfft", lambda args: args[1].shape)
+    uhat, w = mom.pair(rho)
+    assert transforms == [g.shape]
+    assert np.array_equal(uhat, first[0]) and np.array_equal(w.stacked(), first[1].stacked())
+
+
+@pytest.mark.parametrize("entry", ["march", "direct_march", "picard_solve", "apply_B"])
+def test_a_forcing_that_is_not_a_field_on_the_grid_is_refused(entry):
+    g = GridSpec(1, 16)
+    p = canonical_params(delta=0.0)
+    rho0 = cosine_density(g)
+    calls = {
+        "march": lambda f: march(DiagNu((1.0,)), rho0, f, p, 0.01, 0.01),
+        "direct_march": lambda f: direct_march(DiagNu((1.0,)), rho0, f, p, 0.01),
+        "picard_solve": lambda f: picard_solve(DiagNu((1.0,)), rho0, f, p, Slab(0.0, 0.01, 1)),
+        "apply_B": lambda f: apply_B(DiagNu((1.0,)), [VectorField.zeros(g)], rho0, f, p,
+                                     Slab(0.0, 0.01, 1)),
+    }
+    static = ScalarField.constant(g, 1.0)
+    with pytest.raises(TypeError, match="^f must be None or a ScalarField, got function$"):
+        calls[entry](lambda t: static)
+    with pytest.raises(ValueError, match=r"^f is on grid \(32,\), the march on \(16,\)$"):
+        calls[entry](ScalarField.constant(GridSpec(1, 32), 1.0))
 
 
 def test_advance_releases_its_inputs_and_sums_the_distance():
     tensor, rho0, p = multi_slab_scenario()
     g = rho0.grid
     mom = _Momentum(tensor, g, None, p)
-    start = mom.pair(rho0, 0.0)
+    start = mom.pair(rho0)
     dt = 0.005
     pairs = [start] * 4
-    out, dist, first = marching._iterate(mom, pairs, rho0, start, 0.0, dt)
+    out, dist, first = marching._iterate(mom, pairs, rho0, start, dt)
     assert pairs == [None] * 4
     assert len(out) == 4 and out[0] is start
     # the first-step result: the advanced density and the drag integrals
@@ -408,7 +444,7 @@ def test_march_constant_data_follows_drag_ode():
     g = GridSpec(1, 16)
     p = canonical_params(eta=0.1, dt_max=1e-3)
     traj, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0), None, p, 0.1, 0.05)
-    assert traj.final_time == pytest.approx(0.1, abs=1e-12)
+    assert traj.times[-1] == pytest.approx(0.1, abs=1e-12)
     sol = solve_ivp(
         lambda t, y: -0.1 * (y**4 + y**3), (0.0, 0.1), [1.0], rtol=1e-11, atol=1e-13
     )
@@ -453,7 +489,7 @@ def test_march_slab_halving_recovers():
     tight = canonical_params(eps=0.02, fp_max_iter=needed - 1)
     traj = march(tensor, rho0, None, tight, 0.05, 0.05)
     assert traj.slab_halvings >= 1
-    assert traj.final_time == pytest.approx(0.05, abs=1e-12)
+    assert traj.times[-1] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_march_slab_collapse_when_iteration_is_starved():
@@ -466,15 +502,15 @@ def test_march_slab_collapse_when_iteration_is_starved():
 
 @pytest.mark.parametrize("fp_tol", [1e9, 1e-7])
 def test_converged_iterate_that_breaks_cfl_retries_the_slab(fp_tol):
-    # the forcing switches on mid-slab; at fp_tol = 1e9 the first pass is
-    # accepted, and its speed of 50 outruns the two-substep budget
+    # two substeps are too few for the speed of about 50 that the forcing
+    # drives; at fp_tol = 1e9 the first pass is accepted and its iterates
+    # outrun the budget all the same
     g = GridSpec(1, 32)
-    on = ScalarField(g, 50.0 * np.cos(g.meshgrid()[0]))
-    off = ScalarField.constant(g, 0.0)
+    f = ScalarField(g, 50.0 * np.cos(g.meshgrid()[0]))
     p = SolverParams(fp_tol=fp_tol)
-    traj = march(DiagNu((1.0,)), ScalarField.constant(g, 1.0),
-                 lambda t: on if t >= 0.005 else off, p, 0.02, 0.02)
-    assert traj.final_time == pytest.approx(0.02, abs=1e-12)
+    traj, _history = picard_solve(DiagNu((1.0,)), ScalarField.constant(g, 1.0), f, p,
+                                  Slab(0.0, 0.02, 2))
+    assert traj.times[-1] == pytest.approx(0.02, abs=1e-12)
     assert slab_steps(traj) == [15]
 
 
@@ -567,14 +603,14 @@ def test_the_recording_pass_steps_only_what_no_pass_settled(monkeypatch, slab):
 def test_picard_passes_skip_only_what_the_previous_pass_settled():
     tensor, rho0, p = multi_slab_scenario()
     mom = _Momentum(tensor, rho0.grid, None, p)
-    start = mom.pair(rho0, 0.0)
+    start = mom.pair(rho0)
     steps, dt = 6, 0.005
     zero = [(0.0, VectorField.zeros(rho0.grid))] * steps
     full, skip = list(zero), list(zero)
     settled, rho = [], rho0
     for k in range(1, steps + 2):
-        full, full_dist, _ = marching._iterate(mom, full, rho0, start, 0.0, dt)
-        skip, skip_dist, first = marching._iterate(mom, skip, rho, start, 0.0, dt, len(settled))
+        full, full_dist, _ = marching._iterate(mom, full, rho0, start, dt)
+        skip, skip_dist, first = marching._iterate(mom, skip, rho, start, dt, len(settled))
         assert skip_dist == full_dist
         assert (full_dist > 0.0) == (k <= steps)
         for (a_hat, a), (b_hat, b) in zip(full, skip, strict=True):
@@ -596,10 +632,12 @@ def full_passes(monkeypatch):
     iterate, record = marching._iterate, marching._record
     slab_start = {}
 
-    def every_substep(mom, pairs, rho, start, t0, dt, settled=0):
-        if settled == 0:  # passes 1 and 2 start from the slab start
-            slab_start[t0] = rho
-        return iterate(mom, pairs, slab_start[t0], start, t0, dt)
+    def every_substep(mom, pairs, rho, start, dt, settled=0):
+        # each slab's passes share its start pair; passes 1 and 2 start from
+        # the slab-start density
+        if settled == 0:
+            slab_start[id(start)] = rho
+        return iterate(mom, pairs, slab_start[id(start)], start, dt)
 
     monkeypatch.setattr(marching, "_iterate", every_substep)
     monkeypatch.setattr(marching, "_record", lambda *args: record(*args[:-1], []))
