@@ -1,15 +1,18 @@
 """Command-line driver: single runs, parameter sweeps and tensor audits.
 
-Every subcommand reads one config file, writes its artifacts (snapshots,
-CSV tables) to the output directory and prints one PASS/FAIL line per
-audit.  With ``--strict`` the exit code is 0 only when every audit passed;
-without it the audits are informational and the exit code is 0 unless an
-error is raised.  A config that cannot be parsed, or a snapshot it names
-that cannot be read, prints one ``FAIL config`` line and exits 2; a solver
-breakdown (any :class:`~anisostokes.fields.SolverFailure`: a stress law
-that is not coercive or has a singular symbol, a Krylov or drag Newton
-solve that fails, a field that overflows to inf or nan, a slab that does
-not contract or would need a runaway number of substeps; or a numpy
+Every subcommand reads one config file, whose parse builds the run's
+inputs (each snapshot the config names is read there, once), writes its
+artifacts (snapshots, CSV tables) to the output directory and prints one
+PASS/FAIL line per audit.  With ``--strict`` the exit code is 0 only when
+every audit passed; without it the audits are informational and the exit
+code is 0 unless an error is raised.  A config that cannot be parsed, a
+snapshot it names that cannot be read, or initial data that overflows or
+has zero mass, prints one ``FAIL config`` line, makes no output directory
+and exits 2; a solver breakdown (any
+:class:`~anisostokes.fields.SolverFailure`: a stress law that is not
+coercive or has a singular symbol, a Krylov or drag Newton solve that
+fails, a field that overflows to inf or nan, a slab that does not
+contract or would need a runaway number of substeps; or a numpy
 ``FloatingPointError``) prints one ``FAIL solver`` line and exits 3.  That
 line names the config line of the stress law when the law is not coercive
 or has a singular symbol, and the slab (or step) when the failure is
@@ -48,14 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from anisostokes.config import (
-    KEYS,
-    ParseError,
-    default_of,
-    make_forcing,
-    make_initial,
-    parse_config,
-)
+from anisostokes.config import KEYS, ParseError, default_of, parse_config
 from anisostokes.diagnostics import (
     defect_inequality,
     defect_proxies,
@@ -80,17 +76,11 @@ def _audit(results, name, ok, detail):
 
 
 def _march_config(cfg, observe, params=None, tensor=None):
-    rho0 = make_initial(cfg.initial, cfg.grid)
-    f = make_forcing(cfg.forcing, cfg.grid)
+    tensor = cfg.tensor if tensor is None else tensor
+    params = cfg.params if params is None else params
     return march(
-        tensor if tensor is not None else cfg.tensor,
-        rho0,
-        f,
-        params if params is not None else cfg.params,
-        cfg.t_end,
-        cfg.slab,
-        store_every=cfg.store_every,
-        observe=observe,
+        tensor, cfg.rho0, cfg.forcing, params, cfg.t_end, cfg.slab,
+        store_every=cfg.store_every, observe=observe,
     )
 
 
@@ -201,11 +191,9 @@ def cmd_sweep_delta(cfg, out_dir):
         _march_config(cfg, params=replace(cfg.params, delta=d), observe=final)
         finals.append(final.last)
 
-    rho0 = make_initial(cfg.initial, cfg.grid)
-    f = make_forcing(cfg.forcing, cfg.grid)
     final = _Series()
     direct_march(
-        cfg.tensor, rho0, f, replace(cfg.params, delta=0.0), cfg.t_end,
+        cfg.tensor, cfg.rho0, cfg.forcing, replace(cfg.params, delta=0.0), cfg.t_end,
         store_every=cfg.store_every, observe=final,
     )
     direct = final.last

@@ -1,21 +1,24 @@
-"""Run configuration: dotted-key text files, initial data and forcing.
+"""Run configuration: dotted-key text files, built into every run input.
 
 The format is deliberately plain: one ``key = value`` per line, ``#``
 comments, UTF-8.  Every key has a default, so an empty file is a valid
 configuration; unknown keys are hard errors so typos cannot silently fall
 back to defaults, and so is a key given twice, so that no value silently
-overrides another.  Relative snapshot paths (``viscosity.files`` and
-``forcing.path``, the one snapshot of a forcing constant in time) are
-resolved against the directory of the config file, and a snapshot that
-cannot be read is a :class:`ParseError` naming the line of the key that
-points at it.
+overrides another.  :func:`parse_config` builds each input of a run once:
+the stress law, the initial density and the forcing (None or one field,
+constant in time).  Relative snapshot paths (``viscosity.files`` and
+``forcing.path``) are resolved against the directory of the config file,
+and a snapshot that cannot be read is a :class:`ParseError` naming the
+line of the key that points at it.
 
 :data:`KEYS` is the one description of every key: its reader, the field
-of :class:`RunConfig` it fills (whose dataclass default is the key's
-default) and its accepted range.  A value out of range, or a real that
-reads as inf or nan, is a :class:`ParseError` on its key's line, and so is
-an oscillatory ``initial.wavelength`` below four cells; a tensor or forcing
-kind given without the data it needs is one on the kind's line.
+it fills (whose dataclass default is the key's default) and its accepted
+range.  A value out of range, or a real that reads as inf or nan, is a
+:class:`ParseError` on its key's line, and so is an oscillatory
+``initial.wavelength`` below four cells; a tensor or forcing kind given
+without the data it needs is one on the kind's line, and so is initial
+data that overflows.  An initial density with zero mass after clipping is
+one on the ``initial.value`` line (the kind's, if the value is default).
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from anisostokes.diagnostics import DefectParams
-from anisostokes.fields import GridSpec, PicklableError, ScalarField, read_snapshot
+from anisostokes.fields import GridSpec, NonFiniteField, PicklableError, ScalarField, read_snapshot
 from anisostokes.transport import InvalidParameter, SolverParams
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull
 
@@ -64,25 +67,17 @@ class InitialSpec:
 
 
 @dataclass(frozen=True)
-class ForcingSpec:
-    """Forcing potential; ``line`` is the config line naming its snapshots."""
-
-    kind: str = "zero"
-    amplitude: float = 0.0
-    path: str = ""
-    line: int = 0
-
-
-@dataclass(frozen=True)
 class RunConfig:
-    """A parsed configuration; ``tensor_line`` is the config line of the key
+    """A parsed configuration with its run inputs built: the stress law
+    ``tensor``, the initial density ``rho0`` and the ``forcing``, None or a
+    field constant in time.  ``tensor_line`` is the config line of the key
     that sets the stress law (0 when the file leaves it to the default)."""
 
     grid: GridSpec
     params: SolverParams
     tensor: object
-    initial: InitialSpec
-    forcing: ForcingSpec
+    rho0: ScalarField
+    forcing: ScalarField | None
     defect_params: DefectParams
     tensor_line: int = 0
     commutator_delta: float = 0.0
@@ -101,7 +96,6 @@ _HOLDERS = {
     "": RunConfig,
     "params": SolverParams,
     "initial": InitialSpec,
-    "forcing": ForcingSpec,
     "defect_params": DefectParams,
 }
 
@@ -109,10 +103,11 @@ _HOLDERS = {
 class _Key(NamedTuple):
     """How one config key is read, where its value goes and what it accepts.
 
-    ``field`` is the value's attribute path in :class:`RunConfig`; that
-    field's default is the key's default.  Keys that build the grid or the
-    tensor have no field and keep their ``default`` here (a function of the
-    grid dimension where it depends on it, described by ``note``).
+    ``field`` is the value's attribute path in :class:`RunConfig` (in the
+    :class:`InitialSpec` that builds ``rho0`` for ``initial.*``); that field's
+    default is the key's default.  Keys that build the grid, the tensor or
+    the forcing have no field and keep their ``default`` here (a function of
+    the grid dimension where it depends on it, described by ``note``).
     ``check`` is ``(accepts(value, grid), range)``; SolverParams checks its
     own fields.
     """
@@ -144,8 +139,10 @@ _DELTAS = (
     lambda v, _grid: len(set(v)) == len(v) >= 3 and min(v) > 0
 ), "at least three distinct levels, each > 0"
 _EPS_LEVELS = (lambda v, _grid: bool(v) and min(v) >= 0), "at least one level, each >= 0"
-_EACH_POSITIVE = (lambda v, _grid: all(x > 0 for x in v)), "each > 0"
-_WINDOWS = (lambda v, grid: all(_divides(w, grid) for w in v)), f"each {_WINDOW}"
+_EACH_POSITIVE = (lambda v, _grid: bool(v) and min(v) > 0), "at least one, each > 0"
+_WINDOWS = (
+    lambda v, grid: bool(v) and all(_divides(w, grid) for w in v)
+), f"at least one, each {_WINDOW}"
 
 KEYS = {
     "grid.dim": _Key("integer", default=1),
@@ -176,9 +173,9 @@ KEYS = {
     "initial.wavelength": _Key("real", "initial.wavelength"),
     "initial.width": _Key("real", "initial.width", _POSITIVE_SQUARE),
     "initial.base": _Key("text", "initial.base", _kind("constant", "cosine", "bump")),
-    "forcing.kind": _Key("text", "forcing.kind", _kind("zero", "cosine", "file")),
-    "forcing.amplitude": _Key("real", "forcing.amplitude"),
-    "forcing.path": _Key("path", "forcing.path"),
+    "forcing.kind": _Key("text", check=_kind("zero", "cosine", "file"), default="zero"),
+    "forcing.amplitude": _Key("real", default=0.0),
+    "forcing.path": _Key("path", default=""),
     "diagnostics.window": _Key("integer", "defect_params.window", (_divides, _WINDOW)),
     "diagnostics.h_reg": _Key("real", "defect_params.h_reg", _AT_LEAST_0),
     "diagnostics.commutator_delta": _Key("real", "commutator_delta", _AT_LEAST_0),
@@ -321,8 +318,39 @@ def _build_tensor(value, lines, grid, base_dir):
     return VaryingFull(grid, values)
 
 
+def _build_initial(spec, lines, line_of, grid):
+    """:func:`make_initial` with numpy's errors raised (``parse_config``
+    runs outside a study's error state); each failure names its line."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            rho0 = make_initial(spec, grid)
+    except UnresolvedWavelength as exc:
+        raise ParseError(
+            line_of("initial.wavelength"),
+            f"initial.wavelength: must be at least 4 cells ({4.0 * grid.h:.4g}) "
+            f"for initial.kind = oscillatory, got {spec.wavelength!r}",
+        ) from exc
+    except (FloatingPointError, NonFiniteField) as exc:
+        raise ParseError(
+            lines.get("initial.kind", 0), f"initial.kind: {spec.kind} initial data: {exc}"
+        ) from exc
+    if rho0.max() == 0.0:
+        key = "initial.value" if "initial.value" in lines else "initial.kind"
+        raise ParseError(lines.get(key, 0), f"{key}: must leave the initial density mass > 0")
+    return rho0
+
+
+def _build_forcing(value, lines, grid):
+    kind = value["forcing.kind"]
+    if kind == "zero":
+        return None
+    if kind == "cosine":
+        return ScalarField(grid, value["forcing.amplitude"] * np.cos(grid.meshgrid()[0]))
+    return _read_keyed_snapshot(value["forcing.path"], "forcing.path", lines["forcing.path"], grid)
+
+
 def parse_config(path):
-    """Read a configuration file into a fully-typed RunConfig."""
+    """Read a configuration file into a RunConfig with its run inputs built."""
     entries = _parse_lines(path)
     lines = {key: lineno for key, (_text, lineno) in entries.items()}
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -351,12 +379,6 @@ def parse_config(path):
             f"run.slab: must be at least run.t_end / {_MAX_SLABS} "
             f"({value['run.t_end'] / _MAX_SLABS:.4g}), got {value['run.slab']!r}",
         )
-    if value["initial.kind"] == "oscillatory" and value["initial.wavelength"] < 4.0 * grid.h:
-        raise ParseError(
-            line_of("initial.wavelength"),
-            f"initial.wavelength: must be at least 4 cells ({4.0 * grid.h:.4g}) "
-            f"for initial.kind = oscillatory, got {value['initial.wavelength']!r}",
-        )
     for key, kind, needs in _KIND_NEEDS:
         if value[key] == kind and not any(value[k] for k in needs):
             raise ParseError(
@@ -373,8 +395,8 @@ def parse_config(path):
         grid=grid,
         params=params,
         tensor=_build_tensor(value, lines, grid, base_dir),
-        initial=InitialSpec(**held["initial"]),
-        forcing=ForcingSpec(**held["forcing"], line=lines.get("forcing.path", 0)),
+        rho0=_build_initial(InitialSpec(**held["initial"]), lines, line_of, grid),
+        forcing=_build_forcing(value, lines, grid),
         defect_params=DefectParams(**held["defect_params"]),
         tensor_line=lines.get(law_key) or lines.get("viscosity.kind", 0),
         **held[""],
@@ -416,15 +438,3 @@ def make_initial(spec, grid):
         logger.info("initial data clipped %d negative cells to zero", clipped)
         out = ScalarField(grid, np.maximum(out.data, 0.0))
     return out
-
-
-def make_forcing(spec, grid):
-    """Build the forcing potential, constant in time: None or a static field."""
-    if spec.kind == "zero":
-        return None
-    if spec.kind == "cosine":
-        xs = grid.meshgrid()
-        return ScalarField(grid, spec.amplitude * np.cos(xs[0]))
-    if spec.kind == "file":
-        return _read_keyed_snapshot(spec.path, "forcing.path", spec.line, grid)
-    raise ValueError(f"unknown forcing kind {spec.kind!r}")

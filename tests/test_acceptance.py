@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from anisostokes.cli import cmd_defect_study, cmd_run, cmd_sweep_delta, cmd_sweep_eps, main
-from anisostokes.config import make_initial, parse_config
+from anisostokes.config import parse_config
 from anisostokes.diagnostics import commutator_audit, worst_violation
 from anisostokes.fields import (
     GridSpec,
@@ -81,17 +81,15 @@ def defect_cfg():
 @pytest.fixture(scope="session")
 def canonical_traj(canonical_cfg):
     cfg = canonical_cfg
-    rho0 = make_initial(cfg.initial, cfg.grid)
-    return march(cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab)
+    return march(cfg.tensor, cfg.rho0, None, cfg.params, cfg.t_end, cfg.slab)
 
 
 @pytest.fixture(scope="session")
 def sweep_run(sweep_cfg):
     """The sweep scenario's trajectory and every stored state."""
     cfg = sweep_cfg
-    rho0 = make_initial(cfg.initial, cfg.grid)
     return kept(
-        march, cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=8
+        march, cfg.tensor, cfg.rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=8
     )
 
 
@@ -99,9 +97,8 @@ def sweep_run(sweep_cfg):
 def oscillatory_run(defect_cfg):
     """The defect scenario's trajectory and every stored state."""
     cfg = defect_cfg
-    rho0 = make_initial(cfg.initial, cfg.grid)
     return kept(
-        march, cfg.tensor, rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=5
+        march, cfg.tensor, cfg.rho0, None, cfg.params, cfg.t_end, cfg.slab, store_every=5
     )
 
 
@@ -154,11 +151,10 @@ def test_03_energy_slack_and_dt_refinement(sweep_cfg, sweep_run):
     states = sweep_run[1]
     e0 = pressure_integral(states.densities[0], gamma)
     v_base = worst_violation(states.energy_slacks(gamma))
-    rho0 = make_initial(cfg.initial, cfg.grid)
     _, half = kept(
         march,
         cfg.tensor,
-        rho0,
+        cfg.rho0,
         None,
         replace(cfg.params, dt_max=cfg.params.dt_max / 2.0),
         cfg.t_end,
@@ -261,7 +257,7 @@ def test_05_stokes_oracles():
 
 def test_06_picard_contraction(canonical_cfg):
     cfg = canonical_cfg
-    rho0 = make_initial(cfg.initial, cfg.grid)
+    rho0 = cfg.rho0
     steps = int(round(cfg.t_end / cfg.params.dt_max))
     slab = Slab(0.0, cfg.t_end, steps)
     (traj_full, full), kept_full = kept(picard_solve, cfg.tensor, rho0, None, cfg.params, slab)

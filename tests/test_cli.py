@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from anisostokes import cli, diagnostics, marching, transport
+from anisostokes import cli, config, diagnostics, marching, transport
 from anisostokes.cli import build_parser, main
-from anisostokes.config import KEYS, ParseError, parse_config
-from anisostokes.fields import NonFiniteField, ScalarField, read_snapshot
+from anisostokes.config import KEYS, ParseError, default_of, parse_config
+from anisostokes.fields import GridSpec, NonFiniteField, ScalarField, read_snapshot, write_snapshot
 from anisostokes.marching import NoContraction, SlabCollapse, SubstepOverflow
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
 from anisostokes.transport import NegativeInput, NewtonFail
@@ -60,6 +60,15 @@ def _shown(value):
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
+def _parsed(cfg, key):
+    """What ``key``'s value became in ``cfg``: its field, or the input it builds."""
+    if key.startswith("initial."):
+        return cfg.rho0.data.tobytes()
+    if key.startswith("forcing."):
+        return cfg.forcing
+    return attrgetter(KEYS[key].field)(cfg)
+
+
 def test_help_lists_each_key_once_with_its_parsed_default(tmp_path):
     listed = re.findall(r"^  (\S+) +default: (.*)$", build_parser().format_help(), re.M)
     keys = [key for key, _shown_default in listed]
@@ -70,12 +79,14 @@ def test_help_lists_each_key_once_with_its_parsed_default(tmp_path):
     for key, spec in KEYS.items():
         if spec.note:  # a default that depends on the grid, or has no config syntax
             assert shown[key] == f"({spec.note})", key
-        elif spec.field:
-            value = attrgetter(spec.field)(cfg)
+        elif key not in ("grid.dim", "viscosity.kind"):  # both checked below
+            built = key.startswith(("initial.", "forcing."))
+            value = default_of(key) if built else attrgetter(spec.field)(cfg)
             assert shown[key] == _shown(value), key
-            # the shown default is a config value that reads back the same
+            # the shown default is a config value that parses to the same run
             again = parse_config(write_cfg(tmp_path, f"{key} = {shown[key]}\n", name="again.cfg"))
-            assert attrgetter(spec.field)(again) == value, key
+            assert _parsed(again, key) == _parsed(cfg, key), key
+    assert cfg.forcing is None and (cfg.rho0.min(), cfg.rho0.max()) == (1.0, 1.0)
     assert shown["grid.dim"] == str(cfg.grid.dim)
     assert str(cfg.grid.n[0]) in shown["grid.n"]
     assert shown["viscosity.kind"] == "diag" and cfg.tensor.nu == (1.0,)
@@ -588,12 +599,67 @@ def test_unknown_key_fails_the_config_with_exit_code_2(tmp_path, capsys):
 
 
 def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
-    # the snapshot is read when the study builds its forcing, after parsing
+    # the snapshot is read while the config is parsed, before any output
     cfg = write_cfg(tmp_path, SMALL_RUN + "forcing.kind = file\nforcing.path = gone.asf\n")
     assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 1
     assert lines[0].startswith(f"FAIL config: {cfg}: line 13: forcing.path: cannot read ")
+    assert not (tmp_path / "art").exists()
+
+
+SHORT_RUN = "grid.n = 32\nrun.t_end = 0.01\nrun.slab = 0.01\nsweep.eps_levels = 0.1,0.01\n"
+
+
+@pytest.mark.parametrize("command", ["sweep-delta", "sweep-eps", "check-tensor"])
+def test_every_command_reads_the_forcing_snapshot_once(tmp_path, monkeypatch, command):
+    write_snapshot(str(tmp_path / "f.asf"), ScalarField.constant(GridSpec(1, 32), 0.5), 0.0)
+    reads = []
+    read = config.read_snapshot
+
+    def counted(path):
+        reads.append(path)
+        return read(path)
+
+    monkeypatch.setattr(config, "read_snapshot", counted)
+    cfg = write_cfg(tmp_path, SHORT_RUN + "forcing.kind = file\nforcing.path = f.asf\n")
+    assert main([command, cfg, "--out", str(tmp_path / "art")]) == 0
+    assert reads == [str(tmp_path / "f.asf")]
+
+
+def test_a_clipped_initial_density_is_logged_once_per_command(tmp_path, caplog):
+    cfg = write_cfg(tmp_path, SHORT_RUN + "initial.kind = cosine\ninitial.amplitude = 1.5\n")
+    with caplog.at_level("INFO", logger="anisostokes"):
+        assert main(["sweep-eps", cfg, "--out", str(tmp_path / "art")]) == 0
+    clipped = [rec.message for rec in caplog.records if "clipped" in rec.message]
+    assert clipped == ["initial data clipped 9 negative cells to zero"]
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-eps"])
+def test_initial_data_that_overflows_fails_the_config(tmp_path, capsys, command):
+    cfg = write_cfg(tmp_path, (
+        "grid.dim = 1\ngrid.n = 16\ninitial.kind = cosine\n"
+        "initial.value = 1e308\ninitial.amplitude = 1e308\n"
+    ))
+    assert main([command, cfg, "--out", str(tmp_path / "art")]) == 2
+    assert capsys.readouterr() == (
+        f"FAIL config: {cfg}: line 3: initial.kind: cosine initial data: "
+        "overflow encountered in add\n",
+        "",
+    )
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep-eps"])
+def test_an_initial_density_with_zero_mass_fails_the_config(tmp_path, capsys, command):
+    # clipped to zero everywhere, it would pass every audit against bounds of 0
+    cfg = write_cfg(tmp_path, "grid.n = 16\n# negative everywhere\ninitial.value = -1\n")
+    assert main([command, cfg, "--strict", "--out", str(tmp_path / "art")]) == 2
+    assert capsys.readouterr() == (
+        f"FAIL config: {cfg}: line 3: initial.value: must leave the initial density mass > 0\n",
+        "",
+    )
+    assert not (tmp_path / "art").exists()
 
 
 @pytest.mark.parametrize("name, error", [

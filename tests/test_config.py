@@ -1,4 +1,4 @@
-"""Config parsing, initial-data and forcing construction."""
+"""Config parsing, and the initial density and forcing it builds."""
 
 import os
 import re
@@ -20,7 +20,6 @@ from anisostokes.config import (
     UnknownKey,
     UnresolvedWavelength,
     default_of,
-    make_forcing,
     make_initial,
     parse_config,
 )
@@ -120,6 +119,8 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("defect.windows = 4,0", "defect.windows"),
         ("defect.windows = 4,6", "defect.windows"),
         ("defect.ratios = 1,0", "defect.ratios"),
+        ("defect.ratios =", "defect.ratios"),
+        ("defect.windows =", "defect.windows"),
         ("sweep.eps_levels = 0.1,-0.01", "sweep.eps_levels"),
         ("sweep.eps_levels =", "sweep.eps_levels"),
         ("sweep.deltas = 0.4,0.2", "sweep.deltas"),
@@ -174,8 +175,9 @@ def _levels(elements, min_size=0, unique=False):
     return st.lists(elements, min_size=min_size, max_size=5, unique=unique).map(tuple)
 
 
-# every key whose value reads back from RunConfig, with in-range values;
-# windows divide every grid extent drawn here (16 or 32 cells per axis)
+# every key whose value reads back from RunConfig or the inputs it builds,
+# with in-range values; windows divide every grid extent drawn here (16 or
+# 32 cells per axis)
 _WINDOWS = st.sampled_from([1, 2, 4, 8, 16])
 IN_RANGE = {
     "grid.dim": st.sampled_from([1, 2, 3]),
@@ -205,8 +207,8 @@ IN_RANGE = {
     "diagnostics.commutator_delta": _floats(0.0, 1.0),
     "sweep.deltas": _levels(_floats(1e-3, 1.0), min_size=3, unique=True),
     "sweep.eps_levels": _levels(_floats(0.0, 1.0), min_size=1),
-    "defect.ratios": _levels(_floats(1e-3, 100.0)),
-    "defect.windows": _levels(_WINDOWS),
+    "defect.ratios": _levels(_floats(1e-3, 100.0), min_size=1),
+    "defect.windows": _levels(_WINDOWS, min_size=1),
 }
 
 
@@ -224,11 +226,24 @@ def _read_back(cfg, key):
     return attrgetter(KEYS[key].field)(cfg)
 
 
+def _drawn_grid(values):
+    dim = values.get("grid.dim", default_of("grid.dim"))
+    return GridSpec(dim, values.get("grid.n", default_of("grid.n", dim)))
+
+
+def _drawn_initial(values):
+    """The InitialSpec of the drawn ``initial.*`` keys."""
+    return InitialSpec(**{
+        KEYS[key].field.partition(".")[2]: v
+        for key, v in values.items() if key.startswith("initial.")
+    })
+
+
 def _rejected_across_keys(values):
     """An oscillatory wavelength below four cells, a file forcing without a
-    path, or more than ``_MAX_SLABS`` slabs to t_end."""
-    dim = values.get("grid.dim", 1)
-    grid = GridSpec(dim, values.get("grid.n", default_of("grid.n", dim)))
+    path, more than ``_MAX_SLABS`` slabs to t_end, or an initial density
+    with zero mass."""
+    grid = _drawn_grid(values)
     wavelength = values.get("initial.wavelength", default_of("initial.wavelength"))
     t_end = values.get("run.t_end", default_of("run.t_end"))
     slab = values.get("run.slab", default_of("run.slab"))
@@ -236,30 +251,44 @@ def _rejected_across_keys(values):
         (values.get("initial.kind") == "oscillatory" and wavelength < 4.0 * grid.h)
         or (values.get("forcing.kind") == "file" and "forcing.path" not in values)
         or t_end > _MAX_SLABS * slab
+        or make_initial(_drawn_initial(values), grid).max() == 0.0
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.fixed_dictionaries({}, optional=IN_RANGE))
 def test_config_round_trip(values):
+    grid = _drawn_grid(values)
+    snapshot = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), grid)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         Path(path).write_text(
             "".join(f"{key} = {_written(v)}\n" for key, v in values.items()), encoding="utf-8"
         )
+        if "forcing.path" in values:
+            write_snapshot(os.path.join(tmp, values["forcing.path"]), snapshot, 0.0)
         if _rejected_across_keys(values):
             with pytest.raises(ParseError):
                 parse_config(path)
             return
         cfg = parse_config(path)
     for key in IN_RANGE:
-        if key in values:
-            expected = values[key]
-            if key == "forcing.path":
-                expected = os.path.join(tmp, expected)
-        else:
-            expected = default_of(key, cfg.grid.dim)
+        if key.startswith(("initial.", "forcing.")):
+            continue  # read back below, through the inputs they build
+        expected = values[key] if key in values else default_of(key, cfg.grid.dim)
         assert _read_back(cfg, key) == expected, key
+    expected = make_initial(_drawn_initial(values), grid)
+    assert cfg.rho0.data.tobytes() == expected.data.tobytes()
+    kind = values.get("forcing.kind", default_of("forcing.kind"))
+    if kind == "zero":
+        assert cfg.forcing is None
+        return
+    if kind == "cosine":
+        amplitude = values.get("forcing.amplitude", default_of("forcing.amplitude"))
+        expected = amplitude * np.cos(grid.meshgrid()[0])
+    else:
+        expected = snapshot.data
+    assert cfg.forcing.data.tobytes() == expected.tobytes()
 
 
 def test_readme_configuration_keys_are_known():
@@ -394,7 +423,7 @@ def test_relative_snapshot_paths_resolve_against_the_config(tmp_path, monkeypatc
         "forcing.kind = file\nforcing.path = data/f.asf\n",
     ))
     np.testing.assert_array_equal(cfg.tensor.tensor_at()[0, 0, 0, 0], coeff.data)
-    np.testing.assert_array_equal(make_forcing(cfg.forcing, g).data, force.data)
+    np.testing.assert_array_equal(cfg.forcing.data, force.data)
 
 
 @pytest.mark.parametrize("key,text,line", [
@@ -413,10 +442,39 @@ def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, li
     monkeypatch.chdir(elsewhere)
     path = write_cfg(cfg_dir, "grid.n = 16\n" + text.format(name=name))
     with pytest.raises(ParseError) as err:
-        make_forcing(parse_config(path).forcing, g)
+        parse_config(path)
     assert err.value.line == line
     assert err.value.reason.startswith(f"{key}: ") and name in err.value.reason
     assert ("grid does not match" in err.value.reason) == (name == "coarse.asf")
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("initial.value = -1", 2, "initial.value"),
+    ("initial.value = 0", 2, "initial.value"),
+    # the default value 1, taken below zero everywhere by a wide negative bump
+    ("initial.amplitude = -10\ninitial.width = 10\ninitial.kind = bump", 4, "initial.kind"),
+])
+def test_an_initial_density_with_zero_mass_names_its_line(tmp_path, text, line, key):
+    path = write_cfg(tmp_path, f"grid.n = 16\n{text}\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert (err.value.line, err.value.reason) == (
+        line, f"{key}: must leave the initial density mass > 0"
+    )
+
+
+@pytest.mark.parametrize("text, where", [
+    ("initial.kind = cosine\ninitial.value = 1e308\ninitial.amplitude = 1e308", "add"),
+    ("initial.kind = bump\ninitial.width = 1e-154", "divide"),  # r^2 / width^2
+])
+def test_initial_data_that_overflows_names_the_kind_line(tmp_path, text, where):
+    path = write_cfg(tmp_path, f"grid.n = 16\n{text}\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    kind = text.splitlines()[0].partition(" = ")[2]
+    assert (err.value.line, err.value.reason) == (
+        2, f"initial.kind: {kind} initial data: overflow encountered in {where}"
+    )
 
 
 def test_unknown_kinds_are_rejected(tmp_path):
@@ -500,42 +558,42 @@ def test_bump_initial_is_positive_and_localized():
     assert rho.data[0, 0] < 0.51
 
 
-# -------------------------------------------------------------- make_forcing
+# ------------------------------------------------------------ built forcing
 
-def test_zero_forcing_is_none():
-    from anisostokes.config import ForcingSpec
+def test_zero_forcing_is_none(tmp_path):
+    cfg = parse_config(write_cfg(tmp_path, "grid.n = 16\nforcing.kind = zero\n"))
+    assert cfg.forcing is None
 
-    assert make_forcing(ForcingSpec(kind="zero"), GridSpec(1, 16)) is None
 
-
-def test_cosine_forcing_shape():
-    from anisostokes.config import ForcingSpec
-
+def test_cosine_forcing_shape(tmp_path):
     g = GridSpec(2, 16)
-    f = make_forcing(ForcingSpec(kind="cosine", amplitude=0.25), g)
+    cfg = parse_config(write_cfg(
+        tmp_path, "grid.dim = 2\ngrid.n = 16\nforcing.kind = cosine\nforcing.amplitude = 0.25\n"
+    ))
     x, _ = g.meshgrid()
-    np.testing.assert_allclose(f.data, 0.25 * np.cos(x))
+    np.testing.assert_allclose(cfg.forcing.data, 0.25 * np.cos(x))
 
 
 def test_file_forcing_roundtrip(tmp_path):
-    from anisostokes.config import ForcingSpec
-
     g = GridSpec(1, 32)
     field = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), g)
     snap = tmp_path / "f.asf"
     write_snapshot(str(snap), field, 0.0)
-    f = make_forcing(ForcingSpec(kind="file", path=str(snap)), g)
-    np.testing.assert_allclose(f.data, field.data)
+    cfg = parse_config(write_cfg(
+        tmp_path, f"grid.n = 32\nforcing.kind = file\nforcing.path = {snap}\n"
+    ))
+    np.testing.assert_allclose(cfg.forcing.data, field.data)
 
 
 def test_file_forcing_grid_mismatch(tmp_path):
-    from anisostokes.config import ForcingSpec
-
     g = GridSpec(1, 32)
     field = make_initial(InitialSpec(), g)
     snap = tmp_path / "f.asf"
     write_snapshot(str(snap), field, 0.0)
+    path = write_cfg(
+        tmp_path, f"grid.n = 64\n# on 32 cells\n\n\nforcing.path = {snap}\nforcing.kind = file\n"
+    )
     with pytest.raises(ParseError) as err:
-        make_forcing(ForcingSpec(kind="file", path=str(snap), line=5), GridSpec(1, 64))
+        parse_config(path)
     assert err.value.line == 5
     assert err.value.reason.startswith("forcing.path: ")
