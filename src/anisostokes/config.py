@@ -11,14 +11,15 @@ constant in time).  Relative snapshot paths (``viscosity.files`` and
 and a snapshot that cannot be read is a :class:`ParseError` naming the
 line of the key that points at it.
 
-:data:`KEYS` is the one description of every key: its reader, the field
-it fills (whose dataclass default is the key's default) and its accepted
-range.  A value out of range, or a real that reads as inf or nan, is a
-:class:`ParseError` on its key's line, and so is an oscillatory
-``initial.wavelength`` below four cells; a tensor or forcing kind given
-without the data it needs is one on the kind's line, and so is initial
-data that overflows.  An initial density with zero mass after clipping is
-one on the ``initial.value`` line (the kind's, if the value is default).
+:data:`KEYS` is the one description of every key: its reader, its default
+(held by the field it fills, or by the key when it builds an input) and
+its accepted range.  A byte that is not UTF-8, a value out of range, or a
+real that reads as inf or nan, is a :class:`ParseError` on its line, and
+so is an oscillatory ``initial.wavelength`` below four cells; a tensor or
+forcing kind given without the data it needs is one on the kind's line,
+and so is initial data that overflows.  An initial density with zero mass
+after clipping is one on the ``initial.value`` line (the kind's, if the
+value is default).
 """
 
 from __future__ import annotations
@@ -52,20 +53,6 @@ class UnknownKey(ParseError):
         self.key = key
 
 
-class UnresolvedWavelength(Exception):
-    """Oscillation wavelength below four grid cells."""
-
-
-@dataclass(frozen=True)
-class InitialSpec:
-    kind: str = "constant"
-    value: float = 1.0
-    amplitude: float = 0.2
-    wavelength: float = 2 * np.pi / 16
-    width: float = np.pi / 2
-    base: str = "constant"
-
-
 @dataclass(frozen=True)
 class RunConfig:
     """A parsed configuration with its run inputs built: the stress law
@@ -95,7 +82,6 @@ class RunConfig:
 _HOLDERS = {
     "": RunConfig,
     "params": SolverParams,
-    "initial": InitialSpec,
     "defect_params": DefectParams,
 }
 
@@ -103,11 +89,10 @@ _HOLDERS = {
 class _Key(NamedTuple):
     """How one config key is read, where its value goes and what it accepts.
 
-    ``field`` is the value's attribute path in :class:`RunConfig` (in the
-    :class:`InitialSpec` that builds ``rho0`` for ``initial.*``); that field's
-    default is the key's default.  Keys that build the grid, the tensor or
-    the forcing have no field and keep their ``default`` here (a function of
-    the grid dimension where it depends on it, described by ``note``).
+    ``field`` is the value's attribute path in :class:`RunConfig`, whose
+    default is the key's default.  Keys that build the grid or a run input
+    have no field and keep their ``default`` here (a function of the grid
+    dimension where it depends on it, described by ``note``).
     ``check`` is ``(accepts(value, grid), range)``; SolverParams checks its
     own fields.
     """
@@ -166,13 +151,13 @@ KEYS = {
                         note="constant-full entries, dim^4 comma-separated, row-major"),
     "viscosity.files": _Key("text", default="",
                             note="varying entries, semicolon-separated ijkl:path snapshots"),
-    "initial.kind": _Key("text", "initial.kind",
-                         _kind("constant", "bump", "cosine", "oscillatory")),
-    "initial.value": _Key("real", "initial.value"),
-    "initial.amplitude": _Key("real", "initial.amplitude"),
-    "initial.wavelength": _Key("real", "initial.wavelength"),
-    "initial.width": _Key("real", "initial.width", _POSITIVE_SQUARE),
-    "initial.base": _Key("text", "initial.base", _kind("constant", "cosine", "bump")),
+    "initial.kind": _Key("text", check=_kind("constant", "bump", "cosine", "oscillatory"),
+                         default="constant"),
+    "initial.value": _Key("real", default=1.0),
+    "initial.amplitude": _Key("real", default=0.2),
+    "initial.wavelength": _Key("real", default=2 * np.pi / 16),
+    "initial.width": _Key("real", check=_POSITIVE_SQUARE, default=np.pi / 2),
+    "initial.base": _Key("text", check=_kind("constant", "cosine", "bump"), default="constant"),
     "forcing.kind": _Key("text", check=_kind("zero", "cosine", "file"), default="zero"),
     "forcing.amplitude": _Key("real", default=0.0),
     "forcing.path": _Key("path", default=""),
@@ -249,8 +234,13 @@ _READERS = {
 def _parse_lines(path):
     """Each key given in the file: its text value and line number."""
     entries = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:  # a byte that is not UTF-8 reads as a lone surrogate, which cannot encode
+                raw.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(raw[exc.start]) - 0xDC00  # the escape of byte 0x80-0xff
+                raise ParseError(lineno, f"not UTF-8: byte {byte:#04x}") from exc
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -318,22 +308,44 @@ def _build_tensor(value, lines, grid, base_dir):
     return VaryingFull(grid, values)
 
 
-def _build_initial(spec, lines, line_of, grid):
-    """:func:`make_initial` with numpy's errors raised (``parse_config``
-    runs outside a study's error state); each failure names its line."""
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            rho0 = make_initial(spec, grid)
-    except UnresolvedWavelength as exc:
+def _profile(kind, value, xs):
+    """The ``constant``, ``cosine`` or ``bump`` profile of the ``initial.*`` values."""
+    level, amplitude = value["initial.value"], value["initial.amplitude"]
+    if kind == "constant":
+        return np.full(xs[0].shape, float(level))
+    if kind == "cosine":
+        return level + amplitude * np.cos(xs[0])
+    r2 = sum((x - np.pi) ** 2 for x in xs)
+    return level + amplitude * np.exp(-(r2 / value["initial.width"] ** 2))
+
+
+def _build_initial(value, lines, line_of, grid):
+    """The initial density, clipped at zero, sampled with numpy's errors
+    raised (``parse_config`` runs outside a study's error state); each
+    failure names its line."""
+    kind, wavelength = value["initial.kind"], value["initial.wavelength"]
+    if kind == "oscillatory" and wavelength < 4.0 * grid.h:
         raise ParseError(
             line_of("initial.wavelength"),
             f"initial.wavelength: must be at least 4 cells ({4.0 * grid.h:.4g}) "
-            f"for initial.kind = oscillatory, got {spec.wavelength!r}",
-        ) from exc
+            f"for initial.kind = oscillatory, got {wavelength!r}",
+        )
+    xs = grid.meshgrid()
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if kind == "oscillatory":
+                base = ScalarField(grid, _profile(value["initial.base"], value, xs))
+                wave = np.sin(2.0 * np.pi * xs[0] / wavelength)
+                rho0 = ScalarField(grid, base.data * (1.0 + value["initial.amplitude"] * wave))
+            else:
+                rho0 = ScalarField(grid, _profile(kind, value, xs))
     except (FloatingPointError, NonFiniteField) as exc:
         raise ParseError(
-            lines.get("initial.kind", 0), f"initial.kind: {spec.kind} initial data: {exc}"
+            lines.get("initial.kind", 0), f"initial.kind: {kind} initial data: {exc}"
         ) from exc
+    if rho0.min() < 0.0:
+        logger.info("initial data clipped %d negative cells to zero", int((rho0.data < 0.0).sum()))
+        rho0 = ScalarField(grid, np.maximum(rho0.data, 0.0))
     if rho0.max() == 0.0:
         key = "initial.value" if "initial.value" in lines else "initial.kind"
         raise ParseError(lines.get(key, 0), f"{key}: must leave the initial density mass > 0")
@@ -381,9 +393,7 @@ def parse_config(path):
         )
     for key, kind, needs in _KIND_NEEDS:
         if value[key] == kind and not any(value[k] for k in needs):
-            raise ParseError(
-                lines[key], f"{key}: must be {kind!r} only with {' or '.join(needs)}"
-            )
+            raise ParseError(lines[key], f"{key}: must be {kind!r} only with {' or '.join(needs)}")
     try:
         params = SolverParams(**held["params"])
     except InvalidParameter as exc:
@@ -395,46 +405,10 @@ def parse_config(path):
         grid=grid,
         params=params,
         tensor=_build_tensor(value, lines, grid, base_dir),
-        rho0=_build_initial(InitialSpec(**held["initial"]), lines, line_of, grid),
+        rho0=_build_initial(value, lines, line_of, grid),
         forcing=_build_forcing(value, lines, grid),
         defect_params=DefectParams(**held["defect_params"]),
         tensor_line=lines.get(law_key) or lines.get("viscosity.kind", 0),
         **held[""],
     )
 
-
-def _base_field(kind, spec, grid):
-    xs = grid.meshgrid()
-    if kind == "constant":
-        return ScalarField.constant(grid, spec.value)
-    if kind == "cosine":
-        return ScalarField(grid, spec.value + spec.amplitude * np.cos(xs[0]))
-    if kind == "bump":
-        center = np.pi
-        r2 = sum((x - center) ** 2 for x in xs)
-        profile = np.exp(-(r2 / spec.width**2))
-        return ScalarField(grid, spec.value + spec.amplitude * profile)
-    raise ValueError(f"unknown field kind {kind!r}")
-
-
-def make_initial(spec, grid):
-    """Build the initial density; nonnegative by construction or clipping."""
-    if spec.kind in ("constant", "cosine", "bump"):
-        out = _base_field(spec.kind, spec, grid)
-    elif spec.kind == "oscillatory":
-        if spec.wavelength < 4.0 * grid.h:
-            raise UnresolvedWavelength(
-                f"wavelength {spec.wavelength:.4g} needs at least 4 cells, "
-                f"grid spacing is {grid.h:.4g}"
-            )
-        base = _base_field(spec.base, spec, grid)
-        xs = grid.meshgrid()
-        factor = 1.0 + spec.amplitude * np.sin(2.0 * np.pi * xs[0] / spec.wavelength)
-        out = ScalarField(grid, base.data * factor)
-    else:
-        raise ValueError(f"unknown initial kind {spec.kind!r}")
-    if out.min() < 0.0:
-        clipped = int((out.data < 0.0).sum())
-        logger.info("initial data clipped %d negative cells to zero", clipped)
-        out = ScalarField(grid, np.maximum(out.data, 0.0))
-    return out

@@ -37,9 +37,6 @@ class DiagnosticsRow:
     defect_proxy: float
     commutator_l1: float
 
-    def as_csv_line(self):
-        return _csv_line(astuple(self))
-
 
 CSV_HEADER = ",".join(f.name for f in fields(DiagnosticsRow))
 
@@ -96,7 +93,6 @@ def _window_means(data, window):
     for n in shape:
         if n % window != 0:
             raise ValueError(f"window {window} does not divide grid extent {n}")
-    reshaped = data
     # split each axis into (blocks, window) and average the window axes
     new_shape = []
     for n in shape:

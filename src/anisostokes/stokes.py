@@ -89,12 +89,10 @@ class StokesOperator:
     Build with :meth:`build`; solve right sides with :func:`solve`.
     """
 
-    def __init__(self, tensor, grid, mode, rtol, max_iter):
+    def __init__(self, tensor, grid, mode):
         self.tensor = tensor
         self.grid = grid
         self.mode = mode
-        self.rtol = rtol
-        self.max_iter = max_iter
         self._scalar_symbol = None
         self._gain = None
         self._precond_inv = None
@@ -103,7 +101,7 @@ class StokesOperator:
     # -- construction ---------------------------------------------------
 
     @classmethod
-    def build(cls, tensor, grid, rtol=1e-8, max_iter=400):
+    def build(cls, tensor, grid):
         """Bind a viscosity tensor to a grid, validating its symbols.
 
         Raises
@@ -119,7 +117,7 @@ class StokesOperator:
                 f"tensor dimension {tensor.dim} != grid dimension {grid.dim}"
             )
         mode = "krylov" if tensor.kind == "varying" else "symbol"
-        op = cls(tensor, grid, mode, rtol, max_iter)
+        op = cls(tensor, grid, mode)
         kvec, active = _wavevectors(grid)
         half = grid.half_shape[-1]
         ik, ahalf = grid.ik, active[..., :half]
@@ -219,7 +217,7 @@ def solve(op, q):
     -------
     VectorField
         u with componentwise zero mean and
-        ``||A u - grad q||_2 <= rtol * ||grad q||_2``.
+        ``||A u - grad q||_2 <= _KRYLOV_RTOL * ||grad q||_2``.
     """
     if q.grid != op.grid:
         raise ValueError("q lives on a different grid")
@@ -227,6 +225,11 @@ def solve(op, q):
         grid = op.grid
         return VectorField.from_arrays(grid, grid.irfft(op.solve_hat(grid.rfft(q.data))))
     return solve_rhs(op, grad(q))
+
+
+# the Krylov contract: residual at most this times ||rhs||, within this many iterations
+_KRYLOV_RTOL = 1e-8
+_KRYLOV_MAX_ITER = 400
 
 
 def solve_rhs(op, rhs):
@@ -261,20 +264,18 @@ def solve_rhs(op, rhs):
         return VectorField.zeros(grid)
     lin = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
     pre = spla.LinearOperator((size, size), matvec=precvec, dtype=np.float64)
-    # aim below rtol so the physical-norm contract check has margin
-    target = 0.05 * op.rtol
+    # aim below the contract so its physical-norm check has margin
+    target = 0.05 * _KRYLOV_RTOL
     if op._use_cg:
-        x, _ = spla.cg(lin, b, rtol=target, atol=0.0, maxiter=op.max_iter, M=pre)
+        x, _ = spla.cg(lin, b, rtol=target, atol=0.0, maxiter=_KRYLOV_MAX_ITER, M=pre)
     else:
-        x, _ = spla.lgmres(
-            lin, b, rtol=target, atol=0.0, maxiter=op.max_iter, M=pre
-        )
+        x, _ = spla.lgmres(lin, b, rtol=target, atol=0.0, maxiter=_KRYLOV_MAX_ITER, M=pre)
     u = VectorField.from_arrays(grid, x.reshape((d,) + grid.shape))
     u = _project_mean_free(u)
     res = residual_rhs(op, u, rhs)
     scale = rhs.l2_norm()
-    if res > op.rtol * scale:
-        raise KrylovNoConvergence(op.max_iter, res, op.rtol * scale)
+    if res > _KRYLOV_RTOL * scale:
+        raise KrylovNoConvergence(_KRYLOV_MAX_ITER, res, _KRYLOV_RTOL * scale)
     return u
 
 

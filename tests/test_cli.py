@@ -598,6 +598,14 @@ def test_unknown_key_fails_the_config_with_exit_code_2(tmp_path, capsys):
     assert not (tmp_path / "art").exists()
 
 
+def test_a_config_that_is_not_utf8_fails_the_config(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"grid.n = 16\n# caf\xe9\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "art")]) == 2
+    assert capsys.readouterr() == (f"FAIL config: {cfg}: line 2: not UTF-8: byte 0xe9\n", "")
+    assert not (tmp_path / "art").exists()
+
+
 def test_unreadable_forcing_snapshot_fails_the_config(tmp_path, capsys):
     # the snapshot is read while the config is parsed, before any output
     cfg = write_cfg(tmp_path, SMALL_RUN + "forcing.kind = file\nforcing.path = gone.asf\n")

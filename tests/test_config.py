@@ -15,15 +15,12 @@ from anisostokes.cli import main
 from anisostokes.config import (
     _MAX_SLABS,
     KEYS,
-    InitialSpec,
     ParseError,
     UnknownKey,
-    UnresolvedWavelength,
     default_of,
-    make_initial,
     parse_config,
 )
-from anisostokes.fields import GridSpec, write_snapshot
+from anisostokes.fields import GridSpec, ScalarField, write_snapshot
 from anisostokes.viscosity import ConstantFull, DiagNu, VaryingFull
 
 
@@ -231,27 +228,52 @@ def _drawn_grid(values):
     return GridSpec(dim, values.get("grid.n", default_of("grid.n", dim)))
 
 
-def _drawn_initial(values):
-    """The InitialSpec of the drawn ``initial.*`` keys."""
-    return InitialSpec(**{
-        KEYS[key].field.partition(".")[2]: v
-        for key, v in values.items() if key.startswith("initial.")
-    })
+def _drawn_density(values, grid):
+    """The initial density of the drawn ``initial.*`` keys, written out from
+    its profiles and clipped at zero; None for an oscillation whose
+    wavelength is below four cells."""
+    def get(key):
+        return values.get(key, default_of(key))
+
+    xs = grid.meshgrid()
+    value, amplitude = get("initial.value"), get("initial.amplitude")
+
+    def profile(kind):
+        if kind == "constant":
+            return np.full(grid.shape, float(value))
+        if kind == "cosine":
+            return value + amplitude * np.cos(xs[0])
+        r2 = sum((x - np.pi) ** 2 for x in xs)
+        return value + amplitude * np.exp(-(r2 / get("initial.width") ** 2))
+
+    kind, wavelength = get("initial.kind"), get("initial.wavelength")
+    if kind != "oscillatory":
+        data = profile(kind)
+    elif wavelength < 4.0 * grid.h:
+        return None
+    else:
+        wave = np.sin(2.0 * np.pi * xs[0] / wavelength)
+        data = profile(get("initial.base")) * (1.0 + amplitude * wave)
+    return np.maximum(data, 0.0) if data.min() < 0.0 else data
+
+
+def _cosine(grid, value=0.0, amplitude=1.0):
+    """A cosine snapshot field along the first axis."""
+    return ScalarField(grid, value + amplitude * np.cos(grid.meshgrid()[0]))
 
 
 def _rejected_across_keys(values):
     """An oscillatory wavelength below four cells, a file forcing without a
     path, more than ``_MAX_SLABS`` slabs to t_end, or an initial density
     with zero mass."""
-    grid = _drawn_grid(values)
-    wavelength = values.get("initial.wavelength", default_of("initial.wavelength"))
+    rho0 = _drawn_density(values, _drawn_grid(values))
     t_end = values.get("run.t_end", default_of("run.t_end"))
     slab = values.get("run.slab", default_of("run.slab"))
     return (
-        (values.get("initial.kind") == "oscillatory" and wavelength < 4.0 * grid.h)
+        rho0 is None
         or (values.get("forcing.kind") == "file" and "forcing.path" not in values)
         or t_end > _MAX_SLABS * slab
-        or make_initial(_drawn_initial(values), grid).max() == 0.0
+        or rho0.max() == 0.0
     )
 
 
@@ -259,7 +281,7 @@ def _rejected_across_keys(values):
 @given(st.fixed_dictionaries({}, optional=IN_RANGE))
 def test_config_round_trip(values):
     grid = _drawn_grid(values)
-    snapshot = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), grid)
+    snapshot = _cosine(grid)
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "run.cfg")
         Path(path).write_text(
@@ -277,8 +299,7 @@ def test_config_round_trip(values):
             continue  # read back below, through the inputs they build
         expected = values[key] if key in values else default_of(key, cfg.grid.dim)
         assert _read_back(cfg, key) == expected, key
-    expected = make_initial(_drawn_initial(values), grid)
-    assert cfg.rho0.data.tobytes() == expected.data.tobytes()
+    assert cfg.rho0.data.tobytes() == _drawn_density(values, grid).tobytes()
     kind = values.get("forcing.kind", default_of("forcing.kind"))
     if kind == "zero":
         assert cfg.forcing is None
@@ -299,6 +320,13 @@ def test_readme_configuration_keys_are_known():
     assert [k for k in keys if k not in KEYS] == []
     assert [k for k in KEYS if k not in keys] == []
     assert len(keys) == len(KEYS)
+
+
+def test_each_key_keeps_its_default_in_one_place():
+    # the dataclass field a key fills holds its default; a key with no field holds its own
+    both_or_neither = [key for key, spec in KEYS.items()
+                       if bool(spec.field) == (spec.default is not None)]
+    assert both_or_neither == []
 
 
 def test_duplicate_key_names_both_lines(tmp_path):
@@ -339,6 +367,23 @@ def test_malformed_line_reports_position(tmp_path):
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, newline):
+    def cfg(comment):
+        # line 2 holds valid multi-byte UTF-8, line 4 the given comment bytes
+        lines = [b"grid.n = 16", "initial.kind = cosine  # r\u00e9sum\u00e9".encode(), b"",
+                 b"# caf" + comment, b"grid.n = 32"]
+        path = tmp_path / "run.cfg"
+        path.write_bytes(newline.encode().join(lines) + newline.encode())
+        with pytest.raises(ParseError) as err:
+            parse_config(str(path))
+        return err.value.line, err.value.reason
+
+    assert cfg(b"\xe9") == (4, "not UTF-8: byte 0xe9")
+    # the same file in UTF-8 parses up to the key given twice, on line 5
+    assert cfg("\u00e9".encode()) == (5, "duplicate key 'grid.n', first given on line 1")
+
+
 def test_bad_number_reports_key_and_line(tmp_path):
     path = write_cfg(tmp_path, "run.t_end = soon\n")
     with pytest.raises(ParseError) as err:
@@ -372,7 +417,7 @@ def test_diag_tensor_wrong_count(tmp_path):
 
 def test_varying_tensor_from_snapshots(tmp_path):
     g = GridSpec(1, 16)
-    coeff = make_initial(InitialSpec(kind="cosine", value=2.0, amplitude=0.5), g)
+    coeff = _cosine(g, 2.0, 0.5)
     snap = tmp_path / "a0000.asf"
     write_snapshot(str(snap), coeff, 0.0)
     path = write_cfg(
@@ -386,7 +431,7 @@ def test_varying_tensor_from_snapshots(tmp_path):
 
 def test_varying_tensor_rejects_bad_index_group(tmp_path):
     g = GridSpec(1, 16)
-    coeff = make_initial(InitialSpec(), g)
+    coeff = ScalarField.constant(g, 1.0)
     snap = tmp_path / "a.asf"
     write_snapshot(str(snap), coeff, 0.0)
     path = write_cfg(
@@ -405,8 +450,8 @@ def snapshot_dir(tmp_path):
     g = GridSpec(1, 16)
     cfg_dir = tmp_path / "study"
     (cfg_dir / "data").mkdir(parents=True)
-    coeff = make_initial(InitialSpec(kind="cosine", value=2.0, amplitude=0.5), g)
-    force = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), g)
+    coeff = _cosine(g, 2.0, 0.5)
+    force = _cosine(g)
     write_snapshot(str(cfg_dir / "data" / "a.asf"), coeff, 0.0)
     write_snapshot(str(cfg_dir / "data" / "f.asf"), force, 0.0)
     elsewhere = tmp_path / "elsewhere"
@@ -435,7 +480,7 @@ def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, li
     g, cfg_dir, elsewhere, _coeff, _force = snapshot_dir(tmp_path)
     (cfg_dir / "data" / "garbage.asf").write_bytes(b"not a snapshot")
     coarse = GridSpec(g.dim, g.n[0] // 2)
-    write_snapshot(str(cfg_dir / "data" / "coarse.asf"), make_initial(InitialSpec(), coarse), 0.0)
+    write_snapshot(str(cfg_dir / "data" / "coarse.asf"), ScalarField.constant(coarse, 1.0), 0.0)
     # the same names relative to the cwd must not be picked up instead
     (elsewhere / "data").mkdir()
     (elsewhere / "data" / "missing.asf").write_bytes((cfg_dir / "data" / "f.asf").read_bytes())
@@ -486,72 +531,67 @@ def test_unknown_kinds_are_rejected(tmp_path):
         parse_config(write_cfg(tmp_path, "forcing.kind = wind\n", name="c.cfg"))
 
 
-# -------------------------------------------------------------- make_initial
+# ---------------------------------------------------- built initial density
 
-def test_constant_initial_is_uniform():
-    g = GridSpec(2, 16)
-    rho = make_initial(InitialSpec(kind="constant", value=1.0), g)
+def parsed_initial(tmp_path, dim, n, **initial):
+    """``rho0`` as parse_config builds it on a ``dim``-D grid of ``n`` cells
+    per axis, with each keyword given as its ``initial.*`` key."""
+    text = f"grid.dim = {dim}\ngrid.n = {n}\n" + "".join(
+        f"initial.{key} = {_written(v)}\n" for key, v in initial.items()
+    )
+    return parse_config(write_cfg(tmp_path, text)).rho0
+
+
+def test_constant_initial_is_uniform(tmp_path):
+    rho = parsed_initial(tmp_path, 2, 16, kind="constant", value=1.0)
     assert rho.min() == 1.0
     assert rho.max() == 1.0
 
 
-def test_oscillatory_with_zero_amplitude_equals_base():
-    g = GridSpec(1, 128)
-    base = make_initial(InitialSpec(kind="cosine", value=1.0, amplitude=0.3), g)
-    osc = make_initial(
-        InitialSpec(kind="oscillatory", value=1.0, amplitude=0.0,
-                    wavelength=2 * np.pi / 16, base="cosine"),
-        g,
-    )
+def test_oscillatory_with_zero_amplitude_equals_base(tmp_path):
+    osc = parsed_initial(tmp_path, 1, 128, kind="oscillatory", value=1.0, amplitude=0.0,
+                         wavelength=2 * np.pi / 16, base="cosine")
     # amplitude covers both the base cosine and the oscillation; rebuild with
     # the base amplitude pinned but the oscillation off
-    osc2 = make_initial(
-        InitialSpec(kind="oscillatory", value=1.0, amplitude=0.3,
-                    wavelength=2 * np.pi / 16, base="constant"),
-        g,
-    )
+    osc2 = parsed_initial(tmp_path, 1, 128, kind="oscillatory", value=1.0, amplitude=0.3,
+                          wavelength=2 * np.pi / 16, base="constant")
     assert (osc.data == 1.0).all()
     assert osc2.min() == pytest.approx(0.7, abs=1e-12)
-    del base
 
 
-def test_oscillatory_aligned_extremes():
+def test_oscillatory_aligned_extremes(tmp_path):
     # base 1, a = 0.5, wavelength 2 pi / 16 on n = 128: sin hits +-1 exactly
-    g = GridSpec(1, 128)
-    rho = make_initial(
-        InitialSpec(kind="oscillatory", value=1.0, amplitude=0.5,
-                    wavelength=2 * np.pi / 16, base="constant"),
-        g,
-    )
+    rho = parsed_initial(tmp_path, 1, 128, kind="oscillatory", value=1.0, amplitude=0.5,
+                         wavelength=2 * np.pi / 16, base="constant")
     assert rho.min() == pytest.approx(0.5, abs=1e-12)
     assert rho.max() == pytest.approx(1.5, abs=1e-12)
 
 
-def test_oscillatory_clips_at_zero_and_logs(caplog):
-    g = GridSpec(1, 128)
+def test_oscillatory_clips_at_zero_and_logs(tmp_path, caplog):
     with caplog.at_level("INFO", logger="anisostokes"):
-        rho = make_initial(
-            InitialSpec(kind="oscillatory", value=1.0, amplitude=1.5,
-                        wavelength=2 * np.pi / 8, base="constant"),
-            g,
-        )
+        rho = parsed_initial(tmp_path, 1, 128, kind="oscillatory", value=1.0, amplitude=1.5,
+                             wavelength=2 * np.pi / 8, base="constant")
     assert rho.min() == 0.0
     assert any("clipped" in rec.message for rec in caplog.records)
 
 
-def test_unresolved_wavelength_raises():
-    g = GridSpec(1, 16)  # h = 2 pi / 16; need wavelength >= 4 h = pi / 2
-    with pytest.raises(UnresolvedWavelength):
-        make_initial(
-            InitialSpec(kind="oscillatory", wavelength=2 * np.pi / 32), g
-        )
-
-
-def test_bump_initial_is_positive_and_localized():
-    g = GridSpec(2, 32)
-    rho = make_initial(
-        InitialSpec(kind="bump", value=0.5, amplitude=1.0, width=0.8), g
+def test_unresolved_wavelength_raises(tmp_path):
+    # h = 2 pi / 16; need wavelength >= 4 h = pi / 2
+    wavelength = 2 * np.pi / 32
+    path = write_cfg(
+        tmp_path, f"grid.n = 16\ninitial.kind = oscillatory\ninitial.wavelength = {wavelength!r}\n"
     )
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 3
+    assert err.value.reason == (
+        f"initial.wavelength: must be at least 4 cells ({np.pi / 2:.4g}) "
+        f"for initial.kind = oscillatory, got {wavelength!r}"
+    )
+
+
+def test_bump_initial_is_positive_and_localized(tmp_path):
+    rho = parsed_initial(tmp_path, 2, 32, kind="bump", value=0.5, amplitude=1.0, width=0.8)
     assert rho.min() >= 0.5
     assert rho.max() > 1.2
     # far corner barely sees the bump
@@ -576,7 +616,7 @@ def test_cosine_forcing_shape(tmp_path):
 
 def test_file_forcing_roundtrip(tmp_path):
     g = GridSpec(1, 32)
-    field = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), g)
+    field = _cosine(g)
     snap = tmp_path / "f.asf"
     write_snapshot(str(snap), field, 0.0)
     cfg = parse_config(write_cfg(
@@ -587,7 +627,7 @@ def test_file_forcing_roundtrip(tmp_path):
 
 def test_file_forcing_grid_mismatch(tmp_path):
     g = GridSpec(1, 32)
-    field = make_initial(InitialSpec(), g)
+    field = ScalarField.constant(g, 1.0)
     snap = tmp_path / "f.asf"
     write_snapshot(str(snap), field, 0.0)
     path = write_cfg(

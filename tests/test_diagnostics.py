@@ -296,12 +296,13 @@ def test_rows_and_csv_roundtrip(tmp_path):
     assert out.read_bytes() == out2.read_bytes()
 
 
-def test_csv_full_precision():
+def test_csv_full_precision(tmp_path):
     g = GridSpec(1, 16)
     p = SolverParams(gamma=2.0, dt_max=0.01)
     _, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0 / 3.0), None, p, 0.0,
                      0.05)
     row = state_rows(states, 2.0, DefectParams())[0]
-    line = row.as_csv_line()
+    write_rows_csv([row], tmp_path / "diag.csv")
+    line = (tmp_path / "diag.csv").read_text(encoding="utf-8").splitlines()[1]
     mass_text = line.split(",")[1]
     assert float(mass_text) == row.mass

@@ -13,10 +13,9 @@ from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_config import IN_RANGE, _drawn_grid, _drawn_initial, _floats, _written
+from test_config import IN_RANGE, _cosine, _drawn_density, _drawn_grid, _floats, _written
 
 from anisostokes import cli, config, marching
-from anisostokes.config import InitialSpec, make_initial
 from anisostokes.fields import write_snapshot
 
 # small grids and short horizons keep each march to milliseconds
@@ -59,16 +58,13 @@ def _main(command, cfg, out_dir, strict):
 def test_every_command_ends_in_a_verdict(grid, t_end, drawn, strict):
     values = {"grid.dim": grid[0], "grid.n": grid[1], "run.t_end": t_end, **drawn}
     g = _drawn_grid(values)
-    spec = _drawn_initial(values)
-    zero_mass = (spec.kind != "oscillatory" or spec.wavelength >= 4.0 * g.h) and (
-        make_initial(spec, g).max() == 0.0
-    )
+    rho0 = _drawn_density(values, g)
+    zero_mass = rho0 is not None and rho0.max() == 0.0
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "run.cfg")
         Path(cfg).write_text("".join(f"{k} = {_written(v)}\n" for k, v in values.items()))
         if "forcing.path" in values:
-            forcing = make_initial(InitialSpec(kind="cosine", value=0.0, amplitude=1.0), g)
-            write_snapshot(os.path.join(tmp, values["forcing.path"]), forcing, 0.0)
+            write_snapshot(os.path.join(tmp, values["forcing.path"]), _cosine(g), 0.0)
         for command in cli._COMMANDS:
             first = _main(command, cfg, os.path.join(tmp, f"{command}-1"), strict)
             code, out, err, _ = first

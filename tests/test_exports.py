@@ -38,7 +38,6 @@ EXCEPTIONS = [
     anisostokes.SolverFailure("the solver broke down"),
     anisostokes.SubstepOverflow("slab [0.0, 0.05] needs 1e+299 substeps, more than 10000"),
     anisostokes.UnknownKey(2, "params.gama"),
-    anisostokes.UnresolvedWavelength("wavelength 0.1 is below four cells"),
 ]
 
 
