@@ -234,7 +234,7 @@ _READERS = {
 def _parse_lines(path):
     """Each key given in the file: its text value and line number."""
     entries = {}
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:  # a byte that is not UTF-8 reads as a lone surrogate, which cannot encode
                 raw.encode("utf-8")

@@ -510,12 +510,38 @@ class MollifierKernel:
         return grid.rfft(wrapped).real
 
 
+def _periodic_stencil(data, weights):
+    """Periodic correlation of ``data`` with an odd-sided stencil (see :func:`mollify`).
+
+    Padding wraps the data once by the stencil radius, which also wraps a
+    stencil wider than the grid.
+    """
+    m = weights.shape[0] // 2
+    padded = np.pad(data, m, mode="wrap")
+    out = np.zeros(data.shape)
+    eps = np.finfo(float).eps
+    for idx in np.ndindex(weights.shape):
+        w = weights[idx]
+        if abs(w) > eps:
+            out += w * padded[tuple(slice(i, i + n) for i, n in zip(idx, data.shape))]
+    return out
+
+
 def mollify(field, kernel):
     """Periodic discrete convolution of a field with a mollifier kernel.
 
     Preserves the mean exactly (weights sum to one), preserves
     nonnegativity (weights are nonnegative) and commutes with the spectral
     gradient (discrete convolutions are diagonal in Fourier space).
+
+    The stencil is applied by :func:`_periodic_stencil`.  The weights are
+    even under index reflection bit for bit, so convolution is correlation.
+    Each cell sums ``w * neighbour`` from 0.0 over the weights in C order and
+    leaves out weights at or below ``DBL_EPSILON``: that order and that
+    footprint are scipy.ndimage's, so the result equals
+    ``ndimage.convolve(data, weights, mode="wrap")`` bit for bit.  Both
+    matter, since floating-point sums depend on their order and a term of
+    order ``DBL_EPSILON`` times a neighbour moves the last bit.
 
     Parameters
     ----------
@@ -533,10 +559,7 @@ def mollify(field, kernel):
         raise ValueError("kernel built for a different grid")
     if kernel.is_identity:
         return field.copy()
-    from scipy import ndimage  # only the stencil paths need it
-
-    out = ndimage.convolve(field.data, kernel.weights, mode="wrap")
-    return ScalarField(field.grid, out)
+    return ScalarField(field.grid, _periodic_stencil(field.data, kernel.weights))
 
 
 def commutator_residual(rho, u, delta):

@@ -4,7 +4,9 @@ Constant-coefficient laws (diagonal or full tensor) are solved exactly in
 Fourier space ("symbol mode").  Cellwise-varying tensors go through a
 preconditioned Krylov iteration (conjugate gradients when the tensor has
 the major symmetry, a residual-minimizing iteration otherwise) with the
-cell-averaged constant tensor as preconditioner.
+cell-averaged constant tensor as preconditioner.  Conjugate gradients is
+the numpy :func:`_cg`; only the residual-minimizing branch, scipy's
+LGMRES, imports scipy, when it first runs.
 
 The diagonal law uses the scalar symbol sum_a nu_a k_a^2 (the weighted
 Laplacian applied componentwise); full tensors use the d x d matrix symbol
@@ -239,8 +241,6 @@ def solve_rhs(op, rhs):
     it also backs manufactured-solution round trips where the forward
     application of a varying tensor is not a gradient field.
     """
-    from scipy.sparse import linalg as spla  # symbol-mode runs never load it
-
     grid = op.grid
     d = grid.dim
     size = d * grid.ncells
@@ -262,13 +262,15 @@ def solve_rhs(op, rhs):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return VectorField.zeros(grid)
-    lin = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
-    pre = spla.LinearOperator((size, size), matvec=precvec, dtype=np.float64)
     # aim below the contract so its physical-norm check has margin
     target = 0.05 * _KRYLOV_RTOL
     if op._use_cg:
-        x, _ = spla.cg(lin, b, rtol=target, atol=0.0, maxiter=_KRYLOV_MAX_ITER, M=pre)
+        x = _cg(matvec, precvec, b, target * bnorm)
     else:
+        from scipy.sparse import linalg as spla  # only LGMRES loads scipy
+
+        lin = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+        pre = spla.LinearOperator((size, size), matvec=precvec, dtype=np.float64)
         x, _ = spla.lgmres(lin, b, rtol=target, atol=0.0, maxiter=_KRYLOV_MAX_ITER, M=pre)
     u = VectorField.from_arrays(grid, x.reshape((d,) + grid.shape))
     u = _project_mean_free(u)
@@ -277,6 +279,33 @@ def solve_rhs(op, rhs):
     if res > _KRYLOV_RTOL * scale:
         raise KrylovNoConvergence(_KRYLOV_MAX_ITER, res, _KRYLOV_RTOL * scale)
     return u
+
+
+def _cg(matvec, psolve, b, atol):
+    """Preconditioned conjugate gradients from x = 0, stopping at ``||r|| < atol``.
+
+    A line-for-line port of ``scipy.sparse.linalg.cg`` (scipy 1.17.1) for
+    real vectors, so it returns the same iterate bit for bit; after
+    ``_KRYLOV_MAX_ITER`` iterations it returns the last one.
+    """
+    x = np.zeros_like(b)
+    r = b.copy()
+    for iteration in range(_KRYLOV_MAX_ITER):
+        if np.linalg.norm(r) < atol:
+            break
+        z = psolve(r)
+        rho = np.dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x
 
 
 def _project_mean_free(u):

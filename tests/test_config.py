@@ -1,5 +1,6 @@
 """Config parsing, and the initial density and forcing it builds."""
 
+import dataclasses
 import os
 import re
 import tempfile
@@ -382,6 +383,40 @@ def test_a_byte_that_is_not_utf8_names_its_line(tmp_path, newline):
     assert cfg(b"\xe9") == (4, "not UTF-8: byte 0xe9")
     # the same file in UTF-8 parses up to the key given twice, on line 5
     assert cfg("\u00e9".encode()) == (5, "duplicate key 'grid.n', first given on line 1")
+
+
+def _as_plain(cfg):
+    """A config's fields with each field-valued input replaced by its bytes."""
+    plain = {}
+    for field in dataclasses.fields(cfg):
+        value = getattr(cfg, field.name)
+        if isinstance(value, ScalarField):
+            value = value.data.tobytes()
+        elif field.name == "tensor":
+            value = (type(value), value.nu)
+        plain[field.name] = value
+    return plain
+
+
+def test_a_leading_byte_order_mark_is_read_past(tmp_path):
+    text = "grid.dim = 2\ngrid.n = 16\nviscosity.nu = 1,2\ninitial.kind = cosine\n" \
+        "forcing.kind = cosine\nrun.t_end = 0.2\n"
+    plain = parse_config(write_cfg(tmp_path, text))
+    marked = tmp_path / "marked.cfg"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    assert _as_plain(parse_config(str(marked))) == _as_plain(plain)
+
+
+@pytest.mark.parametrize("text, line, reason", [
+    ("grid.n = 16\n\ufeffrun.t_end = 0.2\n", 2, "unknown key '\\ufeffrun.t_end'"),
+    ("\ufeffgrid.n = 16\n\ufeffrun.t_end = 0.2\n", 2, "unknown key '\\ufeffrun.t_end'"),
+    ("\ufeff\ufeffgrid.n = 16\n", 1, "unknown key '\\ufeffgrid.n'"),
+    ("run.t_end = 0.2\ngrid.n = 1\ufeff6\n", 2, "grid.n: expected an integer, got '1\\ufeff6'"),
+], ids=["second-line", "mark-and-second-line", "second-mark", "in-a-value"])
+def test_a_byte_order_mark_past_the_start_fails_on_its_line(tmp_path, text, line, reason):
+    with pytest.raises(ParseError) as err:
+        parse_config(write_cfg(tmp_path, text))
+    assert (err.value.line, err.value.reason) == (line, reason)
 
 
 def test_bad_number_reports_key_and_line(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from anisostokes.fields import (
     GridSpec,
@@ -17,6 +18,7 @@ from anisostokes.fields import (
     NonFiniteField,
     ScalarField,
     VectorField,
+    _periodic_stencil,
     commutator_residual,
     div,
     div_hat,
@@ -227,6 +229,31 @@ def test_symbol_multiplier_matches_stencil(dim, n, cells):
     via_symbol = g.irfft(kernel.symbol * g.rfft(f.data))
     assert kernel.symbol.shape == g.half_shape
     assert np.max(np.abs(via_symbol - mollify(f, kernel).data)) <= 1e-14 * f.linf_norm()
+
+
+@pytest.mark.parametrize(
+    "dim, n, delta, features",
+    [(1, 32, 0.4, ""), (1, 31, 0.9, ""), (1, 32, 5.0, "wide"),
+     (2, 15, 0.9, ""), (2, 24, 0.75, "tiny"), (2, 16, 3.0, "tiny wide"),
+     (3, 12, 1.2, ""), (3, 9, 1.0, "tiny"), (3, 8, 2.5, "tiny wide")],
+)
+def test_stencil_equals_ndimage_convolve(dim, n, delta, features):
+    """``_periodic_stencil`` and ``mollify`` equal scipy's stencil bit for bit.
+
+    The oracle is ``scipy.ndimage.convolve(..., mode="wrap")``; the numpy
+    stencil follows its correlation loop as of scipy 1.17.1.  "tiny" kernels
+    hold weights in (0, DBL_EPSILON], which ndimage leaves out and whose
+    terms change bits when summed; "wide" stencils are wider than the grid.
+    """
+    g = GridSpec(dim, n)
+    kernel = MollifierKernel(g, delta)
+    w = kernel.weights
+    assert ("tiny" in features) == bool(np.any((w > 0) & (w <= np.finfo(float).eps)))
+    assert ("wide" in features) == (w.shape[0] > n)
+    f = random_field(g, seed=dim * n, smooth=False)
+    expected = ndimage.convolve(f.data, w, mode="wrap")
+    assert np.array_equal(_periodic_stencil(f.data, w), expected)
+    assert np.array_equal(mollify(f, kernel).data, expected)
 
 
 def test_identity_kernel_symbol_is_one():

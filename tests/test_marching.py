@@ -736,26 +736,71 @@ def test_march_matches_chained_picard_solves():
     assert chain.ledgers == traj.ledgers
 
 
-SYMBOL_MARCH_SCRIPT = """
+SCIPY_FREE_PREAMBLE = """
 import sys
 import numpy as np
-import anisostokes
-from anisostokes import DiagNu, GridSpec, ScalarField, SolverParams, march
+from anisostokes import (
+    DefectParams, DiagNu, GridSpec, Ledger, ScalarField, SolverParams, StokesOperator,
+    VaryingFull, VectorField, march, solve, state_row,
+)
+g = GridSpec(2, 16)
+x, y = g.meshgrid()
+rho = ScalarField(g, 1.0 + 0.2 * np.cos(x))
+eye = np.eye(2)
+iso = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye))
+"""
+
+# each run in a fresh interpreter, printing the scipy modules it loaded
+SCIPY_FREE_SCRIPTS = {
+    "symbol march": """
 g = GridSpec(1, 32)
 rho = ScalarField(g, 1.0 + 0.2 * np.cos(g.meshgrid()[0]))
 march(DiagNu((1.0,)), rho, None, SolverParams(gamma=2.0, delta=0.3), 0.02, 0.01)
-print(sorted(m for m in ("scipy.sparse.linalg", "scipy.ndimage") if m in sys.modules))
+""",
+    "major-symmetric varying march": """
+tensor = VaryingFull(g, iso[..., None, None] * (1.0 + 0.3 * np.cos(x + y)))
+march(tensor, rho, None, SolverParams(gamma=2.0, delta=0.5), 0.02, 0.01)
+""",
+    "symbol-mode row with a commutator": """
+u = VectorField.from_arrays(g, [np.sin(y), np.cos(x)])
+state_row(0.0, rho, u, Ledger.fresh(rho), None, 2.0, DefectParams(window=4),
+          commutator_delta=0.5)
+""",
+}
+
+LGMRES_SCRIPT = """
+skew = np.einsum("ij,kl->ijkl", eye, np.diag([1.0, 0.0]))  # A_ijkl != A_klij
+vals = np.broadcast_to((2.0 * iso + 0.1 * skew)[..., None, None], (2, 2, 2, 2) + g.shape)
+op = StokesOperator.build(VaryingFull(g, vals), g)
+assert not op._use_cg
+print("scipy.sparse.linalg" in sys.modules, end=" ")
+solve(op, ScalarField(g, np.cos(x)))
 """
 
 
-def test_symbol_march_never_loads_the_stencil_or_krylov_modules():
+def run_script(body):
     src = os.path.dirname(os.path.dirname(marching.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SYMBOL_MARCH_SCRIPT], env=env, capture_output=True, text=True,
-        check=True,
+    script = SCIPY_FREE_PREAMBLE + body + (
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
     )
-    assert done.stdout.strip() == "[]"
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    return done.stdout.strip()
+
+
+def test_symbol_march_never_loads_the_stencil_or_krylov_modules():
+    # the stencil mollifier and conjugate gradients are numpy: symbol-mode
+    # runs, their commutator diagnostic and major-symmetric varying laws
+    # load no scipy module at all
+    loaded = {case: run_script(body) for case, body in SCIPY_FREE_SCRIPTS.items()}
+    assert loaded == dict.fromkeys(SCIPY_FREE_SCRIPTS, "[]")
+    # a law without the major symmetry still solves through LGMRES, which
+    # loads scipy.sparse.linalg only once it runs
+    before, after = run_script(LGMRES_SCRIPT).split(" ", 1)
+    assert before == "False"
+    assert "scipy.sparse.linalg" in after
 
 
 # ------------------------------------------------------------ observers

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import linalg as spla
 
 from anisostokes import stokes
 from anisostokes.fields import GridSpec, ScalarField, VectorField, grad, sym_grad
@@ -253,6 +254,65 @@ def test_krylov_no_convergence_raises(monkeypatch):
     q = ScalarField.from_function(g, lambda x, y: np.cos(x) + np.sin(3 * y))
     with pytest.raises(KrylovNoConvergence):
         solve(op, q)
+
+
+def cg_against_scipy(monkeypatch, op, q):
+    """(our iterate, scipy's iterate, scipy's exit code) for the CG solve of q.
+
+    ``solve_rhs``'s own operator, preconditioner, right side and absolute
+    tolerance are captured from its call of ``_cg`` and handed to
+    ``scipy.sparse.linalg.cg`` with ``rtol=0``.
+    """
+    seen = []
+    real = stokes._cg
+
+    def spy(matvec, psolve, b, atol):
+        x = real(matvec, psolve, b, atol)
+        seen.append((matvec, psolve, b, atol, x))
+        return x
+
+    monkeypatch.setattr(stokes, "_cg", spy)
+    try:
+        solve(op, q)
+    except KrylovNoConvergence:
+        pass
+    ((matvec, psolve, b, atol, x),) = seen
+    size = b.size
+    lin = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
+    pre = spla.LinearOperator((size, size), matvec=psolve, dtype=np.float64)
+    y, info = spla.cg(lin, b, rtol=0.0, atol=atol, maxiter=stokes._KRYLOV_MAX_ITER, M=pre)
+    return x, y, info
+
+
+@pytest.mark.parametrize("preconditioned", [True, False])
+def test_cg_equals_scipy_cg(monkeypatch, preconditioned):
+    """``stokes._cg`` returns scipy's conjugate-gradient iterate bit for bit.
+
+    It is a port of ``scipy.sparse.linalg.cg`` as of scipy 1.17.1, checked
+    here on a small varying law with and without its preconditioner.
+    """
+    g = GridSpec(2, 16)
+    op = StokesOperator.build(varying_isotropic(g, lambda x, y: 1.0 + 0.3 * np.cos(x + y)), g)
+    assert op._use_cg
+    if not preconditioned:
+        op._precond_inv = None
+    q = ScalarField.from_function(g, lambda x, y: np.cos(x) + 0.5 * np.sin(2 * y))
+    x, y, info = cg_against_scipy(monkeypatch, op, q)
+    assert info == 0
+    assert np.array_equal(x, y)
+
+
+def test_cg_equals_scipy_cg_at_the_iteration_cap(monkeypatch):
+    monkeypatch.setattr(stokes, "_KRYLOV_MAX_ITER", 3)
+    g = GridSpec(2, 16)
+    t = varying_isotropic(g, lambda x, y: 1.0 + 0.5 * np.sin(x) * np.sin(y))
+    op = StokesOperator.build(t, g)
+    q = ScalarField.from_function(g, lambda x, y: np.cos(x) + np.sin(3 * y))
+    with pytest.raises(KrylovNoConvergence):
+        solve(op, q)
+    x, y, info = cg_against_scipy(monkeypatch, op, q)
+    assert info == 3  # scipy too stopped at the cap
+    assert np.array_equal(x, y)
 
 
 def test_solve_zero_rhs_returns_zero():
