@@ -18,12 +18,19 @@ constant laws, the half-spectrum weights of the stress power.  It carries
 a solved velocity as a (u_hat, w) pair: u_hat is the ``rfftn`` half
 spectrum of the velocity u solved from rho and w = omega_delta * u the
 real advecting velocity.  For diagonal and constant laws one forward
-transform of rho^gamma yields u_hat = G q_hat and w is the inverse
-transform of K u_hat (the mollifier is a Fourier multiplier there); for
-varying laws the stencil mollifier makes q and w, and u_hat is the
-transform of the Krylov solution.  Real u is synthesized (one inverse
-transform) only where one is asked for: by an observer of the stored
-states, at the slab starts and in ``apply_B``'s result.
+transform of rho^gamma yields u_hat = G q_hat, and w, the inverse
+transform of K u_hat (the mollifier is a Fourier multiplier there), is
+not held: a fresh pair is (u_hat, None), and ``_Momentum.advecting`` makes
+w, bit for bit the same each time, where a step or a CFL check uses it.
+So a slab's list of pairs holds one half spectrum per substep.  Only a
+stored state (a slab start or end, or a state of ``direct_march``) holds
+its w, since it is read there more than once.  For varying laws the
+stencil mollifier makes q and w, and u_hat is the transform of the Krylov
+solution; such a pair, the zero start and caller-given samples always
+hold their w.  Real u and w are synthesized (one inverse transform each)
+only where one is asked for: u by an observer of the stored states, at
+the slab starts and in ``apply_B``'s result, w by a step, a CFL check or
+a stored state.
 
 A slab runs in two passes over one list of input pairs, one per substep.
 ``_iterate`` is one Picard pass: it advects rho by each input w without
@@ -329,7 +336,7 @@ def _trajectory(observe):
 class _Stored:
     """A stored state as a march carries it to the next slab.
 
-    ``pair`` is the (u_hat, w) pair solved from ``rho`` at ``t``,
+    ``pair`` is the (u_hat, w) pair solved from ``rho`` at ``t``, w made,
     ``velocity`` the memoized callable of its real u that the observer
     was given, and ``ledger`` the accounts up to ``t``.
     """
@@ -343,6 +350,7 @@ class _Stored:
 
 def _store(traj, mom, t, rho, pair, ledger):
     """Record the state at ``t`` into ``traj`` and return it as a :class:`_Stored`."""
+    pair = mom.filled(pair)
     state = _Stored(t, rho, pair, mom.lazy_velocity(pair), ledger)
     traj.record(t, rho, state.velocity, ledger)
     return state
@@ -399,9 +407,14 @@ class _Momentum:
         The right side is q = f - omega_delta * rho^gamma.  In symbol mode both
         mollifications are the multiplier ``kernel.symbol``, so one forward
         transform of rho^gamma, plus the forcing's half spectrum, yields
-        u_hat = G q_hat, and w is the inverse transform of K u_hat.  In Krylov
-        mode q and w come from the stencil :func:`mollify` and u_hat is the
-        transform of the solved u.
+        u_hat = G q_hat, and the pair is (u_hat, None): w is the inverse
+        transform of K u_hat, which :meth:`advecting` makes where it is used.
+        That trades transforms as well as memory: the recording pass makes
+        no w for its fresh solves, which only their u_hat serves, while the
+        CFL check of a converged slab makes one per substep.  In Krylov mode
+        q and w come from the stencil :func:`mollify` and u_hat is the
+        transform of the solved u; w cannot be rebuilt from u_hat there, so
+        the pair holds it.
         """
         op = self.op
         grid = rho.grid
@@ -412,9 +425,7 @@ class _Momentum:
                 qhat *= self.kernel.symbol
             if self.f is not None:
                 qhat += self.f
-            uhat = op.solve_hat(qhat)
-            what = uhat if self.kernel is None else self.kernel.symbol * uhat
-            return uhat, VectorField.from_arrays(grid, grid.irfft(what))
+            return op.solve_hat(qhat), None
         q = self._smooth(p) * (-1.0)
         if self.f is not None:
             q = q + self.f
@@ -422,11 +433,15 @@ class _Momentum:
         return grid.rfft(u.stacked()), self._smooth(u)
 
     def velocity(self, pair):
-        """The real velocity u of a pair: w itself without a kernel, else irfft(u_hat)."""
-        uhat, w = pair
+        """The real velocity u of a pair: :meth:`advecting` without a kernel,
+        where w is u, else irfft(u_hat).
+
+        Without a kernel a stored pair's u is its w itself; a fresh symbol
+        pair's u is made, one inverse transform, on each call.
+        """
         if self.kernel is None:
-            return w
-        return VectorField.from_arrays(w.grid, w.grid.irfft(uhat))
+            return self.advecting(pair)
+        return VectorField.from_arrays(self.grid, self.grid.irfft(pair[0]))
 
     def lazy_velocity(self, pair):
         """:meth:`velocity` of ``pair`` as a callable that makes it once, on first call."""
@@ -434,13 +449,29 @@ class _Momentum:
 
     def advecting_hat(self, pair):
         """The half spectrum of the pair's w: u_hat without a kernel, K u_hat
-        in symbol mode, the transform of w otherwise."""
+        in symbol mode, the transform of w otherwise.
+
+        It takes no transform in symbol mode, so it serves a pair whose w
+        slot is None; a Krylov pair always holds its w.
+        """
         uhat, w = pair
         if self.kernel is None:
             return uhat
         if self.op.mode == "symbol":
             return self.kernel.symbol * uhat
         return w.grid.rfft(w.stacked())
+
+    def advecting(self, pair):
+        """The pair's real advecting field w: the one it holds, or else
+        irfft(:meth:`advecting_hat`), made on each call for its caller to drop."""
+        w = pair[1]
+        if w is not None:
+            return w
+        return VectorField.from_arrays(self.grid, self.grid.irfft(self.advecting_hat(pair)))
+
+    def filled(self, pair):
+        """``pair`` with its w made, for a state whose w is read more than once."""
+        return pair if pair[1] is not None else (pair[0], self.advecting(pair))
 
     def stress_power(self, pair):
         """int tau(D(u)) : grad u of the pair's velocity u.
@@ -463,9 +494,11 @@ def _iterate(mom, pairs, rho, start, dt, settled=0):
     """One Picard pass: advance rho under the input samples, re-solving as we go.
 
     ``pairs`` holds one (v_hat, w = omega_delta * v) input sample per
-    substep; rho is advected by w without accounting, and each list entry is
-    released (set to None) as soon as its substep is done, so the input and
-    the solved pairs together never hold more than one slab's worth.
+    substep; rho is advected by w (:meth:`_Momentum.advecting`, made for
+    the step and dropped if the pair holds none) without accounting, and
+    each list entry is released (set to None) as soon as its substep is
+    done, so the input and the solved pairs together never hold more than
+    one slab's worth.
     ``start`` is the pair solved from the slab-start density; it
     is the first solved pair, so the slab start is never solved again.
 
@@ -490,7 +523,7 @@ def _iterate(mom, pairs, rho, start, dt, settled=0):
     total = 0.0
     first = None
     for j in range(settled, len(pairs)):
-        vhat, w = given = pairs[j]
+        given = pairs[j]
         pairs[j] = None
         if j > settled:
             solved = mom.pair(rho)
@@ -498,7 +531,8 @@ def _iterate(mom, pairs, rho, start, dt, settled=0):
             solved = start if j == 0 else given
         out.append(solved)
         if j == 0 or j > settled:
-            total += grad_norm_sq_hat(mom.grid, solved[0] - vhat)
+            total += grad_norm_sq_hat(mom.grid, solved[0] - given[0])
+        w = mom.advecting(given)
         if first is None:
             first = _step(rho, w, dt, mom.params)
             rho = first[0]
@@ -529,7 +563,7 @@ def _record(mom, pairs, start, dt, traj, store_every, kept):
         pair = given if j <= len(kept) else mom.pair(rho)
         if j > 0 and j % store_every == 0:
             traj.record(t0 + j * dt, rho, mom.lazy_velocity(pair), ledger)
-        step = kept[j] if j < len(kept) else _step(rho, given[1], dt, mom.params)
+        step = kept[j] if j < len(kept) else _step(rho, mom.advecting(given), dt, mom.params)
         ledger = _account(ledger, rho, step, given, pair, dt, mom)
         rho = step[0]
     t1 = t0 + len(pairs) * dt
@@ -627,8 +661,8 @@ def _picard_slab(mom, start, slab, v0, traj, store_every):
                     f"no convergence in {params.fp_max_iter} iterations "
                     f"(last update {diff_prev:.3e})"
                 )
-            for _uhat, w in v:
-                check_cfl(w, dt, params)
+            for pair in v:
+                check_cfl(mom.advecting(pair), dt, params)
         except CFLBreach as breach:
             dt_needed = min(
                 params.dt_max,
@@ -710,7 +744,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
     t = 0.0
     step_index = 0
     with _located("at t = 0.0"):
-        pair = mom.pair(rho)
+        pair = mom.filled(mom.pair(rho))
         traj.record(t, rho, mom.lazy_velocity(pair), ledger)
     while t < t_end - 1e-12 * max(1.0, t_end):
         dt = min(cfl_dt(pair[1], params), t_end - t)
@@ -718,7 +752,7 @@ def direct_march(tensor, rho0, f, params, t_end, store_every=1, observe=None):
             step = _step(rho, pair[1], dt, params)
             ledger = _account(ledger, rho, step, pair, pair, dt, mom)
             rho = step[0]
-            pair = mom.pair(rho)
+            pair = mom.filled(mom.pair(rho))
             t += dt
             step_index += 1
             if step_index % store_every == 0 or t >= t_end - 1e-12 * max(1.0, t_end):

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -256,7 +257,8 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
     kernel = MollifierKernel(g, p.delta)
     assert 2 * kernel.radius_cells + 1 < n
 
-    uhat, w = mom.pair(rho)
+    pair = mom.pair(rho)
+    uhat, w = pair[0], mom.advecting(pair)
     u = VectorField.from_arrays(g, g.irfft(uhat))
     stencil_w = mollify(u, kernel)
     assert (w - stencil_w).linf_norm() <= 1e-13 * u.linf_norm()
@@ -276,9 +278,13 @@ def test_pair_without_mollifier_repeats_the_velocity():
     mom = _Momentum(DiagNu((1.0, 4.0)), g, None, p)
     assert mom.kernel is None
     pair = mom.pair(cosine_density(g))
-    uhat, w = pair
-    assert np.array_equal(w.stacked(), g.irfft(uhat))
-    assert mom.velocity(pair) is w
+    uhat = pair[0]
+    assert np.array_equal(mom.advecting(pair).stacked(), g.irfft(uhat))
+    # a fresh pair makes u on each call, a stored one holds it as its w
+    assert np.array_equal(mom.velocity(pair).stacked(), g.irfft(uhat))
+    stored = mom.filled(pair)
+    assert np.array_equal(stored[1].stacked(), g.irfft(uhat))
+    assert mom.velocity(stored) is stored[1]
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.6])
@@ -293,9 +299,10 @@ def test_forced_symbol_pair_takes_one_forward_transform(monkeypatch, delta):
     rho = cosine_density(g)
     first = mom.pair(rho)
     transforms = counting(monkeypatch, GridSpec, "rfft", lambda args: args[1].shape)
-    uhat, w = mom.pair(rho)
+    second = mom.pair(rho)
+    assert np.array_equal(second[0], first[0])
+    assert np.array_equal(mom.advecting(second).stacked(), mom.advecting(first).stacked())
     assert transforms == [g.shape]
-    assert np.array_equal(uhat, first[0]) and np.array_equal(w.stacked(), first[1].stacked())
 
 
 @pytest.mark.parametrize("entry", ["march", "direct_march", "picard_solve", "apply_B"])
@@ -328,9 +335,9 @@ def test_advance_releases_its_inputs_and_sums_the_distance():
     assert pairs == [None] * 4
     assert len(out) == 4 and out[0] is start
     # the first-step result: the advanced density and the drag integrals
-    rho1, removed = continuity_step(rho0, start[1], dt, p)
+    rho1, removed = continuity_step(rho0, mom.advecting(start), dt, p)
     assert np.array_equal(first[0].data, rho1.data)
-    assert_same_step(first, _step(rho0, start[1], dt, p))
+    assert_same_step(first, _step(rho0, mom.advecting(start), dt, p))
     assert first[1] > 0.0 and first[2] > 0.0
     assert first[1] + first[2] == pytest.approx(removed.sum() * g.cell_volume, rel=1e-12)
     total = sum(grad_norm_sq_hat(g, uhat - start[0]) for uhat, _w in out)
@@ -578,12 +585,9 @@ def test_march_does_each_slab_computation_once(monkeypatch):
     assert len(steps_taken) == stepped + sum(s - k + 1 for k, s in zip(iters, steps))
 
 
-@pytest.mark.parametrize("slab", [Slab(0.0, 0.05, 10), Slab(0.0, 0.005, 1)],
-                         ids=["ten-substeps", "one-substep"])
-def test_the_recording_pass_steps_only_what_no_pass_settled(monkeypatch, slab):
-    tensor, rho0, p = multi_slab_scenario()
+def while_recording(monkeypatch):
+    """A list that is non-empty exactly while a recording pass runs."""
     recording = []
-    steps = counting(monkeypatch, marching, "continuity_step", lambda args: bool(recording))
     record = marching._record
 
     def flagged(*args):
@@ -594,10 +598,41 @@ def test_the_recording_pass_steps_only_what_no_pass_settled(monkeypatch, slab):
             recording.clear()
 
     monkeypatch.setattr(marching, "_record", flagged)
+    return recording
+
+
+@pytest.mark.parametrize("slab", [Slab(0.0, 0.05, 10), Slab(0.0, 0.005, 1)],
+                         ids=["ten-substeps", "one-substep"])
+def test_the_recording_pass_steps_only_what_no_pass_settled(monkeypatch, slab):
+    tensor, rho0, p = multi_slab_scenario()
+    recording = while_recording(monkeypatch)
+    steps = counting(monkeypatch, marching, "continuity_step", lambda args: bool(recording))
     traj, _history = picard_solve(tensor, rho0, None, p, slab)
     passes = traj.fixed_point_reports[0][2]
     assert passes >= 2
     assert sum(steps) == slab.steps - passes + 1
+
+
+@pytest.mark.parametrize("asks", [False, True], ids=["quiet", "keep-all"])
+def test_the_recording_pass_transforms_back_only_what_it_steps_or_is_asked(monkeypatch, asks):
+    # its fresh solves serve the ledger and the observer through u_hat alone;
+    # each GridSpec.irfft is logged with the function that called it
+    tensor, rho0, p = multi_slab_scenario()
+    slab = Slab(0.0, 0.05, 10)
+    recording = while_recording(monkeypatch)
+    callers = counting(monkeypatch, GridSpec, "irfft",
+                       lambda args: recording and sys._getframe(2).f_code.co_name)
+    observe = (lambda t, rho, velocity, ledger: velocity()) if asks else None
+    traj, _history = picard_solve(tensor, rho0, None, p, slab, observe=observe)
+    passes = traj.fixed_point_reports[0][2]
+    assert passes >= 2 and len(traj) == slab.steps + 1
+    # div w of each accounted substep; w of each step it takes (the passes
+    # took the first passes - 1, and substep 0's start pair holds its w) and
+    # of the stored slab end; u of each of its states the observer asks for
+    made = {"div_hat": slab.steps, "advecting": slab.steps - passes + 2}
+    if asks:
+        made["velocity"] = slab.steps
+    assert Counter(name for name in callers if name) == made
 
 
 def test_picard_passes_skip_only_what_the_previous_pass_settled():
@@ -613,8 +648,9 @@ def test_picard_passes_skip_only_what_the_previous_pass_settled():
         skip, skip_dist, first = marching._iterate(mom, skip, rho, start, dt, len(settled))
         assert skip_dist == full_dist
         assert (full_dist > 0.0) == (k <= steps)
-        for (a_hat, a), (b_hat, b) in zip(full, skip, strict=True):
-            assert np.array_equal(a_hat, b_hat) and np.array_equal(a.stacked(), b.stacked())
+        for a, b in zip(full, skip, strict=True):
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(mom.advecting(a).stacked(), mom.advecting(b).stacked())
         if k >= 2:
             settled.append(first)
             rho = first[0]
@@ -622,8 +658,8 @@ def test_picard_passes_skip_only_what_the_previous_pass_settled():
     # recording pass's step at substep k - 2 along the converged pairs
     assert len(settled) == steps
     rho = rho0
-    for step, (_uhat, w) in zip(settled, full, strict=True):
-        assert_same_step(step, _step(rho, w, dt, p))
+    for step, pair in zip(settled, full, strict=True):
+        assert_same_step(step, _step(rho, mom.advecting(pair), dt, p))
         rho = step[0]
 
 
@@ -903,6 +939,46 @@ def test_observed_march_memory_does_not_grow_with_stored_states():
             assert grown >= 10 * field_bytes
         else:
             assert grown < 10 * field_bytes
+
+
+def peak(run):
+    """The most bytes allocated at once while ``run()`` runs, above those
+    allocated before it."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_held_symbol_slab_keeps_no_real_field():
+    # a symbol pair holds its half spectrum and no w, so the passes of a
+    # slab of 2S substeps, which hold one pair per substep, peak at most S
+    # half spectra above those of S substeps, plus a few fields; a pair
+    # holding its w would add a real vector field per substep
+    g = GridSpec(3, 16)
+    x, y, z = g.meshgrid()
+    rho0 = ScalarField(g, 1.0 + 0.3 * np.cos(x) * np.cos(y) + 0.2 * np.sin(x + 2 * z))
+    p = canonical_params(delta=0.6)
+    tensor = DiagNu((1.0, 2.0, 3.0))
+    mom = _Momentum(tensor, g, None, p)
+    assert mom.kernel is not None and mom.op.mode == "symbol"
+    uhat_bytes = mom.pair(rho0)[0].nbytes
+    field_bytes = rho0.data.nbytes
+    dt, steps = 0.0025, 6
+
+    def solve(n):
+        traj, history = picard_solve(tensor, rho0, None, p, Slab(0.0, n * dt, n))
+        assert len(traj) == n + 1
+        return len(history) + 1
+
+    # several passes each; this also warms every cache a solve fills once
+    assert solve(steps) >= 3 and solve(2 * steps) >= 3
+    short, held = peak(lambda: solve(steps)), peak(lambda: solve(2 * steps))
+    assert held - short < steps * uhat_bytes + 4 * field_bytes
 
 
 # ------------------------------------------------------------ direct march
