@@ -2,7 +2,9 @@
 
 Everything lives on a uniform tensor grid over the periodic box [0, 2*pi)^d,
 d in {1, 2, 3}, with the same cell width on every axis.  Derivatives are
-spectral (FFT).  Callers that already hold a field's ``rfftn`` half
+spectral (FFT).  Every transform goes through :class:`GridSpec` (``fft``,
+``ifft``, ``rfft``, ``irfft``), which runs numpy's one-axis passes in place
+on one buffer per call.  Callers that already hold a field's ``rfftn`` half
 spectrum take its divergence and gradient norm from it directly
 (:func:`div_hat`, :func:`grad_norm_sq_hat`), with the same Nyquist-zeroed
 wavenumbers as :func:`div` and :func:`grad_l2_norm`.  The mollifier is a
@@ -84,13 +86,39 @@ class GridSpec:
         axes = [self.axis_coords(a) for a in range(self.dim)]
         return np.meshgrid(*axes, indexing="ij")
 
+    # The four transforms run numpy's own one-axis passes in the order of
+    # its n-D functions, so every bit matches fftn/ifftn/rfftn/irfftn over
+    # the trailing ``dim`` axes; the passes after the first work in place
+    # on one buffer the method owns, where numpy allocates one per pass.
+
+    def fft(self, data):
+        """``fftn`` over the trailing ``dim`` axes: one field or a stack of them."""
+        buf = np.array(data, dtype=complex)
+        for a in reversed(self._axes):
+            np.fft.fft(buf, axis=a, out=buf)
+        return buf
+
+    def ifft(self, hat):
+        """``ifftn`` over the trailing ``dim`` axes, the inverse of :meth:`fft`."""
+        buf = np.array(hat, dtype=complex)
+        for a in reversed(self._axes):
+            np.fft.ifft(buf, axis=a, out=buf)
+        return buf
+
     def rfft(self, data):
         """``rfftn`` over the trailing ``dim`` axes: one field or a stack of them."""
-        return np.fft.rfftn(data, axes=self._axes)
+        buf = np.fft.rfft(data, axis=-1)
+        for a in reversed(self._axes[:-1]):
+            np.fft.fft(buf, axis=a, out=buf)
+        return buf
 
     def irfft(self, hat):
         """Inverse of :meth:`rfft`, back to real samples of ``self.shape``."""
-        return np.fft.irfftn(hat, s=self.shape, axes=self._axes)
+        if self.dim > 1:
+            hat = np.array(hat, dtype=complex)
+            for a in self._axes[:-1]:
+                np.fft.ifft(hat, axis=a, out=hat)
+        return np.fft.irfft(hat, n=self.n[-1], axis=-1)
 
     def _axis_wavenumbers(self, axis):
         m = self.n[axis]
@@ -342,10 +370,10 @@ def _deriv_hat(grid, fhat, axis):
 def grad(f):
     """Spectral gradient of a scalar field, returned as a VectorField."""
     grid = f.grid
-    fhat = np.fft.fftn(f.data)
+    fhat = grid.fft(f.data)
     comps = []
     for a in range(grid.dim):
-        comps.append(np.fft.ifftn(_deriv_hat(grid, fhat, a)).real)
+        comps.append(grid.ifft(_deriv_hat(grid, fhat, a)).real)
     return VectorField.from_arrays(grid, comps)
 
 
@@ -354,8 +382,8 @@ def div(v):
     grid = v.grid
     acc = np.zeros(grid.shape, dtype=complex)
     for a in range(grid.dim):
-        acc += _deriv_hat(grid, np.fft.fftn(v[a].data), a)
-    return ScalarField(grid, np.fft.ifftn(acc).real)
+        acc += _deriv_hat(grid, grid.fft(v[a].data), a)
+    return ScalarField(grid, grid.ifft(acc).real)
 
 
 def div_hat(grid, vhat):
@@ -378,9 +406,9 @@ def jacobian(v):
     d = grid.dim
     J = np.empty((d, d) + grid.shape)
     for i in range(d):
-        fhat = np.fft.fftn(v[i].data)
+        fhat = grid.fft(v[i].data)
         for j in range(d):
-            J[i, j] = np.fft.ifftn(_deriv_hat(grid, fhat, j)).real
+            J[i, j] = grid.ifft(_deriv_hat(grid, fhat, j)).real
     return J
 
 
@@ -393,11 +421,11 @@ def sym_grad(v):
 def laplacian(f):
     """div(grad f): spectral Laplacian with the derivative wavenumbers."""
     grid = f.grid
-    fhat = np.fft.fftn(f.data)
+    fhat = grid.fft(f.data)
     k2 = np.zeros(grid.shape)
     for a in range(grid.dim):
         k2 = k2 + grid.deriv_wavenumbers[a] ** 2
-    return ScalarField(grid, np.fft.ifftn(-k2 * fhat).real)
+    return ScalarField(grid, grid.ifft(-k2 * fhat).real)
 
 
 def l2_inner(f, g):

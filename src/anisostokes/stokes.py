@@ -77,11 +77,11 @@ def _div_tensor(grid, tau):
             if j < i:
                 that = upper.pop((j, i))
             else:
-                that = np.fft.fftn(tau[i, j])
+                that = grid.fft(tau[i, j])
                 if j > i:
                     upper[i, j] = that
             acc += 1j * grid.deriv_wavenumbers[j] * that
-        comps.append(np.fft.ifftn(acc).real)
+        comps.append(grid.ifft(acc).real)
     return VectorField.from_arrays(grid, comps)
 
 
@@ -163,8 +163,8 @@ class StokesOperator:
         if self.tensor.kind == "diag":
             comps = []
             for c in v.components:
-                chat = np.fft.fftn(c.data)
-                comps.append(np.fft.ifftn(self._scalar_symbol * chat).real)
+                chat = grid.fft(c.data)
+                comps.append(grid.ifft(self._scalar_symbol * chat).real)
             return VectorField.from_arrays(grid, comps)
         du = sym_grad(v)
         tau = self.tensor.apply(du)
@@ -252,10 +252,14 @@ def solve_rhs(op, rhs):
     def precvec(x):
         if op._precond_inv is None:
             return x
-        arr = x.reshape((d,) + grid.shape)
-        ahat = np.stack([np.fft.fftn(arr[a]) for a in range(d)])
-        phat = np.einsum("ik...,k...->i...", op._precond_inv, ahat)
-        out = np.stack([np.fft.ifftn(phat[a]).real for a in range(d)])
+        xhat = grid.fft(x.reshape((d,) + grid.shape))
+        phat = np.einsum("ik...,k...->i...", op._precond_inv, xhat)
+        del xhat
+        # one contiguous real output: BLAS would sum a strided .real view
+        # in another order, and a whole-stack inverse peaks higher
+        out = np.empty((d,) + grid.shape)
+        for a in range(d):
+            out[a] = grid.ifft(phat[a]).real
         return out.reshape(size)
 
     b = rhs.stacked().reshape(size)

@@ -122,16 +122,27 @@ def _advect(rho, v, dt):
     divflux = np.zeros(grid.shape)
     for a in range(grid.dim):
         va = v[a].data
-        vface = 0.5 * (va + np.roll(va, -1, axis=a))
-        up = np.where(vface > 0.0, data, np.roll(data, -1, axis=a))
-        flux = vface * up
-        divflux += (flux - np.roll(flux, 1, axis=a)) / h
-    return data - dt * divflux
+        # vface = 0.5 * (va + va shifted down one cell)
+        vface = np.roll(va, -1, axis=a)
+        vface += va
+        vface *= 0.5
+        # flux = vface * upwind value
+        flux = np.roll(data, -1, axis=a)
+        np.copyto(flux, data, where=vface > 0.0)
+        flux *= vface
+        # divflux += (flux - flux shifted up one cell) / h
+        diff = np.roll(flux, 1, axis=a)
+        np.subtract(flux, diff, out=diff)
+        diff /= h
+        divflux += diff
+    divflux *= dt
+    return np.subtract(data, divflux, out=divflux)
 
 
 def _diffuse(data, grid, eps, dt):
-    ghat = np.fft.fftn(data) / (1.0 + eps * dt * grid.k2_full)
-    out = np.fft.ifftn(ghat).real
+    ghat = grid.fft(data)
+    ghat /= 1.0 + eps * dt * grid.k2_full
+    out = grid.ifft(ghat).real
     if out.min() < 0.0:
         mass = out.sum()
         clipped = int((out < 0.0).sum())
@@ -147,6 +158,15 @@ _DRAG_MAX_ITER = 100
 _DRAG_RTOL = 1e-13
 
 
+def _drag_residual(x, s, a, two_g, f):
+    """Write x + a (x^{2 gamma} + x^3) - s into ``f``."""
+    np.power(x, two_g, out=f)
+    f += x**3
+    f *= a
+    f += x
+    f -= s
+
+
 def _drag_solve(s, a, gamma):
     """Solve r + a (r^{2 gamma} + r^3) = s cellwise, r >= 0.
 
@@ -156,14 +176,23 @@ def _drag_solve(s, a, gamma):
     x = s.copy()
     scale = max(float(s.max()), 1.0)
     two_g = 2.0 * gamma
+    f = np.empty_like(x)
+    fp = np.empty_like(x)
     for _ in range(_DRAG_MAX_ITER):
-        f = x + a * (x**two_g + x**3) - s
-        if float(np.abs(f).max()) <= _DRAG_RTOL * scale:
+        _drag_residual(x, s, a, two_g, f)
+        if float(np.abs(f, out=fp).max()) <= _DRAG_RTOL * scale:
             return np.maximum(x, 0.0)
-        fp = 1.0 + a * (two_g * x ** (two_g - 1.0) + 3.0 * x**2)
-        x = x - f / fp
-        x = np.maximum(x, 0.0)
-    f = x + a * (x**two_g + x**3) - s
+        # fp = 1 + a (2 gamma x^{2 gamma - 1} + 3 x^2)
+        np.multiply(x ** (two_g - 1.0), two_g, out=fp)
+        x2 = x**2
+        x2 *= 3.0
+        fp += x2
+        fp *= a
+        fp += 1.0
+        f /= fp
+        x -= f
+        np.maximum(x, 0.0, out=x)
+    _drag_residual(x, s, a, two_g, f)
     worst = float(np.abs(f).max())
     if worst > _DRAG_RTOL * scale:
         raise NewtonFail(f"drag solve stalled at residual {worst:.3e}")

@@ -1,8 +1,10 @@
 """Grid, spectral calculus, mollifier and snapshot tests."""
 
+import ast
 import logging
 import os
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -78,6 +80,77 @@ def test_scalarfield_rejects_nonfinite():
         bad[3] = value
         with pytest.raises(NonFiniteField):
             ScalarField(g, bad)
+
+
+# ---------------------------------------------------------------- transforms
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (2, 8), (2, 7), (3, 6), (3, 5)])
+@pytest.mark.parametrize("stack", [False, True])
+def test_grid_transforms_equal_numpy_nd_transforms_bit_for_bit(dim, n, stack):
+    g = GridSpec(dim, n)
+    axes = tuple(range(-dim, 0))
+    rng = np.random.default_rng(10 * dim + n)
+    lead = (dim,) if stack else ()
+    real = rng.standard_normal(lead + g.shape)
+    cplx = real + 1j * rng.standard_normal(real.shape)
+    half = np.fft.rfftn(real, axes=axes)
+    cases = [
+        (g.fft, np.fft.fftn, real, {}),
+        (g.fft, np.fft.fftn, cplx, {}),
+        (g.ifft, np.fft.ifftn, real, {}),
+        (g.ifft, np.fft.ifftn, cplx, {}),
+        (g.rfft, np.fft.rfftn, real, {}),
+        (g.irfft, np.fft.irfftn, half, {"s": g.shape}),
+    ]
+    for ours, numpys, data, kwargs in cases:
+        before = data.copy()
+        got = ours(data)
+        want = numpys(data, axes=axes, **kwargs)
+        assert got.shape == want.shape and got.dtype == want.dtype, ours.__name__
+        assert np.array_equal(bits(got), bits(want)), ours.__name__
+        assert np.array_equal(bits(data), bits(before)), ours.__name__
+
+
+@pytest.mark.parametrize("name", ["fft", "ifft", "rfft"])
+def test_grid_transform_peak_memory_is_its_output(name):
+    # the passes after the first run in place: numpy's n-D functions would
+    # hold two outputs at once
+    g = GridSpec(3, 32)
+    data = np.random.default_rng(5).standard_normal(g.shape)
+    transform = getattr(g, name)
+    transform(data)
+    tracemalloc.start()
+    try:
+        out = transform(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.01 * out.nbytes
+
+
+def test_every_transform_goes_through_gridspec():
+    # numpy's n-D transforms allocate per pass; the package calls them
+    # nowhere but inside GridSpec
+    banned = {"fftn", "ifftn", "rfftn", "irfftn"}
+    package = Path(__file__).resolve().parents[1] / "src" / "anisostokes"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "GridSpec":
+                skip.update(id(inner) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in skip:
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in banned:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert found == []
 
 
 # ---------------------------------------------------------- spectral calculus

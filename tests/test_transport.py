@@ -13,6 +13,9 @@ from anisostokes.transport import (
     CFLBreach,
     NegativeInput,
     SolverParams,
+    _advect,
+    _diffuse,
+    _drag_solve,
     cfl_dt,
     continuity_step,
     pressure_field,
@@ -202,6 +205,107 @@ def test_diffusion_repair_keeps_mass_and_sign():
     out, _ = continuity_step(rho, VectorField.zeros(g), 0.5, p)
     assert out.min() >= 0.0
     assert out.integral() == pytest.approx(rho.integral(), rel=1e-12)
+
+
+# ------------------------------------------------------------ kernel bits
+# The kernels below must reproduce these allocating forms of the same
+# arithmetic bit for bit; they are the oracles, not a second implementation.
+
+def advect_oracle(rho, v, dt):
+    grid = rho.grid
+    h = grid.h
+    data = rho.data
+    divflux = np.zeros(grid.shape)
+    for a in range(grid.dim):
+        va = v[a].data
+        vface = 0.5 * (va + np.roll(va, -1, axis=a))
+        up = np.where(vface > 0.0, data, np.roll(data, -1, axis=a))
+        flux = vface * up
+        divflux += (flux - np.roll(flux, 1, axis=a)) / h
+    return data - dt * divflux
+
+
+def diffuse_oracle(data, grid, eps, dt):
+    ghat = np.fft.fftn(data) / (1.0 + eps * dt * grid.k2_full)
+    out = np.fft.ifftn(ghat).real
+    if out.min() < 0.0:
+        mass = out.sum()
+        out = np.maximum(out, 0.0)
+        pos_mass = out.sum()
+        if pos_mass > 0.0:
+            out *= mass / pos_mass
+    return out
+
+
+def drag_oracle(s, a, gamma):
+    x = s.copy()
+    scale = max(float(s.max()), 1.0)
+    two_g = 2.0 * gamma
+    for _ in range(100):
+        f = x + a * (x**two_g + x**3) - s
+        if float(np.abs(f).max()) <= 1e-13 * scale:
+            return np.maximum(x, 0.0)
+        fp = 1.0 + a * (two_g * x ** (two_g - 1.0) + 3.0 * x**2)
+        x = x - f / fp
+        x = np.maximum(x, 0.0)
+    raise AssertionError("the oracle drag solve did not converge")
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def signed_velocity(grid, seed):
+    # both signs, plus faces whose average is exactly +0.0 or -0.0
+    rng = np.random.default_rng(seed)
+    comps = []
+    for _ in range(grid.dim):
+        va = rng.standard_normal(grid.shape)
+        flat = va.reshape(-1)
+        flat[:3] = 0.0
+        flat[3:6] = -0.0
+        flat[6], flat[7] = 0.75, -0.75
+        comps.append(va)
+    return VectorField.from_arrays(grid, comps)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 9), (2, 8), (2, 7), (3, 6), (3, 5)])
+def test_advect_matches_the_rolled_form_bit_for_bit(dim, n):
+    g = GridSpec(dim, n)
+    rho = smooth_positive(g, seed=dim + n)
+    v = signed_velocity(g, seed=10 * dim + n)
+    faces = [0.5 * (c.data + np.roll(c.data, -1, axis=a)) for a, c in enumerate(v.components)]
+    assert any(np.any((f == 0.0) & np.signbit(f)) for f in faces)
+    assert any(np.any((f == 0.0) & ~np.signbit(f)) for f in faces)
+    before = bits(rho.data).copy()
+    # a step beyond the CFL limit, so that dt * divflux is as large as the
+    # density and a rounding change in the fluxes reaches the result
+    got = _advect(rho, v, 0.5)
+    assert np.array_equal(bits(got), bits(advect_oracle(rho, v, 0.5)))
+    assert np.array_equal(bits(rho.data), before)
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5])
+def test_drag_solve_matches_the_allocating_newton_bit_for_bit(gamma):
+    # an integer and a fractional power 2 gamma - 1
+    g = GridSpec(2, 16)
+    s = 3.0 * smooth_positive(g, seed=21, floor=0.0).data
+    before = s.copy()
+    got = _drag_solve(s, 0.2, gamma)
+    assert np.array_equal(bits(got), bits(drag_oracle(s, 0.2, gamma)))
+    assert np.array_equal(bits(s), bits(before))
+
+
+def test_diffuse_matches_the_allocating_form_bit_for_bit_on_its_clip_branch():
+    g = GridSpec(2, 32)
+    data = np.zeros(g.shape)
+    data[3, 7] = 1.0 / g.cell_volume
+    data[20, 11] = 0.5 / g.cell_volume
+    eps, dt = 0.1, 0.1
+    unclipped = np.fft.ifftn(np.fft.fftn(data) / (1.0 + eps * dt * g.k2_full)).real
+    assert unclipped.min() < 0.0
+    got = _diffuse(data, g, eps, dt)
+    assert np.array_equal(bits(got), bits(diffuse_oracle(data, g, eps, dt)))
 
 
 # ------------------------------------------------------------ invariants
