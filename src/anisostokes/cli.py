@@ -16,7 +16,9 @@ contract or would need a runaway number of substeps; or a numpy
 ``FloatingPointError``) prints one ``FAIL solver`` line and exits 3.  That
 line names the config line of the stress law when the law is not coercive
 or has a singular symbol, and the slab (or step) when the failure is
-raised inside a march.
+raised inside a march.  An output directory that cannot be made, or a file
+in it that cannot be written, prints one ``FAIL output: <dir>: <reason>``
+line and exits 2.
 
 Every command that marches streams: its marches hand each stored state to
 an observer that keeps only the scalars (or the final density) it reports,
@@ -43,6 +45,7 @@ on.  Forked workers inherit that.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import logging
 import os
 import sys
@@ -62,7 +65,7 @@ from anisostokes.diagnostics import (
     write_csv,
     write_rows_csv,
 )
-from anisostokes.fields import SolverFailure, write_snapshot
+from anisostokes.fields import MollifierKernel, SolverFailure, write_snapshot
 from anisostokes.marching import direct_march, march
 from anisostokes.stokes import NotCoercive, SingularSymbol
 from anisostokes.transport import pressure_integral
@@ -73,6 +76,26 @@ def _audit(results, name, ok, detail):
     results.append((name, bool(ok)))
     print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
     return bool(ok)
+
+
+class _OutputFailure(Exception):
+    """An OSError raised by making the output directory or writing a file in it."""
+
+
+@contextlib.contextmanager
+def _writing(out_dir):
+    """Report an OSError raised inside as an :class:`_OutputFailure` of ``out_dir``."""
+    try:
+        yield
+    except OSError as exc:
+        raise _OutputFailure(f"{out_dir}: {exc.strerror or exc}") from exc
+
+
+def _write_table(out_dir, name, header, rows):
+    """Make ``out_dir`` and write the CSV table ``name`` into it."""
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
+        write_csv(os.path.join(out_dir, name), header, rows)
 
 
 def _march_config(cfg, observe, params=None, tensor=None):
@@ -134,20 +157,26 @@ def cmd_run(cfg, out_dir):
     results = []
     gamma, dp = cfg.params.gamma, cfg.defect_params
     rows = []
-    os.makedirs(out_dir, exist_ok=True)
+    kernel = None
+    if cfg.commutator_delta > 0.0:
+        kernel = MollifierKernel(cfg.grid, cfg.commutator_delta)
+    with _writing(out_dir):
+        os.makedirs(out_dir, exist_ok=True)
 
     def observe(t, rho, velocity, ledger):
         """Write the state's snapshots and keep its diagnostics row."""
         i = len(rows)
         u = velocity()
-        write_snapshot(os.path.join(out_dir, f"rho_{i:06d}.asf"), rho, t)
-        for a, comp in enumerate(u.components):
-            write_snapshot(os.path.join(out_dir, f"u{a}_{i:06d}.asf"), comp, t)
+        with _writing(out_dir):
+            write_snapshot(os.path.join(out_dir, f"rho_{i:06d}.asf"), rho, t)
+            for a, comp in enumerate(u.components):
+                write_snapshot(os.path.join(out_dir, f"u{a}_{i:06d}.asf"), comp, t)
         e0 = rows[0].pgamma_integral if rows else None
-        rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, cfg.commutator_delta))
+        rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, kernel))
 
     traj = _march_config(cfg, observe=observe)
-    write_rows_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
+    with _writing(out_dir):
+        write_rows_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
 
     _mass_identity(results, traj)
     _audit(
@@ -203,9 +232,9 @@ def cmd_sweep_delta(cfg, out_dir):
     ]
     to_direct = [(rho - direct).l2_norm() for rho in finals]
 
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "sweep_delta.csv"),
+    _write_table(
+        out_dir,
+        "sweep_delta.csv",
         "delta,gap_to_coarser,dist_to_direct",
         zip(deltas, [""] + gaps, to_direct),
     )
@@ -251,11 +280,8 @@ def cmd_sweep_eps(cfg, out_dir):
         pressures.append(pl2)
         rows.append((level, defect, violation, pl2))
 
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(
-        os.path.join(out_dir, "sweep_eps.csv"),
-        "level,mass_defect,energy_violation,pressure_l2",
-        rows,
+    _write_table(
+        out_dir, "sweep_eps.csv", "level,mass_defect,energy_violation,pressure_l2", rows
     )
 
     spread = max(pressures) / max(min(pressures), 1e-300)
@@ -363,8 +389,7 @@ def cmd_defect_study(cfg, out_dir):
             lhs, rhs, ok = defect_inequality(times, series, rho0_max, ledger, cfg.grid, gamma, dp)
             all_ok = all_ok and ok
             rows.append((ratio, dp.window, lhs, rhs, "true" if ok else "false"))
-    os.makedirs(out_dir, exist_ok=True)
-    write_csv(os.path.join(out_dir, "defect_study.csv"), "ratio,window,lhs,rhs,passed", rows)
+    _write_table(out_dir, "defect_study.csv", "ratio,window,lhs,rhs,passed", rows)
 
     _audit(
         results,
@@ -475,6 +500,9 @@ def main(argv=None):
             where = f" (stress law: line {cfg.tensor_line})"
         print(f"FAIL solver: {type(exc).__name__}: {exc}{where}")
         return 3
+    except _OutputFailure as exc:
+        print(f"FAIL output: {exc}")
+        return 2
 
     failed = [name for name, ok in results if not ok]
     if failed:

@@ -16,7 +16,7 @@ from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
-from anisostokes.fields import commutator_residual
+from anisostokes.fields import MollifierKernel, commutator_residual
 from anisostokes.transport import pressure_field
 
 @dataclass(frozen=True)
@@ -159,29 +159,36 @@ def defect_inequality(times, series, rho0_max, ledger, grid, gamma, dp):
 def commutator_audit(states, deltas):
     """Transport-commutator residuals per stored state and mollifier radius.
 
-    ``states`` yields (t, rho, u) triples.  Returns a list of (t, residuals)
-    with residuals aligned to ``deltas``.  For smooth states the residual
-    decays as the radius shrinks; callers check the rows decrease along a
-    radius list sorted largest first.
+    ``states`` yields (t, rho, u) triples on one grid.  Returns a list of
+    (t, residuals) with residuals aligned to ``deltas``.  For smooth states
+    the residual decays as the radius shrinks; callers check the rows
+    decrease along a radius list sorted largest first.  One kernel is built
+    per radius, at the first state.
     """
-    return [(t, [commutator_residual(rho, u, d) for d in deltas]) for t, rho, u in states]
+    rows, kernels = [], None
+    for t, rho, u in states:
+        if kernels is None:
+            kernels = [MollifierKernel(rho.grid, d) for d in deltas]
+        rows.append((t, [commutator_residual(rho, u, k) for k in kernels]))
+    return rows
 
 
-def state_row(t, rho, u, ledger, e0, gamma, dp, commutator_delta=0.0):
+def state_row(t, rho, u, ledger, e0, gamma, dp, commutator_kernel=None):
     """The diagnostics row of one stored state (rho, u) with its ledger.
 
     ``e0`` is the initial int rho^gamma, or None when this is the initial
-    state.  The row's ``pgamma_integral``, ``energy_slack``, ``rho_max`` and
-    ``defect_proxy`` are the per-state inputs of the energy, maximum
-    principle and defect audits, so a caller keeping the rows needs no
-    field to run them.
+    state.  ``commutator_kernel``, built once per run, is the mollifier of
+    the row's ``commutator_l1``, which is 0.0 without one.  The row's
+    ``pgamma_integral``, ``energy_slack``, ``rho_max`` and ``defect_proxy``
+    are the per-state inputs of the energy, maximum principle and defect
+    audits, so a caller keeping the rows needs no field to run them.
     """
     pressure = pressure_field(rho, gamma)
     p = pressure.integral()
     (slack,) = energy_slacks(p if e0 is None else e0, [p], [ledger], gamma)
     commutator = 0.0
-    if commutator_delta > 0.0:
-        commutator = commutator_residual(rho, u, commutator_delta)
+    if commutator_kernel is not None:
+        commutator = commutator_residual(rho, u, commutator_kernel)
     return DiagnosticsRow(
         t=t,
         mass=ledger.mass_now,

@@ -1,10 +1,12 @@
 """Periodic grids, scalar/vector fields, spectral calculus and mollification.
 
 Everything lives on a uniform tensor grid over the periodic box [0, 2*pi)^d,
-d in {1, 2, 3}, with the same cell width on every axis.  Derivatives are
-spectral (FFT).  Every transform goes through :class:`GridSpec` (``fft``,
-``ifft``, ``rfft``, ``irfft``), which runs numpy's one-axis passes in place
-on one buffer per call.  Callers that already hold a field's ``rfftn`` half
+d in {1, 2, 3}, with the same cell width on every axis.  A vector field is
+one (d, *shape) array, the layout the transforms and the Krylov solve use;
+its components are views of the rows.  Derivatives are spectral (FFT).
+Every transform goes through :class:`GridSpec` (``fft``, ``ifft``,
+``rfft``, ``irfft``), which runs numpy's one-axis passes in place on one
+buffer per call.  Callers that already hold a field's ``rfftn`` half
 spectrum take its divergence and gradient norm from it directly
 (:func:`div_hat`, :func:`grad_norm_sq_hat`), with the same Nyquist-zeroed
 wavenumbers as :func:`div` and :func:`grad_l2_norm`.  The mollifier is a
@@ -285,63 +287,52 @@ class ScalarField:
 
 
 class VectorField:
-    """dim scalar components sharing one grid."""
+    """dim scalar components sharing one grid, held as one (dim, *shape) array.
 
-    def __init__(self, components):
-        components = tuple(components)
-        grid = components[0].grid
-        if len(components) != grid.dim:
-            raise ValueError(
-                f"need {grid.dim} components, got {len(components)}"
-            )
-        for c in components[1:]:
-            if c.grid != grid:
-                raise ValueError("components live on different grids")
+    ``data`` is the float64 array; ``components`` are :class:`ScalarField`
+    views of its rows, so writing one writes the other.
+    """
+
+    def __init__(self, grid, data):
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.shape != (grid.dim,) + grid.shape:
+            raise ValueError(f"data shape {data.shape} does not match {grid.dim} x {grid.shape}")
         self.grid = grid
-        self.components = components
+        self.data = data
+        self.components = tuple(ScalarField(grid, row) for row in data)
 
     @classmethod
     def zeros(cls, grid):
-        return cls([ScalarField.zeros(grid) for _ in range(grid.dim)])
-
-    @classmethod
-    def from_arrays(cls, grid, arrays):
-        return cls([ScalarField(grid, a) for a in arrays])
+        return cls(grid, np.zeros((grid.dim,) + grid.shape))
 
     def copy(self):
-        return VectorField([c.copy() for c in self.components])
+        return VectorField(self.grid, self.data.copy())
 
     def __getitem__(self, i):
         return self.components[i]
 
     def __len__(self):
-        return len(self.components)
+        return self.grid.dim
 
     def __add__(self, other):
-        return VectorField(
-            [a + b for a, b in zip(self.components, other.components)]
-        )
+        _check_same_grid(self, other)
+        return VectorField(self.grid, self.data + other.data)
 
     def __sub__(self, other):
-        return VectorField(
-            [a - b for a, b in zip(self.components, other.components)]
-        )
+        _check_same_grid(self, other)
+        return VectorField(self.grid, self.data - other.data)
 
     def __mul__(self, scalar):
-        return VectorField([c * scalar for c in self.components])
+        return VectorField(self.grid, self.data * float(scalar))
 
     __rmul__ = __mul__
 
-    def stacked(self):
-        """Components as one (dim, *shape) array."""
-        return np.stack([c.data for c in self.components])
-
     def l2_norm(self):
-        total = sum(np.sum(c.data**2) for c in self.components)
+        total = sum(np.sum(row**2) for row in self.data)
         return float(np.sqrt(total * self.grid.cell_volume))
 
     def linf_norm(self):
-        return max(c.linf_norm() for c in self.components)
+        return float(np.max(np.abs(self.data)))
 
     def max_component_sum(self):
         """sum_a max_x |v_a(x)|, the advective CFL speed.
@@ -351,7 +342,7 @@ class VectorField:
         the per-axis outflow coefficients are bounded by per-axis sups that
         can be attained at different cells.
         """
-        return float(sum(np.abs(c.data).max() for c in self.components))
+        return float(sum(np.abs(row).max() for row in self.data))
 
 
 def _check_same_grid(a, b):
@@ -371,10 +362,10 @@ def grad(f):
     """Spectral gradient of a scalar field, returned as a VectorField."""
     grid = f.grid
     fhat = grid.fft(f.data)
-    comps = []
+    out = np.empty((grid.dim,) + grid.shape)
     for a in range(grid.dim):
-        comps.append(grid.ifft(_deriv_hat(grid, fhat, a)).real)
-    return VectorField.from_arrays(grid, comps)
+        out[a] = grid.ifft(_deriv_hat(grid, fhat, a)).real
+    return VectorField(grid, out)
 
 
 def div(v):
@@ -382,7 +373,7 @@ def div(v):
     grid = v.grid
     acc = np.zeros(grid.shape, dtype=complex)
     for a in range(grid.dim):
-        acc += _deriv_hat(grid, grid.fft(v[a].data), a)
+        acc += _deriv_hat(grid, grid.fft(v.data[a]), a)
     return ScalarField(grid, grid.ifft(acc).real)
 
 
@@ -406,7 +397,7 @@ def jacobian(v):
     d = grid.dim
     J = np.empty((d, d) + grid.shape)
     for i in range(d):
-        fhat = grid.fft(v[i].data)
+        fhat = grid.fft(v.data[i])
         for j in range(d):
             J[i, j] = grid.ifft(_deriv_hat(grid, fhat, j)).real
     return J
@@ -457,14 +448,14 @@ def grad_l2_norm(v):
     derivative ones, so the value agrees with the norm of :func:`jacobian`
     up to rounding, for even and odd n alike.
     """
-    return math.sqrt(grad_norm_sq_hat(v.grid, (v.grid.rfft(c.data) for c in v.components)))
+    return math.sqrt(grad_norm_sq_hat(v.grid, (v.grid.rfft(row) for row in v.data)))
 
 
 def vector_lp_norm(v, p):
     """Discrete L^p norm of |v| (cellwise Euclidean magnitude)."""
     mag2 = np.zeros(v.grid.shape)
-    for c in v.components:
-        mag2 += c.data**2
+    for row in v.data:
+        mag2 += row**2
     mag = np.sqrt(mag2)
     return float((np.sum(mag**p) * v.grid.cell_volume) ** (1.0 / p))
 
@@ -581,30 +572,33 @@ def mollify(field, kernel):
     -------
     Same type as ``field``.
     """
-    if isinstance(field, VectorField):
-        return VectorField([mollify(c, kernel) for c in field.components])
     if field.grid != kernel.grid:
         raise ValueError("kernel built for a different grid")
     if kernel.is_identity:
         return field.copy()
+    if isinstance(field, VectorField):
+        out = np.empty_like(field.data)
+        for a, row in enumerate(field.data):
+            out[a] = _periodic_stencil(row, kernel.weights)
+        return VectorField(field.grid, out)
     return ScalarField(field.grid, _periodic_stencil(field.data, kernel.weights))
 
 
-def commutator_residual(rho, u, delta):
+def commutator_residual(rho, u, kernel):
     """L1 norm of the transport commutator of mollification.
 
     Computes r_delta = u . grad(rho_delta) - (u . grad rho)_delta with the
-    built-in kernel at radius delta and returns its integral of absolute
-    value.  Vanishes identically for constant rho (both terms are zero) and
-    for constant u (convolution commutes with the gradient), and decays as
-    the kernel shrinks on smooth data.
+    mollifier ``kernel`` of radius delta and returns its integral of
+    absolute value.  Vanishes identically for constant rho (both terms are
+    zero) and for constant u (convolution commutes with the gradient), and
+    decays as the kernel shrinks on smooth data.
 
     Parameters
     ----------
     rho : ScalarField
     u : VectorField
-    delta : float
-        Mollification radius.
+    kernel : MollifierKernel
+        The mollifier, built once by the caller for every state it audits.
 
     Returns
     -------
@@ -614,14 +608,13 @@ def commutator_residual(rho, u, delta):
     grid = rho.grid
     if u.grid != grid:
         raise ValueError("rho and u live on different grids")
-    kernel = MollifierKernel(grid, delta)
     grad_rho = grad(rho)
     grad_rho_mol = grad(mollify(rho, kernel))
     advect = np.zeros(grid.shape)
     advect_mol = np.zeros(grid.shape)
     for a in range(grid.dim):
-        advect += u[a].data * grad_rho[a].data
-        advect_mol += u[a].data * grad_rho_mol[a].data
+        advect += u.data[a] * grad_rho.data[a]
+        advect_mol += u.data[a] * grad_rho_mol.data[a]
     smoothed = mollify(ScalarField(grid, advect), kernel)
     r = advect_mol - smoothed.data
     return float(np.sum(np.abs(r)) * grid.cell_volume)

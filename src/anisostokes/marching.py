@@ -430,7 +430,7 @@ class _Momentum:
         if self.f is not None:
             q = q + self.f
         u = solve(op, q)
-        return grid.rfft(u.stacked()), self._smooth(u)
+        return grid.rfft(u.data), self._smooth(u)
 
     def velocity(self, pair):
         """The real velocity u of a pair: :meth:`advecting` without a kernel,
@@ -441,7 +441,7 @@ class _Momentum:
         """
         if self.kernel is None:
             return self.advecting(pair)
-        return VectorField.from_arrays(self.grid, self.grid.irfft(pair[0]))
+        return VectorField(self.grid, self.grid.irfft(pair[0]))
 
     def lazy_velocity(self, pair):
         """:meth:`velocity` of ``pair`` as a callable that makes it once, on first call."""
@@ -459,7 +459,7 @@ class _Momentum:
             return uhat
         if self.op.mode == "symbol":
             return self.kernel.symbol * uhat
-        return w.grid.rfft(w.stacked())
+        return w.grid.rfft(w.data)
 
     def advecting(self, pair):
         """The pair's real advecting field w: the one it holds, or else
@@ -467,7 +467,7 @@ class _Momentum:
         w = pair[1]
         if w is not None:
             return w
-        return VectorField.from_arrays(self.grid, self.grid.irfft(self.advecting_hat(pair)))
+        return VectorField(self.grid, self.grid.irfft(self.advecting_hat(pair)))
 
     def filled(self, pair):
         """``pair`` with its w made, for a state whose w is read more than once."""
@@ -487,7 +487,7 @@ class _Momentum:
 
     def pairs(self, samples):
         """Caller-given velocity samples as (v_hat, omega_delta * v) pairs."""
-        return [(v.grid.rfft(v.stacked()), self._smooth(v)) for v in samples]
+        return [(v.grid.rfft(v.data), self._smooth(v)) for v in samples]
 
 
 def _iterate(mom, pairs, rho, start, dt, settled=0):

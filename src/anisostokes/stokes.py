@@ -70,7 +70,7 @@ def _div_tensor(grid, tau):
     """
     d = grid.dim
     upper = {}
-    comps = []
+    out = np.empty((d,) + grid.shape)
     for i in range(d):
         acc = np.zeros(grid.shape, dtype=complex)
         for j in range(d):
@@ -81,8 +81,8 @@ def _div_tensor(grid, tau):
                 if j > i:
                     upper[i, j] = that
             acc += 1j * grid.deriv_wavenumbers[j] * that
-        comps.append(grid.ifft(acc).real)
-    return VectorField.from_arrays(grid, comps)
+        out[i] = grid.ifft(acc).real
+    return VectorField(grid, out)
 
 
 class StokesOperator:
@@ -161,11 +161,10 @@ class StokesOperator:
         """A v = -div tau(D(v)) on a vector field."""
         grid = self.grid
         if self.tensor.kind == "diag":
-            comps = []
-            for c in v.components:
-                chat = grid.fft(c.data)
-                comps.append(grid.ifft(self._scalar_symbol * chat).real)
-            return VectorField.from_arrays(grid, comps)
+            out = np.empty_like(v.data)
+            for a, row in enumerate(v.data):
+                out[a] = grid.ifft(self._scalar_symbol * grid.fft(row)).real
+            return VectorField(grid, out)
         du = sym_grad(v)
         tau = self.tensor.apply(du)
         return -1.0 * _div_tensor(grid, tau)
@@ -225,7 +224,7 @@ def solve(op, q):
         raise ValueError("q lives on a different grid")
     if op.mode == "symbol":
         grid = op.grid
-        return VectorField.from_arrays(grid, grid.irfft(op.solve_hat(grid.rfft(q.data))))
+        return VectorField(grid, grid.irfft(op.solve_hat(grid.rfft(q.data))))
     return solve_rhs(op, grad(q))
 
 
@@ -246,8 +245,7 @@ def solve_rhs(op, rhs):
     size = d * grid.ncells
 
     def matvec(x):
-        v = VectorField.from_arrays(grid, x.reshape((d,) + grid.shape))
-        return op.apply(v).stacked().reshape(size)
+        return op.apply(VectorField(grid, x.reshape((d,) + grid.shape))).data.reshape(size)
 
     def precvec(x):
         if op._precond_inv is None:
@@ -262,7 +260,7 @@ def solve_rhs(op, rhs):
             out[a] = grid.ifft(phat[a]).real
         return out.reshape(size)
 
-    b = rhs.stacked().reshape(size)
+    b = rhs.data.reshape(size)
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return VectorField.zeros(grid)
@@ -276,8 +274,7 @@ def solve_rhs(op, rhs):
         lin = spla.LinearOperator((size, size), matvec=matvec, dtype=np.float64)
         pre = spla.LinearOperator((size, size), matvec=precvec, dtype=np.float64)
         x, _ = spla.lgmres(lin, b, rtol=target, atol=0.0, maxiter=_KRYLOV_MAX_ITER, M=pre)
-    u = VectorField.from_arrays(grid, x.reshape((d,) + grid.shape))
-    u = _project_mean_free(u)
+    u = _project_mean_free(VectorField(grid, x.reshape((d,) + grid.shape)))
     res = residual_rhs(op, u, rhs)
     scale = rhs.l2_norm()
     if res > _KRYLOV_RTOL * scale:
@@ -313,10 +310,10 @@ def _cg(matvec, psolve, b, atol):
 
 
 def _project_mean_free(u):
-    comps = []
-    for c in u.components:
-        comps.append(c.data - c.data.mean())
-    return VectorField.from_arrays(u.grid, comps)
+    out = np.empty_like(u.data)
+    for a, row in enumerate(u.data):
+        np.subtract(row, row.mean(), out=out[a])
+    return VectorField(u.grid, out)
 
 
 def residual(op, u, q):

@@ -256,10 +256,7 @@ class HypothesesReport:
 
 
 def _random_velocity(grid, rng):
-    comps = []
-    for _ in range(grid.dim):
-        comps.append(rng.standard_normal(grid.shape))
-    return VectorField.from_arrays(grid, comps)
+    return VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
 
 
 _AUDIT_SAMPLES = 10

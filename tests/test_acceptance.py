@@ -184,7 +184,7 @@ def test_04_stress_symmetry_and_coercivity(canonical_cfg, sweep_cfg, defect_cfg)
     for tensor, grid in cases:
         c_est = coercivity_estimate(tensor).c_est
         for _ in range(20):
-            u = VectorField.from_arrays(
+            u = VectorField(
                 grid, [rng.standard_normal(grid.shape) for _ in range(grid.dim)]
             )
             J = jacobian(u)
@@ -228,9 +228,7 @@ def test_05_stokes_oracles():
     nu = 1.0 + 0.1 * np.sin(xs[0])
     varying = VaryingFull(g2, base.reshape(base.shape + (1, 1)) * nu)
     opv = StokesOperator.build(varying, g2)
-    ustar = VectorField(
-        [ScalarField.from_function(g2, lambda x, y: np.sin(y)), ScalarField.zeros(g2)]
-    )
+    ustar = VectorField(g2, [np.sin(g2.meshgrid()[1]), np.zeros(g2.shape)])
     urt = solve_rhs(opv, opv.apply(ustar))
     round_trip = (urt - ustar).l2_norm() / ustar.l2_norm()
 
@@ -273,7 +271,7 @@ def test_06_picard_contraction(canonical_cfg):
         + 0.05 * np.cos(xs[2] + rng.uniform(0.0, 2.0 * np.pi))
         for _ in range(3)
     ]
-    start = VectorField.from_arrays(cfg.grid, comps)
+    start = VectorField(cfg.grid, comps)
     _, kept_rand = kept(
         picard_solve, cfg.tensor, rho0, None, cfg.params, slab, v0=[start] * steps
     )

@@ -297,6 +297,55 @@ def test_out_flag_overrides_config(tmp_path):
     assert not (tmp_path / "ignored").exists()
 
 
+SHORT_SWEEP = SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.01") + "sweep.deltas = 0.4,0.2,0.1\n"
+
+
+@pytest.mark.parametrize("command, text", [("run", SMALL_RUN), ("sweep-delta", SHORT_SWEEP)],
+                         ids=["run", "sweep-delta"])
+def test_an_output_directory_that_cannot_be_made_fails_on_one_line(tmp_path, capsys, command,
+                                                                   text):
+    cfg = write_cfg(tmp_path, text)
+    out = tmp_path / "taken"
+    out.write_text("a regular file\n")
+    assert main([command, cfg, "--strict", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [f"FAIL output: {out}: File exists"]
+    assert captured.err == ""
+    assert out.read_text() == "a regular file\n"
+
+
+def test_an_output_file_that_cannot_be_written_fails_on_one_line(tmp_path, capsys, monkeypatch):
+    def refused(path, *_args):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(cli, "write_snapshot", refused)
+    out = tmp_path / "art"
+    assert main(["run", write_cfg(tmp_path, SMALL_RUN), "--out", str(out)]) == 2
+    assert capsys.readouterr().out.splitlines() == [f"FAIL output: {out}: Permission denied"]
+
+
+def test_an_os_error_away_from_the_output_is_not_an_output_failure(tmp_path, monkeypatch):
+    # a failed fork, say: it is no fault of the output directory, so it is
+    # raised as it is
+    def no_fork(*_args, **_kwargs):
+        raise BlockingIOError(11, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(cli, "march", no_fork)
+    with pytest.raises(BlockingIOError):
+        main(["sweep-delta", write_cfg(tmp_path, SHORT_SWEEP), "--out", str(tmp_path / "art")])
+    assert not (tmp_path / "art").exists()
+
+
+def test_a_commutator_radius_below_the_cell_width_warns_once_per_run(tmp_path, caplog):
+    text = PINNED_RUN.replace("commutator_delta = 0.8", "commutator_delta = 0.1")
+    out = tmp_path / "art"
+    with caplog.at_level(logging.WARNING, logger="anisostokes"):
+        assert main(["run", write_cfg(tmp_path, text), "--out", str(out)]) == 0
+    stored = len((out / "diagnostics.csv").read_text().splitlines()) - 1
+    warned = [r for r in caplog.records if "below cell width" in r.getMessage()]
+    assert stored >= 3 and len(warned) == 1
+
+
 def test_sweep_delta_writes_table(tmp_path, capsys):
     cfg = write_cfg(
         tmp_path,

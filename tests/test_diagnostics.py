@@ -1,5 +1,7 @@
 """Audit-functional tests: energy budget, defect proxy, CSV emission."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -16,7 +18,7 @@ from anisostokes.diagnostics import (
     worst_violation,
     write_rows_csv,
 )
-from anisostokes.fields import GridSpec, ScalarField, VectorField
+from anisostokes.fields import GridSpec, MollifierKernel, ScalarField, VectorField
 from anisostokes.marching import Ledger, march
 from anisostokes.transport import NegativeInput, SolverParams, pressure_integral
 from anisostokes.viscosity import ConstantFull, DiagNu, isotropic_strain_tensor, viscous_work
@@ -45,7 +47,7 @@ def test_viscous_work_isotropic_hand_integral():
     nu = 0.7
     tensor = ConstantFull(isotropic_strain_tensor(3, 2.0 * nu))
     _, y, _ = g.meshgrid()
-    u = VectorField.from_arrays(g, [np.sin(y), np.zeros(g.shape), np.zeros(g.shape)])
+    u = VectorField(g, [np.sin(y), np.zeros(g.shape), np.zeros(g.shape)])
     w = viscous_work(tensor, u)
     assert w.total == pytest.approx(nu * g.volume / 2.0, rel=1e-12)
     assert w.h1_residual <= 1e-12
@@ -56,7 +58,7 @@ def test_viscous_work_symmetric_stress_has_tiny_h1_gap():
     rng = np.random.default_rng(2)
     raw = rng.standard_normal((2, 2, 2, 2))
     tensor = ConstantFull(raw + 3.0 * isotropic_strain_tensor(2, 1.0))
-    u = VectorField.from_arrays(
+    u = VectorField(
         g, [rng.standard_normal(g.shape) for _ in range(2)]
     )
     w = viscous_work(tensor, u)
@@ -207,10 +209,13 @@ def test_defect_inequality_zero_horizon():
 def state_rows(states, gamma, dp, commutator_delta=0.0):
     """:func:`state_row` of every kept state, in order, as ``run`` builds them."""
     rows = []
+    kernel = None
+    if commutator_delta > 0.0:
+        kernel = MollifierKernel(states.densities[0].grid, commutator_delta)
     for t, rho, u, ledger in zip(states.times, states.densities, states.velocities,
                                  states.ledgers):
         e0 = rows[0].pgamma_integral if rows else None
-        rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, commutator_delta))
+        rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, kernel))
     return rows
 
 
@@ -260,6 +265,20 @@ def test_commutator_audit_rows_decay_in_radius():
     for _t, residuals in table:
         for a, b in zip(residuals, residuals[1:]):
             assert b <= 1.05 * a
+
+
+def test_commutator_audit_builds_one_kernel_per_radius(caplog):
+    g = GridSpec(1, 16)
+    x = g.meshgrid()[0]
+    rho, u = ScalarField(g, 1.0 + 0.2 * np.cos(x)), VectorField(g, [np.sin(x)])
+    with caplog.at_level(logging.WARNING, logger="anisostokes"):
+        table = commutator_audit([(0.1 * i, rho, u) for i in range(3)], (0.8, 0.1))
+    assert [t for t, _ in table] == [0.0, 0.1, 0.2]
+    # 0.1 is below the cell width, so that kernel is the identity: it warns once
+    assert [r.getMessage() for r in caplog.records] == [
+        "mollifier radius 0.1 below cell width 0.393; using identity"
+    ]
+    assert all(residuals[1] == 0.0 < residuals[0] for _, residuals in table)
 
 
 # ------------------------------------------------------------ CSV

@@ -104,7 +104,7 @@ def test_apply_b_kills_shear_flow_on_constant_density():
     p = canonical_params()
     rho0 = ScalarField.constant(g, 1.0)
     x, y = g.meshgrid()
-    shear = VectorField.from_arrays(g, [np.sin(y), np.zeros(g.shape)])
+    shear = VectorField(g, [np.sin(y), np.zeros(g.shape)])
     out = apply_B(DiagNu((1.0, 4.0)), [shear] * 4, rho0, None, p, Slab(0.0, 0.04, 4))
     for u in out:
         assert u.linf_norm() <= 1e-13
@@ -176,7 +176,7 @@ def test_picard_two_starts_reach_same_fixed_point():
         + 0.05 * np.cos(xs[2] + rng.uniform(0, 2 * np.pi))
         for _ in range(3)
     ]
-    start = VectorField.from_arrays(g, comps)
+    start = VectorField(g, comps)
     _, rand = kept(picard_solve, tensor, rho0, None, p, slab, v0=[start] * 5)
     dt = slab.dt
     total = sum(
@@ -259,7 +259,7 @@ def test_symbol_pair_matches_stencil_path(tensor, forced, n):
 
     pair = mom.pair(rho)
     uhat, w = pair[0], mom.advecting(pair)
-    u = VectorField.from_arrays(g, g.irfft(uhat))
+    u = VectorField(g, g.irfft(uhat))
     stencil_w = mollify(u, kernel)
     assert (w - stencil_w).linf_norm() <= 1e-13 * u.linf_norm()
     q = mollify(pressure_field(rho, p.gamma), kernel) * (-1.0)
@@ -279,11 +279,11 @@ def test_pair_without_mollifier_repeats_the_velocity():
     assert mom.kernel is None
     pair = mom.pair(cosine_density(g))
     uhat = pair[0]
-    assert np.array_equal(mom.advecting(pair).stacked(), g.irfft(uhat))
+    assert np.array_equal(mom.advecting(pair).data, g.irfft(uhat))
     # a fresh pair makes u on each call, a stored one holds it as its w
-    assert np.array_equal(mom.velocity(pair).stacked(), g.irfft(uhat))
+    assert np.array_equal(mom.velocity(pair).data, g.irfft(uhat))
     stored = mom.filled(pair)
-    assert np.array_equal(stored[1].stacked(), g.irfft(uhat))
+    assert np.array_equal(stored[1].data, g.irfft(uhat))
     assert mom.velocity(stored) is stored[1]
 
 
@@ -301,7 +301,7 @@ def test_forced_symbol_pair_takes_one_forward_transform(monkeypatch, delta):
     transforms = counting(monkeypatch, GridSpec, "rfft", lambda args: args[1].shape)
     second = mom.pair(rho)
     assert np.array_equal(second[0], first[0])
-    assert np.array_equal(mom.advecting(second).stacked(), mom.advecting(first).stacked())
+    assert np.array_equal(mom.advecting(second).data, mom.advecting(first).data)
     assert transforms == [g.shape]
 
 
@@ -357,7 +357,7 @@ def assert_same_step(a, b):
 
 def account_steps(rho, v, dt, p, steps, tensor):
     """``steps`` accounted continuity steps under a fixed v from a fresh ledger."""
-    pair = (rho.grid.rfft(v.stacked()), v)
+    pair = (rho.grid.rfft(v.data), v)
     mom = _Momentum(tensor, rho.grid, None, p)
     ledger = Ledger.fresh(rho)
     for _ in range(steps):
@@ -373,7 +373,7 @@ def test_account_advances_the_same_density(eps, eta):
     p = SolverParams(gamma=1.6, eps=eps, eta=eta, dt_max=5e-3)
     rho = cosine_density(g, amp=0.4)
     x, y = g.meshgrid()
-    v = VectorField.from_arrays(g, [0.5 * np.sin(x + 2 * y), 0.3 * np.cos(y)])
+    v = VectorField(g, [0.5 * np.sin(x + 2 * y), 0.3 * np.cos(y)])
     dt = cfl_dt(v, p)
     accounted, ledger = account_steps(rho, v, dt, p, 1, DiagNu((1.0, 2.0)))
     bare, _ = continuity_step(rho, v, dt, p)
@@ -410,9 +410,9 @@ def test_half_spectrum_stress_power_matches_the_real_space_one(kind, dim, n):
     g = GridSpec(dim, n)
     rng = np.random.default_rng(100 * dim + n)
     tensor = symbol_law(kind, dim, rng)
-    u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
+    u = VectorField(g, rng.standard_normal((dim,) + g.shape))
     expected = viscous_work(tensor, u).total
-    got = _Momentum(tensor, g, None, SolverParams()).stress_power((g.rfft(u.stacked()), u))
+    got = _Momentum(tensor, g, None, SolverParams()).stress_power((g.rfft(u.data), u))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
@@ -437,7 +437,7 @@ def test_account_keeps_the_mass_identity_full_physics(dim, n):
     p = SolverParams(gamma=1.6, eps=0.05, eta=0.4, dt_max=5e-3)
     xs = g.meshgrid()
     rho = ScalarField(g, 1.0 + 0.3 * np.cos(xs[0]) + 0.1 * np.sin(xs[-1]))
-    v = VectorField.from_arrays(g, [0.4 * np.sin(xs[a] + xs[0]) for a in range(dim)])
+    v = VectorField(g, [0.4 * np.sin(xs[a] + xs[0]) for a in range(dim)])
     rho, led = account_steps(rho, v, cfl_dt(v, p), p, 40, DiagNu((1.0,) * dim))
     assert led.identity_defect() <= 1e-12 * led.mass_initial * 40
     assert rho.min() >= 0.0
@@ -650,7 +650,7 @@ def test_picard_passes_skip_only_what_the_previous_pass_settled():
         assert (full_dist > 0.0) == (k <= steps)
         for a, b in zip(full, skip, strict=True):
             assert np.array_equal(a[0], b[0])
-            assert np.array_equal(mom.advecting(a).stacked(), mom.advecting(b).stacked())
+            assert np.array_equal(mom.advecting(a).data, mom.advecting(b).data)
         if k >= 2:
             settled.append(first)
             rho = first[0]
@@ -686,7 +686,7 @@ def assert_same_trajectory(a, b):
     for x, y in zip(kept_a.densities, kept_b.densities, strict=True):
         assert np.array_equal(x.data, y.data)
     for x, y in zip(kept_a.velocities, kept_b.velocities, strict=True):
-        assert np.array_equal(x.stacked(), y.stacked())
+        assert np.array_equal(x.data, y.data)
     assert traj_a.ledgers == traj_b.ledgers
     assert traj_a.fixed_point_reports == traj_b.fixed_point_reports
 
@@ -768,7 +768,7 @@ def test_march_matches_chained_picard_solves():
     for a, b in zip(chain.densities, states.densities, strict=True):
         assert np.array_equal(a.data, b.data)
     for a, b in zip(chain.velocities, states.velocities, strict=True):
-        assert np.array_equal(a.stacked(), b.stacked())
+        assert np.array_equal(a.data, b.data)
     assert chain.ledgers == traj.ledgers
 
 
@@ -776,8 +776,8 @@ SCIPY_FREE_PREAMBLE = """
 import sys
 import numpy as np
 from anisostokes import (
-    DefectParams, DiagNu, GridSpec, Ledger, ScalarField, SolverParams, StokesOperator,
-    VaryingFull, VectorField, march, solve, state_row,
+    DefectParams, DiagNu, GridSpec, Ledger, MollifierKernel, ScalarField, SolverParams,
+    StokesOperator, VaryingFull, VectorField, march, solve, state_row,
 )
 g = GridSpec(2, 16)
 x, y = g.meshgrid()
@@ -798,9 +798,9 @@ tensor = VaryingFull(g, iso[..., None, None] * (1.0 + 0.3 * np.cos(x + y)))
 march(tensor, rho, None, SolverParams(gamma=2.0, delta=0.5), 0.02, 0.01)
 """,
     "symbol-mode row with a commutator": """
-u = VectorField.from_arrays(g, [np.sin(y), np.cos(x)])
+u = VectorField(g, [np.sin(y), np.cos(x)])
 state_row(0.0, rho, u, Ledger.fresh(rho), None, 2.0, DefectParams(window=4),
-          commutator_delta=0.5)
+          commutator_kernel=MollifierKernel(g, 0.5))
 """,
 }
 

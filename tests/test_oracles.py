@@ -2,20 +2,28 @@
 
 The pinned checks elsewhere compare the program with its own past output, so
 they catch change, not error.  These check a property that the discrete
-model has whatever its history.  On the periodic box [0, 2 pi)^2, take the
+model has whatever its history.  On the periodic box [0, 2 pi)^d, take the
 image of the initial density under a symmetry of the box and carry the law
 along.  The march from that image stores the images of the states of the
 march from the density itself, with the same ledgers.  The symmetries are
-a translation by whole cells, the transpose (the two axes and their
-viscosities swapped) and the reflection x_1 -> -x_1, under which u_1
-changes sign.  Each is checked on ``march`` at delta = 0.2 (symbol-mode
-velocity pairs) and on ``direct_march`` at delta = 0 with drag.  A
-cellwise-varying law, rolled with the data, takes the Krylov path.  Every
-stored time, density, velocity and ledger field agrees to 1e-12 relative.
+a translation by whole cells, a permutation of the axes (the viscosities
+and the indices of a constant tensor permuted with them) and a reflection
+x_a -> -x_a, under which u_a changes sign, and so does every entry of a
+constant tensor with an odd number of indices a.
+
+In 2D (32^2) each is checked on ``march`` at delta = 0.2 (symbol-mode
+velocity pairs) and on ``direct_march`` at delta = 0 with drag; a
+cellwise-varying law, rolled with the data, takes the Krylov path, and a
+constant law goes through the transpose.  In 1D (64 cells) translation and
+reflection, and in 3D (12^3) a cyclic permutation of the axes and a
+reflection, are checked on both drivers with a ``diag`` law, and on
+``march`` with a ``constant`` law.  Every stored time, density, velocity
+and ledger field agrees to 1e-12 relative.
 
 An error that breaks a symmetry shows here, such as one axis's flux taken
-with the other axis's velocity.  An error that is itself symmetric does
-not, such as a wrong factor applied alike on every axis.
+with the other axis's velocity, or a velocity component solved with
+another axis's wavenumbers.  An error that is itself symmetric does not,
+such as a wrong factor applied alike on every axis.
 """
 
 import dataclasses
@@ -26,68 +34,133 @@ import pytest
 from anisostokes.fields import GridSpec, ScalarField
 from anisostokes.marching import Ledger, direct_march, march
 from anisostokes.transport import SolverParams
-from anisostokes.viscosity import DiagNu, VaryingFull
+from anisostokes.viscosity import (
+    ConstantFull,
+    DiagNu,
+    VaryingFull,
+    isotropic_strain_tensor,
+    minor_symmetrize,
+)
 from keepall import kept
 
 TOL = 1e-12
-GRID = GridSpec(2, 32)
-SHIFT = (5, 11)
+GRIDS = {1: GridSpec(1, 64), 2: GridSpec(2, 32), 3: GridSpec(3, 12)}
+# the march's mollifier radius: at least one cell on every grid
+DELTA = {1: 0.2, 2: 0.2, 3: 0.6}
 T_END = 0.1
 
 
-def initial_density():
+def initial_density(dim):
     """A density with no symmetry of its own."""
-    x, y = GRID.meshgrid()
-    return (1.0 + 0.3 * np.cos(x) * np.cos(2.0 * y) + 0.2 * np.sin(x + 2.0 * y)
-            + 0.1 * np.cos(3.0 * x - y + 0.4))
+    xs = GRIDS[dim].meshgrid()
+    if dim == 1:
+        (x,) = xs
+        return 1.0 + 0.3 * np.cos(x) + 0.2 * np.sin(2.0 * x) + 0.1 * np.cos(3.0 * x + 0.4)
+    if dim == 2:
+        x, y = xs
+        return (1.0 + 0.3 * np.cos(x) * np.cos(2.0 * y) + 0.2 * np.sin(x + 2.0 * y)
+                + 0.1 * np.cos(3.0 * x - y + 0.4))
+    x, y, z = xs
+    return (1.0 + 0.3 * np.cos(x) * np.cos(2.0 * y) + 0.2 * np.sin(x + 2.0 * y - z)
+            + 0.1 * np.cos(3.0 * x - y + 2.0 * z + 0.4) + 0.15 * np.sin(z + 0.3))
+
+
+def diag_law(dim):
+    return DiagNu((1.0, 4.0, 2.0)[:dim])
+
+
+def constant_law(dim):
+    """A coercive constant tensor with no symmetry of the box, minor-symmetric bit for bit."""
+    rng = np.random.default_rng(dim)
+    return ConstantFull(minor_symmetrize(
+        isotropic_strain_tensor(dim, 1.0) + 0.1 * rng.uniform(size=(dim,) * 4)
+    ))
 
 
 def varying_law():
     """An isotropic law whose viscosity varies cell by cell (Krylov mode)."""
-    x, y = GRID.meshgrid()
-    eye = np.eye(2)
-    iso = 0.5 * (np.einsum("ik,jl->ijkl", eye, eye) + np.einsum("il,jk->ijkl", eye, eye))
-    return VaryingFull(GRID, iso[..., None, None] * (1.0 + 0.3 * np.cos(x + 2.0 * y)))
-
-
-def roll(a):
-    return np.roll(a, SHIFT, axis=(-2, -1))
+    x, y = GRIDS[2].meshgrid()
+    return VaryingFull(GRIDS[2], isotropic_strain_tensor(2, 1.0)[..., None, None]
+                       * (1.0 + 0.3 * np.cos(x + 2.0 * y)))
 
 
 @dataclasses.dataclass(frozen=True)
 class Symmetry:
-    """The images of a scalar array, of a (2, n, n) velocity stack and of a law."""
+    """A symmetry of the box in ``dim`` dimensions: the images of a scalar
+    array, of a (dim, *shape) velocity stack and of a law."""
 
+    dim: int
     scalar: object
     vector: object
     law: object
 
 
+def translation(dim, shift):
+    axes = tuple(range(-dim, 0))
+
+    def roll(a):
+        return np.roll(a, shift, axis=axes)
+
+    def law(law):
+        return VaryingFull(GRIDS[dim], roll(law.values)) if law.kind == "varying" else law
+
+    return Symmetry(dim, roll, roll, law)
+
+
+def permutation(dim, perm):
+    """The axes permuted: new axis k is old axis ``perm[k]``."""
+    perm = list(perm)
+
+    def law(law):
+        if law.kind == "diag":
+            return DiagNu([law.nu[p] for p in perm])
+        return ConstantFull(law.a[np.ix_(perm, perm, perm, perm)])
+
+    return Symmetry(
+        dim,
+        lambda a: np.transpose(a, perm),
+        lambda u: np.transpose(u[perm], [0] + [1 + p for p in perm]),
+        law,
+    )
+
+
+def reflection(dim, axis):
+    """x_axis -> -x_axis about the middle of the grid's cell centres."""
+    sign = np.ones(dim)
+    sign[axis] = -1.0
+
+    def law(law):
+        if law.kind == "diag":
+            return law
+        return ConstantFull(np.einsum("ijkl,i,j,k,l->ijkl", law.a, sign, sign, sign, sign))
+
+    return Symmetry(
+        dim,
+        lambda a: np.flip(a, axis),
+        lambda u: np.flip(u, 1 + axis) * sign.reshape((dim,) + (1,) * dim),
+        law,
+    )
+
+
 SYMMETRIES = {
-    "translation": Symmetry(
-        roll, roll,
-        lambda law: VaryingFull(GRID, roll(law.values)) if law.kind == "varying" else law,
-    ),
-    "transpose": Symmetry(
-        lambda a: a.T,
-        lambda u: u[::-1].swapaxes(-2, -1),
-        lambda law: DiagNu(law.nu[::-1]),
-    ),
-    "reflection": Symmetry(
-        lambda a: np.flip(a, 0),
-        lambda u: np.flip(u, -2) * np.array([-1.0, 1.0])[:, None, None],
-        lambda law: law,
-    ),
+    "translation": translation(2, (5, 11)),
+    "transpose": permutation(2, (1, 0)),
+    "reflection": reflection(2, 0),
+    "1d-translation": translation(1, (23,)),
+    "1d-reflection": reflection(1, 0),
+    "3d-permutation": permutation(3, (1, 2, 0)),
+    "3d-reflection": reflection(3, 1),
 }
 
 
 def run(driver, law, rho0):
     """The driver's march of ``law`` from ``rho0``, every state kept."""
+    grid = GRIDS[rho0.ndim]
     if driver == "march":
-        params = SolverParams(gamma=2.0, eps=0.01, delta=0.2, eta=0.01, dt_max=0.01)
-        return kept(march, law, ScalarField(GRID, rho0), None, params, T_END, 0.05)
+        params = SolverParams(gamma=2.0, eps=0.01, delta=DELTA[grid.dim], eta=0.01, dt_max=0.01)
+        return kept(march, law, ScalarField(grid, rho0), None, params, T_END, 0.05)
     params = SolverParams(gamma=2.0, eps=0.01, delta=0.0, eta=0.05, dt_max=0.01)
-    return kept(direct_march, law, ScalarField(GRID, rho0), None, params, T_END)
+    return kept(direct_march, law, ScalarField(grid, rho0), None, params, T_END)
 
 
 def assert_close(a, b):
@@ -95,14 +168,22 @@ def assert_close(a, b):
     assert np.array_equal(a, b) or np.max(np.abs(a - b)) <= TOL * np.max(np.abs(a))
 
 
-@pytest.mark.parametrize("driver, name, law", [
-    *((driver, name, DiagNu((1.0, 4.0))) for driver in ("march", "direct")
-      for name in SYMMETRIES),
-    ("march", "translation", varying_law()),
-], ids=lambda x: getattr(x, "kind", x))
+def cases():
+    for name, sym in SYMMETRIES.items():
+        for driver in ("march", "direct"):
+            yield driver, name, diag_law(sym.dim)
+        # a constant law where the symmetry moves its indices: a translation
+        # leaves it as it is, and in 1D it is a diag law
+        if sym.dim > 1 and name != "translation":
+            yield "march", name, constant_law(sym.dim)
+    yield "march", "translation", varying_law()
+
+
+@pytest.mark.parametrize("driver, name, law", list(cases()),
+                         ids=lambda x: getattr(x, "kind", x))
 def test_a_symmetry_of_the_box_maps_every_stored_state(driver, name, law):
     sym = SYMMETRIES[name]
-    rho0 = initial_density()
+    rho0 = initial_density(sym.dim)
     traj, states = run(driver, law, rho0)
     image, image_states = run(driver, sym.law(law), sym.scalar(rho0))
     assert len(image) == len(traj) >= 6
@@ -110,7 +191,7 @@ def test_a_symmetry_of_the_box_maps_every_stored_state(driver, name, law):
     for a, b in zip(states.densities, image_states.densities, strict=True):
         assert_close(sym.scalar(a.data), b.data)
     for a, b in zip(states.velocities, image_states.velocities, strict=True):
-        assert_close(sym.vector(a.stacked()), b.stacked())
+        assert_close(sym.vector(a.data), b.data)
     for a, b in zip(traj.ledgers, image.ledgers, strict=True):
         for f in dataclasses.fields(Ledger):
             assert_close(getattr(a, f.name), getattr(b, f.name))

@@ -125,7 +125,7 @@ def test_constant_full_symbol_matches_lame_formula():
         amp = rng.standard_normal(3)
         x, y, z = g.meshgrid()
         phase = kvec[0] * x + kvec[1] * y + kvec[2] * z
-        u = VectorField.from_arrays(
+        u = VectorField(
             g, [amp[i] * np.cos(phase) for i in range(3)]
         )
         got = op.apply(u)
@@ -203,12 +203,7 @@ def test_varying_manufactured_round_trip():
     g = GridSpec(2, 32)
     t = varying_isotropic(g, lambda x, y: 1.0 + 0.1 * np.sin(x))
     op = StokesOperator.build(t, g)
-    ustar = VectorField(
-        [
-            ScalarField.from_function(g, lambda x, y: np.sin(y)),
-            ScalarField.zeros(g),
-        ]
-    )
+    ustar = VectorField(g, [np.sin(g.meshgrid()[1]), np.zeros(g.shape)])
     rhs = op.apply(ustar)
     u = solve_rhs(op, rhs)
     err = (u - ustar).l2_norm()
@@ -343,7 +338,7 @@ def test_stress_is_symmetric_bit_for_bit(dim, kind):
     # _div_tensor transforms tau_ij once for tau_ji, which needs bit equality
     g = GridSpec(dim, 8)
     rng = np.random.default_rng(10 + dim)
-    u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
+    u = VectorField(g, rng.standard_normal((dim,) + g.shape))
     tau = stress_laws(g)[kind].apply(sym_grad(u))
     for i in range(dim):
         for j in range(dim):
@@ -354,7 +349,7 @@ def test_stress_is_symmetric_bit_for_bit(dim, kind):
 def test_div_tensor_matches_one_transform_per_entry(dim):
     g = GridSpec(dim, 8)
     rng = np.random.default_rng(dim)
-    u = VectorField.from_arrays(g, rng.standard_normal((dim,) + g.shape))
+    u = VectorField(g, rng.standard_normal((dim,) + g.shape))
     tau = stress_laws(g)["varying"].apply(sym_grad(u))
     expected = [
         np.fft.ifftn(

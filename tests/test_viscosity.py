@@ -219,7 +219,7 @@ def test_audit_h1_against_jacobian_contraction():
     g = GridSpec(2, 12)
     rng = np.random.default_rng(23)
     t = ConstantFull(isotropic_strain_tensor(2, 1.0))
-    u = VectorField.from_arrays(g, rng.standard_normal((2,) + g.shape))
+    u = VectorField(g, rng.standard_normal((2,) + g.shape))
     J = jacobian(u)
     D = 0.5 * (J + np.swapaxes(J, 0, 1))
     tau = t.apply(D)
