@@ -232,7 +232,7 @@ class ScalarField:
                 raise ValueError(
                     f"data shape {data.shape} does not match grid {grid.shape}"
                 )
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NonFiniteField("field data must be finite")
         self.grid = grid
         self.data = np.ascontiguousarray(data)
@@ -289,17 +289,23 @@ class ScalarField:
 class VectorField:
     """dim scalar components sharing one grid, held as one (dim, *shape) array.
 
-    ``data`` is the float64 array; ``components`` are :class:`ScalarField`
-    views of its rows, so writing one writes the other.
+    ``data`` is the float64 array, finite-checked once; ``components`` are
+    :class:`ScalarField` views of its rows, made on first use, so writing
+    one writes the other.
     """
 
     def __init__(self, grid, data):
         data = np.ascontiguousarray(data, dtype=np.float64)
         if data.shape != (grid.dim,) + grid.shape:
             raise ValueError(f"data shape {data.shape} does not match {grid.dim} x {grid.shape}")
+        if not np.isfinite(data).all():
+            raise NonFiniteField("field data must be finite")
         self.grid = grid
         self.data = data
-        self.components = tuple(ScalarField(grid, row) for row in data)
+
+    @functools.cached_property
+    def components(self):
+        return tuple(ScalarField(self.grid, row) for row in self.data)
 
     @classmethod
     def zeros(cls, grid):

@@ -115,23 +115,35 @@ def pressure_integral(rho, gamma):
 # substeps
 # ----------------------------------------------------------------------
 
+def _roll_into(a, shift, axis, out):
+    """Write ``np.roll(a, shift, axis)`` into ``out`` by two slice copies."""
+    n = a.shape[axis]
+    k = shift % n
+    lead = (slice(None),) * axis
+    out[lead + (slice(k, None),)] = a[lead + (slice(None, n - k),)]
+    out[lead + (slice(None, k),)] = a[lead + (slice(n - k, None),)]
+
+
 def _advect(rho, v, dt):
     grid = rho.grid
     h = grid.h
     data = rho.data
     divflux = np.zeros(grid.shape)
+    vface = np.empty(grid.shape)
+    flux = np.empty(grid.shape)
+    diff = np.empty(grid.shape)
     for a in range(grid.dim):
-        va = v[a].data
+        va = v.data[a]
         # vface = 0.5 * (va + va shifted down one cell)
-        vface = np.roll(va, -1, axis=a)
+        _roll_into(va, -1, a, vface)
         vface += va
         vface *= 0.5
         # flux = vface * upwind value
-        flux = np.roll(data, -1, axis=a)
+        _roll_into(data, -1, a, flux)
         np.copyto(flux, data, where=vface > 0.0)
         flux *= vface
         # divflux += (flux - flux shifted up one cell) / h
-        diff = np.roll(flux, 1, axis=a)
+        _roll_into(flux, 1, a, diff)
         np.subtract(flux, diff, out=diff)
         diff /= h
         divflux += diff
@@ -158,10 +170,10 @@ _DRAG_MAX_ITER = 100
 _DRAG_RTOL = 1e-13
 
 
-def _drag_residual(x, s, a, two_g, f):
-    """Write x + a (x^{2 gamma} + x^3) - s into ``f``."""
+def _drag_residual(x, s, a, two_g, f, work):
+    """Write x + a (x^{2 gamma} + x^3) - s into ``f``; ``work`` is scratch."""
     np.power(x, two_g, out=f)
-    f += x**3
+    f += np.power(x, 3, out=work)
     f *= a
     f += x
     f -= s
@@ -178,21 +190,23 @@ def _drag_solve(s, a, gamma):
     two_g = 2.0 * gamma
     f = np.empty_like(x)
     fp = np.empty_like(x)
+    work = np.empty_like(x)
     for _ in range(_DRAG_MAX_ITER):
-        _drag_residual(x, s, a, two_g, f)
+        _drag_residual(x, s, a, two_g, f, work)
         if float(np.abs(f, out=fp).max()) <= _DRAG_RTOL * scale:
             return np.maximum(x, 0.0)
         # fp = 1 + a (2 gamma x^{2 gamma - 1} + 3 x^2)
-        np.multiply(x ** (two_g - 1.0), two_g, out=fp)
-        x2 = x**2
-        x2 *= 3.0
-        fp += x2
+        np.power(x, two_g - 1.0, out=fp)
+        fp *= two_g
+        np.square(x, out=work)
+        work *= 3.0
+        fp += work
         fp *= a
         fp += 1.0
         f /= fp
         x -= f
         np.maximum(x, 0.0, out=x)
-    _drag_residual(x, s, a, two_g, f)
+    _drag_residual(x, s, a, two_g, f, work)
     worst = float(np.abs(f).max())
     if worst > _DRAG_RTOL * scale:
         raise NewtonFail(f"drag solve stalled at residual {worst:.3e}")

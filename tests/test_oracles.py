@@ -24,6 +24,13 @@ An error that breaks a symmetry shows here, such as one axis's flux taken
 with the other axis's velocity, or a velocity component solved with
 another axis's wavenumbers.  An error that is itself symmetric does not,
 such as a wrong factor applied alike on every axis.
+
+A last check refines the 1D grid from 64 to 1024 cells with the CFL limit
+setting every step, and asks the final densities to converge at an
+observed order of at least 1/2.  It sees an error that does not shrink
+with the step, such as a substep that ignores dt; it cannot see an error
+that is consistent, such as the donor cell taken from the downwind side,
+which the diffusion here keeps stable.
 """
 
 import dataclasses
@@ -195,3 +202,33 @@ def test_a_symmetry_of_the_box_maps_every_stored_state(driver, name, law):
     for a, b in zip(traj.ledgers, image.ledgers, strict=True):
         for f in dataclasses.fields(Ledger):
             assert_close(getattr(a, f.name), getattr(b, f.name))
+
+
+# from 64 cells up, delta = 0.2 spans two cells or more; on 32 the kernel is
+# the identity to 1e-11, so that level would march another model
+REFINE_LEVELS = (64, 128, 256, 512, 1024)
+
+
+def refined_final_density(n):
+    """The final density of a 1D ``march`` on n cells whose every step the
+    CFL limit sets (``dt_max`` is above ``t_end``), and its substep count."""
+    grid = GridSpec(1, n)
+    (x,) = grid.meshgrid()
+    rho0 = 1.0 + 0.3 * np.cos(x) + 0.2 * np.sin(2.0 * x) + 0.1 * np.cos(3.0 * x + 0.4)
+    params = SolverParams(gamma=2.0, eps=0.02, delta=0.2, eta=0.05, dt_max=1.0)
+    last = []
+    march(DiagNu((1.0,)), ScalarField(grid, rho0), None, params, 0.2, 0.05,
+          observe=lambda t, rho, velocity, ledger: last.append(rho))
+    return last[-1].data, len(last) - 1
+
+
+def test_the_1d_march_converges_under_grid_refinement():
+    finals, steps = zip(*(refined_final_density(n) for n in REFINE_LEVELS))
+    # the step halves with the cell: the CFL limit, not dt_max, sets it
+    assert all(fine >= 1.5 * coarse for coarse, fine in zip(steps, steps[1:]))
+    # the mean distance between each level and the next one averaged over its
+    # cells: coarse cell i, centred on fine cell 2i, holds half of 2i - 1 and 2i + 1
+    gaps = [np.mean(np.abs(coarse - 0.5 * fine[0::2] - 0.25 * (fine[1::2] + np.roll(fine, 1)[0::2])))
+            for coarse, fine in zip(finals, finals[1:])]
+    orders = np.log2(np.array(gaps[:-1]) / np.array(gaps[1:]))
+    assert np.all(orders >= 0.5), orders

@@ -18,6 +18,7 @@ from anisostokes.transport import (
     _advect,
     _diffuse,
     _drag_solve,
+    _roll_into,
     cfl_dt,
     continuity_step,
     pressure_field,
@@ -274,7 +275,22 @@ def signed_velocity(grid, seed):
     return VectorField(grid, comps)
 
 
-@pytest.mark.parametrize("dim,n", [(1, 16), (1, 9), (2, 8), (2, 7), (3, 6), (3, 5)])
+@pytest.mark.parametrize("n", [4, 5, 256])
+@pytest.mark.parametrize("shift", [1, -1])
+@pytest.mark.parametrize("dim,axis", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2)])
+def test_roll_into_equals_np_roll_bit_for_bit(dim, axis, shift, n):
+    # n cells on the shifted axis and a different small count on each other
+    # one, which also keeps the 3D case at n = 256 small
+    shape = tuple(n if b == axis else 3 + b for b in range(dim))
+    a = np.random.default_rng(n + 7 * axis).standard_normal(shape)
+    before = bits(a).copy()
+    out = np.full(shape, np.nan)
+    _roll_into(a, shift, axis, out)
+    assert np.array_equal(bits(out), bits(np.roll(a, shift, axis=axis)))
+    assert np.array_equal(bits(a), before)
+
+
+@pytest.mark.parametrize("dim,n", [(1, 16), (1, 9), (1, 256), (2, 8), (2, 7), (3, 6), (3, 5)])
 def test_advect_matches_the_rolled_form_bit_for_bit(dim, n):
     g = GridSpec(dim, n)
     rho = smooth_positive(g, seed=dim + n)
