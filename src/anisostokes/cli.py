@@ -67,9 +67,9 @@ from anisostokes.diagnostics import (
 )
 from anisostokes.fields import MollifierKernel, SolverFailure, write_snapshot
 from anisostokes.marching import direct_march, march
-from anisostokes.stokes import NotCoercive, SingularSymbol
+from anisostokes.stokes import NotCoercive, SingularSymbol, audit_hypotheses
 from anisostokes.transport import pressure_integral
-from anisostokes.viscosity import DiagNu, audit_hypotheses
+from anisostokes.viscosity import DiagNu
 
 
 def _audit(results, name, ok, detail):

@@ -12,9 +12,9 @@ problem.  Two drivers are provided.
 * ``direct_march``: semi-implicit stepping without mollification, the limit
   object that the mollification sweep converges to.
 
-Each entry builds one ``_Momentum``: the momentum operator, the mollifier
-kernel, the forcing, the parameters of a march and, for diagonal and
-constant laws, the half-spectrum weights of the stress power.  It carries
+Each entry builds one ``_Momentum``: the momentum operator (with, for
+diagonal and constant laws, the half-spectrum weights of the stress power),
+the mollifier kernel, the forcing and the parameters of a march.  It carries
 a solved velocity as a (u_hat, w) pair: u_hat is the ``rfftn`` half
 spectrum of the velocity u solved from rho and w = omega_delta * u the
 real advecting velocity.  For diagonal and constant laws one forward
@@ -155,30 +155,6 @@ class Slab:
     @property
     def dt(self):
         return (self.t1 - self.t0) / self.steps
-
-
-def _power_weights(tensor, grid):
-    """The stress power of a law constant in space, as half-spectrum weights.
-
-    Such a law has tau(D)_hat = A D_hat.  With J_hat_ij = i k_j u_hat_i and
-    the minor symmetry of A, conj(J_hat) : tau_hat = conj(u_hat) . M u_hat
-    for M_ik(k) = sum_jl A_ijkl k_j k_l (k the Nyquist-zeroed derivative
-    wavenumbers), so by Parseval int tau(D(u)) : grad u is the sum over the
-    half spectrum of c(k) h^d / N Re(conj(u_hat) . M u_hat).  Returns
-    (i, j, weight) for i <= j, the weight being
-    :attr:`GridSpec.parseval_weight` times M_ii on the diagonal and times
-    M_ij + M_ji off it; the integral is then
-    sum Re(vdot(u_hat_i, weight * u_hat_j)).
-    """
-    k = grid.ik.imag
-    m = np.einsum("ijkl,j...,l...->ik...", tensor.tensor_at(), k, k)
-    pw = grid.parseval_weight
-    d = grid.dim
-    return [
-        (i, j, (m[i, i] if i == j else m[i, j] + m[j, i]) * pw)
-        for i in range(d)
-        for j in range(i, d)
-    ]
 
 
 @dataclass(frozen=True)
@@ -371,9 +347,7 @@ class _Momentum:
 
     ``op`` is the one momentum operator of the march.  The mollifier
     ``kernel`` is None at delta = 0, where w is u itself.  ``forcing`` is
-    None or a field on ``grid``, constant in time.  In symbol mode
-    ``power_weights`` holds the :func:`_power_weights` of the law; it is
-    None in Krylov mode.
+    None or a field on ``grid``, constant in time.
     """
 
     def __init__(self, tensor, grid, f, params):
@@ -387,7 +361,6 @@ class _Momentum:
         self.params = params
         self.kernel = None if params.delta <= 0.0 else MollifierKernel(grid, params.delta)
         self.op = StokesOperator.build(tensor, grid)
-        self.power_weights = _power_weights(tensor, grid) if self.op.mode == "symbol" else None
 
     @functools.cached_property
     def f(self):
@@ -476,14 +449,16 @@ class _Momentum:
     def stress_power(self, pair):
         """int tau(D(u)) : grad u of the pair's velocity u.
 
-        A sum of u_hat over the :attr:`power_weights`, with no transform, in
-        symbol mode; in Krylov mode :func:`viscous_work` of :meth:`velocity`,
-        the u an observer of the pair is given.
+        A sum of u_hat over the operator's
+        :attr:`~anisostokes.stokes.StokesOperator.power_weights`, with no
+        transform, in symbol mode; in Krylov mode :func:`viscous_work` of
+        :meth:`velocity`, the u an observer of the pair is given.
         """
-        if self.power_weights is None:
+        weights = self.op.power_weights
+        if weights is None:
             return viscous_work(self.tensor, self.velocity(pair)).total
         uhat = pair[0]
-        return sum(float(np.vdot(uhat[i], w * uhat[j]).real) for i, j, w in self.power_weights)
+        return sum(float(np.vdot(uhat[i], w * uhat[j]).real) for i, j, w in weights)
 
     def pairs(self, samples):
         """Caller-given velocity samples as (v_hat, omega_delta * v) pairs."""

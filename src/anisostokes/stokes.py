@@ -1,11 +1,12 @@
 """Momentum solves: A u = grad q with A v = -div tau(D(v)).
 
+This is the one module that turns a stress law into spectral tables.
 Constant-coefficient laws (diagonal or full tensor) are solved exactly in
 Fourier space ("symbol mode").  Cellwise-varying tensors go through a
 preconditioned Krylov iteration (conjugate gradients when the tensor has
 the major symmetry, a residual-minimizing iteration otherwise) with the
-cell-averaged constant tensor as preconditioner.  Conjugate gradients is
-the numpy :func:`_cg`; only the residual-minimizing branch, scipy's
+symbol of the cell-averaged tensor as preconditioner.  Conjugate gradients
+is the numpy :func:`_cg`; only the residual-minimizing branch, scipy's
 LGMRES, imports scipy, when it first runs.
 
 The diagonal law uses the scalar symbol sum_a nu_a k_a^2 (the weighted
@@ -15,19 +16,29 @@ gain G(k) = M(k)^{-1} i k on the ``rfftn`` half spectrum, so the velocity
 spectrum is u_hat = G q_hat: one real forward transform of q, one multiply
 and one inverse transform per component.  Callers that hold q_hat already
 (the marcher, which mollifies by a Fourier multiplier too) use
-:meth:`StokesOperator.solve_hat`.  Wavevectors are the first-derivative
-wavenumbers of the grid (Nyquist zeroed), which keeps the symbol
-application identical to composing the spectral operators; G vanishes on
-modes whose derivative wavevector vanishes entirely, which is what makes
-the velocity mean-free.
+:meth:`StokesOperator.solve_hat`.  The operator also keeps the stress
+power as half-spectrum weights (``power_weights``), which the march's
+ledger reads.  Wavevectors are the first-derivative wavenumbers of the
+grid (Nyquist zeroed), which keeps the symbol application identical to
+composing the spectral operators; G vanishes on modes whose derivative
+wavevector vanishes entirely, which is what makes the velocity mean-free.
+:func:`audit_hypotheses` audits a law on a grid through the operator it
+builds.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from anisostokes.fields import SolverFailure, VectorField, grad, sym_grad
-from anisostokes.viscosity import coercivity_estimate, major_symmetric
+from anisostokes.fields import SolverFailure, VectorField, div, grad, sym_grad, vector_lp_norm
+from anisostokes.viscosity import (
+    CoercivityReport,
+    coercivity_estimate,
+    major_symmetric,
+    viscous_work,
+)
 
 
 class SingularSymbol(SolverFailure):
@@ -49,16 +60,6 @@ class KrylovNoConvergence(SolverFailure):
             f"no convergence after {iterations} iterations: "
             f"residual {residual:.3e} > target {target:.3e}"
         )
-
-
-def _wavevectors(grid):
-    """Derivative wavevectors as a (d, *shape) array plus the active-mode mask."""
-    d = grid.dim
-    kvec = np.zeros((d,) + grid.shape)
-    for a in range(d):
-        kvec[a] = np.broadcast_to(grid.deriv_wavenumbers[a], grid.shape)
-    active = np.any(kvec != 0.0, axis=0)
-    return kvec, active
 
 
 def _div_tensor(grid, tau):
@@ -89,6 +90,7 @@ class StokesOperator:
     """A momentum operator bound to a tensor and a grid.
 
     Build with :meth:`build`; solve right sides with :func:`solve`.
+    ``power_weights`` is None for a varying law (see :meth:`build`).
     """
 
     def __init__(self, tensor, grid, mode):
@@ -97,6 +99,7 @@ class StokesOperator:
         self.mode = mode
         self._scalar_symbol = None
         self._gain = None
+        self.power_weights = None
         self._precond_inv = None
         self._use_cg = False
 
@@ -105,6 +108,19 @@ class StokesOperator:
     @classmethod
     def build(cls, tensor, grid):
         """Bind a viscosity tensor to a grid, validating its symbols.
+
+        A law constant in space has each symbol formed once, on the
+        ``rfftn`` half spectrum of ``grid.ik``: the gain, the diagonal law's
+        scalar symbol, and M(k) of ``tensor.tensor_at()`` (for the diagonal
+        law, its work tensor), which a constant law's gain inverts and
+        ``power_weights`` reuses.  With J_hat_ij = i k_j u_hat_i and the
+        minor symmetry of A, conj(J_hat) : tau_hat = conj(u_hat) . M u_hat,
+        so by Parseval int tau(D(u)) : grad u is the sum over the half
+        spectrum of c(k) h^d / N Re(conj(u_hat) . M u_hat).
+        ``power_weights`` lists (i, j, weight) for i <= j, the weight being
+        :attr:`GridSpec.parseval_weight` times M_ii on the diagonal and
+        times M_ij + M_ji off it; the integral is then
+        sum Re(vdot(u_hat_i, weight * u_hat_j)).
 
         Raises
         ------
@@ -118,34 +134,40 @@ class StokesOperator:
             raise ValueError(
                 f"tensor dimension {tensor.dim} != grid dimension {grid.dim}"
             )
-        mode = "krylov" if tensor.kind == "varying" else "symbol"
-        op = cls(tensor, grid, mode)
-        kvec, active = _wavevectors(grid)
-        half = grid.half_shape[-1]
-        ik, ahalf = grid.ik, active[..., :half]
-
-        if tensor.kind == "diag":
-            nu = np.asarray(tensor.nu)
-            sym = np.einsum("a,a...->...", nu, kvec**2)
-            if np.any(sym[active] <= 0):  # unreachable for positive nu
-                raise SingularSymbol("diagonal symbol vanishes on an active mode")
-            op._scalar_symbol = sym
-            op._gain = np.zeros((grid.dim,) + grid.half_shape, dtype=complex)
-            np.divide(ik, sym[..., :half], out=op._gain, where=ahalf)
-        elif tensor.kind == "constant":
-            a = tensor.tensor_at()
-            khalf = ik.imag
-            sym = np.einsum("ijkl,j...,l...->ik...", a, khalf, khalf)
-            inv = _invert_symbol(sym, ahalf)
-            op._gain = np.einsum("ik...,k...->i...", inv, ik)
-        else:
-            avg = tensor.averaged_constant()
-            asym = np.einsum("ijkl,j...,l...->ik...", avg.tensor_at(), kvec, kvec)
+        d = grid.dim
+        if tensor.kind == "varying":
+            op = cls(tensor, grid, "krylov")
+            kvec = np.zeros((d,) + grid.shape)
+            for a in range(d):
+                kvec[a] = np.broadcast_to(grid.deriv_wavenumbers[a], grid.shape)
+            avg = tensor.values.reshape(d**4, -1).mean(axis=1).reshape((d,) * 4)
+            asym = np.einsum("ijkl,j...,l...->ik...", avg, kvec, kvec)
             try:
-                op._precond_inv = _invert_symbol(asym, active)
+                op._precond_inv = _invert_symbol(asym, np.any(kvec != 0.0, axis=0))
             except SingularSymbol:
                 op._precond_inv = None
-            op._use_cg = major_symmetric(avg.tensor_at()) and major_symmetric(tensor.tensor_at())
+            op._use_cg = major_symmetric(avg) and major_symmetric(tensor.values)
+        else:
+            op = cls(tensor, grid, "symbol")
+            ik = grid.ik
+            k = ik.imag
+            active = np.any(k != 0.0, axis=0)
+            m = np.einsum("ijkl,j...,l...->ik...", tensor.tensor_at(), k, k)
+            if tensor.kind == "diag":
+                sym = np.einsum("a,a...->...", np.asarray(tensor.nu), k**2)
+                if np.any(sym[active] <= 0):  # unreachable for positive nu
+                    raise SingularSymbol("diagonal symbol vanishes on an active mode")
+                op._scalar_symbol = sym
+                op._gain = np.zeros((d,) + grid.half_shape, dtype=complex)
+                np.divide(ik, sym, out=op._gain, where=active)
+            else:
+                op._gain = np.einsum("ik...,k...->i...", _invert_symbol(m, active), ik)
+            pw = grid.parseval_weight
+            op.power_weights = [
+                (i, j, (m[i, i] if i == j else m[i, j] + m[j, i]) * pw)
+                for i in range(d)
+                for j in range(i, d)
+            ]
 
         report = coercivity_estimate(tensor)
         if not report.passed:
@@ -161,10 +183,7 @@ class StokesOperator:
         """A v = -div tau(D(v)) on a vector field."""
         grid = self.grid
         if self.tensor.kind == "diag":
-            out = np.empty_like(v.data)
-            for a, row in enumerate(v.data):
-                out[a] = grid.ifft(self._scalar_symbol * grid.fft(row)).real
-            return VectorField(grid, out)
+            return VectorField(grid, grid.irfft(self._scalar_symbol * grid.rfft(v.data)))
         du = sym_grad(v)
         tau = self.tensor.apply(du)
         return -1.0 * _div_tensor(grid, tau)
@@ -323,3 +342,84 @@ def residual(op, u, q):
 
 def residual_rhs(op, u, rhs):
     return (op.apply(u) - rhs).l2_norm()
+
+
+# ----------------------------------------------------------------------
+# hypothesis audits
+# ----------------------------------------------------------------------
+
+@dataclass
+class HypothesesReport:
+    h1_max_residual: float
+    h1_passed: bool
+    coercivity: CoercivityReport
+    h4_symbol_invertible: bool | None
+    h4_sample_norm: float | None
+    h2_note: str
+    passed: bool
+
+
+def _random_velocity(grid, rng):
+    return VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
+
+
+_AUDIT_SAMPLES = 10
+_H1_RTOL = 1e-12
+
+
+def audit_hypotheses(tensor, grid, seed=0):
+    """Audit the structural hypotheses of the stress law on a grid.
+
+    * symmetric-stress identity: max over sampled velocity fields of
+      ``|tau : grad u - tau : D(u)|`` (must sit at machine level because the
+      stress is symmetric);
+    * coercivity: exact minimum of the strain form, must be positive;
+    * invertibility: for constant-coefficient laws, every nonzero grid
+      wavevector must have an invertible momentum symbol, and the sampled
+      operator norm of ``Ainv grad div`` in the discrete L^{3/2} norm is
+      reported (finite by construction when the symbols are invertible);
+    * weak lower semicontinuity of the dissipation is implied by coercivity
+      plus convexity of the quadratic form and is recorded, not tested.
+    """
+    rng = np.random.default_rng(seed)
+    h1_max = 0.0
+    work_scale = 1e-300
+    for _ in range(_AUDIT_SAMPLES):
+        work = viscous_work(tensor, _random_velocity(grid, rng))
+        h1_max = max(h1_max, work.h1_residual)
+        work_scale = max(work_scale, float(np.abs(work.pointwise.data).max()))
+    h1_passed = h1_max <= _H1_RTOL * max(work_scale, 1.0)
+
+    coer = coercivity_estimate(tensor)
+
+    h4_invertible = None
+    h4_norm = None
+    if tensor.kind in ("diag", "constant"):
+        try:
+            op = StokesOperator.build(tensor, grid)
+            h4_invertible = True
+        except SingularSymbol:
+            h4_invertible = False
+        except NotCoercive:
+            op = None
+            h4_invertible = True  # symbols were checked before coercivity
+        if h4_invertible and coer.passed:
+            worst = 0.0
+            for _ in range(_AUDIT_SAMPLES):
+                w = _random_velocity(grid, rng)
+                qfield = div(w)
+                v = solve(op, qfield)
+                denom = vector_lp_norm(w, 1.5)
+                worst = max(worst, vector_lp_norm(v, 1.5) / denom)
+            h4_norm = worst
+
+    passed = h1_passed and coer.passed and (h4_invertible is not False)
+    return HypothesesReport(
+        h1_max_residual=h1_max,
+        h1_passed=h1_passed,
+        coercivity=coer,
+        h4_symbol_invertible=h4_invertible,
+        h4_sample_norm=h4_norm,
+        h2_note="implied by coercivity and convexity of the quadratic form",
+        passed=passed,
+    )

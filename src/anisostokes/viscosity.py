@@ -1,11 +1,17 @@
-"""Anisotropic viscosity tensors, stress application and power, and audits.
+"""Anisotropic viscosity tensors, stress application and power, and coercivity.
 
 Three tensor variants share one interface: a diagonal per-axis law (the
 weighted-Laplacian fast path), a constant rank-4 tensor, and a cellwise
-varying rank-4 tensor.  Every law is constant in time.
-Minor symmetries A_ijkl = A_jikl = A_ijlk are enforced by symmetrization at
-construction so the stress is always a symmetric matrix; major symmetry is
-not assumed anywhere (``major_symmetric`` tests for it).
+varying rank-4 tensor.  Each has a ``kind`` ("diag", "constant" or
+"varying"), a ``dim``, ``tensor_at()`` (the (d,d,d,d) tensor, or
+(d,d,d,d,*cells) for a varying law) and ``apply(du)``, the stress
+tau_ij = A_ijkl [du]_kl as a (d, d, *shape) array of the symmetric
+gradient from :func:`anisostokes.fields.sym_grad`.  Every law is constant
+in time.  Minor symmetries A_ijkl = A_jikl = A_ijlk are enforced by
+symmetrization at construction so the stress is always a symmetric matrix;
+major symmetry is not assumed anywhere (``major_symmetric`` tests for it).
+This module works in real space only: the symbols of a law, and the audit
+that builds its momentum operator, live in :mod:`anisostokes.stokes`.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import ScalarField, VectorField, div, jacobian, vector_lp_norm
+from anisostokes.fields import ScalarField, jacobian
 
 
 def minor_symmetrize(a):
@@ -47,23 +53,7 @@ def isotropic_strain_tensor(dim, nu):
     return a
 
 
-class ViscosityTensor:
-    """Base class; concrete variants implement tensor_at / apply."""
-
-    kind = "abstract"
-
-    def tensor_at(self):
-        raise NotImplementedError
-
-    def apply(self, du):
-        """Stress tau_ij = A_ijkl [du]_kl as a (d, d, *shape) array.
-
-        ``du`` is the symmetric gradient from :func:`anisostokes.fields.sym_grad`.
-        """
-        raise NotImplementedError
-
-
-class DiagNu(ViscosityTensor):
+class DiagNu:
     """Per-axis viscosities nu = (nu_1, ..., nu_d), the weighted-Laplacian law.
 
     The momentum operator is sum_a nu_a d_a^2 applied componentwise (handled
@@ -100,7 +90,7 @@ class DiagNu(ViscosityTensor):
         return f"DiagNu(nu={self.nu})"
 
 
-class ConstantFull(ViscosityTensor):
+class ConstantFull:
     """A constant rank-4 viscosity tensor (d, d, d, d)."""
 
     kind = "constant"
@@ -122,7 +112,7 @@ class ConstantFull(ViscosityTensor):
         return f"ConstantFull(dim={self.dim})"
 
 
-class VaryingFull(ViscosityTensor):
+class VaryingFull:
     """A cellwise rank-4 tensor, constant in time.
 
     Parameters
@@ -149,11 +139,6 @@ class VaryingFull(ViscosityTensor):
 
     def apply(self, du):
         return np.einsum("ijkl...,kl...->ij...", self.values, du)
-
-    def averaged_constant(self):
-        """Cell-averaged tensor, used as the Krylov preconditioner."""
-        a = self.values
-        return ConstantFull(a.reshape(self.dim**4, -1).mean(axis=1).reshape((self.dim,) * 4))
 
     def __repr__(self):
         return f"VaryingFull(dim={self.dim})"
@@ -238,86 +223,3 @@ def coercivity_estimate(tensor):
     """
     c = _min_strain_eigenvalue(tensor.tensor_at())
     return CoercivityReport(c_est=c, passed=c > 0)
-
-
-# ----------------------------------------------------------------------
-# hypothesis audits
-# ----------------------------------------------------------------------
-
-@dataclass
-class HypothesesReport:
-    h1_max_residual: float
-    h1_passed: bool
-    coercivity: CoercivityReport
-    h4_symbol_invertible: bool | None
-    h4_sample_norm: float | None
-    h2_note: str
-    passed: bool
-
-
-def _random_velocity(grid, rng):
-    return VectorField(grid, rng.standard_normal((grid.dim,) + grid.shape))
-
-
-_AUDIT_SAMPLES = 10
-_H1_RTOL = 1e-12
-
-
-def audit_hypotheses(tensor, grid, seed=0):
-    """Audit the structural hypotheses of the stress law on a grid.
-
-    * symmetric-stress identity: max over sampled velocity fields of
-      ``|tau : grad u - tau : D(u)|`` (must sit at machine level because the
-      stress is symmetric);
-    * coercivity: exact minimum of the strain form, must be positive;
-    * invertibility: for constant-coefficient laws, every nonzero grid
-      wavevector must have an invertible momentum symbol, and the sampled
-      operator norm of ``Ainv grad div`` in the discrete L^{3/2} norm is
-      reported (finite by construction when the symbols are invertible);
-    * weak lower semicontinuity of the dissipation is implied by coercivity
-      plus convexity of the quadratic form and is recorded, not tested.
-    """
-    from anisostokes import stokes  # local import, stokes depends on this module
-
-    rng = np.random.default_rng(seed)
-    h1_max = 0.0
-    work_scale = 1e-300
-    for _ in range(_AUDIT_SAMPLES):
-        work = viscous_work(tensor, _random_velocity(grid, rng))
-        h1_max = max(h1_max, work.h1_residual)
-        work_scale = max(work_scale, float(np.abs(work.pointwise.data).max()))
-    h1_passed = h1_max <= _H1_RTOL * max(work_scale, 1.0)
-
-    coer = coercivity_estimate(tensor)
-
-    h4_invertible = None
-    h4_norm = None
-    if tensor.kind in ("diag", "constant"):
-        try:
-            op = stokes.StokesOperator.build(tensor, grid)
-            h4_invertible = True
-        except stokes.SingularSymbol:
-            h4_invertible = False
-        except stokes.NotCoercive:
-            op = None
-            h4_invertible = True  # symbols were checked before coercivity
-        if h4_invertible and coer.passed:
-            worst = 0.0
-            for _ in range(_AUDIT_SAMPLES):
-                w = _random_velocity(grid, rng)
-                qfield = div(w)
-                v = stokes.solve(op, qfield)
-                denom = vector_lp_norm(w, 1.5)
-                worst = max(worst, vector_lp_norm(v, 1.5) / denom)
-            h4_norm = worst
-
-    passed = h1_passed and coer.passed and (h4_invertible is not False)
-    return HypothesesReport(
-        h1_max_residual=h1_max,
-        h1_passed=h1_passed,
-        coercivity=coer,
-        h4_symbol_invertible=h4_invertible,
-        h4_sample_norm=h4_norm,
-        h2_note="implied by coercivity and convexity of the quadratic form",
-        passed=passed,
-    )

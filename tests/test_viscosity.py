@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from anisostokes.fields import GridSpec, VectorField, jacobian
+from anisostokes.stokes import audit_hypotheses
 from anisostokes.viscosity import (
     ConstantFull,
     DiagNu,
     VaryingFull,
-    audit_hypotheses,
     coercivity_estimate,
     isotropic_strain_tensor,
     minor_symmetrize,
