@@ -220,26 +220,53 @@ class NonFiniteField(SolverFailure, ValueError):
     """Field data holding an inf or a nan, such as an overflowed solve."""
 
 
-class ScalarField:
-    """A real scalar sample per cell, row-major, tied to a grid."""
+class _Field:
+    """The contract both field kinds share.
+
+    ``data`` is a C-contiguous float64 array of exactly the kind's shape
+    (``_shape(grid)``), checked finite once; arithmetic and copies build a
+    field of the same kind.
+    """
 
     def __init__(self, grid, data):
-        data = np.asarray(data, dtype=np.float64)
-        if data.shape != grid.shape:
-            if data.size == grid.ncells:
-                data = data.reshape(grid.shape)
-            else:
-                raise ValueError(
-                    f"data shape {data.shape} does not match grid {grid.shape}"
-                )
+        data = np.ascontiguousarray(data, dtype=np.float64)
+        if data.shape != self._shape(grid):
+            raise ValueError(f"data shape {data.shape} does not match {self._shape(grid)}")
         if not np.isfinite(data).all():
             raise NonFiniteField("field data must be finite")
         self.grid = grid
-        self.data = np.ascontiguousarray(data)
+        self.data = data
 
     @classmethod
     def zeros(cls, grid):
-        return cls(grid, np.zeros(grid.shape))
+        return cls(grid, np.zeros(cls._shape(grid)))
+
+    def copy(self):
+        return type(self)(self.grid, self.data.copy())
+
+    def linf_norm(self):
+        return float(np.max(np.abs(self.data)))
+
+    def __add__(self, other):
+        _check_same_grid(self, other)
+        return type(self)(self.grid, self.data + other.data)
+
+    def __sub__(self, other):
+        _check_same_grid(self, other)
+        return type(self)(self.grid, self.data - other.data)
+
+    def __mul__(self, scalar):
+        return type(self)(self.grid, self.data * float(scalar))
+
+    __rmul__ = __mul__
+
+
+class ScalarField(_Field):
+    """A real scalar sample per cell, row-major, tied to a grid."""
+
+    @staticmethod
+    def _shape(grid):
+        return grid.shape
 
     @classmethod
     def constant(cls, grid, value):
@@ -249,10 +276,7 @@ class ScalarField:
     def from_function(cls, grid, fn):
         """Sample ``fn(*coords)`` at cell centers."""
         coords = grid.meshgrid()
-        return cls(grid, np.asarray(fn(*coords), dtype=np.float64))
-
-    def copy(self):
-        return ScalarField(self.grid, self.data.copy())
+        return cls(grid, fn(*coords))
 
     def integral(self):
         return float(self.data.sum()) * self.grid.cell_volume
@@ -269,50 +293,21 @@ class ScalarField:
     def l2_norm(self):
         return float(np.sqrt(np.sum(self.data**2) * self.grid.cell_volume))
 
-    def linf_norm(self):
-        return float(np.max(np.abs(self.data)))
 
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return ScalarField(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return ScalarField(self.grid, self.data * float(scalar))
-
-    __rmul__ = __mul__
-
-
-class VectorField:
+class VectorField(_Field):
     """dim scalar components sharing one grid, held as one (dim, *shape) array.
 
-    ``data`` is the float64 array, finite-checked once; ``components`` are
-    :class:`ScalarField` views of its rows, made on first use, so writing
-    one writes the other.
+    ``components`` are :class:`ScalarField` views of the rows of ``data``,
+    made on first use, so writing one writes the other.
     """
 
-    def __init__(self, grid, data):
-        data = np.ascontiguousarray(data, dtype=np.float64)
-        if data.shape != (grid.dim,) + grid.shape:
-            raise ValueError(f"data shape {data.shape} does not match {grid.dim} x {grid.shape}")
-        if not np.isfinite(data).all():
-            raise NonFiniteField("field data must be finite")
-        self.grid = grid
-        self.data = data
+    @staticmethod
+    def _shape(grid):
+        return (grid.dim,) + grid.shape
 
     @functools.cached_property
     def components(self):
         return tuple(ScalarField(self.grid, row) for row in self.data)
-
-    @classmethod
-    def zeros(cls, grid):
-        return cls(grid, np.zeros((grid.dim,) + grid.shape))
-
-    def copy(self):
-        return VectorField(self.grid, self.data.copy())
 
     def __getitem__(self, i):
         return self.components[i]
@@ -320,25 +315,9 @@ class VectorField:
     def __len__(self):
         return self.grid.dim
 
-    def __add__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.data + other.data)
-
-    def __sub__(self, other):
-        _check_same_grid(self, other)
-        return VectorField(self.grid, self.data - other.data)
-
-    def __mul__(self, scalar):
-        return VectorField(self.grid, self.data * float(scalar))
-
-    __rmul__ = __mul__
-
     def l2_norm(self):
         total = sum(np.sum(row**2) for row in self.data)
         return float(np.sqrt(total * self.grid.cell_volume))
-
-    def linf_norm(self):
-        return float(np.max(np.abs(self.data)))
 
     def max_component_sum(self):
         """sum_a max_x |v_a(x)|, the advective CFL speed.

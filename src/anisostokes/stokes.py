@@ -130,6 +130,18 @@ class StokesOperator:
         NotCoercive
             If the coercivity audit fails.
         """
+        op = cls._bind(tensor, grid)
+        report = coercivity_estimate(tensor)
+        if not report.passed:
+            raise NotCoercive(
+                f"coercivity estimate {report.c_est:.3e} is not positive"
+            )
+        return op
+
+    @classmethod
+    def _bind(cls, tensor, grid):
+        """:meth:`build` without its coercivity audit: the symbols, checked
+        for :class:`SingularSymbol`."""
         if tensor.dim != grid.dim:
             raise ValueError(
                 f"tensor dimension {tensor.dim} != grid dimension {grid.dim}"
@@ -155,8 +167,6 @@ class StokesOperator:
             m = np.einsum("ijkl,j...,l...->ik...", tensor.tensor_at(), k, k)
             if tensor.kind == "diag":
                 sym = np.einsum("a,a...->...", np.asarray(tensor.nu), k**2)
-                if np.any(sym[active] <= 0):  # unreachable for positive nu
-                    raise SingularSymbol("diagonal symbol vanishes on an active mode")
                 op._scalar_symbol = sym
                 op._gain = np.zeros((d,) + grid.half_shape, dtype=complex)
                 np.divide(ik, sym, out=op._gain, where=active)
@@ -168,13 +178,6 @@ class StokesOperator:
                 for i in range(d)
                 for j in range(i, d)
             ]
-
-        report = coercivity_estimate(tensor)
-        if not report.passed:
-            raise NotCoercive(
-                f"coercivity estimate {report.c_est:.3e} is not positive"
-            )
-        op.coercivity = report
         return op
 
     # -- application ----------------------------------------------------
@@ -396,13 +399,10 @@ def audit_hypotheses(tensor, grid, seed=0):
     h4_norm = None
     if tensor.kind in ("diag", "constant"):
         try:
-            op = StokesOperator.build(tensor, grid)
+            op = StokesOperator._bind(tensor, grid)
             h4_invertible = True
         except SingularSymbol:
             h4_invertible = False
-        except NotCoercive:
-            op = None
-            h4_invertible = True  # symbols were checked before coercivity
         if h4_invertible and coer.passed:
             worst = 0.0
             for _ in range(_AUDIT_SAMPLES):

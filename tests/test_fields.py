@@ -2,6 +2,7 @@
 
 import ast
 import logging
+import math
 import os
 import tempfile
 import tracemalloc
@@ -20,6 +21,7 @@ from anisostokes.fields import (
     NonFiniteField,
     ScalarField,
     VectorField,
+    _Field,
     _periodic_stencil,
     commutator_residual,
     div,
@@ -128,6 +130,82 @@ def test_vectorfield_norms_equal_the_per_component_sums_bit_for_bit(g):
     assert v.l2_norm() == l2
     assert v.max_component_sum() == float(sum(np.abs(c.data).max() for c in comps))
     assert v.linf_norm() == max(c.linf_norm() for c in comps)
+
+
+# ---------------------------------------------------- shared field contract
+
+KINDS = [ScalarField, VectorField]
+SHARED = ("__init__", "zeros", "copy", "linf_norm", "__add__", "__sub__", "__mul__", "__rmul__")
+
+
+def kind_shape(kind, g):
+    return g.shape if kind is ScalarField else (g.dim,) + g.shape
+
+
+def random_of_kind(kind, g, seed):
+    return kind(g, np.random.default_rng(seed).standard_normal(kind_shape(kind, g)))
+
+
+def test_neither_kind_redefines_a_shared_method():
+    for name in SHARED:
+        assert name in vars(_Field)
+        for kind in KINDS:
+            assert name not in vars(kind), (kind.__name__, name)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_zeros_has_the_kind_shape_and_a_copy_is_independent(kind, g):
+    z = kind.zeros(g)
+    assert type(z) is kind and z.grid == g
+    assert z.data.shape == kind_shape(kind, g) and not z.data.any()
+    f = random_of_kind(kind, g, 3)
+    c = f.copy()
+    assert type(c) is kind and c.grid == g and np.array_equal(c.data, f.data)
+    assert not np.shares_memory(c.data, f.data)
+    c.data[...] = 0.0
+    assert f.data.any()
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_arithmetic_returns_the_same_kind(kind, g):
+    a, b = random_of_kind(kind, g, 4), random_of_kind(kind, g, 5)
+    for out, want in ((a + b, a.data + b.data), (a - b, a.data - b.data),
+                      (a * 2.5, a.data * 2.5), (2.5 * a, a.data * 2.5)):
+        assert type(out) is kind and out.grid == g
+        assert np.array_equal(out.data, want)
+    assert a.linf_norm() == float(np.abs(a.data).max())
+
+
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_mixing_grids_raises(kind):
+    a, b = kind.zeros(GridSpec(2, 8)), kind.zeros(GridSpec(2, 16))
+    for op in (lambda: a + b, lambda: a - b):
+        with pytest.raises(ValueError, match="different grids"):
+            op()
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_a_nonfinite_entry_raises(kind, g):
+    for value in (np.inf, -np.inf, np.nan):
+        bad = np.zeros(kind_shape(kind, g))
+        bad.flat[-1] = value
+        with pytest.raises(NonFiniteField):
+            kind(g, bad)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=lambda g: f"{g.dim}d")
+@pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.__name__)
+def test_a_wrong_shape_raises_a_flat_array_too(kind, g):
+    shape = kind_shape(kind, g)
+    wrong = [(1,) + shape, shape[:-1] + (shape[-1] + 1,), shape + (1,), shape[1:]]
+    if g.dim > 1 or kind is VectorField:
+        wrong.append((math.prod(shape),))  # the flat array of every sample
+    for bad in wrong:
+        with pytest.raises(ValueError, match="does not match"):
+            kind(g, np.zeros(bad))
 
 
 # ---------------------------------------------------------------- transforms

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from anisostokes import stokes
 from anisostokes.fields import GridSpec, VectorField, jacobian
 from anisostokes.stokes import audit_hypotheses
 from anisostokes.viscosity import (
@@ -231,3 +232,44 @@ def test_audit_h2_recorded():
     g = GridSpec(1, 16)
     rep = audit_hypotheses(DiagNu((1.0,)), g)
     assert "coercivity" in rep.h2_note
+
+
+def _embedded_2d_law():
+    # a 2D isotropic law in 3D: zero response along x3, so M(e3) = 0
+    a = np.zeros((3, 3, 3, 3))
+    a[:2, :2, :2, :2] = isotropic_strain_tensor(2, 1.0)
+    return ConstantFull(a)
+
+
+def _indefinite_2d_law():
+    # indefinite, but its symbol is invertible on every grid wavevector
+    e11 = np.zeros((2, 2))
+    e11[0, 0] = 1.0
+    return ConstantFull(isotropic_strain_tensor(2, 1.0) - 1.5 * np.einsum("ij,kl->ijkl", e11, e11))
+
+
+@pytest.mark.parametrize(
+    "law,grid,invertible,coercive",
+    [
+        pytest.param(DiagNu((1.0, 2.0)), GridSpec(2, 16), True, True, id="diag"),
+        pytest.param(ConstantFull(isotropic_strain_tensor(2, 2.0)), GridSpec(2, 16), True, True,
+                     id="coercive"),
+        pytest.param(_indefinite_2d_law(), GridSpec(2, 16), True, False, id="not-coercive"),
+        pytest.param(_embedded_2d_law(), GridSpec(3, 8), False, False, id="singular"),
+    ],
+)
+def test_audit_estimates_the_coercivity_once(monkeypatch, law, grid, invertible, coercive):
+    calls = []
+    estimate = stokes.coercivity_estimate
+
+    def counted(tensor):
+        calls.append(tensor)
+        return estimate(tensor)
+
+    monkeypatch.setattr(stokes, "coercivity_estimate", counted)
+    rep = audit_hypotheses(law, grid)
+    assert calls == [law]
+    assert rep.h4_symbol_invertible is invertible
+    assert rep.coercivity.passed == coercive
+    assert (rep.h4_sample_norm is not None) == (invertible and coercive)
+    assert rep.passed == (rep.h1_passed and coercive and invertible)
