@@ -16,9 +16,12 @@ contract or would need a runaway number of substeps; or a numpy
 ``FloatingPointError``) prints one ``FAIL solver`` line and exits 3.  That
 line names the config line of the stress law when the law is not coercive
 or has a singular symbol, and the slab (or step) when the failure is
-raised inside a march.  An output directory that cannot be made, or a file
-in it that cannot be written, prints one ``FAIL output: <dir>: <reason>``
-line and exits 2.
+raised inside a march.  Every study that writes makes its output
+directory before it starts, and removes it again if it fails before
+writing anything there.  An output directory that cannot be made, or a
+file in it that cannot be written, prints one
+``FAIL output: <dir>: <reason>`` line and exits 2, before any marching in
+the first case.
 
 Every command that marches streams: its marches hand each stored state to
 an observer that keeps only the scalars (or the final density) it reports,
@@ -50,7 +53,7 @@ import logging
 import os
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import partial, wraps
 
 import numpy as np
 
@@ -91,10 +94,29 @@ def _writing(out_dir):
         raise _OutputFailure(f"{out_dir}: {exc.strerror or exc}") from exc
 
 
+def _writes_output(cmd):
+    """The study ``cmd(cfg, out_dir)`` with ``out_dir`` made before it starts;
+    if the study fails, a directory made here and still empty is removed."""
+
+    @wraps(cmd)
+    def study(cfg, out_dir):
+        made = not os.path.isdir(out_dir)
+        with _writing(out_dir):
+            os.makedirs(out_dir, exist_ok=True)
+        try:
+            return cmd(cfg, out_dir)
+        except BaseException:
+            if made:
+                with contextlib.suppress(OSError):
+                    os.rmdir(out_dir)
+            raise
+
+    return study
+
+
 def _write_table(out_dir, name, header, rows):
-    """Make ``out_dir`` and write the CSV table ``name`` into it."""
+    """Write the CSV table ``name`` into ``out_dir``."""
     with _writing(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
         write_csv(os.path.join(out_dir, name), header, rows)
 
 
@@ -153,6 +175,7 @@ def _energy_slack(results, e0, violation, name="energy-slack"):
     return violation
 
 
+@_writes_output
 def cmd_run(cfg, out_dir):
     results = []
     gamma, dp = cfg.params.gamma, cfg.defect_params
@@ -160,8 +183,6 @@ def cmd_run(cfg, out_dir):
     kernel = None
     if cfg.commutator_delta > 0.0:
         kernel = MollifierKernel(cfg.grid, cfg.commutator_delta)
-    with _writing(out_dir):
-        os.makedirs(out_dir, exist_ok=True)
 
     def observe(t, rho, velocity, ledger):
         """Write the state's snapshots and keep its diagnostics row."""
@@ -210,6 +231,7 @@ def cmd_run(cfg, out_dir):
     return results
 
 
+@_writes_output
 def cmd_sweep_delta(cfg, out_dir):
     results = []
     deltas = tuple(sorted(cfg.sweep_deltas, reverse=True))
@@ -260,6 +282,7 @@ def cmd_sweep_delta(cfg, out_dir):
     return results
 
 
+@_writes_output
 def cmd_sweep_eps(cfg, out_dir):
     results = []
     rows = []
@@ -364,6 +387,7 @@ class _ForkedMap:
         return [result.get() for result in self.pending]
 
 
+@_writes_output
 def cmd_defect_study(cfg, out_dir):
     """One march per anisotropy ratio: the first in this process, the rest
     in forked workers started at its first stored state (see

@@ -15,7 +15,7 @@ nonnegative physical-space stencil, applied in one of two equivalent ways:
 the commutator diagnostic), while the symbol-mode momentum path multiplies
 half spectra by :attr:`MollifierKernel.symbol`, the DFT of the same stencil
 wrapped onto the grid.  All operations allocate fresh arrays and never
-mutate their inputs.
+mutate their inputs, except an inverse transform asked to ``overwrite_x``.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ class GridSpec:
     # its n-D functions, so every bit matches fftn/ifftn/rfftn/irfftn over
     # the trailing ``dim`` axes; the passes after the first work in place
     # on one buffer the method owns, where numpy allocates one per pass.
+    # ``ifft`` and ``irfft`` take ``overwrite_x`` (scipy.fft's name): a
+    # caller whose spectrum is a temporary lets the passes run on it
+    # instead of on a copy.
 
     def fft(self, data):
         """``fftn`` over the trailing ``dim`` axes: one field or a stack of them."""
@@ -100,9 +103,13 @@ class GridSpec:
             np.fft.fft(buf, axis=a, out=buf)
         return buf
 
-    def ifft(self, hat):
-        """``ifftn`` over the trailing ``dim`` axes, the inverse of :meth:`fft`."""
-        buf = np.array(hat, dtype=complex)
+    def ifft(self, hat, *, overwrite_x=False):
+        """``ifftn`` over the trailing ``dim`` axes, the inverse of :meth:`fft`.
+
+        With ``overwrite_x`` a complex ``hat`` is transformed in place and
+        returned; pass it only for a temporary that no one else holds.
+        """
+        buf = (np.asarray if overwrite_x else np.array)(hat, dtype=complex)
         for a in reversed(self._axes):
             np.fft.ifft(buf, axis=a, out=buf)
         return buf
@@ -114,10 +121,14 @@ class GridSpec:
             np.fft.fft(buf, axis=a, out=buf)
         return buf
 
-    def irfft(self, hat):
-        """Inverse of :meth:`rfft`, back to real samples of ``self.shape``."""
+    def irfft(self, hat, *, overwrite_x=False):
+        """Inverse of :meth:`rfft`, back to real samples of ``self.shape``.
+
+        With ``overwrite_x`` the passes before the last run in place on a
+        complex ``hat``, which is left holding scratch values.
+        """
         if self.dim > 1:
-            hat = np.array(hat, dtype=complex)
+            hat = (np.asarray if overwrite_x else np.array)(hat, dtype=complex)
             for a in self._axes[:-1]:
                 np.fft.ifft(hat, axis=a, out=hat)
         return np.fft.irfft(hat, n=self.n[-1], axis=-1)
@@ -349,7 +360,7 @@ def grad(f):
     fhat = grid.fft(f.data)
     out = np.empty((grid.dim,) + grid.shape)
     for a in range(grid.dim):
-        out[a] = grid.ifft(_deriv_hat(grid, fhat, a)).real
+        out[a] = grid.ifft(_deriv_hat(grid, fhat, a), overwrite_x=True).real
     return VectorField(grid, out)
 
 
@@ -359,7 +370,7 @@ def div(v):
     acc = np.zeros(grid.shape, dtype=complex)
     for a in range(grid.dim):
         acc += _deriv_hat(grid, grid.fft(v.data[a]), a)
-    return ScalarField(grid, grid.ifft(acc).real)
+    return ScalarField(grid, grid.ifft(acc, overwrite_x=True).real)
 
 
 def div_hat(grid, vhat):
@@ -373,7 +384,7 @@ def div_hat(grid, vhat):
     acc = ik[0] * vhat[0]
     for a in range(1, grid.dim):
         acc += ik[a] * vhat[a]
-    return ScalarField(grid, grid.irfft(acc))
+    return ScalarField(grid, grid.irfft(acc, overwrite_x=True))
 
 
 def jacobian(v):
@@ -384,7 +395,7 @@ def jacobian(v):
     for i in range(d):
         fhat = grid.fft(v.data[i])
         for j in range(d):
-            J[i, j] = grid.ifft(_deriv_hat(grid, fhat, j)).real
+            J[i, j] = grid.ifft(_deriv_hat(grid, fhat, j), overwrite_x=True).real
     return J
 
 
@@ -401,7 +412,7 @@ def laplacian(f):
     k2 = np.zeros(grid.shape)
     for a in range(grid.dim):
         k2 = k2 + grid.deriv_wavenumbers[a] ** 2
-    return ScalarField(grid, grid.ifft(-k2 * fhat).real)
+    return ScalarField(grid, grid.ifft(-k2 * fhat, overwrite_x=True).real)
 
 
 def l2_inner(f, g):
@@ -523,11 +534,13 @@ def _periodic_stencil(data, weights):
     m = weights.shape[0] // 2
     padded = np.pad(data, m, mode="wrap")
     out = np.zeros(data.shape)
+    term = np.empty(data.shape)
     eps = np.finfo(float).eps
     for idx in np.ndindex(weights.shape):
         w = weights[idx]
         if abs(w) > eps:
-            out += w * padded[tuple(slice(i, i + n) for i, n in zip(idx, data.shape))]
+            window = padded[tuple(slice(i, i + n) for i, n in zip(idx, data.shape))]
+            out += np.multiply(w, window, out=term)
     return out
 
 

@@ -440,7 +440,9 @@ class _Momentum:
         w = pair[1]
         if w is not None:
             return w
-        return VectorField(self.grid, self.grid.irfft(self.advecting_hat(pair)))
+        # without a kernel the spectrum is the pair's own u_hat, kept intact
+        hat = self.advecting_hat(pair)
+        return VectorField(self.grid, self.grid.irfft(hat, overwrite_x=self.kernel is not None))
 
     def filled(self, pair):
         """``pair`` with its w made, for a state whose w is read more than once."""

@@ -82,7 +82,7 @@ def _div_tensor(grid, tau):
                 if j > i:
                     upper[i, j] = that
             acc += 1j * grid.deriv_wavenumbers[j] * that
-        out[i] = grid.ifft(acc).real
+        out[i] = grid.ifft(acc, overwrite_x=True).real
     return VectorField(grid, out)
 
 
@@ -186,7 +186,8 @@ class StokesOperator:
         """A v = -div tau(D(v)) on a vector field."""
         grid = self.grid
         if self.tensor.kind == "diag":
-            return VectorField(grid, grid.irfft(self._scalar_symbol * grid.rfft(v.data)))
+            hat = self._scalar_symbol * grid.rfft(v.data)
+            return VectorField(grid, grid.irfft(hat, overwrite_x=True))
         du = sym_grad(v)
         tau = self.tensor.apply(du)
         return -1.0 * _div_tensor(grid, tau)
@@ -246,7 +247,8 @@ def solve(op, q):
         raise ValueError("q lives on a different grid")
     if op.mode == "symbol":
         grid = op.grid
-        return VectorField(grid, grid.irfft(op.solve_hat(grid.rfft(q.data))))
+        uhat = op.solve_hat(grid.rfft(q.data))
+        return VectorField(grid, grid.irfft(uhat, overwrite_x=True))
     return solve_rhs(op, grad(q))
 
 
@@ -279,7 +281,7 @@ def solve_rhs(op, rhs):
         # in another order, and a whole-stack inverse peaks higher
         out = np.empty((d,) + grid.shape)
         for a in range(d):
-            out[a] = grid.ifft(phat[a]).real
+            out[a] = grid.ifft(phat[a], overwrite_x=True).real
         return out.reshape(size)
 
     b = rhs.data.reshape(size)
@@ -309,7 +311,8 @@ def _cg(matvec, psolve, b, atol):
 
     A line-for-line port of ``scipy.sparse.linalg.cg`` (scipy 1.17.1) for
     real vectors, so it returns the same iterate bit for bit; after
-    ``_KRYLOV_MAX_ITER`` iterations it returns the last one.
+    ``_KRYLOV_MAX_ITER`` iterations it returns the last one.  ``matvec``
+    returns a new array on each call, which the update then reuses.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -325,8 +328,8 @@ def _cg(matvec, psolve, b, atol):
             p = z.copy()
         q = matvec(p)
         alpha = rho / np.dot(p, q)
-        x += alpha * p
-        r -= alpha * q
+        r -= np.multiply(alpha, q, out=q)
+        x += np.multiply(alpha, p, out=q)
         rho_prev = rho
     return x
 

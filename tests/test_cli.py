@@ -300,11 +300,15 @@ def test_out_flag_overrides_config(tmp_path):
 SHORT_SWEEP = SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.01") + "sweep.deltas = 0.4,0.2,0.1\n"
 
 
-@pytest.mark.parametrize("command, text", [("run", SMALL_RUN), ("sweep-delta", SHORT_SWEEP)],
-                         ids=["run", "sweep-delta"])
-def test_an_output_directory_that_cannot_be_made_fails_on_one_line(tmp_path, capsys, command,
-                                                                   text):
-    cfg = write_cfg(tmp_path, text)
+@pytest.mark.parametrize("command", ["run", "sweep-delta", "sweep-eps", "defect-study"])
+def test_an_output_directory_that_cannot_be_made_fails_on_one_line(tmp_path, capsys, monkeypatch,
+                                                                   command):
+    # every study makes its directory before its first march
+    def marched(*_args, **_kwargs):
+        raise AssertionError("marched before making the output directory")
+
+    monkeypatch.setattr(cli, "march", marched)
+    cfg = write_cfg(tmp_path, SMALL_RUN)
     out = tmp_path / "taken"
     out.write_text("a regular file\n")
     assert main([command, cfg, "--strict", "--out", str(out)]) == 2
@@ -334,6 +338,11 @@ def test_an_os_error_away_from_the_output_is_not_an_output_failure(tmp_path, mon
     with pytest.raises(BlockingIOError):
         main(["sweep-delta", write_cfg(tmp_path, SHORT_SWEEP), "--out", str(tmp_path / "art")])
     assert not (tmp_path / "art").exists()
+    # a directory that was there before the study is left in place
+    (tmp_path / "art").mkdir()
+    with pytest.raises(BlockingIOError):
+        main(["sweep-delta", write_cfg(tmp_path, SHORT_SWEEP), "--out", str(tmp_path / "art")])
+    assert (tmp_path / "art").is_dir()
 
 
 def test_a_commutator_radius_below_the_cell_width_warns_once_per_run(tmp_path, caplog):

@@ -239,6 +239,34 @@ def test_grid_transforms_equal_numpy_nd_transforms_bit_for_bit(dim, n, stack):
         assert got.shape == want.shape and got.dtype == want.dtype, ours.__name__
         assert np.array_equal(bits(got), bits(want)), ours.__name__
         assert np.array_equal(bits(data), bits(before)), ours.__name__
+        if ours in (g.ifft, g.irfft):
+            # overwrite_x: the passes run on the caller's complex array itself
+            scratch = data.copy()
+            got = ours(scratch, overwrite_x=True)
+            assert np.array_equal(bits(got), bits(want)), ours.__name__
+            if ours == g.ifft and np.iscomplexobj(data):
+                assert got is scratch
+
+
+def test_an_inverse_transform_of_a_temporary_passes_overwrite_x():
+    # an argument that is an arithmetic expression is a temporary no one
+    # else holds, so its inverse transform need not copy it first
+    package = Path(__file__).resolve().parents[1] / "src" / "anisostokes"
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("ifft", "irfft")
+                and node.args
+                and isinstance(node.args[0], (ast.BinOp, ast.UnaryOp))
+            ):
+                flags = [kw.value.value for kw in node.keywords
+                         if kw.arg == "overwrite_x" and isinstance(kw.value, ast.Constant)]
+                if flags != [True]:
+                    found.append(f"{path.name}:{node.lineno} {node.func.attr}")
+    assert found == []
 
 
 @pytest.mark.parametrize("name", ["fft", "ifft", "rfft"])

@@ -288,6 +288,25 @@ def test_pair_without_mollifier_repeats_the_velocity():
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.6])
+@pytest.mark.parametrize("mode", ["symbol", "krylov"])
+def test_advecting_and_velocity_leave_the_pairs_spectrum_intact(mode, delta):
+    # an inverse transform may overwrite only a spectrum made for it; at
+    # delta = 0 the advecting spectrum is the pair's own u_hat
+    g = GridSpec(2, 16)
+    tensor = DiagNu((1.0, 4.0)) if mode == "symbol" else krylov_case_tensor(g)
+    mom = _Momentum(tensor, g, None, canonical_params(delta=delta))
+    assert mom.op.mode == mode
+    pair = mom.pair(cosine_density(g, axis=1))
+    before = pair[0].copy()
+    for _ in range(2):
+        w, u = mom.advecting(pair), mom.velocity(pair)
+        assert np.array_equal(pair[0].view(np.int64), before.view(np.int64))
+    fresh = mom.pair(cosine_density(g, axis=1))
+    assert np.array_equal(w.data, mom.advecting(fresh).data)
+    assert np.array_equal(u.data, mom.velocity(fresh).data)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.6])
 def test_forced_symbol_pair_takes_one_forward_transform(monkeypatch, delta):
     # the first solve takes the forcing's half spectrum and the kernel's
     # symbol, once each; the second is counted

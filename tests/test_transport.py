@@ -306,9 +306,10 @@ def test_advect_matches_the_rolled_form_bit_for_bit(dim, n):
     assert np.array_equal(bits(rho.data), before)
 
 
-@pytest.mark.parametrize("gamma", [2.0, 1.5])
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.25])
 def test_drag_solve_matches_the_allocating_newton_bit_for_bit(gamma):
-    # an integer and a fractional power 2 gamma - 1
+    # x^3 serves as x^{2 gamma - 1} at gamma = 2 and as x^{2 gamma} at 1.5;
+    # at 1.25 no two of the powers coincide
     g = GridSpec(2, 16)
     s = 3.0 * smooth_positive(g, seed=21, floor=0.0).data
     before = s.copy()
