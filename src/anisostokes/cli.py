@@ -17,11 +17,11 @@ contract or would need a runaway number of substeps; or a numpy
 line names the config line of the stress law when the law is not coercive
 or has a singular symbol, and the slab (or step) when the failure is
 raised inside a march.  Every study that writes makes its output
-directory before it starts, and removes it again if it fails before
-writing anything there.  An output directory that cannot be made, or a
-file in it that cannot be written, prints one
-``FAIL output: <dir>: <reason>`` line and exits 2, before any marching in
-the first case.
+directory, with any missing parents, before it starts, and removes the
+ones it made again if it fails before writing anything there.  An output
+directory that cannot be made, or a file in it that cannot be written,
+prints one ``FAIL output: <dir>: <reason>`` line and exits 2, before any
+marching in the first case.
 
 Every command that marches streams: its marches hand each stored state to
 an observer that keeps only the scalars (or the final density) it reports,
@@ -96,19 +96,26 @@ def _writing(out_dir):
 
 def _writes_output(cmd):
     """The study ``cmd(cfg, out_dir)`` with ``out_dir`` made before it starts;
-    if the study fails, a directory made here and still empty is removed."""
+    if the study fails, the directories made here that are still empty,
+    ``out_dir`` and any parents made with it, are removed again."""
 
     @wraps(cmd)
     def study(cfg, out_dir):
-        made = not os.path.isdir(out_dir)
-        with _writing(out_dir):
-            os.makedirs(out_dir, exist_ok=True)
+        missing = []  # deepest first
+        path = os.path.abspath(out_dir)
+        while not os.path.lexists(path):
+            missing.append(path)
+            path = os.path.dirname(path)
         try:
+            with _writing(out_dir):
+                os.makedirs(out_dir, exist_ok=True)
             return cmd(cfg, out_dir)
         except BaseException:
-            if made:
-                with contextlib.suppress(OSError):
-                    os.rmdir(out_dir)
+            for path in missing:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
             raise
 
     return study

@@ -534,13 +534,11 @@ def _periodic_stencil(data, weights):
     m = weights.shape[0] // 2
     padded = np.pad(data, m, mode="wrap")
     out = np.zeros(data.shape)
-    term = np.empty(data.shape)
     eps = np.finfo(float).eps
     for idx in np.ndindex(weights.shape):
         w = weights[idx]
         if abs(w) > eps:
-            window = padded[tuple(slice(i, i + n) for i, n in zip(idx, data.shape))]
-            out += np.multiply(w, window, out=term)
+            out += w * padded[tuple(slice(i, i + n) for i, n in zip(idx, data.shape))]
     return out
 
 

@@ -311,8 +311,7 @@ def _cg(matvec, psolve, b, atol):
 
     A line-for-line port of ``scipy.sparse.linalg.cg`` (scipy 1.17.1) for
     real vectors, so it returns the same iterate bit for bit; after
-    ``_KRYLOV_MAX_ITER`` iterations it returns the last one.  ``matvec``
-    returns a new array on each call, which the update then reuses.
+    ``_KRYLOV_MAX_ITER`` iterations it returns the last one.
     """
     x = np.zeros_like(b)
     r = b.copy()
@@ -328,8 +327,8 @@ def _cg(matvec, psolve, b, atol):
             p = z.copy()
         q = matvec(p)
         alpha = rho / np.dot(p, q)
-        r -= np.multiply(alpha, q, out=q)
-        x += np.multiply(alpha, p, out=q)
+        x += alpha * p
+        r -= alpha * q
         rho_prev = rho
     return x
 

@@ -171,13 +171,9 @@ _DRAG_RTOL = 1e-13
 
 
 def _drag_residual(x, s, a, two_g, f, work):
-    """Write x + a (x^{2 gamma} + x^3) - s into ``f``, leaving x^3 in ``work``."""
-    np.power(x, 3, out=work)
-    if two_g == 3.0:
-        np.add(work, work, out=f)
-    else:
-        np.power(x, two_g, out=f)
-        f += work
+    """Write x + a (x^{2 gamma} + x^3) - s into ``f``; ``work`` is scratch."""
+    np.power(x, two_g, out=f)
+    f += np.power(x, 3, out=work)
     f *= a
     f += x
     f -= s
@@ -199,12 +195,9 @@ def _drag_solve(s, a, gamma):
         _drag_residual(x, s, a, two_g, f, work)
         if float(np.abs(f, out=fp).max()) <= _DRAG_RTOL * scale:
             return np.maximum(x, 0.0)
-        # fp = 1 + a (2 gamma x^{2 gamma - 1} + 3 x^2); at gamma = 2 the power is work's x^3
-        if two_g == 4.0:
-            np.multiply(work, two_g, out=fp)
-        else:
-            np.power(x, two_g - 1.0, out=fp)
-            fp *= two_g
+        # fp = 1 + a (2 gamma x^{2 gamma - 1} + 3 x^2)
+        np.power(x, two_g - 1.0, out=fp)
+        fp *= two_g
         np.square(x, out=work)
         work *= 3.0
         fp += work

@@ -335,14 +335,19 @@ def test_an_os_error_away_from_the_output_is_not_an_output_failure(tmp_path, mon
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(cli, "march", no_fork)
+    cfg = write_cfg(tmp_path, SHORT_SWEEP)
     with pytest.raises(BlockingIOError):
-        main(["sweep-delta", write_cfg(tmp_path, SHORT_SWEEP), "--out", str(tmp_path / "art")])
+        main(["sweep-delta", cfg, "--out", str(tmp_path / "art")])
+    assert not (tmp_path / "art").exists()
+    # and so are the missing parents made with it
+    with pytest.raises(BlockingIOError):
+        main(["sweep-delta", cfg, "--out", str(tmp_path / "art" / "a" / "b")])
     assert not (tmp_path / "art").exists()
     # a directory that was there before the study is left in place
     (tmp_path / "art").mkdir()
     with pytest.raises(BlockingIOError):
-        main(["sweep-delta", write_cfg(tmp_path, SHORT_SWEEP), "--out", str(tmp_path / "art")])
-    assert (tmp_path / "art").is_dir()
+        main(["sweep-delta", cfg, "--out", str(tmp_path / "art" / "a" / "b")])
+    assert (tmp_path / "art").is_dir() and list((tmp_path / "art").iterdir()) == []
 
 
 def test_a_commutator_radius_below_the_cell_width_warns_once_per_run(tmp_path, caplog):

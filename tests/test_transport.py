@@ -308,8 +308,8 @@ def test_advect_matches_the_rolled_form_bit_for_bit(dim, n):
 
 @pytest.mark.parametrize("gamma", [2.0, 1.5, 1.25])
 def test_drag_solve_matches_the_allocating_newton_bit_for_bit(gamma):
-    # x^3 serves as x^{2 gamma - 1} at gamma = 2 and as x^{2 gamma} at 1.5;
-    # at 1.25 no two of the powers coincide
+    # at gamma = 2 x^{2 gamma - 1} is x^3 and at 1.5 x^{2 gamma} is; at 1.25
+    # no two of the powers coincide
     g = GridSpec(2, 16)
     s = 3.0 * smooth_positive(g, seed=21, floor=0.0).data
     before = s.copy()
