@@ -33,6 +33,9 @@ logger = logging.getLogger("anisostokes")
 TWO_PI = 2.0 * np.pi
 
 SNAPSHOT_MAGIC = b"ASF1"
+# the longest snapshot header line read, newline included; write_snapshot's
+# is under 80 bytes (three extents and a 17-digit time)
+SNAPSHOT_HEADER_CAP = 256
 
 
 class GridSpec:
@@ -138,22 +141,23 @@ class GridSpec:
         return TWO_PI * np.fft.fftfreq(m, d=self.h)
 
     @functools.cached_property
-    def deriv_wavenumbers(self):
-        """Broadcastable angular wavenumber arrays for first derivatives.
+    def ik_full(self):
+        """i k_a on the full spectrum, one broadcastable complex array per axis.
 
-        The Nyquist mode (even n) is zeroed so d/dx stays skew-adjoint and
-        real; consequently div(grad f) equals the Laplacian built from these
-        same wavenumbers.
+        The one place the derivative symbol is formed: every spectral
+        derivative reads this table, so ``ifft(ik_full[a] * fft(f))`` is
+        d f / d x_a.  The Nyquist mode (even n) is zeroed so d/dx stays
+        skew-adjoint and real; consequently div(grad f) equals the Laplacian
+        built from these same wavenumbers.
         """
         out = []
         for a in range(self.dim):
-            k = self._axis_wavenumbers(a).copy()
-            m = self.n[a]
-            if m % 2 == 0:
-                k[m // 2] = 0.0
+            k = self._axis_wavenumbers(a)
+            if self.n[a] % 2 == 0:
+                k[self.n[a] // 2] = 0.0
             shape = [1] * self.dim
-            shape[a] = m
-            out.append(k.reshape(shape))
+            shape[a] = self.n[a]
+            out.append((1j * k).reshape(shape))
         return tuple(out)
 
     @functools.cached_property
@@ -171,16 +175,12 @@ class GridSpec:
     def ik(self):
         """i k_a on the ``rfftn`` half spectrum, a (d, *half_shape) complex array.
 
-        k are the Nyquist-zeroed :attr:`deriv_wavenumbers`, broadcast onto
-        the half spectrum, so ``irfft(ik[a] * rfft(f))`` is the spectral
-        d f / d x_a.  Built once per grid.
+        :attr:`ik_full` cut to the half spectrum, so ``irfft(ik[a] *
+        rfft(f))`` is the spectral d f / d x_a.  Built once per grid.
         """
-        half = self.half_shape[-1]
         ik = np.empty((self.dim,) + self.half_shape, dtype=complex)
-        for a, k in enumerate(self.deriv_wavenumbers):
-            if a == self.dim - 1:
-                k = k[..., :half]
-            ik[a] = 1j * k
+        for a, ika in enumerate(self.ik_full):
+            ik[a] = ika[..., : self.half_shape[-1]]
         return ik
 
     @functools.cached_property
@@ -350,26 +350,17 @@ def _check_same_grid(a, b):
 # spectral calculus
 # ----------------------------------------------------------------------
 
-def _deriv_hat(grid, fhat, axis):
-    return 1j * grid.deriv_wavenumbers[axis] * fhat
-
-
 def grad(f):
-    """Spectral gradient of a scalar field, returned as a VectorField."""
-    grid = f.grid
-    fhat = grid.fft(f.data)
-    out = np.empty((grid.dim,) + grid.shape)
-    for a in range(grid.dim):
-        out[a] = grid.ifft(_deriv_hat(grid, fhat, a), overwrite_x=True).real
-    return VectorField(grid, out)
+    """Spectral gradient of a scalar field, the one row of its :func:`jacobian`."""
+    return VectorField(f.grid, jacobian(f)[0])
 
 
 def div(v):
     """Spectral divergence of a vector field, returned as a ScalarField."""
     grid = v.grid
     acc = np.zeros(grid.shape, dtype=complex)
-    for a in range(grid.dim):
-        acc += _deriv_hat(grid, grid.fft(v.data[a]), a)
+    for ika, row in zip(grid.ik_full, v.data):
+        acc += ika * grid.fft(row)
     return ScalarField(grid, grid.ifft(acc, overwrite_x=True).real)
 
 
@@ -388,14 +379,17 @@ def div_hat(grid, vhat):
 
 
 def jacobian(v):
-    """Full velocity gradient J[i, j] = d u_i / d x_j as a (d, d, *shape) array."""
+    """Full velocity gradient J[i, j] = d u_i / d x_j as a (d, d, *shape) array.
+
+    A ScalarField is the one-row case, J of shape (1, d, *shape).
+    """
     grid = v.grid
-    d = grid.dim
-    J = np.empty((d, d) + grid.shape)
-    for i in range(d):
-        fhat = grid.fft(v.data[i])
-        for j in range(d):
-            J[i, j] = grid.ifft(_deriv_hat(grid, fhat, j), overwrite_x=True).real
+    rows = v.data.reshape((-1,) + grid.shape)
+    J = np.empty((len(rows), grid.dim) + grid.shape)
+    for i, row in enumerate(rows):
+        fhat = grid.fft(row)
+        for j, ikj in enumerate(grid.ik_full):
+            J[i, j] = grid.ifft(ikj * fhat, overwrite_x=True).real
     return J
 
 
@@ -410,8 +404,8 @@ def laplacian(f):
     grid = f.grid
     fhat = grid.fft(f.data)
     k2 = np.zeros(grid.shape)
-    for a in range(grid.dim):
-        k2 = k2 + grid.deriv_wavenumbers[a] ** 2
+    for ika in grid.ik_full:
+        k2 = k2 + ika.imag**2
     return ScalarField(grid, grid.ifft(-k2 * fhat, overwrite_x=True).real)
 
 
@@ -528,17 +522,21 @@ class MollifierKernel:
 def _periodic_stencil(data, weights):
     """Periodic correlation of ``data`` with an odd-sided stencil (see :func:`mollify`).
 
+    The stencil runs over the trailing ``weights.ndim`` axes, so a stack
+    of fields, such as a vector field's rows, is smoothed row by row.
     Padding wraps the data once by the stencil radius, which also wraps a
     stencil wider than the grid.
     """
     m = weights.shape[0] // 2
-    padded = np.pad(data, m, mode="wrap")
+    lead = data.ndim - weights.ndim
+    padded = np.pad(data, [(0, 0)] * lead + [(m, m)] * weights.ndim, mode="wrap")
     out = np.zeros(data.shape)
     eps = np.finfo(float).eps
     for idx in np.ndindex(weights.shape):
         w = weights[idx]
         if abs(w) > eps:
-            out += w * padded[tuple(slice(i, i + n) for i, n in zip(idx, data.shape))]
+            window = tuple(slice(i, i + n) for i, n in zip(idx, data.shape[lead:]))
+            out += w * padded[(...,) + window]
     return out
 
 
@@ -572,12 +570,7 @@ def mollify(field, kernel):
         raise ValueError("kernel built for a different grid")
     if kernel.is_identity:
         return field.copy()
-    if isinstance(field, VectorField):
-        out = np.empty_like(field.data)
-        for a, row in enumerate(field.data):
-            out[a] = _periodic_stencil(row, kernel.weights)
-        return VectorField(field.grid, out)
-    return ScalarField(field.grid, _periodic_stencil(field.data, kernel.weights))
+    return type(field)(field.grid, _periodic_stencil(field.data, kernel.weights))
 
 
 def commutator_residual(rho, u, kernel):
@@ -640,36 +633,43 @@ def write_snapshot(path, field, t):
 def read_snapshot(path):
     """Read a snapshot file written by :func:`write_snapshot`.
 
+    Every failure to parse the file is a ``ValueError`` whose message
+    begins with ``path``; a header line longer than
+    ``SNAPSHOT_HEADER_CAP`` bytes is malformed.
+
     Returns
     -------
     (ScalarField, float)
         The field and its time stamp, on the [0, 2*pi)^d box.
     """
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SNAPSHOT_MAGIC:
-            raise ValueError(f"{path}: bad magic {magic!r}, expected ASF1")
-        header = b""
-        while not header.endswith(b"\n"):
-            byte = fh.read(1)
-            if not byte:
-                raise ValueError(f"{path}: truncated header")
-            header += byte
-        parts = header.decode("ascii").split()
-        dim = int(parts[0]) if parts else 0
-        if len(parts) != dim + 2:
-            raise ValueError(f"{path}: malformed header {header!r}")
-        n = tuple(int(p) for p in parts[1 : 1 + dim])
-        t = float(parts[1 + dim])
-        grid = GridSpec(dim, n)
-        # a header that promises more cells than the file holds must not
-        # make the read below allocate them
-        size = grid.ncells * 8
-        remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-        if remaining < size:
-            raise ValueError(
-                f"{path}: truncated payload: {n} cells need {size} bytes, {remaining} follow"
-            )
-        raw = fh.read(size)
-    data = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(n)
+    try:
+        with open(path, "rb") as fh:
+            return _read_snapshot(fh)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _read_snapshot(fh):
+    magic = fh.read(4)
+    if magic != SNAPSHOT_MAGIC:
+        raise ValueError(f"bad magic {magic!r}, expected ASF1")
+    header = fh.readline(SNAPSHOT_HEADER_CAP)
+    if not header.endswith(b"\n"):
+        if len(header) == SNAPSHOT_HEADER_CAP:
+            raise ValueError(f"malformed header: no newline in {SNAPSHOT_HEADER_CAP} bytes")
+        raise ValueError("truncated header")
+    parts = header.decode("ascii").split()
+    dim = int(parts[0]) if parts else 0
+    if len(parts) != dim + 2:
+        raise ValueError(f"malformed header {header!r}")
+    n = tuple(int(p) for p in parts[1 : 1 + dim])
+    t = float(parts[1 + dim])
+    grid = GridSpec(dim, n)
+    # a header that promises more cells than the file holds must not
+    # make the read below allocate them
+    size = grid.ncells * 8
+    remaining = os.fstat(fh.fileno()).st_size - fh.tell()
+    if remaining < size:
+        raise ValueError(f"truncated payload: {n} cells need {size} bytes, {remaining} follow")
+    data = np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64).reshape(n)
     return ScalarField(grid, data), t

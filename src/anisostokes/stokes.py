@@ -81,7 +81,7 @@ def _div_tensor(grid, tau):
                 that = grid.fft(tau[i, j])
                 if j > i:
                     upper[i, j] = that
-            acc += 1j * grid.deriv_wavenumbers[j] * that
+            acc += grid.ik_full[j] * that
         out[i] = grid.ifft(acc, overwrite_x=True).real
     return VectorField(grid, out)
 
@@ -149,9 +149,7 @@ class StokesOperator:
         d = grid.dim
         if tensor.kind == "varying":
             op = cls(tensor, grid, "krylov")
-            kvec = np.zeros((d,) + grid.shape)
-            for a in range(d):
-                kvec[a] = np.broadcast_to(grid.deriv_wavenumbers[a], grid.shape)
+            kvec = np.array(np.broadcast_arrays(*(ika.imag for ika in grid.ik_full)))
             avg = tensor.values.reshape(d**4, -1).mean(axis=1).reshape((d,) * 4)
             asym = np.einsum("ijkl,j...,l...->ik...", avg, kvec, kvec)
             try:

@@ -528,6 +528,24 @@ def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, li
     assert ("grid does not match" in err.value.reason) == (name == "coarse.asf")
 
 
+@pytest.mark.parametrize("header, payload", [
+    (b"1 16 0\n", np.full(16, np.nan, dtype="<f8").tobytes()),
+    ("1 16 0\u00e9\n".encode(), bytes(128)),
+    (b"1 x 0\n", bytes(128)),
+    (b"5 4 4 4 4 4 0\n", bytes(8192)),
+    (b"2 16 8 0\n", bytes(1024)),
+], ids=["nan-sample", "non-ascii-header", "non-integer-extent", "dim-5", "unequal-extents"])
+def test_a_snapshot_read_error_names_the_file(tmp_path, header, payload):
+    # one of up to 16 viscosity.files snapshots may be the bad one
+    snap = tmp_path / "bad.asf"
+    snap.write_bytes(b"ASF1" + header + payload)
+    path = write_cfg(tmp_path, f"grid.n = 16\nforcing.kind = file\nforcing.path = {snap}\n")
+    with pytest.raises(ParseError) as err:
+        parse_config(path)
+    assert err.value.line == 3
+    assert err.value.reason.startswith(f"forcing.path: cannot read snapshot {snap}: ")
+
+
 @pytest.mark.parametrize("text, line, key", [
     ("initial.value = -1", 2, "initial.value"),
     ("initial.value = 0", 2, "initial.value"),

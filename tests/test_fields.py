@@ -286,12 +286,9 @@ def test_grid_transform_peak_memory_is_its_output(name):
     assert peak <= 1.01 * out.nbytes
 
 
-def test_every_transform_goes_through_gridspec():
-    # numpy's n-D transforms allocate per pass; the package calls them
-    # nowhere but inside GridSpec
-    banned = {"fftn", "ifftn", "rfftn", "irfftn"}
+def nodes_outside_gridspec():
+    """(file name, node) for every ``ast`` node of the package outside ``GridSpec``."""
     package = Path(__file__).resolve().parents[1] / "src" / "anisostokes"
-    found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         skip = set()
@@ -299,12 +296,83 @@ def test_every_transform_goes_through_gridspec():
             if isinstance(node, ast.ClassDef) and node.name == "GridSpec":
                 skip.update(id(inner) for inner in ast.walk(node))
         for node in ast.walk(tree):
-            if isinstance(node, ast.Call) and id(node) not in skip:
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name in banned:
-                    found.append(f"{path.name}:{node.lineno} {name}")
+            if id(node) not in skip:
+                yield path.name, node
+
+
+def called_name(node):
+    """The name a call node calls, or None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def test_every_transform_goes_through_gridspec():
+    # numpy's n-D transforms allocate per pass; the package calls them
+    # nowhere but inside GridSpec
+    banned = {"fftn", "ifftn", "rfftn", "irfftn"}
+    found = [
+        f"{name}:{node.lineno} {called_name(node)}"
+        for name, node in nodes_outside_gridspec()
+        if called_name(node) in banned
+    ]
     assert found == []
+
+
+def test_i_k_is_formed_in_gridspec_alone():
+    # every spectral derivative reads GridSpec.ik_full or its half-spectrum
+    # cut GridSpec.ik, so no other code forms wavenumbers or multiplies by i
+    found = []
+    for name, node in nodes_outside_gridspec():
+        if called_name(node) == "fftfreq":
+            found.append(f"{name}:{node.lineno} fftfreq")
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+            operands = (node.left, node.right)
+            if any(isinstance(x, ast.Constant) and x.value == 1j for x in operands):
+                found.append(f"{name}:{node.lineno} 1j")
+    assert found == []
+
+
+def reference_wavenumbers(g):
+    """k_a per axis from ``np.fft.fftfreq``, Nyquist zeroed, broadcastable:
+    the derivative wavenumbers built apart from GridSpec."""
+    out = []
+    for a, n in enumerate(g.n):
+        k = 2 * np.pi * np.fft.fftfreq(n, d=2 * np.pi / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        out.append(k.reshape([n if b == a else 1 for b in range(g.dim)]))
+    return out
+
+
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (2, 8), (2, 7), (3, 6), (3, 5)])
+def test_spectral_derivatives_equal_an_fftn_reference_bit_for_bit(dim, n):
+    g = GridSpec(dim, n)
+    rng = np.random.default_rng(100 + 10 * dim + n)
+    f = ScalarField(g, rng.standard_normal(g.shape))
+    v = VectorField(g, rng.standard_normal((dim,) + g.shape))
+    ks = reference_wavenumbers(g)
+    fhat = np.fft.fftn(f.data)
+    vhat = [np.fft.fftn(row) for row in v.data]
+
+    def back(hat):
+        return np.fft.ifftn(hat).real
+
+    want = {
+        "grad": [back((1j * k) * fhat) for k in ks],
+        "jacobian": [[back((1j * k) * vhat[i]) for k in ks] for i in range(dim)],
+        "div": back(sum((1j * k) * vhat[a] for a, k in enumerate(ks))),
+        "laplacian": back(-sum(k**2 for k in ks) * fhat),
+    }
+    got = {
+        "grad": grad(f).data,
+        "jacobian": jacobian(v),
+        "div": div(v).data,
+        "laplacian": laplacian(f).data,
+    }
+    for name in want:
+        assert np.array_equal(bits(got[name]), bits(np.array(want[name]))), name
 
 
 # ---------------------------------------------------------- spectral calculus
@@ -566,6 +634,15 @@ def test_snapshot_header_larger_than_its_file_is_rejected_before_reading(tmp_pat
     path = tmp_path / "field.asf"
     path.write_bytes(b"ASF1" + f"3 {cells} {cells} {cells} 0\n".encode() + bytes(64))
     with pytest.raises(ValueError, match="truncated payload: .* 64 follow"):
+        read_snapshot(path)
+
+
+def test_snapshot_header_past_its_cap_is_rejected(tmp_path):
+    # the header is one capped readline: a line that runs past the cap is
+    # malformed, however the bytes after it parse
+    path = tmp_path / "padded.asf"
+    path.write_bytes(b"ASF1" + b"1 8 0.0" + b" " * 1000 + b"\n" + bytes(64))
+    with pytest.raises(ValueError, match="malformed header"):
         read_snapshot(path)
 
 
