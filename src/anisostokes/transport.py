@@ -170,10 +170,29 @@ _DRAG_MAX_ITER = 100
 _DRAG_RTOL = 1e-13
 
 
-def _drag_residual(x, s, a, two_g, f, work):
-    """Write x + a (x^{2 gamma} + x^3) - s into ``f``; ``work`` is scratch."""
-    np.power(x, two_g, out=f)
-    f += np.power(x, 3, out=work)
+def _drag_power(x, p, x2, x3, out):
+    """x^p: ``x2`` or ``x3`` for p = 2 or 3, x2 * x2 for p = 4, else np.power.
+
+    Only the last two write ``out``.
+    """
+    if p == 2.0:
+        return x2
+    if p == 3.0:
+        return x3
+    if p == 4.0:
+        return np.multiply(x2, x2, out=out)
+    return np.power(x, p, out=out)
+
+
+def _drag_residual(x, s, a, two_g, f, x2, x3):
+    """Write x + a (x^{2 gamma} + x^3) - s into ``f``, x^2 into ``x2``, x^3 into ``x3``.
+
+    x^2 = x * x and x^3 = x^2 * x are products; x^{2 gamma} is one of them,
+    or x^2 * x^2, when 2 gamma is 2, 3 or 4, and ``np.power`` otherwise.
+    """
+    np.multiply(x, x, out=x2)
+    np.multiply(x2, x, out=x3)
+    np.add(_drag_power(x, two_g, x2, x3, f), x3, out=f)
     f *= a
     f += x
     f -= s
@@ -184,29 +203,29 @@ def _drag_solve(s, a, gamma):
 
     The map is convex and increasing for r >= 0, so Newton started at
     r = s decreases monotonically onto the root; no damping is needed.
+    Each step's derivative reuses the residual's powers of the same iterate.
     """
     x = s.copy()
     scale = max(float(s.max()), 1.0)
     two_g = 2.0 * gamma
     f = np.empty_like(x)
     fp = np.empty_like(x)
-    work = np.empty_like(x)
+    x2 = np.empty_like(x)
+    x3 = np.empty_like(x)
     for _ in range(_DRAG_MAX_ITER):
-        _drag_residual(x, s, a, two_g, f, work)
+        _drag_residual(x, s, a, two_g, f, x2, x3)
         if float(np.abs(f, out=fp).max()) <= _DRAG_RTOL * scale:
             return np.maximum(x, 0.0)
-        # fp = 1 + a (2 gamma x^{2 gamma - 1} + 3 x^2)
-        np.power(x, two_g - 1.0, out=fp)
-        fp *= two_g
-        np.square(x, out=work)
-        work *= 3.0
-        fp += work
+        # fp = 1 + a (2 gamma x^{2 gamma - 1} + 3 x^2); x3 is free once read
+        np.multiply(_drag_power(x, two_g - 1.0, x2, x3, fp), two_g, out=fp)
+        np.multiply(x2, 3.0, out=x3)
+        fp += x3
         fp *= a
         fp += 1.0
         f /= fp
         x -= f
         np.maximum(x, 0.0, out=x)
-    _drag_residual(x, s, a, two_g, f, work)
+    _drag_residual(x, s, a, two_g, f, x2, x3)
     worst = float(np.abs(f).max())
     if worst > _DRAG_RTOL * scale:
         raise NewtonFail(f"drag solve stalled at residual {worst:.3e}")

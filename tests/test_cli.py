@@ -824,6 +824,22 @@ def test_solve_failure_in_a_march_names_its_slab(tmp_path, capsys, monkeypatch, 
     assert float(found[2]) == pytest.approx(0.025) and float(found[3]) == pytest.approx(0.05)
 
 
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_a_starved_drag_solve_fails_a_run_on_one_line(tmp_path, capsys, monkeypatch, max_iter):
+    # the real solve, not a stand-in: the first drag step cannot converge
+    monkeypatch.setattr(transport, "_DRAG_MAX_ITER", max_iter)
+    cfg = write_cfg(tmp_path, SMALL_RUN + "params.eta = 0.05\n")
+    assert main(["run", cfg, "--out", str(tmp_path / "art")]) == 3
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    found = re.fullmatch(
+        r"FAIL solver: NewtonFail: drag solve stalled at residual (\S+) on slab \[(\S+), (\S+)\]",
+        lines[0],
+    )
+    assert found and float(found[1]) > 1e-13
+    assert float(found[2]) == 0.0 and float(found[3]) == pytest.approx(0.05)
+
+
 def test_solve_failure_in_a_direct_march_names_its_step(tmp_path, capsys, monkeypatch):
     failing_pair(monkeypatch, NewtonFail("drag solve stalled"), after=0.0, kernel=False)
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("run.t_end = 0.05", "run.t_end = 0.03")

@@ -1,6 +1,7 @@
 """Continuity-step tests: splitting oracles, mass identity, monotonicity."""
 
 import logging
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -10,10 +11,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
+from anisostokes import transport
 from anisostokes.fields import GridSpec, ScalarField, VectorField, div
 from anisostokes.transport import (
     CFLBreach,
     NegativeInput,
+    NewtonFail,
     SolverParams,
     _advect,
     _diffuse,
@@ -243,7 +246,46 @@ def diffuse_oracle(data, grid, eps, dt):
     return out
 
 
+def product_power(x, p, x2, x3):
+    """x^p as the drag solve takes it: x2, x3 or x2 * x2 for p = 2, 3 or 4."""
+    if p == 2.0:
+        return x2
+    if p == 3.0:
+        return x3
+    if p == 4.0:
+        return x2 * x2
+    return np.power(x, p)
+
+
+def drag_oracle_iterates(s, a, gamma):
+    """Each Newton iterate of the allocating drag solve and its residual."""
+    x = s.copy()
+    two_g = 2.0 * gamma
+    while True:
+        x2 = x * x
+        x3 = x2 * x
+        f = x + a * (product_power(x, two_g, x2, x3) + x3) - s
+        yield x, f
+        fp = 1.0 + a * (two_g * product_power(x, two_g - 1.0, x2, x3) + 3.0 * x2)
+        x = np.maximum(x - f / fp, 0.0)
+
+
+def oracle_residuals(s, a, gamma, count):
+    """The largest |residual| of each of the first ``count`` oracle iterates."""
+    return [float(np.abs(f).max()) for _, f in islice(drag_oracle_iterates(s, a, gamma), count)]
+
+
 def drag_oracle(s, a, gamma):
+    scale = max(float(s.max()), 1.0)
+    for x, f in islice(drag_oracle_iterates(s, a, gamma), 100):
+        if float(np.abs(f).max()) <= 1e-13 * scale:
+            return np.maximum(x, 0.0)
+    raise AssertionError("the oracle drag solve did not converge")
+
+
+def power_newton(s, a, gamma):
+    """The drag Newton with every power taken by ``**``, as it was before
+    the integer powers became products."""
     x = s.copy()
     scale = max(float(s.max()), 1.0)
     two_g = 2.0 * gamma
@@ -254,7 +296,7 @@ def drag_oracle(s, a, gamma):
         fp = 1.0 + a * (two_g * x ** (two_g - 1.0) + 3.0 * x**2)
         x = x - f / fp
         x = np.maximum(x, 0.0)
-    raise AssertionError("the oracle drag solve did not converge")
+    raise AssertionError("the power Newton did not converge")
 
 
 def bits(a):
@@ -306,16 +348,82 @@ def test_advect_matches_the_rolled_form_bit_for_bit(dim, n):
     assert np.array_equal(bits(rho.data), before)
 
 
+def drag_case():
+    return 3.0 * smooth_positive(GridSpec(2, 16), seed=21, floor=0.0).data
+
+
+def ulps_apart(a, b):
+    """Units in the last place between two arrays of nonnegative floats."""
+    return np.abs(bits(a) - bits(b))
+
+
 @pytest.mark.parametrize("gamma", [2.0, 1.5, 1.25])
 def test_drag_solve_matches_the_allocating_newton_bit_for_bit(gamma):
-    # at gamma = 2 x^{2 gamma - 1} is x^3 and at 1.5 x^{2 gamma} is; at 1.25
-    # no two of the powers coincide
-    g = GridSpec(2, 16)
-    s = 3.0 * smooth_positive(g, seed=21, floor=0.0).data
+    # at gamma = 2 every power is a product, at 1.5 both are and at 1.25
+    # only x^2 and x^3 are
+    s = drag_case()
     before = s.copy()
     got = _drag_solve(s, 0.2, gamma)
     assert np.array_equal(bits(got), bits(drag_oracle(s, 0.2, gamma)))
     assert np.array_equal(bits(s), bits(before))
+    # the products move the root by rounding alone: at most 1 ulp, in 13 to
+    # 29 of the 256 cells, against the Newton that takes every power
+    # through ``**``; the bound leaves one more for another libm's pow
+    assert ulps_apart(got, power_newton(s, 0.2, gamma)).max() <= 2
+
+
+@pytest.mark.parametrize("gamma", [2.0, 1.5, 1.25, 1.6])
+def test_drag_solve_returns_the_root_of_the_drag_equation(gamma):
+    # checked through np.power in extended precision, independently of how
+    # the solve takes its powers
+    s = drag_case()
+    r = _drag_solve(s, 0.2, gamma)
+    assert r.min() >= 0.0
+    wide = r.astype(np.longdouble)
+    two_g = np.longdouble(2.0 * gamma)
+    residual = wide + np.longdouble(0.2) * (np.power(wide, two_g) + np.power(wide, 3)) - s
+    assert float(np.abs(residual).max()) <= 2.0 * 1e-13 * max(float(s.max()), 1.0)
+
+
+@pytest.mark.parametrize("gamma, integer", [(2.0, True), (1.5, True), (1.25, False)])
+def test_drag_solve_takes_integer_powers_as_products(monkeypatch, gamma, integer):
+    exponents = []
+    power = np.power
+
+    def counted(x, p, *args, **kwargs):
+        exponents.append(p)
+        return power(x, p, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", counted)
+    _drag_solve(drag_case(), 0.2, gamma)
+    if integer:
+        assert exponents == []
+    else:
+        assert exponents and set(exponents) <= {2.5, 1.5}
+
+
+@pytest.mark.parametrize("max_iter", [0, 1])
+def test_a_starved_drag_solve_stalls_naming_its_last_residual(monkeypatch, max_iter):
+    s = drag_case()
+    residuals = oracle_residuals(s, 0.2, 2.0, 2)
+    assert min(residuals) > 1e-13 * float(s.max())
+    monkeypatch.setattr(transport, "_DRAG_MAX_ITER", max_iter)
+    with pytest.raises(NewtonFail) as info:
+        _drag_solve(s, 0.2, 2.0)
+    assert str(info.value) == f"drag solve stalled at residual {residuals[max_iter]:.3e}"
+
+
+def test_a_drag_solve_one_step_from_its_root_needs_one_iteration(monkeypatch):
+    s = 1e-3 * drag_case()
+    first, second = oracle_residuals(s, 0.2, 2.0, 2)
+    assert first > 1e-13 >= second
+    root = _drag_solve(s, 0.2, 2.0)
+    monkeypatch.setattr(transport, "_DRAG_MAX_ITER", 1)
+    assert np.array_equal(bits(_drag_solve(s, 0.2, 2.0)), bits(root))
+    monkeypatch.setattr(transport, "_DRAG_MAX_ITER", 0)
+    with pytest.raises(NewtonFail) as info:
+        _drag_solve(s, 0.2, 2.0)
+    assert str(info.value) == f"drag solve stalled at residual {first:.3e}"
 
 
 def test_diffuse_matches_the_allocating_form_bit_for_bit_on_its_clip_branch():
