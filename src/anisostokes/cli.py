@@ -52,13 +52,14 @@ import contextlib
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import astuple, replace
 from functools import partial, wraps
 
 import numpy as np
 
 from anisostokes.config import KEYS, ParseError, default_of, parse_config
 from anisostokes.diagnostics import (
+    CSV_HEADER,
     defect_inequality,
     defect_proxies,
     energy_slacks,
@@ -66,7 +67,6 @@ from anisostokes.diagnostics import (
     state_row,
     worst_violation,
     write_csv,
-    write_rows_csv,
 )
 from anisostokes.fields import MollifierKernel, SolverFailure, write_snapshot
 from anisostokes.marching import direct_march, march
@@ -203,8 +203,7 @@ def cmd_run(cfg, out_dir):
         rows.append(state_row(t, rho, u, ledger, e0, gamma, dp, kernel))
 
     traj = _march_config(cfg, observe=observe)
-    with _writing(out_dir):
-        write_rows_csv(rows, os.path.join(out_dir, "diagnostics.csv"))
+    _write_table(out_dir, "diagnostics.csv", CSV_HEADER, map(astuple, rows))
 
     _mass_identity(results, traj)
     _audit(

@@ -120,9 +120,11 @@ _POSITIVE = (lambda v, _grid: v > 0), "> 0"
 _AT_LEAST_1 = (lambda v, _grid: v >= 1), ">= 1"
 # the bump profile divides by width**2, which underflows to 0 below ~1e-154
 _POSITIVE_SQUARE = (lambda v, _grid: v > 0 and v**2 > 0), "> 0 with width**2 > 0"
+# a mollifier radius above pi, half the box, has a stencil wider than the grid
+_RADIUS = (lambda v, _grid: 0 <= v <= np.pi), "between 0 and pi"
 _DELTAS = (
-    lambda v, _grid: len(set(v)) == len(v) >= 3 and min(v) > 0
-), "at least three distinct levels, each > 0"
+    lambda v, _grid: len(set(v)) == len(v) >= 3 and 0 < min(v) and max(v) <= np.pi
+), "at least three distinct levels, each > 0 and <= pi"
 _EPS_LEVELS = (lambda v, _grid: bool(v) and min(v) >= 0), "at least one level, each >= 0"
 _EACH_POSITIVE = (lambda v, _grid: bool(v) and min(v) > 0), "at least one, each > 0"
 _WINDOWS = (
@@ -163,7 +165,7 @@ KEYS = {
     "forcing.path": _Key("path", default=""),
     "diagnostics.window": _Key("integer", "defect_params.window", (_divides, _WINDOW)),
     "diagnostics.h_reg": _Key("real", "defect_params.h_reg", _AT_LEAST_0),
-    "diagnostics.commutator_delta": _Key("real", "commutator_delta", _AT_LEAST_0),
+    "diagnostics.commutator_delta": _Key("real", "commutator_delta", _RADIUS),
     "sweep.deltas": _Key("reals", "sweep_deltas", _DELTAS),
     "sweep.eps_levels": _Key("reals", "sweep_eps_levels", _EPS_LEVELS),
     "defect.ratios": _Key("reals", "defect_ratios", _EACH_POSITIVE),

@@ -12,7 +12,7 @@ per-time CSV rows.  Nothing feeds back into the solver.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -216,7 +216,3 @@ def write_csv(path, header, rows):
         fh.write(header + "\n")
         for row in rows:
             fh.write(_csv_line(row) + "\n")
-
-
-def write_rows_csv(rows, path):
-    write_csv(path, CSV_HEADER, (astuple(row) for row in rows))

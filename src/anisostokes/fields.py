@@ -356,12 +356,33 @@ def grad(f):
 
 
 def div(v):
-    """Spectral divergence of a vector field, returned as a ScalarField."""
-    grid = v.grid
-    acc = np.zeros(grid.shape, dtype=complex)
-    for ika, row in zip(grid.ik_full, v.data):
-        acc += ika * grid.fft(row)
-    return ScalarField(grid, grid.ifft(acc, overwrite_x=True).real)
+    """Spectral divergence of a vector field, the one row of :func:`_div_rows`."""
+    return ScalarField(v.grid, _div_rows(v.grid, v.data[None])[0])
+
+
+def _div_rows(grid, rows):
+    """Row divergences (div rows)_i = sum_j d_j rows_ij of an (m, d, *shape) stack.
+
+    One row is the divergence of a vector field.  The leading m x m block
+    is taken to be symmetric, as the stress of a minor-symmetric law is bit
+    for bit: entry (i, j) with i < j < m is transformed once, and row j
+    takes entry (j, i) from that transform, kept until then.
+    """
+    m = len(rows)
+    upper = {}
+    out = np.empty((m,) + grid.shape)
+    for i in range(m):
+        acc = np.zeros(grid.shape, dtype=complex)
+        for j, ikj in enumerate(grid.ik_full):
+            if j < i:
+                that = upper.pop((j, i))
+            else:
+                that = grid.fft(rows[i, j])
+                if i < j < m:
+                    upper[i, j] = that
+            acc += ikj * that
+        out[i] = grid.ifft(acc, overwrite_x=True).real
+    return out
 
 
 def div_hat(grid, vhat):
@@ -397,16 +418,6 @@ def sym_grad(v):
     """Symmetric gradient D(u) = (grad u + grad u^T)/2 as a (d, d, *shape) array."""
     J = jacobian(v)
     return 0.5 * (J + np.swapaxes(J, 0, 1))
-
-
-def laplacian(f):
-    """div(grad f): spectral Laplacian with the derivative wavenumbers."""
-    grid = f.grid
-    fhat = grid.fft(f.data)
-    k2 = np.zeros(grid.shape)
-    for ika in grid.ik_full:
-        k2 = k2 + ika.imag**2
-    return ScalarField(grid, grid.ifft(-k2 * fhat, overwrite_x=True).real)
 
 
 def l2_inner(f, g):
@@ -635,7 +646,8 @@ def read_snapshot(path):
 
     Every failure to parse the file is a ``ValueError`` whose message
     begins with ``path``; a header line longer than
-    ``SNAPSHOT_HEADER_CAP`` bytes is malformed.
+    ``SNAPSHOT_HEADER_CAP`` bytes is malformed, and so is a payload that
+    is not exactly the header's cell count of float64 samples.
 
     Returns
     -------
@@ -665,11 +677,12 @@ def _read_snapshot(fh):
     n = tuple(int(p) for p in parts[1 : 1 + dim])
     t = float(parts[1 + dim])
     grid = GridSpec(dim, n)
-    # a header that promises more cells than the file holds must not
-    # make the read below allocate them
+    # the payload is exactly the header's cells: a header that promises
+    # more than the file holds must not make the read below allocate them
     size = grid.ncells * 8
     remaining = os.fstat(fh.fileno()).st_size - fh.tell()
-    if remaining < size:
-        raise ValueError(f"truncated payload: {n} cells need {size} bytes, {remaining} follow")
+    if remaining != size:
+        what = "truncated" if remaining < size else "overlong"
+        raise ValueError(f"{what} payload: {n} cells need {size} bytes, {remaining} follow")
     data = np.frombuffer(fh.read(size), dtype="<f8").astype(np.float64).reshape(n)
     return ScalarField(grid, data), t

@@ -32,7 +32,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from anisostokes.fields import SolverFailure, VectorField, div, grad, sym_grad, vector_lp_norm
+from anisostokes.fields import (
+    SolverFailure,
+    VectorField,
+    _div_rows,
+    div,
+    grad,
+    sym_grad,
+    vector_lp_norm,
+)
 from anisostokes.viscosity import (
     CoercivityReport,
     coercivity_estimate,
@@ -60,30 +68,6 @@ class KrylovNoConvergence(SolverFailure):
             f"no convergence after {iterations} iterations: "
             f"residual {residual:.3e} > target {target:.3e}"
         )
-
-
-def _div_tensor(grid, tau):
-    """Row divergence (div tau)_i = sum_j d_j tau_ij, spectrally.
-
-    The stress of a minor-symmetric law is symmetric bit for bit, so only
-    tau_ij with j >= i is transformed; row j takes tau_ji from the transform
-    of tau_ij, kept until then.
-    """
-    d = grid.dim
-    upper = {}
-    out = np.empty((d,) + grid.shape)
-    for i in range(d):
-        acc = np.zeros(grid.shape, dtype=complex)
-        for j in range(d):
-            if j < i:
-                that = upper.pop((j, i))
-            else:
-                that = grid.fft(tau[i, j])
-                if j > i:
-                    upper[i, j] = that
-            acc += grid.ik_full[j] * that
-        out[i] = grid.ifft(acc, overwrite_x=True).real
-    return VectorField(grid, out)
 
 
 class StokesOperator:
@@ -186,9 +170,8 @@ class StokesOperator:
         if self.tensor.kind == "diag":
             hat = self._scalar_symbol * grid.rfft(v.data)
             return VectorField(grid, grid.irfft(hat, overwrite_x=True))
-        du = sym_grad(v)
-        tau = self.tensor.apply(du)
-        return -1.0 * _div_tensor(grid, tau)
+        tau = self.tensor.apply(sym_grad(v))
+        return VectorField(grid, -_div_rows(grid, tau))
 
     def solve_hat(self, qhat):
         """Half spectrum of the symbol-mode u solving A u = grad q.
@@ -338,12 +321,8 @@ def _project_mean_free(u):
     return VectorField(u.grid, out)
 
 
-def residual(op, u, q):
-    """||A u - grad q||_2, the momentum residual of a candidate velocity."""
-    return residual_rhs(op, u, grad(q))
-
-
 def residual_rhs(op, u, rhs):
+    """||A u - rhs||_2, the momentum residual of a candidate velocity."""
     return (op.apply(u) - rhs).l2_norm()
 
 

@@ -78,6 +78,9 @@ class SolverParams:
         for name in ("eps", "delta", "eta"):
             if getattr(self, name) < 0:
                 raise InvalidParameter(name, f"{name} must be nonnegative")
+        # a wider mollifier's stencil (2 ceil(delta / h) + 1)^d outgrows the grid
+        if self.delta > np.pi:
+            raise InvalidParameter("delta", f"delta must be at most pi, got {self.delta}")
         if self.dt_max <= 0:
             raise InvalidParameter("dt_max", "dt_max must be positive")
         if self.fp_tol < 0:

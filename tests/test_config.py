@@ -93,8 +93,8 @@ def test_parameter_error_reports_the_line_of_its_own_key(tmp_path):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("params.delta", "-0.1"), ("run.dt_max", "0"), ("run.fp_tol", "-1e-9"),
-     ("run.fp_max_iter", "0")],
+    [("params.delta", "-0.1"), ("params.delta", "3.2"), ("run.dt_max", "0"),
+     ("run.fp_tol", "-1e-9"), ("run.fp_max_iter", "0")],
 )
 def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
     path = write_cfg(tmp_path, f"grid.n = 16\nparams.eta = 0.1\n{key} = {value}\n")
@@ -114,6 +114,7 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("diagnostics.window = 3", "diagnostics.window"),
         ("diagnostics.h_reg = -1e-9", "diagnostics.h_reg"),
         ("diagnostics.commutator_delta = -0.1", "diagnostics.commutator_delta"),
+        ("diagnostics.commutator_delta = 3.2", "diagnostics.commutator_delta"),
         ("defect.windows = 4,0", "defect.windows"),
         ("defect.windows = 4,6", "defect.windows"),
         ("defect.ratios = 1,0", "defect.ratios"),
@@ -124,6 +125,7 @@ def test_every_parameter_error_points_at_its_key(tmp_path, key, value):
         ("sweep.deltas = 0.4,0.2", "sweep.deltas"),
         ("sweep.deltas = 0.4,0.2,0.2,0.1", "sweep.deltas"),
         ("sweep.deltas = 0.4,0.2,0", "sweep.deltas"),
+        ("sweep.deltas = 3.2,0.2,0.1", "sweep.deltas"),
         ("initial.wavelength = 0.39\ninitial.kind = oscillatory", "initial.wavelength"),
         ("initial.width = 0\ninitial.kind = bump", "initial.width"),
         ("initial.width = 1e-200\ninitial.kind = bump", "initial.width"),
@@ -278,7 +280,7 @@ def _rejected_across_keys(values):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
 @given(st.fixed_dictionaries({}, optional=IN_RANGE))
 def test_config_round_trip(values):
     grid = _drawn_grid(values)
@@ -534,7 +536,9 @@ def test_unreadable_snapshot_names_its_line(tmp_path, monkeypatch, key, text, li
     (b"1 x 0\n", bytes(128)),
     (b"5 4 4 4 4 4 0\n", bytes(8192)),
     (b"2 16 8 0\n", bytes(1024)),
-], ids=["nan-sample", "non-ascii-header", "non-integer-extent", "dim-5", "unequal-extents"])
+    (b"1 16 0\n", bytes(128 + 512)),
+], ids=["nan-sample", "non-ascii-header", "non-integer-extent", "dim-5", "unequal-extents",
+        "long-payload"])
 def test_a_snapshot_read_error_names_the_file(tmp_path, header, payload):
     # one of up to 16 viscosity.files snapshots may be the bad one
     snap = tmp_path / "bad.asf"

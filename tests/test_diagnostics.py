@@ -1,6 +1,7 @@
 """Audit-functional tests: energy budget, defect proxy, CSV emission."""
 
 import logging
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from anisostokes.diagnostics import (
     pressure_l2_audit,
     state_row,
     worst_violation,
-    write_rows_csv,
+    write_csv,
 )
 from anisostokes.fields import GridSpec, MollifierKernel, ScalarField, VectorField
 from anisostokes.marching import Ledger, march
@@ -299,7 +300,7 @@ def test_rows_and_csv_roundtrip(tmp_path):
         assert b.drag2g_cum >= a.drag2g_cum
 
     out = tmp_path / "diag.csv"
-    write_rows_csv(rows, out)
+    write_csv(out, CSV_HEADER, map(astuple, rows))
     text = out.read_text(encoding="utf-8").splitlines()
     assert text[0] == CSV_HEADER == (
         "t,mass,drag2g_cum,drag3_cum,pgamma_integral,dissipation_cum,"
@@ -311,7 +312,7 @@ def test_rows_and_csv_roundtrip(tmp_path):
 
     # determinism: writing the same rows again is byte-identical
     out2 = tmp_path / "diag2.csv"
-    write_rows_csv(rows, out2)
+    write_csv(out2, CSV_HEADER, map(astuple, rows))
     assert out.read_bytes() == out2.read_bytes()
 
 
@@ -321,7 +322,7 @@ def test_csv_full_precision(tmp_path):
     _, states = kept(march, DiagNu((1.0,)), ScalarField.constant(g, 1.0 / 3.0), None, p, 0.0,
                      0.05)
     row = state_rows(states, 2.0, DefectParams())[0]
-    write_rows_csv([row], tmp_path / "diag.csv")
+    write_csv(tmp_path / "diag.csv", CSV_HEADER, [astuple(row)])
     line = (tmp_path / "diag.csv").read_text(encoding="utf-8").splitlines()[1]
     mass_text = line.split(",")[1]
     assert float(mass_text) == row.mass

@@ -5,14 +5,12 @@ import pytest
 from scipy.sparse import linalg as spla
 
 from anisostokes import stokes
-from anisostokes.fields import GridSpec, ScalarField, VectorField, grad, sym_grad
+from anisostokes.fields import GridSpec, ScalarField, VectorField, _div_rows, grad, sym_grad
 from anisostokes.stokes import (
     KrylovNoConvergence,
     NotCoercive,
     SingularSymbol,
     StokesOperator,
-    _div_tensor,
-    residual,
     residual_rhs,
     solve,
     solve_rhs,
@@ -23,7 +21,7 @@ from anisostokes.viscosity import (
     VaryingFull,
     isotropic_strain_tensor,
 )
-from test_fields import reference_wavenumbers
+from test_fields import bits, reference_wavenumbers
 
 
 # ------------------------------------------------ diagonal law, closed form
@@ -59,7 +57,7 @@ def test_solve_mean_free_and_residual_contract():
     for c in u.components:
         assert abs(c.mean()) <= 1e-14 * max(1.0, c.linf_norm())
     gq = grad(q)
-    assert residual(op, u, q) <= 1e-10 * gq.l2_norm()
+    assert residual_rhs(op, u, gq) <= 1e-10 * gq.l2_norm()
 
 
 def test_residual_of_zero_velocity_is_grad_q_norm():
@@ -67,7 +65,8 @@ def test_residual_of_zero_velocity_is_grad_q_norm():
     op = StokesOperator.build(DiagNu((1.0,)), g)
     q = ScalarField.from_function(g, np.cos)
     u0 = VectorField.zeros(g)
-    assert residual(op, u0, q) == pytest.approx(grad(q).l2_norm(), rel=1e-13)
+    gq = grad(q)
+    assert residual_rhs(op, u0, gq) == pytest.approx(gq.l2_norm(), rel=1e-13)
 
 
 # ----------------------------------------------------- full-tensor symbols
@@ -218,7 +217,8 @@ def test_varying_scalar_solve_contract():
     op = StokesOperator.build(t, g)
     q = ScalarField.from_function(g, lambda x, y: np.cos(x) + 0.5 * np.sin(2 * y))
     u = solve(op, q)
-    assert residual(op, u, q) <= stokes._KRYLOV_RTOL * grad(q).l2_norm()
+    gq = grad(q)
+    assert residual_rhs(op, u, gq) <= stokes._KRYLOV_RTOL * gq.l2_norm()
     for c in u.components:
         assert abs(c.mean()) <= 1e-14
 
@@ -238,7 +238,8 @@ def test_varying_uses_cg_only_with_major_symmetry():
     assert not op2._use_cg
     q = ScalarField.from_function(g, lambda x, y: np.cos(x))
     u = solve(op2, q)
-    assert residual(op2, u, q) <= stokes._KRYLOV_RTOL * grad(q).l2_norm()
+    gq = grad(q)
+    assert residual_rhs(op2, u, gq) <= stokes._KRYLOV_RTOL * gq.l2_norm()
 
 
 def test_krylov_no_convergence_raises(monkeypatch):
@@ -336,7 +337,7 @@ def stress_laws(grid):
 @pytest.mark.parametrize("kind", ["diag", "constant", "varying"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_stress_is_symmetric_bit_for_bit(dim, kind):
-    # _div_tensor transforms tau_ij once for tau_ji, which needs bit equality
+    # _div_rows transforms tau_ij once for tau_ji, which needs bit equality
     g = GridSpec(dim, 8)
     rng = np.random.default_rng(10 + dim)
     u = VectorField(g, rng.standard_normal((dim,) + g.shape))
@@ -346,17 +347,32 @@ def test_stress_is_symmetric_bit_for_bit(dim, kind):
             assert np.array_equal(tau[i, j], tau[j, i]), (i, j)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-def test_div_tensor_matches_one_transform_per_entry(dim):
-    g = GridSpec(dim, 8)
-    rng = np.random.default_rng(dim)
+@pytest.mark.parametrize("case", ["row", "diag", "constant", "varying"])
+@pytest.mark.parametrize("dim,n", [(1, 8), (1, 9), (2, 8), (2, 7), (3, 8), (3, 5)])
+def test_div_rows_matches_one_transform_per_entry(dim, n, case):
+    # one row is div's case; a law's symmetric stress is StokesOperator.apply's
+    g = GridSpec(dim, n)
+    rng = np.random.default_rng(10 * dim + n)
     u = VectorField(g, rng.standard_normal((dim,) + g.shape))
-    tau = stress_laws(g)["varying"].apply(sym_grad(u))
+    rows = u.data[None] if case == "row" else stress_laws(g)[case].apply(sym_grad(u))
     ks = reference_wavenumbers(g)
     expected = [
-        np.fft.ifftn(sum((1j * ks[j]) * np.fft.fftn(tau[i, j]) for j in range(dim))).real
-        for i in range(dim)
+        np.fft.ifftn(sum((1j * ks[j]) * np.fft.fftn(row[j]) for j in range(dim))).real
+        for row in rows
     ]
-    got = _div_tensor(g, tau)
-    for i in range(dim):
-        assert np.array_equal(got[i].data, expected[i])
+    assert np.array_equal(bits(_div_rows(g, rows)), bits(np.array(expected)))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_div_rows_transforms_each_symmetric_pair_once(monkeypatch, dim):
+    g = GridSpec(dim, 6)
+    u = VectorField(g, np.random.default_rng(dim).standard_normal((dim,) + g.shape))
+    tau = stress_laws(g)["varying"].apply(sym_grad(u))
+    fft = GridSpec.fft
+    calls = []
+    monkeypatch.setattr(GridSpec, "fft", lambda self, data: calls.append(1) or fft(self, data))
+    _div_rows(g, tau)
+    assert len(calls) == dim * (dim + 1) // 2
+    calls.clear()
+    _div_rows(g, u.data[None])
+    assert len(calls) == dim
