@@ -400,6 +400,7 @@ class _Momentum:
                 qhat += self.f
             return op.solve_hat(qhat), None
         q = self._smooth(p) * (-1.0)
+        del p  # rho^gamma is not read again; the solve needs its memory
         if self.f is not None:
             q = q + self.f
         u = solve(op, q)

@@ -306,10 +306,13 @@ def _cg(matvec, psolve, b, atol):
             p += z
         else:
             p = z.copy()
+        # each matvec runs with only b, x, r and p alive
+        del z
         q = matvec(p)
         alpha = rho / np.dot(p, q)
         x += alpha * p
         r -= alpha * q
+        del q
         rho_prev = rho
     return x
 

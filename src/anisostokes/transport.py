@@ -23,6 +23,7 @@ part to restore the pre-clip mass (a no-op for smooth fields).
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,11 @@ class SolverParams:
     fp_max_iter: int = 40
 
     def __post_init__(self):
+        # every range check below is a comparison that nan passes
+        for name in ("gamma", "eps", "delta", "eta", "dt_max", "fp_tol"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise InvalidParameter(name, f"{name} must be finite, got {value}")
         if not self.gamma > 1.0:
             raise InvalidParameter("gamma", f"gamma must exceed 1, got {self.gamma}")
         for name in ("eps", "delta", "eta"):

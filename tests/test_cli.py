@@ -11,7 +11,6 @@ import re
 import subprocess
 import sys
 import time
-import tracemalloc
 from operator import attrgetter
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from anisostokes.marching import NoContraction, SlabCollapse, SubstepOverflow
 from anisostokes.stokes import KrylovNoConvergence, NotCoercive, SingularSymbol
 from anisostokes.transport import NegativeInput, NewtonFail
 from keepall import kept
+from traced import peak
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -935,19 +935,14 @@ def test_a_runaway_velocity_fails_on_its_slab_before_any_substep(tmp_path, capsy
     # refuses the slab before it lays out a single one
     steps = counted_everywhere(monkeypatch, marching.continuity_step)
     cfg = write_cfg(tmp_path, SMALL_RUN + "forcing.kind = cosine\nforcing.amplitude = 1e300\n")
-    tracemalloc.start()
-    try:
-        code = main(["run", cfg, "--out", str(tmp_path / "art")])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, held = peak(lambda: main(["run", cfg, "--out", str(tmp_path / "art")]))
     assert code == 3
     assert capsys.readouterr().out.splitlines()[-1] == (
         "FAIL solver: SubstepOverflow: needs 1.7e+300 substeps, more than 10000"
         " on slab [0.0, 0.05]"
     )
     assert steps == []
-    assert peak < 16 * 2**20
+    assert held < 16 * 2**20
 
 
 def test_a_slab_collapse_and_each_halving_name_their_slab_once(tmp_path, capsys, caplog):

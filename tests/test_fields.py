@@ -5,7 +5,6 @@ import logging
 import math
 import os
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,8 @@ from anisostokes.fields import (
     sym_grad,
     write_snapshot,
 )
+
+from traced import peak
 
 
 def random_field(grid, seed, smooth=True):
@@ -276,13 +277,8 @@ def test_grid_transform_peak_memory_is_its_output(name):
     data = np.random.default_rng(5).standard_normal(g.shape)
     transform = getattr(g, name)
     transform(data)
-    tracemalloc.start()
-    try:
-        out = transform(data)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.01 * out.nbytes
+    out, held = peak(lambda: transform(data))
+    assert held <= 1.01 * out.nbytes
 
 
 def nodes_outside_gridspec():

@@ -1,13 +1,11 @@
 """Fixed-point slab tests: contraction, chaining, halving, direct stepping."""
 
 import dataclasses
-import gc
 import json
 import os
 import re
 import subprocess
 import sys
-import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -58,6 +56,7 @@ from anisostokes.viscosity import (
     viscous_work,
 )
 from keepall import KeepAll, kept
+from traced import peak, retained
 
 
 CUMULATIVES = ("work_cum", "drag_hi_cum", "drag_lo_cum", "pgamma_l2_sq_cum", "divu_l1_cum")
@@ -917,19 +916,6 @@ def test_observed_march_makes_velocities_only_at_slab_ends(monkeypatch):
     assert len(made) == len(seen) == len(traj)
 
 
-def retained(run):
-    """``run()`` and the bytes still allocated when it returns, its result held."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        kept = run()
-        gc.collect()
-        return kept, tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_observed_march_memory_does_not_grow_with_stored_states():
     # tracemalloc sees numpy buffers: a march observed by a keep-all
     # observer holds a density and a velocity per state, one whose observer
@@ -962,19 +948,6 @@ def test_observed_march_memory_does_not_grow_with_stored_states():
             assert grown < 10 * field_bytes
 
 
-def peak(run):
-    """The most bytes allocated at once while ``run()`` runs, above those
-    allocated before it."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        run()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 def test_a_held_symbol_slab_keeps_no_real_field():
     # a symbol pair holds its half spectrum and no w, so the passes of a
     # slab of 2S substeps, which hold one pair per substep, peak at most S
@@ -998,8 +971,20 @@ def test_a_held_symbol_slab_keeps_no_real_field():
 
     # several passes each; this also warms every cache a solve fills once
     assert solve(steps) >= 3 and solve(2 * steps) >= 3
-    short, held = peak(lambda: solve(steps)), peak(lambda: solve(2 * steps))
+    short, held = peak(lambda: solve(steps))[1], peak(lambda: solve(2 * steps))[1]
     assert held - short < steps * uhat_bytes + 4 * field_bytes
+
+
+def test_a_krylov_pair_releases_the_pressure_before_it_solves():
+    # in units of one scalar field: the pair peaks inside its solve at
+    # 23.25, rho and the right side q among them; keeping rho^gamma and the
+    # solve's z and previous A p through every matvec reads 28.28
+    g = GridSpec(2, 64)
+    mom = _Momentum(krylov_case_tensor(g), g, None, canonical_params(delta=0.3))
+    assert mom.op._use_cg and mom.kernel is not None
+    rho = cosine_density(g, axis=1)
+    mom.pair(rho)  # warm every cache a solve fills once
+    assert peak(lambda: mom.pair(rho))[1] < 25.5 * rho.data.nbytes
 
 
 # ------------------------------------------------------------ direct march

@@ -15,6 +15,7 @@ from anisostokes import transport
 from anisostokes.fields import GridSpec, ScalarField, VectorField, div
 from anisostokes.transport import (
     CFLBreach,
+    InvalidParameter,
     NegativeInput,
     NewtonFail,
     SolverParams,
@@ -71,6 +72,16 @@ def test_params_validation():
         SolverParams(gamma=1.0)
     with pytest.raises(ValueError):
         SolverParams(gamma=2.0, eps=-1e-3)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("name", ["gamma", "eps", "delta", "eta", "dt_max", "fp_tol"])
+def test_params_reject_a_real_that_is_not_finite(name, value):
+    # each range check is a comparison that nan passes, so finiteness comes first
+    with pytest.raises(InvalidParameter) as info:
+        SolverParams(**{name: value})
+    assert info.value.field == name
+    assert str(info.value) == f"{name} must be finite, got {value}"
 
 
 def test_cfl_zero_velocity_gives_dt_max():
