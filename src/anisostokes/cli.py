@@ -35,9 +35,9 @@ before it, and no ``diagnostics.csv``.
 others in forked workers, up to one per CPU (serially on Python 3.12 or
 later); the workers start at the first ratio's first stored state, so all
 the marches run together.  Its output, audit lines and exit code are
-those of a serial study; a failing study terminates the workers still
-marching.  Nothing is forked, and ``multiprocessing`` is not imported,
-before the first march.
+those of a serial study; a failing study kills the workers still
+marching.  A worker that dies prints one ``FAIL solver`` line naming its
+ratio and signal.  Nothing is forked before the first march.
 
 Every study runs with numpy's floating-point errors raised, so an overflow
 or an invalid operation stops the study where it happens, as a
@@ -51,6 +51,8 @@ import argparse
 import contextlib
 import logging
 import os
+import pickle
+import signal
 import sys
 from dataclasses import astuple, replace
 from functools import partial, wraps
@@ -345,52 +347,106 @@ def _defect_series(cfg, dps, ratio, at_first=None):
 _FORK_WARNS = sys.version_info >= (3, 12)
 
 
+class WorkerFailure(SolverFailure):
+    """A forked worker that died, or whose reply cannot be pickled."""
+
+
 class _ForkedMap:
     """``[fn(x) for x in items]``, spread over forked workers, one per CPU.
 
-    :meth:`start` forks the workers and hands them the items, and returns
-    at once, so the caller works alongside them; :meth:`results` returns
-    the values in item order, computing them here if no worker was started.
-    Serial when fewer than two workers would run (always so where
-    ``os.sched_getaffinity`` is missing) and on Python 3.12 or later.  A
-    worker's exception is raised by :meth:`results`, the first in item
-    order.  Every worker has exited when the ``with`` block around the map
-    is left, however it is left: the workers are terminated, so a failure
-    here does not wait for their marches.  Workers are forked, not
-    spawned: a spawned worker imports numpy and the package again, and on
-    ``defect2d`` that took as long as the march it saved.
+    :meth:`start` forks the workers and returns at once, so the caller
+    works alongside them; :meth:`results` returns the values in item order,
+    computing them here if no worker was started.  Serial when fewer than
+    two workers would run (always so where ``os.sched_getaffinity`` is
+    missing) and on Python 3.12 or later.  Worker k computes items k,
+    k + workers, ... and pickles one ``(ok, value or exception)`` per item
+    down its own pipe.  :meth:`results` raises the first exception in item
+    order, or a :class:`WorkerFailure` naming the item (a ratio) of a worker
+    that died.  Every worker has been reaped when the ``with`` block around
+    the map is left, however it is left: those still running are killed.
+    Workers are forked, not spawned: a spawned worker imports numpy and the
+    package again, and on ``defect2d`` that took as long as the march it
+    saved.
     """
 
     def __init__(self, fn, items):
         self.fn = fn
         self.items = items
-        self.pool = None
-        self.pending = None
+        self.pids = []  # None once reaped
+        self.pipes = []
 
     def __enter__(self):
         return self
 
     def __exit__(self, *_exc):
-        if self.pool is not None:
-            self.pool.terminate()
-            self.pool.join()
+        for k, pid in enumerate(self.pids):
+            self.pipes[k].close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                self._reap(k)
 
     def start(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         workers = min(len(self.items), cpus)
         if workers < 2 or _FORK_WARNS:
             return
-        # imported here, not at module load: a study forks and imports nothing
-        # new before its first march
-        import multiprocessing
+        for k in range(workers):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                self._work(self.items[k::workers], write)
+            os.close(write)
+            self.pids.append(pid)
+            self.pipes.append(os.fdopen(read, "rb"))
 
-        self.pool = multiprocessing.get_context("fork").Pool(workers)
-        self.pending = [self.pool.apply_async(self.fn, (x,)) for x in self.items]
+    def _work(self, items, write):
+        """A worker's body: it ends in ``os._exit``, never returning into the caller's stack."""
+        try:
+            with os.fdopen(write, "wb") as out:
+                for x in items:
+                    try:
+                        reply = (True, self.fn(x))
+                    except Exception as exc:  # raised by results()
+                        reply = (False, exc)
+                    try:
+                        data = pickle.dumps(reply)
+                    except Exception:
+                        reply = (False, WorkerFailure(
+                            f"the worker for ratio {x} cannot pickle "
+                            f"{type(reply[1]).__name__}: {reply[1]}"
+                        ))
+                        data = pickle.dumps(reply)
+                    out.write(data)
+                    if not reply[0]:
+                        break
+            os._exit(0)
+        finally:
+            os._exit(1)
+
+    def _reap(self, k):
+        """Wait for worker k; return how it ended."""
+        status = os.waitpid(self.pids[k], 0)[1]
+        self.pids[k] = None
+        code = os.waitstatus_to_exitcode(status)
+        return f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
 
     def results(self):
-        if self.pending is None:
+        if not self.pipes:
             return [self.fn(x) for x in self.items]
-        return [result.get() for result in self.pending]
+        values = []
+        for i, x in enumerate(self.items):
+            k = i % len(self.pipes)
+            try:
+                ok, value = pickle.load(self.pipes[k])
+            except (EOFError, pickle.UnpicklingError):
+                ok, value = False, WorkerFailure(
+                    f"the worker for ratio {x} {self._reap(k)} before handing it back"
+                )
+            if not ok:
+                raise value
+            values.append(value)
+        return values
 
 
 @_writes_output

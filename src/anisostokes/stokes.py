@@ -248,8 +248,11 @@ def solve_rhs(op, rhs):
     grid = op.grid
     d = grid.dim
     size = d * grid.ncells
+    matvecs = 0  # the iterations that ran, for KrylovNoConvergence
 
     def matvec(x):
+        nonlocal matvecs
+        matvecs += 1
         return op.apply(VectorField(grid, x.reshape((d,) + grid.shape))).data.reshape(size)
 
     def precvec(x):
@@ -283,7 +286,7 @@ def solve_rhs(op, rhs):
     res = residual_rhs(op, u, rhs)
     scale = rhs.l2_norm()
     if res > _KRYLOV_RTOL * scale:
-        raise KrylovNoConvergence(_KRYLOV_MAX_ITER, res, _KRYLOV_RTOL * scale)
+        raise KrylovNoConvergence(matvecs, res, _KRYLOV_RTOL * scale)
     return u
 
 

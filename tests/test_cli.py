@@ -5,9 +5,9 @@ import hashlib
 import io
 import json
 import logging
-import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -452,6 +452,13 @@ def test_defect_study_writes_ratio_window_grid(tmp_path, capsys):
 THREE_RATIOS = DEFECT_STUDY.replace("defect.ratios = 1,4", "defect.ratios = 1,4,16")
 
 
+def children():
+    """The pids of this process's children, zombies included, whoever forked
+    them: ``multiprocessing.active_children()`` sees only its own workers."""
+    return [pid for path in Path("/proc/self/task").glob("*/children")
+            for pid in path.read_text().split()]
+
+
 def affinity(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda _pid: set(range(cpus)))
 
@@ -463,7 +470,7 @@ def logged_marches(monkeypatch, log):
 
     def logged(tensor, *args, **kwargs):
         with open(log, "a", encoding="utf-8") as fh:
-            fh.write(f"{tensor.nu[-1]} {os.getpid()} {len(multiprocessing.active_children())}\n")
+            fh.write(f"{tensor.nu[-1]} {os.getpid()} {len(children())}\n")
         return march(tensor, *args, **kwargs)
 
     monkeypatch.setattr(cli, "march", logged)
@@ -482,7 +489,7 @@ def test_defect_study_marches_its_first_ratio_here_before_it_forks(tmp_path, mon
     assert sorted(nu for nu, _pid, _children in rest) == ["16.0", "4.0"]
     forked = [pid != str(os.getpid()) for _nu, pid, _children in rest]
     assert forked == [not cli._FORK_WARNS] * 2
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_defect_study_workers_start_during_the_first_march(tmp_path, monkeypatch):
@@ -495,14 +502,14 @@ def test_defect_study_workers_start_during_the_first_march(tmp_path, monkeypatch
     def counted(tensor, *args, **kwargs):
         traj = march(tensor, *args, **kwargs)
         if tensor.nu[-1] == 1.0:
-            alive.append(len(multiprocessing.active_children()))
+            alive.append(len(children()))
         return traj
 
     monkeypatch.setattr(cli, "march", counted)
     cfg = write_cfg(tmp_path, THREE_RATIOS)
     assert main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
     assert len(alive) == 1 and (alive[0] >= 1) is not cli._FORK_WARNS
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_a_late_failure_of_the_first_march_prints_the_serial_line(tmp_path, capsys,
@@ -519,7 +526,7 @@ def test_a_late_failure_of_the_first_march_prints_the_serial_line(tmp_path, caps
             observe(*state)
             seen.append(state)
             if len(seen) == 3:
-                alive.append(len(multiprocessing.active_children()))
+                alive.append(len(children()))
                 raise NewtonFail("drag solve did not converge")
 
         return march(tensor, *args, observe=observe_then_fail, **kwargs)
@@ -531,7 +538,7 @@ def test_a_late_failure_of_the_first_march_prints_the_serial_line(tmp_path, caps
         affinity(monkeypatch, cpus)
         code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
         runs.append((code, capsys.readouterr().out))
-        assert multiprocessing.active_children() == []
+        assert children() == []
     assert runs[0] == runs[1] == (
         3, "FAIL solver: NewtonFail: drag solve did not converge on slab [0.0, 0.04]\n"
     )
@@ -567,7 +574,7 @@ def test_a_failure_of_the_first_march_stops_the_workers_at_once(tmp_path, capsys
     assert (code, capsys.readouterr().out) == (
         3, "FAIL solver: NewtonFail: drag solve did not converge on slab [0.0, 0.04]\n"
     )
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_defect_study_stays_serial_where_forking_warns(tmp_path, monkeypatch):
@@ -580,7 +587,7 @@ def test_defect_study_stays_serial_where_forking_warns(tmp_path, monkeypatch):
     assert main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]) == 0
     marches = [line.split() for line in log.read_text().splitlines()]
     assert marches == [[nu, str(os.getpid()), "0"] for nu in ("1.0", "4.0", "16.0")]
-    assert multiprocessing.active_children() == []
+    assert children() == []
 
 
 def test_defect_study_writes_the_same_bytes_serial_and_forked(tmp_path, capsys, monkeypatch):
@@ -593,7 +600,7 @@ def test_defect_study_writes_the_same_bytes_serial_and_forked(tmp_path, capsys, 
             logged_marches(patch, log)
             out = tmp_path / f"art{cpus}"
             assert main(["defect-study", cfg, "--strict", "--out", str(out)]) == 0
-        assert multiprocessing.active_children() == []
+        assert children() == []
         pids = {line.split()[1] for line in log.read_text().splitlines()}
         files = {p.name: p.read_bytes() for p in out.iterdir()}
         runs.append((files, capsys.readouterr().out.replace(str(out), "OUT"), len(pids)))
@@ -623,13 +630,114 @@ def test_a_failure_in_a_worker_prints_the_serial_line(tmp_path, capsys, monkeypa
         affinity(monkeypatch, cpus)
         code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
         runs.append((code, capsys.readouterr().out))
-        assert multiprocessing.active_children() == []
+        assert children() == []
     assert runs[0] == runs[1]
     if isinstance(error, ParseError):
         assert runs[0] == (2, f"FAIL config: {cfg}: {error}\n")
     else:
         assert runs[0] == (3, f"FAIL solver: {type(error).__name__}: {error}\n")
     assert not (tmp_path / "art").exists()
+
+
+# the ratio-16 worker kills itself; run in a fresh session so that a study
+# that hangs on its lost ratio can be killed whole
+DYING_WORKER = """
+import os, signal, sys
+from anisostokes import cli
+os.sched_getaffinity = lambda _pid: {0, 1}
+march = cli.march
+
+def die_at_16(tensor, *args, **kwargs):
+    if tensor.nu[-1] == 16.0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return march(tensor, *args, **kwargs)
+
+cli.march = die_at_16
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
+def test_a_worker_that_dies_fails_the_solver_on_one_line(tmp_path):
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]
+    proc = subprocess.Popen([sys.executable, "-c", DYING_WORKER, *argv], env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=30.0)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("the study hung on its dead worker")
+    assert (proc.returncode, out, err) == (
+        3, "FAIL solver: WorkerFailure: the worker for ratio 16.0 was killed by signal "
+        f"{int(signal.SIGKILL)} before handing it back\n", "",
+    )
+    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
+def test_a_worker_exception_that_cannot_be_pickled_fails_the_solver(tmp_path, capsys,
+                                                                   monkeypatch):
+    class Local(Exception):
+        """A class defined in a function: pickle cannot find it by name."""
+
+    march = cli.march
+
+    def fail_last(tensor, *args, **kwargs):
+        if tensor.nu[-1] == 16.0:
+            raise Local("the study cannot see me")
+        return march(tensor, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "march", fail_last)
+    affinity(monkeypatch, 2)
+    cfg = write_cfg(tmp_path, THREE_RATIOS)
+    code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
+    assert (code, capsys.readouterr().out) == (
+        3, "FAIL solver: WorkerFailure: the worker for ratio 16.0 cannot pickle "
+        "Local: the study cannot see me\n"
+    )
+    assert children() == []
+
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("study", ["defect-study", "run"])
+def test_a_traced_study_writes_what_an_untraced_one_writes(tmp_path, capsys, monkeypatch, study):
+    # the benchmark's tracer wraps every public function where it is bound,
+    # forked workers inherit the wrappers, and it reads march's result and
+    # write_snapshot's field
+    monkeypatch.syspath_prepend(str(BENCH))
+    from layers import Tracer
+    from workloads import read_config, tree_digest, write_config
+
+    if study == "run":
+        cfg = write_cfg(tmp_path, SMALL_RUN)
+    else:
+        entries = read_config(CONFIGS / "defect2d.cfg")
+        entries.update({"grid.n": "64", "run.t_end": "0.1"})
+        cfg = write_config(tmp_path / "defect2d.cfg", entries)
+        affinity(monkeypatch, 2)
+    runs = []
+    for tracer in (None, Tracer()):
+        out = tmp_path / ("traced" if tracer else "plain")
+        if tracer:
+            tracer.install()
+        try:
+            code = main([study, cfg, "--strict", "--out", str(out)])
+        finally:
+            if tracer:
+                tracer.restore()
+        runs.append((code, capsys.readouterr().out.replace(str(out), "OUT"), tree_digest(out)))
+        assert children() == []
+    assert tracer.layer("marching.march").calls >= 1
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0
 
 
 def test_defect_study_raises_each_state_to_gamma_once_for_all_windows(tmp_path, monkeypatch):
@@ -1007,7 +1115,7 @@ def test_an_overflow_in_a_worker_fails_the_solver_as_in_a_serial_study(tmp_path,
         affinity(monkeypatch, cpus)
         code = main(["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")])
         runs.append((code, capsys.readouterr().out))
-        assert multiprocessing.active_children() == []
+        assert children() == []
     assert runs[0] == runs[1] == (
         3, "FAIL solver: FloatingPointError: overflow encountered in multiply\n"
     )

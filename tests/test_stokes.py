@@ -254,6 +254,31 @@ def test_krylov_no_convergence_raises(monkeypatch):
         solve(op, q)
 
 
+def test_krylov_no_convergence_names_the_iterations_that_ran(monkeypatch):
+    # CG stops early at a loose tolerance, then the solve's residual check
+    # fails: the message counts CG's iterations, not the cap
+    real = stokes._cg
+    ran = []
+
+    def loose(matvec, psolve, b, atol):
+        def counted(x):
+            ran.append(None)
+            return matvec(x)
+
+        return real(counted, psolve, b, 1e4 * atol)
+
+    monkeypatch.setattr(stokes, "_cg", loose)
+    g = GridSpec(2, 32)
+    t = varying_isotropic(g, lambda x, y: 1.0 + 0.5 * np.sin(x) * np.sin(y))
+    op = StokesOperator.build(t, g)
+    q = ScalarField.from_function(g, lambda x, y: np.cos(x) + np.sin(3 * y))
+    with pytest.raises(KrylovNoConvergence) as info:
+        solve(op, q)
+    assert 0 < len(ran) < stokes._KRYLOV_MAX_ITER
+    assert info.value.iterations == len(ran)
+    assert str(info.value).startswith(f"no convergence after {len(ran)} iterations: ")
+
+
 def cg_against_scipy(monkeypatch, op, q):
     """(our iterate, scipy's iterate, scipy's exit code) for the CG solve of q.
 
