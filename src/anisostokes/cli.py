@@ -31,13 +31,17 @@ diagnostics row; the CSV and the audits follow the march.  A solver
 failure in a ``run`` therefore leaves the snapshots of the states stored
 before it, and no ``diagnostics.csv``.
 
-``defect-study`` marches its first ratio in the calling process and the
-others in forked workers, up to one per CPU (serially on Python 3.12 or
-later); the workers start at the first ratio's first stored state, so all
-the marches run together.  Its output, audit lines and exit code are
-those of a serial study; a failing study kills the workers still
-marching.  A worker that dies prints one ``FAIL solver`` line naming its
-ratio and signal.  Nothing is forked before the first march.
+Every study that marches more than once (``defect-study`` one march per
+ratio, ``sweep-delta`` per mollifier radius and the direct march,
+``sweep-eps`` per level) marches its first item in the calling process and
+the others in forked workers, up to one per CPU; the workers start at the
+first march's first stored state, so all the marches run together.  Each
+worker's memory peaks at about that of a serial march.  The studies run
+serially at one CPU, on Python 3.12 or later, and when a worker cannot be
+forked.  Their output, audit lines and exit code are those of a serial
+study; a failing study kills the workers still marching.  A worker that
+dies prints one ``FAIL solver`` line naming its item and signal.  Nothing
+is forked before the first march.
 
 Every study runs with numpy's floating-point errors raised, so an overflow
 or an invalid operation stops the study where it happens, as a
@@ -70,8 +74,8 @@ from anisostokes.diagnostics import (
     worst_violation,
     write_csv,
 )
-from anisostokes.fields import MollifierKernel, SolverFailure, write_snapshot
-from anisostokes.marching import direct_march, march
+from anisostokes.fields import MollifierKernel, ScalarField, SolverFailure, write_snapshot
+from anisostokes.marching import Trajectory, direct_march, march
 from anisostokes.stokes import NotCoercive, SingularSymbol, audit_hypotheses
 from anisostokes.transport import pressure_integral
 from anisostokes.viscosity import DiagNu
@@ -239,23 +243,31 @@ def cmd_run(cfg, out_dir):
     return results
 
 
+def _delta_final(cfg, delta, at_first=None):
+    """The last stored density of the sweep's march at mollifier radius
+    ``delta``, as an array; ``delta`` = 0 is the direct march.
+    ``at_first()``, if given, is called at the first stored state."""
+    final = _Series(at_first=at_first)
+    params = replace(cfg.params, delta=delta)
+    if delta > 0.0:
+        _march_config(cfg, params=params, observe=final)
+    else:
+        direct_march(
+            cfg.tensor, cfg.rho0, cfg.forcing, params, cfg.t_end,
+            store_every=cfg.store_every, observe=final,
+        )
+    return final.last.data
+
+
 @_writes_output
 def cmd_sweep_delta(cfg, out_dir):
+    """One march per radius, finest last, then the direct march (see :func:`_fan_out`)."""
     results = []
     deltas = tuple(sorted(cfg.sweep_deltas, reverse=True))
-
-    finals = []
-    for d in deltas:
-        final = _Series()
-        _march_config(cfg, params=replace(cfg.params, delta=d), observe=final)
-        finals.append(final.last)
-
-    final = _Series()
-    direct_march(
-        cfg.tensor, cfg.rho0, cfg.forcing, replace(cfg.params, delta=0.0), cfg.t_end,
-        store_every=cfg.store_every, observe=final,
-    )
-    direct = final.last
+    *finals, direct = [
+        ScalarField(cfg.grid, data)
+        for data in _fan_out(partial(_delta_final, cfg), (*deltas, 0.0), "delta")
+    ]
 
     gaps = [
         (finals[i + 1] - finals[i]).l2_norm() for i in range(len(finals) - 1)
@@ -290,26 +302,41 @@ def cmd_sweep_delta(cfg, out_dir):
     return results
 
 
+def _eps_series(cfg, level, at_first=None):
+    """March the eps sweep at eps = eta = ``level``.
+
+    Returns what its audits read: the ledgers of the stored states and the
+    pressure integral of each.  ``at_first()``, if given, is called at the
+    first stored state.
+    """
+    gamma = cfg.params.gamma
+    integrals = _Series(lambda rho: pressure_integral(rho, gamma), at_first)
+    traj = _march_config(cfg, params=replace(cfg.params, eps=level, eta=level), observe=integrals)
+    return traj.ledgers, integrals.values
+
+
 @_writes_output
 def cmd_sweep_eps(cfg, out_dir):
+    """One march per level (see :func:`_fan_out`), each audited as it arrives,
+    so a failing level prints after the audit lines of those before it."""
     results = []
     rows = []
     pressures = []
     gamma = cfg.params.gamma
-    for level in cfg.sweep_eps_levels:
-        integrals = _Series(lambda rho: pressure_integral(rho, gamma))
-        traj = _march_config(
-            cfg, params=replace(cfg.params, eps=level, eta=level), observe=integrals
-        )
-        defect = _mass_identity(results, traj, f"mass-identity[{level:g}]")
-        e0 = integrals.values[0]
-        slacks = energy_slacks(e0, integrals.values, traj.ledgers, gamma)
-        violation = _energy_slack(
-            results, e0, worst_violation(slacks), f"energy-slack[{level:g}]"
-        )
-        pl2 = pressure_l2_audit(traj)
-        pressures.append(pl2)
-        rows.append((level, defect, violation, pl2))
+    levels = cfg.sweep_eps_levels
+    marches = _fan_out(partial(_eps_series, cfg), levels, "level")
+    with contextlib.closing(marches):
+        for level, (ledgers, integrals) in zip(levels, marches):
+            traj = Trajectory(ledgers=ledgers)
+            defect = _mass_identity(results, traj, f"mass-identity[{level:g}]")
+            e0 = integrals[0]
+            slacks = energy_slacks(e0, integrals, ledgers, gamma)
+            violation = _energy_slack(
+                results, e0, worst_violation(slacks), f"energy-slack[{level:g}]"
+            )
+            pl2 = pressure_l2_audit(traj)
+            pressures.append(pl2)
+            rows.append((level, defect, violation, pl2))
 
     _write_table(
         out_dir, "sweep_eps.csv", "level,mass_defect,energy_violation,pressure_l2", rows
@@ -352,26 +379,28 @@ class WorkerFailure(SolverFailure):
 
 
 class _ForkedMap:
-    """``[fn(x) for x in items]``, spread over forked workers, one per CPU.
+    """``fn(x) for x in items``, spread over forked workers, one per CPU.
 
     :meth:`start` forks the workers and returns at once, so the caller
-    works alongside them; :meth:`results` returns the values in item order,
+    works alongside them; :meth:`results` yields the values in item order,
     computing them here if no worker was started.  Serial when fewer than
     two workers would run (always so where ``os.sched_getaffinity`` is
-    missing) and on Python 3.12 or later.  Worker k computes items k,
-    k + workers, ... and pickles one ``(ok, value or exception)`` per item
-    down its own pipe.  :meth:`results` raises the first exception in item
-    order, or a :class:`WorkerFailure` naming the item (a ratio) of a worker
-    that died.  Every worker has been reaped when the ``with`` block around
-    the map is left, however it is left: those still running are killed.
-    Workers are forked, not spawned: a spawned worker imports numpy and the
-    package again, and on ``defect2d`` that took as long as the march it
-    saved.
+    missing), on Python 3.12 or later, and when a pipe or a fork fails
+    (the workers already forked are then killed).  Worker k computes items
+    k, k + workers, ... and pickles one ``(ok, value or exception)`` per
+    item down its own pipe.  :meth:`results` raises the first exception in
+    item order, or a :class:`WorkerFailure` naming the item (``name`` and
+    value) of a worker that died.  Every worker has been reaped when the
+    ``with`` block around the map is left, however it is left: those still
+    running are killed.  Workers are forked, not spawned: a spawned worker
+    imports numpy and the package again, and on ``defect2d`` that took as
+    long as the march it saved.
     """
 
-    def __init__(self, fn, items):
+    def __init__(self, fn, items, name):
         self.fn = fn
         self.items = items
+        self.name = name
         self.pids = []  # None once reaped
         self.pipes = []
 
@@ -379,26 +408,39 @@ class _ForkedMap:
         return self
 
     def __exit__(self, *_exc):
+        self._stop()
+
+    def _stop(self):
+        """Kill and reap the workers still running and close every pipe."""
         for k, pid in enumerate(self.pids):
             self.pipes[k].close()
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 self._reap(k)
+        self.pids, self.pipes = [], []
 
     def start(self):
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
         workers = min(len(self.items), cpus)
         if workers < 2 or _FORK_WARNS:
             return
-        for k in range(workers):
-            read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(read)
-                self._work(self.items[k::workers], write)
-            os.close(write)
-            self.pids.append(pid)
-            self.pipes.append(os.fdopen(read, "rb"))
+        try:
+            for k in range(workers):
+                read, write = os.pipe()
+                try:
+                    pid = os.fork()
+                except OSError:
+                    os.close(read)
+                    os.close(write)
+                    raise
+                if pid == 0:
+                    os.close(read)
+                    self._work(self.items[k::workers], write)
+                os.close(write)
+                self.pids.append(pid)
+                self.pipes.append(os.fdopen(read, "rb"))
+        except OSError:  # out of processes or descriptors: march serially
+            self._stop()
 
     def _work(self, items, write):
         """A worker's body: it ends in ``os._exit``, never returning into the caller's stack."""
@@ -413,7 +455,7 @@ class _ForkedMap:
                         data = pickle.dumps(reply)
                     except Exception:
                         reply = (False, WorkerFailure(
-                            f"the worker for ratio {x} cannot pickle "
+                            f"the worker for {self.name} {x} cannot pickle "
                             f"{type(reply[1]).__name__}: {reply[1]}"
                         ))
                         data = pickle.dumps(reply)
@@ -432,28 +474,38 @@ class _ForkedMap:
         return f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
 
     def results(self):
-        if not self.pipes:
-            return [self.fn(x) for x in self.items]
-        values = []
         for i, x in enumerate(self.items):
+            if not self.pipes:
+                yield self.fn(x)
+                continue
             k = i % len(self.pipes)
             try:
                 ok, value = pickle.load(self.pipes[k])
             except (EOFError, pickle.UnpicklingError):
                 ok, value = False, WorkerFailure(
-                    f"the worker for ratio {x} {self._reap(k)} before handing it back"
+                    f"the worker for {self.name} {x} {self._reap(k)} before handing it back"
                 )
             if not ok:
                 raise value
-            values.append(value)
-        return values
+            yield value
+
+
+def _fan_out(fn, items, name):
+    """Yield ``fn(x)`` for each of ``items``, in order.
+
+    ``items[0]`` is marched here, as ``fn(items[0], at_first=...)``, and
+    the others by a :class:`_ForkedMap` whose workers it starts at that
+    call; ``name`` names an item in a :class:`WorkerFailure`.  The workers
+    are reaped once the generator is finished or closed.
+    """
+    with _ForkedMap(fn, items[1:], name) as rest:
+        yield fn(items[0], at_first=rest.start)
+        yield from rest.results()
 
 
 @_writes_output
 def cmd_defect_study(cfg, out_dir):
-    """One march per anisotropy ratio: the first in this process, the rest
-    in forked workers started at its first stored state (see
-    :class:`_ForkedMap`)."""
+    """One march per anisotropy ratio (see :func:`_fan_out`)."""
     results = []
     if not isinstance(cfg.tensor, DiagNu):
         raise ParseError(
@@ -463,9 +515,7 @@ def cmd_defect_study(cfg, out_dir):
     gamma = cfg.params.gamma
     dps = [replace(cfg.defect_params, window=window) for window in cfg.defect_windows]
     ratios = cfg.defect_ratios
-    with _ForkedMap(partial(_defect_series, cfg, dps), ratios[1:]) as rest:
-        marches = [_defect_series(cfg, dps, ratios[0], rest.start)]
-        marches += rest.results()
+    marches = list(_fan_out(partial(_defect_series, cfg, dps), ratios, "ratio"))
 
     rows = []
     all_ok = True

@@ -1,6 +1,7 @@
 """Command-line surface: artifacts, audit lines, exit codes."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -329,12 +330,12 @@ def test_an_output_file_that_cannot_be_written_fails_on_one_line(tmp_path, capsy
 
 
 def test_an_os_error_away_from_the_output_is_not_an_output_failure(tmp_path, monkeypatch):
-    # a failed fork, say: it is no fault of the output directory, so it is
-    # raised as it is
-    def no_fork(*_args, **_kwargs):
+    # one raised inside the march is no fault of the output directory, so
+    # it is raised as it is (a failed fork falls back to a serial study)
+    def unavailable(*_args, **_kwargs):
         raise BlockingIOError(11, "Resource temporarily unavailable")
 
-    monkeypatch.setattr(cli, "march", no_fork)
+    monkeypatch.setattr(cli, "march", unavailable)
     cfg = write_cfg(tmp_path, SHORT_SWEEP)
     with pytest.raises(BlockingIOError):
         main(["sweep-delta", cfg, "--out", str(tmp_path / "art")])
@@ -639,32 +640,33 @@ def test_a_failure_in_a_worker_prints_the_serial_line(tmp_path, capsys, monkeypa
     assert not (tmp_path / "art").exists()
 
 
-# the ratio-16 worker kills itself; run in a fresh session so that a study
-# that hangs on its lost ratio can be killed whole
+# the worker whose march meets DIE_AT kills itself; run in a fresh session
+# so that a study that hangs on its lost item can be killed whole
 DYING_WORKER = """
 import os, signal, sys
 from anisostokes import cli
-os.sched_getaffinity = lambda _pid: {0, 1}
+os.sched_getaffinity = lambda _pid: {{0, 1}}
 march = cli.march
 
-def die_at_16(tensor, *args, **kwargs):
-    if tensor.nu[-1] == 16.0:
+def die_at(tensor, rho0, f, params, *args, **kwargs):
+    if {DIE_AT}:
         os.kill(os.getpid(), signal.SIGKILL)
-    return march(tensor, *args, **kwargs)
+    return march(tensor, rho0, f, params, *args, **kwargs)
 
-cli.march = die_at_16
+cli.march = die_at
 sys.exit(cli.main(sys.argv[1:]))
 """
 
 
-@pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
-def test_a_worker_that_dies_fails_the_solver_on_one_line(tmp_path):
-    cfg = write_cfg(tmp_path, THREE_RATIOS)
+def run_with_a_dying_worker(tmp_path, study, text, die_at):
+    """``study`` of ``text`` in a fresh interpreter whose worker meeting
+    ``die_at`` kills itself: (exit code, stdout, stderr)."""
+    cfg = write_cfg(tmp_path, text)
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = ["defect-study", cfg, "--strict", "--out", str(tmp_path / "art")]
-    proc = subprocess.Popen([sys.executable, "-c", DYING_WORKER, *argv], env=env, text=True,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    argv = [study, cfg, "--strict", "--out", str(tmp_path / "art")]
+    proc = subprocess.Popen([sys.executable, "-c", DYING_WORKER.format(DIE_AT=die_at), *argv],
+                            env=env, text=True, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                             start_new_session=True)
     try:
         out, err = proc.communicate(timeout=30.0)
@@ -672,11 +674,28 @@ def test_a_worker_that_dies_fails_the_solver_on_one_line(tmp_path):
         os.killpg(proc.pid, signal.SIGKILL)
         proc.communicate()
         pytest.fail("the study hung on its dead worker")
-    assert (proc.returncode, out, err) == (
+    assert not (tmp_path / "art").exists()
+    return proc.returncode, out, err
+
+
+@pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
+def test_a_worker_that_dies_fails_the_solver_on_one_line(tmp_path):
+    assert run_with_a_dying_worker(
+        tmp_path, "defect-study", THREE_RATIOS, "tensor.nu[-1] == 16.0"
+    ) == (
         3, "FAIL solver: WorkerFailure: the worker for ratio 16.0 was killed by signal "
         f"{int(signal.SIGKILL)} before handing it back\n", "",
     )
-    assert not (tmp_path / "art").exists()
+
+
+@pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
+def test_a_sweep_worker_that_dies_names_its_delta(tmp_path):
+    assert run_with_a_dying_worker(
+        tmp_path, "sweep-delta", SHORT_SWEEP, "params.delta == 0.1"
+    ) == (
+        3, "FAIL solver: WorkerFailure: the worker for delta 0.1 was killed by signal "
+        f"{int(signal.SIGKILL)} before handing it back\n", "",
+    )
 
 
 @pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
@@ -703,11 +722,156 @@ def test_a_worker_exception_that_cannot_be_pickled_fails_the_solver(tmp_path, ca
     assert children() == []
 
 
+@pytest.mark.skipif(cli._FORK_WARNS, reason="the study runs serially here")
+def test_a_sweep_worker_exception_that_cannot_be_pickled_names_its_level(tmp_path, capsys,
+                                                                        monkeypatch):
+    class Local(Exception):
+        """A class defined in a function: pickle cannot find it by name."""
+
+    march = cli.march
+
+    def fail_last(tensor, rho0, f, params, *args, **kwargs):
+        if params.eps == 0.001:
+            raise Local("the study cannot see me")
+        return march(tensor, rho0, f, params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "march", fail_last)
+    affinity(monkeypatch, 2)
+    cfg = write_cfg(tmp_path, THREE_LEVELS)
+    code = main(["sweep-eps", cfg, "--strict", "--out", str(tmp_path / "art")])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 3
+    assert out[-1] == ("FAIL solver: WorkerFailure: the worker for level 0.001 cannot pickle "
+                       "Local: the study cannot see me")
+    assert children() == []
+
+
+# each study that marches more than once, with two items for the workers
+THREE_LEVELS = SHORT_SWEEP + "sweep.eps_levels = 0.1,0.01,0.001\n"
+FAN_OUTS = {"defect-study": THREE_RATIOS, "sweep-delta": SHORT_SWEEP, "sweep-eps": THREE_LEVELS}
+
+
+def logged_items(monkeypatch, log):
+    """Append the item, the pid and the live child count of every ``march``
+    and ``direct_march`` call of a study to ``log``, in whichever process
+    it runs: the item is the last viscosity, delta or eps that the study
+    varies."""
+    def logging_call(driver):
+        def logged(tensor, rho0, f, params, *args, **kwargs):
+            item = (tensor.nu[-1], params.delta, params.eps)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{item} {os.getpid()} {len(children())}\n")
+            return driver(tensor, rho0, f, params, *args, **kwargs)
+
+        return logged
+
+    monkeypatch.setattr(cli, "march", logging_call(cli.march))
+    monkeypatch.setattr(cli, "direct_march", logging_call(cli.direct_march))
+
+
+def study_run(tmp_path, capsys, study, out_name):
+    """Run ``study`` of its ``FAN_OUTS`` config: (exit code, stdout, {file: bytes})."""
+    cfg = write_cfg(tmp_path, FAN_OUTS[study])
+    out = tmp_path / out_name
+    code = main([study, cfg, "--strict", "--out", str(out)])
+    files = {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else None
+    return code, capsys.readouterr().out.replace(str(out), "OUT"), files
+
+
+@pytest.mark.parametrize("study", ["sweep-delta", "sweep-eps"])
+def test_a_sweep_writes_the_same_bytes_serial_and_forked(tmp_path, capsys, monkeypatch, study):
+    # and marches its first item here, before anything is forked
+    runs, logs = [], []
+    for cpus in (1, 2):
+        log = tmp_path / f"marches{cpus}.txt"
+        with monkeypatch.context() as patch:
+            affinity(patch, cpus)
+            logged_items(patch, log)
+            runs.append(study_run(tmp_path, capsys, study, f"art{cpus}"))
+        assert children() == []
+        logs.append([line.rsplit(" ", 2) for line in log.read_text().splitlines()])
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and len(runs[0][2]) == 1
+    here = str(os.getpid())
+    serial, forked = logs
+    assert serial == [[item, here, "0"] for item, _pid, _children in serial]
+    assert len(serial) == (4 if study == "sweep-delta" else 3)
+    assert forked[0] == serial[0]
+    assert [pid == here for _item, pid, _n in forked[1:]] == [cli._FORK_WARNS] * (len(serial) - 1)
+    assert sorted(item for item, _pid, _n in forked) == sorted(item for item, _pid, _n in serial)
+
+
+def test_a_late_level_that_fails_prints_after_the_earlier_audits(tmp_path, capsys, monkeypatch):
+    # sweep-eps audits each level as its march arrives, so a failure at the
+    # last level prints after the audit lines of the levels before it
+    march = cli.march
+
+    def fail_last(tensor, rho0, f, params, *args, **kwargs):
+        if params.eps == 0.001:
+            raise NewtonFail("drag solve did not converge")
+        return march(tensor, rho0, f, params, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "march", fail_last)
+    runs = []
+    for cpus in (1, 2):
+        affinity(monkeypatch, cpus)
+        runs.append(study_run(tmp_path, capsys, "sweep-eps", "art"))
+        assert children() == []
+    assert runs[0] == runs[1]
+    code, out, files = runs[0]
+    assert (code, files) == (3, None)
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "PASS mass-identity[0.1]", "PASS energy-slack[0.1]",
+        "PASS mass-identity[0.01]", "PASS energy-slack[0.01]",
+        "FAIL solver",
+    ]
+    assert out.endswith("FAIL solver: NewtonFail: drag solve did not converge\n")
+
+
+def refused_on_call(monkeypatch, name, call, error):
+    """Make ``os.<name>`` raise ``error`` on its ``call``-th call, and work otherwise."""
+    real = getattr(os, name)
+    calls = []
+
+    def refusing(*args):
+        calls.append(None)
+        if len(calls) == call:
+            raise error
+        return real(*args)
+
+    monkeypatch.setattr(os, name, refusing)
+    return calls
+
+
+@pytest.mark.skipif(cli._FORK_WARNS, reason="the study never forks here")
+@pytest.mark.parametrize("study", sorted(FAN_OUTS))
+@pytest.mark.parametrize("name, call, error", [
+    ("fork", 1, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("fork", 2, BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")),
+    ("pipe", 2, OSError(errno.EMFILE, "Too many open files")),
+], ids=["fork-1", "fork-2", "pipe-2"])
+def test_a_study_whose_fork_fails_runs_serially(tmp_path, capsys, monkeypatch, study, name, call,
+                                                error):
+    # the workers forked before the failure are killed and reaped
+    affinity(monkeypatch, 1)
+    serial = study_run(tmp_path, capsys, study, "serial")
+    affinity(monkeypatch, 2)
+    fds = os.listdir("/proc/self/fd")
+    with monkeypatch.context() as patch:
+        calls = refused_on_call(patch, name, call, error)
+        refused = study_run(tmp_path, capsys, study, "refused")
+    assert len(calls) == call
+    assert refused == serial
+    assert serial[0] == 0
+    assert children() == []
+    assert len(os.listdir("/proc/self/fd")) == len(fds)
+
+
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-@pytest.mark.parametrize("study", ["defect-study", "run"])
+@pytest.mark.parametrize("study", ["defect-study", "run", "sweep-delta", "sweep-eps"])
 def test_a_traced_study_writes_what_an_untraced_one_writes(tmp_path, capsys, monkeypatch, study):
     # the benchmark's tracer wraps every public function where it is bound,
     # forked workers inherit the wrappers, and it reads march's result and
@@ -719,9 +883,13 @@ def test_a_traced_study_writes_what_an_untraced_one_writes(tmp_path, capsys, mon
     if study == "run":
         cfg = write_cfg(tmp_path, SMALL_RUN)
     else:
-        entries = read_config(CONFIGS / "defect2d.cfg")
-        entries.update({"grid.n": "64", "run.t_end": "0.1"})
-        cfg = write_config(tmp_path / "defect2d.cfg", entries)
+        if study == "defect-study":
+            entries = read_config(CONFIGS / "defect2d.cfg")
+            entries.update({"grid.n": "64", "run.t_end": "0.1"})
+        else:
+            entries = read_config(CONFIGS / "sweep1d.cfg")
+            entries.update({"grid.n": "128", "run.t_end": "0.05"})
+        cfg = write_config(tmp_path / "study.cfg", entries)
         affinity(monkeypatch, 2)
     runs = []
     for tracer in (None, Tracer()):
@@ -738,6 +906,39 @@ def test_a_traced_study_writes_what_an_untraced_one_writes(tmp_path, capsys, mon
     assert tracer.layer("marching.march").calls >= 1
     assert runs[0] == runs[1]
     assert runs[0][0] == 0
+
+
+# bench/probe.py run as it is, with two CPUs to fork to
+PROBE = """
+import os, runpy, sys
+os.sched_getaffinity = lambda _pid: {0, 1}
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("study", ["sweep-delta", "sweep-eps", "defect-study", "run"])
+def test_the_set_up_probe_stops_each_study_at_its_first_march(tmp_path, study):
+    # it ends the process at the first march call; a worker forked before
+    # that call would print a second line, or outlive the probe
+    cfg = write_cfg(tmp_path, FAN_OUTS.get(study, SMALL_RUN))
+    argv = [str(BENCH / "probe.py"), study, cfg, "--out", str(tmp_path / "art")]
+    proc = subprocess.Popen([sys.executable, "-c", PROBE, *argv], text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            start_new_session=True)
+    try:
+        out, _err = proc.communicate(timeout=60.0)
+        # every process forked in the probe's session has ended too
+        with pytest.raises(ProcessLookupError):
+            os.killpg(proc.pid, 0)
+    finally:
+        with contextlib.suppress(ProcessLookupError):
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert proc.returncode == 0
+    lines = out.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]).keys() == {"at", "import_s"}
 
 
 def test_defect_study_raises_each_state_to_gamma_once_for_all_windows(tmp_path, monkeypatch):
